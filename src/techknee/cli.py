@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (no crossover under
 --require-crossover, reproduction mismatch under --strict), 2 usage error
-(bad flags, missing files, unit mismatches). Output carries explicit
-units and provenance and contains no timestamps, so identical invocations
-produce byte-identical output.
+(bad flags, missing files, unit mismatches, input values the library
+rejects). Output carries explicit units and provenance and contains no
+timestamps, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .sweep import (
     run_scenario,
     run_sweep,
     Scenario,
-    Detection,
+    _baseline_scenario,
     parse_detection,
     parse_usage_metric,
 )
@@ -185,10 +185,6 @@ def _cmd_knee(args) -> int:
     return 0
 
 
-_BASELINE_TARGET = {"audio": "mail_cd", "video": "mail_dvd"}
-_BASELINE_MEDIA = {"audio": "album", "video": "clip"}
-
-
 def _parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenario:
     """Scenario from 'target|reference|metric|detection[|threshold]'."""
     parts = raw.split("|")
@@ -217,14 +213,7 @@ def _cmd_case(args) -> int:
         except ValueError as exc:
             raise _Usage(f"bad scenario id: {exc}")
     else:
-        scenario = Scenario(
-            case=args.case,
-            target=_BASELINE_TARGET[args.case],
-            reference_media=_BASELINE_MEDIA[args.case],
-            usage_metric=parse_usage_metric("minutes"),
-            detection=Detection("empirical"),
-            knee_threshold=args.threshold,
-        )
+        scenario = _baseline_scenario(args.case, knee_threshold=args.threshold)
     result = run_scenario(scenario, datasets)
     threshold_label = f"{scenario.knee_threshold:.0%}"
     if args.json:
@@ -273,6 +262,8 @@ def _cmd_sweep(args) -> int:
         raise _Usage(f"no such config file: {args.config}")
     except json.JSONDecodeError as exc:
         raise _Usage(f"{args.config}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise _Usage(f"{args.config}: a sweep config is a JSON object")
 
     from .sweep import extend_datasets
 
@@ -398,10 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TechkneeError as exc:
+    except (_Usage, TechkneeError, ValueError, KeyError) as exc:
+        # Bad input reaching the library (a share above 1, a config
+        # missing an axis, an unknown metric) is a usage error too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,9 +87,6 @@ REFERENCE_MEDIA: dict[str, MediaSpec] = {
     "hd_movie": MediaSpec(kind="video", length_seconds=5400.0, override_size_bits=3.027e12),
 }
 
-MEDIA_KIND_FOR_CASE = {"audio": "audio", "video": "video"}
-
-
 def _audio_size_bits(bit_rate: float, length_seconds: float) -> float:
     return bit_rate * length_seconds
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
@@ -22,8 +23,8 @@ from .costs import InternetPricing, MailSpec, MediaSpec, REFERENCE_MEDIA, \
     internet_distribution_perf, mail_distribution_perf, one_minute_size_bits
 from .datasets import Datasets, parse_series_csv
 from .errors import TechkneeError
-from .fitting import CrossoverResult, KneeResult, crossover_empirical, crossover_fitted, \
-    fit_exponential, knee
+from .fitting import CrossoverResult, ExpFit, KneeResult, crossover_empirical, \
+    crossover_fitted, fit_exponential, knee
 from .series import AnnualSeries, annualize
 
 
@@ -372,56 +373,122 @@ def adoption_series(case: str, metric: UsageMetric, datasets: Datasets,
     return adoption_share(internet, physical, metric, denominator)
 
 
+_NO_DIAGNOSTICS: Mapping[str, float] = MappingProxyType({})
+
+
+class _Stages:
+    """The pipeline stages over one datasets bundle, each distinct input
+    computed once.
+
+    A crossover depends only on (case, target, reference media, detection)
+    and a knee only on (case, usage metric, threshold), so scenarios that
+    share those keys share one result. Stages are looked up by their
+    module names at call time, so patching `techknee.sweep.<stage>` sees
+    every call. An instance lives for one call of `run_scenario`,
+    `run_sweep` or `reproduce_case_studies`.
+    """
+
+    def __init__(self, datasets: Datasets) -> None:
+        self.datasets = datasets
+        self._replacement: dict[tuple, AnnualSeries] = {}
+        self._target: dict[str, AnnualSeries] = {}
+        self._adoption: dict[tuple, AnnualSeries] = {}
+        self._fit: dict[tuple, ExpFit] = {}
+        self._crossover: dict[tuple, tuple[CrossoverResult, Mapping[str, float]]] = {}
+        self._knee: dict[tuple, KneeResult] = {}
+
+    def replacement(self, case: str, reference_media: str) -> AnnualSeries:
+        key = (case, reference_media)
+        if key not in self._replacement:
+            self._replacement[key] = replacement_performance(case, reference_media, self.datasets)
+        return self._replacement[key]
+
+    def target(self, target: str) -> AnnualSeries:
+        if target not in self._target:
+            self._target[target] = target_performance(target, self.datasets)
+        return self._target[target]
+
+    def adoption(self, case: str, metric: UsageMetric) -> AnnualSeries:
+        key = (case, metric)
+        if key not in self._adoption:
+            self._adoption[key] = adoption_series(case, metric, self.datasets)
+        return self._adoption[key]
+
+    def _fitted(self, series_key: tuple, series: AnnualSeries, window: tuple) -> ExpFit:
+        key = (series_key, window)
+        if key not in self._fit:
+            self._fit[key] = fit_exponential(series, window)
+        return self._fit[key]
+
+    def crossover(self, s: Scenario) -> tuple[CrossoverResult, Mapping[str, float]]:
+        """The crossover and its read-only diagnostics, shared by every
+        scenario with the same crossover key."""
+        key = (s.case, s.target, s.reference_media, s.detection)
+        hit = self._crossover.get(key)
+        if hit is None:
+            hit = self._crossover[key] = self._detect_crossover(s)
+        return hit
+
+    def _detect_crossover(self, s: Scenario) -> tuple[CrossoverResult, Mapping[str, float]]:
+        replacement = self.replacement(s.case, s.reference_media)
+        target = self.target(s.target)
+        if s.detection.mode == "empirical":
+            return crossover_empirical(replacement, target), _NO_DIAGNOSTICS
+        window = (s.detection.window_from, s.detection.window_to)
+        fit_r = self._fitted(("replacement", s.case, s.reference_media), replacement, window)
+        fit_t = self._fitted(("target", s.target), target, window)
+        crossover = crossover_fitted(fit_r, fit_t)
+        diagnostics = {
+            "replacement_a": fit_r.a,
+            "replacement_k": fit_r.k,
+            "replacement_r_squared": fit_r.r_squared,
+            "target_a": fit_t.a,
+            "target_k": fit_t.k,
+            "target_r_squared": fit_t.r_squared,
+        }
+        if crossover.fractional_year is not None:
+            lo = min(fit_r.window[0], fit_t.window[0])
+            hi = max(fit_r.window[1], fit_t.window[1])
+            diagnostics["crossover_extrapolated"] = float(
+                not lo <= crossover.fractional_year <= hi
+            )
+        return crossover, MappingProxyType(diagnostics)
+
+    def knee(self, s: Scenario) -> KneeResult:
+        key = (s.case, s.usage_metric, s.knee_threshold)
+        hit = self._knee.get(key)
+        if hit is None:
+            if s.case == "custom":
+                # No bundled usage data for custom cases: the knee is absent.
+                hit = KneeResult(None, s.knee_threshold)
+            else:
+                hit = knee(self.adoption(s.case, s.usage_metric), s.knee_threshold)
+            self._knee[key] = hit
+        return hit
+
+    def run(self, scenario: Scenario) -> SweepResult:
+        try:
+            crossover, diagnostics = self.crossover(scenario)
+            knee_result = self.knee(scenario)
+        except (TechkneeError, ValueError, KeyError) as exc:
+            raise ScenarioError(f"scenario {scenario.scenario_id}: {exc}") from exc
+        return SweepResult(scenario, crossover, knee_result, diagnostics)
+
+
 def run_scenario(scenario: Scenario, datasets: Datasets) -> SweepResult:
     """Full pipeline for one scenario; deterministic, errors annotated."""
-    try:
-        replacement = replacement_performance(scenario.case, scenario.reference_media, datasets)
-        target = target_performance(scenario.target, datasets)
-    except (TechkneeError, ValueError, KeyError) as exc:
-        raise ScenarioError(f"scenario {scenario.scenario_id}: {exc}") from exc
-    try:
-        diagnostics: dict[str, float] = {}
-        if scenario.detection.mode == "empirical":
-            crossover = crossover_empirical(replacement, target)
-        else:
-            window = (scenario.detection.window_from, scenario.detection.window_to)
-            fit_r = fit_exponential(replacement, window)
-            fit_t = fit_exponential(target, window)
-            crossover = crossover_fitted(fit_r, fit_t)
-            diagnostics = {
-                "replacement_a": fit_r.a,
-                "replacement_k": fit_r.k,
-                "replacement_r_squared": fit_r.r_squared,
-                "target_a": fit_t.a,
-                "target_k": fit_t.k,
-                "target_r_squared": fit_t.r_squared,
-            }
-            if crossover.fractional_year is not None:
-                lo = min(fit_r.window[0], fit_t.window[0])
-                hi = max(fit_r.window[1], fit_t.window[1])
-                diagnostics["crossover_extrapolated"] = float(
-                    not lo <= crossover.fractional_year <= hi
-                )
-        if scenario.case == "custom":
-            # No bundled usage data for custom cases: the knee is absent.
-            knee_result = KneeResult(None, scenario.knee_threshold)
-        else:
-            adoption = adoption_series(scenario.case, scenario.usage_metric, datasets)
-            knee_result = knee(adoption, scenario.knee_threshold)
-    except (TechkneeError, ValueError, KeyError) as exc:
-        raise ScenarioError(f"scenario {scenario.scenario_id}: {exc}") from exc
-    return SweepResult(scenario, crossover, knee_result, diagnostics)
+    return _Stages(datasets).run(scenario)
 
 
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
     """Evaluate every scenario; output order follows the enumeration.
 
-    Results are keyed and merged by scenario id, so evaluation order (or a
-    parallel executor) cannot change the report.
+    Each distinct crossover and knee is computed once and joined onto
+    every scenario that shares its key. Scenarios are evaluated in
+    enumeration order, so a failure names the first failing scenario.
     """
-    scenarios = enumerate_scenarios(config, datasets)
-    by_id = {s.scenario_id: run_scenario(s, datasets) for s in scenarios}
-    return [by_id[s.scenario_id] for s in scenarios]
+    stages = _Stages(datasets)
+    return [stages.run(s) for s in enumerate_scenarios(config, datasets)]
 
 
 def feasibility_range(results: list[SweepResult], group_by: str | None = None) -> list[FeasibilityRange]:
@@ -630,11 +697,12 @@ _RANGE_SPECS = (
 
 def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     """Recompute every reproducible cell of Tables 2-5 and the summary ranges."""
+    stages = _Stages(datasets)
     cells = []
     crossover_years: dict[str, list[int]] = {"audio": [], "video": []}
     for cell_id, table, case, label, overrides, event, expected, tolerance in _CELL_SPECS:
         scenario = _baseline_scenario(case, **overrides)
-        result = run_scenario(scenario, datasets)
+        result = stages.run(scenario)
         computed = result.crossover.year if event == "crossover" else result.knee.year
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
@@ -659,8 +727,8 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     for case in ("audio", "video"):
         base = _BASELINE[case]
         curves[case] = {
-            "replacement": replacement_performance(case, base["reference"], datasets),
-            "target": target_performance(base["target"], datasets),
-            "adoption": adoption_series(case, _MINUTES, datasets),
+            "replacement": stages.replacement(case, base["reference"]),
+            "target": stages.target(base["target"]),
+            "adoption": stages.adoption(case, _MINUTES),
         }
     return ReproductionReport(tuple(cells), tuple(ranges), curves)

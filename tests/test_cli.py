@@ -247,6 +247,53 @@ class TestExportData:
         assert "exported 16 files" in out
 
 
+class TestErrorContract:
+    """Bad input reaching the library exits 2 with one `error:` line."""
+
+    @staticmethod
+    def assert_usage_error(result):
+        code, out, err = result
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+
+    def test_crossover_without_shared_years(self, capsys, tmp_path, rising_csv):
+        later = tmp_path / "later.csv"
+        later.write_text("year,value\n2005,1.0\n2006,2.0\n")
+        self.assert_usage_error(run(
+            capsys, "crossover", "--replacement", rising_csv, "--target", str(later),
+            "--unit", "count-per-year",
+        ))
+
+    def test_knee_on_share_above_one(self, capsys, tmp_path):
+        path = tmp_path / "over.csv"
+        path.write_text("year,value\n2000,0.5\n2001,1.5\n")
+        self.assert_usage_error(run(capsys, "knee", "--input", str(path), "--threshold", "0.1"))
+
+    def test_knee_threshold_outside_unit_interval(self, capsys, share_csv):
+        self.assert_usage_error(run(capsys, "knee", "--input", share_csv, "--threshold", "1.5"))
+
+    @staticmethod
+    def sweep(capsys, tmp_path, config):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        return run(capsys, "sweep", "--config", str(path), "--out", str(tmp_path / "out"))
+
+    def test_sweep_config_missing_an_axis(self, capsys, tmp_path):
+        config = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
+                  "usage_metrics": ["minutes"], "detection": ["empirical"]}
+        self.assert_usage_error(self.sweep(capsys, tmp_path, config))
+
+    def test_sweep_unknown_usage_metric(self, capsys, tmp_path):
+        config = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
+                  "usage_metrics": ["furlongs"], "detection": ["empirical"],
+                  "knee_thresholds": [0.01]}
+        self.assert_usage_error(self.sweep(capsys, tmp_path, config))
+
+    def test_sweep_config_not_an_object(self, capsys, tmp_path):
+        self.assert_usage_error(self.sweep(capsys, tmp_path, ["audio"]))
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

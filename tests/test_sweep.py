@@ -5,7 +5,7 @@ import json
 import pytest
 
 from techknee.adoption import UsageMetric
-from techknee.datasets import load_all
+from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, knee
 from techknee.sweep import (
     Detection,
@@ -302,6 +302,111 @@ class TestDeterminism:
         reduced = run_sweep(config(reference_media=["song"]), datasets)
         for r in reduced:
             assert full[r.scenario.scenario_id] == r
+
+
+class TestJoin:
+    """run_sweep computes each distinct crossover and knee once and joins
+    them onto the scenarios that share their keys."""
+
+    JOIN_CONFIG = dict(
+        targets=["mail_cd", "mail_cassette"],
+        reference_media=["album", "song"],
+        usage_metrics=["minutes", "raw_bits", "units:3"],
+        detection=["empirical", "fitted", "fitted:1995-2010"],
+        knee_thresholds=[0.01, 0.10],
+    )
+
+    def test_equals_per_scenario_pipeline(self, datasets):
+        cfg = config(**self.JOIN_CONFIG)
+        joined = run_sweep(cfg, datasets)
+        alone = [run_scenario(s, datasets) for s in enumerate_scenarios(cfg, datasets)]
+        assert len(joined) == 2 * 2 * 3 * 3 * 2
+        assert joined == alone
+        assert [dict(r.diagnostics) for r in joined] == [dict(r.diagnostics) for r in alone]
+
+    @staticmethod
+    def count_stage_calls(monkeypatch, names):
+        """Record the non-Datasets arguments of every call to the named
+        `techknee.sweep` stages."""
+        import techknee.sweep
+
+        calls = {name: [] for name in names}
+
+        def counting(name, stage):
+            def wrapper(*args):
+                calls[name].append(tuple(a for a in args if not isinstance(a, Datasets)))
+                return stage(*args)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(techknee.sweep, name, counting(name, getattr(techknee.sweep, name)))
+        return calls
+
+    def test_each_stage_runs_once_per_distinct_key(self, datasets, monkeypatch):
+        calls = self.count_stage_calls(monkeypatch, (
+            "replacement_performance", "target_performance", "adoption_series",
+            "fit_exponential", "crossover_empirical", "crossover_fitted", "knee",
+        ))
+        run_sweep(config(**self.JOIN_CONFIG), datasets)
+
+        counts = {name: len(args) for name, args in calls.items()}
+        assert counts == {
+            "replacement_performance": 2,  # album, song
+            "target_performance": 2,  # mail_cd, mail_cassette
+            "adoption_series": 3,  # one per metric
+            "fit_exponential": 8,  # 4 series x 2 fitted windows
+            "crossover_empirical": 4,  # 2 targets x 2 references
+            "crossover_fitted": 8,  # ... x 2 fitted windows
+            "knee": 6,  # 3 metrics x 2 thresholds
+        }
+        # No stage sees the same inputs twice. (Knees are left out: the
+        # minutes and units metrics give identical shares by construction.)
+        for name in ("replacement_performance", "target_performance", "adoption_series",
+                     "fit_exponential", "crossover_empirical", "crossover_fitted"):
+            assert len(set(calls[name])) == counts[name], name
+
+    def test_reproduction_shares_stages_across_cells(self, datasets, monkeypatch):
+        calls = self.count_stage_calls(
+            monkeypatch, ("replacement_performance", "target_performance", "adoption_series")
+        )
+        reproduce_case_studies(datasets)
+        # audio: album, song; video: clip, sd_movie, hd_movie
+        assert len(calls["replacement_performance"]) == 5
+        assert len(calls["target_performance"]) == 3  # mail_cd, mail_cassette, mail_dvd
+        assert len(calls["adoption_series"]) == 6  # minutes, raw bits, units per case
+
+    def test_failure_names_first_failing_scenario(self, datasets):
+        from techknee.errors import FitError
+
+        # No data after 2030: every scenario with that window fails its fit.
+        cfg = config(
+            targets=["mail_cd", "mail_cassette"],
+            detection=["empirical", "fitted:2030-2040"],
+            knee_thresholds=[0.01, 0.10],
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            run_sweep(cfg, datasets)
+        first = "audio|mail_cd|album|minutes|fitted:2030-2040|0.01"
+        assert str(excinfo.value).startswith(f"scenario {first}: ")
+        assert isinstance(excinfo.value.__cause__, FitError)
+        failing = []
+        for scenario in enumerate_scenarios(cfg, datasets):
+            try:
+                run_scenario(scenario, datasets)
+            except ScenarioError:
+                failing.append(scenario.scenario_id)
+        assert failing[0] == first
+
+    def test_shared_diagnostics_are_read_only(self, datasets):
+        results = run_sweep(config(detection=["fitted"], knee_thresholds=[0.01, 0.10]), datasets)
+        first, second = results
+        assert first.diagnostics is second.diagnostics
+        with pytest.raises(TypeError):
+            first.diagnostics["replacement_k"] = 0.0
+        assert second.diagnostics["replacement_k"] > 0.4
+        (empirical,) = run_sweep(config(), datasets)
+        with pytest.raises(TypeError):
+            empirical.diagnostics["replacement_k"] = 0.0
 
 
 class TestFeasibilityRange:
