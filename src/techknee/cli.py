@@ -23,14 +23,16 @@ from .plots import write_case_svg, write_tidy_csv
 from .series import UNIT_TAGS
 from .sweep import (
     SweepConfig,
-    feasibility_range,
+    block_feasibility_range,
+    feasibility_range,  # noqa: F401 -- kept for callers that look it up here (bench/tracer.py)
     reproduce_case_studies,
     run_scenario,
-    run_sweep,
+    run_sweep,  # noqa: F401 -- likewise
     Scenario,
     _baseline_scenario,
     parse_detection,
     parse_usage_metric,
+    sweep_blocks,
 )
 
 
@@ -254,6 +256,65 @@ def _cmd_case(args) -> int:
     return 0
 
 
+_SWEEP_COLUMNS = ("scenario_id", "case", "target", "reference_media", "usage_metric",
+                  "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year")
+
+
+class _CsvCells(dict):
+    """Each field as csv.writer writes it inside a row, computed once per
+    distinct field."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._writer = csv.writer(self)
+
+    def write(self, line: str) -> None:
+        self._line = line
+
+    def __missing__(self, field: str) -> str:
+        # A second, empty field keeps a lone empty field from being quoted;
+        # the row ends ",\r\n".
+        self._writer.writerow((field, ""))
+        cell = self[field] = self._line[:-3]
+        return cell
+
+
+def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
+    """results.csv, one string per block, byte-identical to csv.writer
+    writing one row per scenario."""
+    cells = _CsvCells()
+    case = cells[config.case]
+    thresholds = [f"{t:g}" for t in config.knee_thresholds]
+    threshold_cells = [cells[t] for t in thresholds]
+    # csv quotes a field for the characters in it, so an id whose prefix
+    # and threshold need no quoting needs none either.
+    plain_thresholds = threshold_cells == thresholds
+    metric_labels = {m: m.label() for m in config.usage_metrics}
+    detection_labels = {d: d.label() for d in config.detection}
+    knee_cells: dict = {}
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerow(_SWEEP_COLUMNS)
+        for b in blocks:
+            metric, detection = metric_labels[b.usage_metric], detection_labels[b.detection]
+            prefix = f"{config.case}|{b.target}|{b.reference_media}|{metric}|{detection}|"
+            if plain_thresholds and cells[prefix] == prefix:
+                ids = [prefix + t for t in thresholds]
+            else:
+                ids = [cells[prefix + t] for t in thresholds]
+            middle = ",".join((case, cells[b.target], cells[b.reference_media], cells[metric], cells[detection]))
+            x = b.crossover
+            crossover = (cells["" if x.year is None else str(x.year)] + "," +
+                         cells["" if x.fractional_year is None else f"{x.fractional_year:.4f}"])
+            knees = knee_cells.get(b.usage_metric)
+            if knees is None:
+                knees = knee_cells[b.usage_metric] = [
+                    cells["" if k.year is None else str(k.year)] for k in b.knees
+                ]
+            f.write("".join([
+                f"{i},{middle},{t},{crossover},{k}\r\n" for i, t, k in zip(ids, threshold_cells, knees)
+            ]))
+
+
 def _cmd_sweep(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as f:
@@ -269,32 +330,16 @@ def _cmd_sweep(args) -> int:
 
     datasets = extend_datasets(load_all(), doc, base_dir=Path(args.config).parent)
     config = SweepConfig.from_json(doc)
-    results = run_sweep(config, datasets)
+    blocks = sweep_blocks(config, datasets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows_path = out / "results.csv"
-    with open(rows_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["scenario_id", "case", "target", "reference_media", "usage_metric",
-             "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year"]
-        )
-        for r in results:
-            s = r.scenario
-            writer.writerow(
-                [
-                    s.scenario_id, s.case, s.target, s.reference_media,
-                    s.usage_metric.label(), s.detection.label(), f"{s.knee_threshold:g}",
-                    r.crossover.year if r.crossover.year is not None else "",
-                    f"{r.crossover.fractional_year:.4f}" if r.crossover.fractional_year is not None else "",
-                    r.knee.year if r.knee.year is not None else "",
-                ]
-            )
-
-    ranges = feasibility_range(results, group_by=None) + feasibility_range(results, group_by="target")
+    _write_sweep_rows(rows_path, config, blocks)
+    n_scenarios = len(blocks) * len(config.knee_thresholds)
+    ranges = block_feasibility_range(blocks) + block_feasibility_range(blocks, group_by="target")
     summary = {
-        "n_scenarios": len(results),
+        "n_scenarios": n_scenarios,
         "ranges": [
             {
                 "label": fr.label,
@@ -308,7 +353,7 @@ def _cmd_sweep(args) -> int:
         ],
     }
     (out / "feasibility.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"{len(results)} scenarios -> {rows_path}")
+    print(f"{n_scenarios} scenarios -> {rows_path}")
     print(f"feasibility summary -> {out / 'feasibility.json'}")
     return 0
 

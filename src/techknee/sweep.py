@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
@@ -71,23 +71,25 @@ class Scenario:
     knee_threshold: float
 
     def __post_init__(self) -> None:
-        if self.case not in ("audio", "video", "custom"):
-            raise ValueError(f"unknown case {self.case!r}")
-        if not 0.0 < self.knee_threshold < 1.0:
-            raise ValueError("knee threshold must be in (0, 1)")
+        _check_scenario(self.case, self.knee_threshold)
 
     @property
     def scenario_id(self) -> str:
-        return "|".join(
-            [
-                self.case,
-                self.target,
-                self.reference_media,
-                self.usage_metric.label(),
-                self.detection.label(),
-                f"{self.knee_threshold:g}",
-            ]
-        )
+        return _scenario_id(self.case, self.target, self.reference_media, self.usage_metric,
+                            self.detection, self.knee_threshold)
+
+
+def _check_scenario(case: str, knee_threshold: float) -> None:
+    if case not in ("audio", "video", "custom"):
+        raise ValueError(f"unknown case {case!r}")
+    if not 0.0 < knee_threshold < 1.0:
+        raise ValueError("knee threshold must be in (0, 1)")
+
+
+def _scenario_id(case: str, target: str, reference_media: str, usage_metric: UsageMetric,
+                 detection: Detection, knee_threshold: float) -> str:
+    return "|".join([case, target, reference_media, usage_metric.label(), detection.label(),
+                     f"{knee_threshold:g}"])
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,24 @@ class SweepResult:
     crossover: CrossoverResult
     knee: KneeResult
     diagnostics: Mapping[str, float] = field(default_factory=dict)
+
+
+class SweepBlock(NamedTuple):
+    """The scenarios of a sweep that differ only in their knee threshold.
+
+    They share one crossover and its diagnostics; `knees` follows the
+    config's thresholds in order and is shared by every block with the
+    same usage metric. (A named tuple: it is built at import for a
+    fraction of a frozen dataclass's cost, which every command pays.)
+    """
+
+    target: str
+    reference_media: str
+    usage_metric: UsageMetric
+    detection: Detection
+    crossover: CrossoverResult
+    diagnostics: Mapping[str, float]
+    knees: tuple[KneeResult, ...]
 
 
 @dataclass(frozen=True)
@@ -112,6 +132,22 @@ class FeasibilityRange:
     knee_absent: int
 
 
+def _field(doc: Mapping, key: str):
+    """A required field of a config object."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
+def _named(where: str, parse):
+    """`parse()`, its ValueError prefixed with the config entry it parses."""
+    try:
+        return parse()
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
     if isinstance(raw, UsageMetric):
@@ -121,9 +157,9 @@ def parse_usage_metric(raw) -> UsageMetric:
             return UsageMetric.units(float(raw.split(":", 1)[1]))
         return UsageMetric(raw)
     if isinstance(raw, dict):
-        kind = raw["kind"]
+        kind = _field(raw, "kind")
         if kind == "units":
-            return UsageMetric.units(float(raw["unit_length_minutes"]))
+            return UsageMetric.units(float(_field(raw, "unit_length_minutes")))
         return UsageMetric(kind)
     raise ValueError(f"cannot parse usage metric from {raw!r}")
 
@@ -165,90 +201,93 @@ class SweepConfig:
         for key in ("case", "targets", "reference_media", "usage_metrics", "detection", "knee_thresholds"):
             if key not in doc or (key != "case" and not doc[key]):
                 raise ValueError(f"config needs at least one value for {key!r}")
+
+        def each(key: str, parse) -> tuple:
+            return tuple(_named(f"{key}[{i}]", lambda: parse(raw)) for i, raw in enumerate(doc[key]))
+
         return cls(
             case=doc["case"],
             targets=tuple(doc["targets"]),
             reference_media=tuple(doc["reference_media"]),
-            usage_metrics=tuple(parse_usage_metric(m) for m in doc["usage_metrics"]),
-            detection=tuple(parse_detection(d) for d in doc["detection"]),
-            knee_thresholds=tuple(float(t) for t in doc["knee_thresholds"]),
+            usage_metrics=each("usage_metrics", parse_usage_metric),
+            detection=each("detection", parse_detection),
+            knee_thresholds=each("knee_thresholds", float),
         )
+
+
+def _blocks(config: SweepConfig, datasets: Datasets | None) -> Iterator[tuple]:
+    """(target, reference media, usage metric, detection) of each block in
+    enumeration order, raising the error of the first invalid scenario."""
+    custom_targets = custom_media = {}
+    if datasets is not None:
+        custom_targets = datasets.custom_series.keys() | datasets.custom_mail.keys()
+        custom_media = datasets.custom_media
+    checked = False
+    for target in config.targets:
+        if target not in MAIL_TARGETS and target not in custom_targets:
+            raise ValueError(f"unresolvable target {target!r}")
+        for media in config.reference_media:
+            if media not in REFERENCE_MEDIA and media not in custom_media:
+                raise ValueError(f"unresolvable reference media {media!r}")
+            if not checked:
+                for threshold in config.knee_thresholds:
+                    _check_scenario(config.case, threshold)
+                checked = True
+            for metric in config.usage_metrics:
+                for detection in config.detection:
+                    yield target, media, metric, detection
 
 
 def enumerate_scenarios(config: SweepConfig, datasets: Datasets | None = None) -> list[Scenario]:
     """Cartesian product over the axes, in axis declaration order."""
-
-    def target_known(name: str) -> bool:
-        if name in MAIL_TARGETS:
-            return True
-        return datasets is not None and (
-            name in datasets.custom_series or name in datasets.custom_mail
-        )
-
-    def media_known(name: str) -> bool:
-        if name in REFERENCE_MEDIA:
-            return True
-        return datasets is not None and name in datasets.custom_media
-
-    scenarios = []
-    for target in config.targets:
-        if not target_known(target):
-            raise ValueError(f"unresolvable target {target!r}")
-        for media in config.reference_media:
-            if not media_known(media):
-                raise ValueError(f"unresolvable reference media {media!r}")
-            for metric in config.usage_metrics:
-                for detection in config.detection:
-                    for threshold in config.knee_thresholds:
-                        scenarios.append(
-                            Scenario(config.case, target, media, metric, detection, threshold)
-                        )
-    return scenarios
+    return [
+        Scenario(config.case, target, media, metric, detection, threshold)
+        for target, media, metric, detection in _blocks(config, datasets)
+        for threshold in config.knee_thresholds
+    ]
 
 
 # ---------------------------------------------------------------------------
 # config-declared extensions
 
 
-def _parse_custom_media(name: str, doc: Mapping) -> MediaSpec:
+def _parse_custom_media(doc: Mapping) -> MediaSpec:
     """Media unit from JSON with explicit unit suffixes on every field."""
-    kind = doc["kind"]
+    kind = _field(doc, "kind")
     fields = dict(
         kind=kind,
-        length_seconds=float(doc["length_seconds"]),
+        length_seconds=float(_field(doc, "length_seconds")),
         audio_bit_rate=float(doc.get("audio_bit_rate_kbps", 633.6)) * 1e3,
     )
     if "override_size_gigabits" in doc:
         fields["override_size_bits"] = float(doc["override_size_gigabits"]) * 1e9
     elif kind == "video":
         fields.update(
-            pixel_height=int(doc["pixel_height"]),
-            pixel_width=int(doc["pixel_width"]),
-            bits_per_pixel=int(doc["bits_per_pixel"]),
-            frames_per_second=float(doc["frames_per_second"]),
+            pixel_height=int(_field(doc, "pixel_height")),
+            pixel_width=int(_field(doc, "pixel_width")),
+            bits_per_pixel=int(_field(doc, "bits_per_pixel")),
+            frames_per_second=float(_field(doc, "frames_per_second")),
         )
-    try:
-        return MediaSpec(**fields)
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"custom media {name!r}: {exc}") from exc
+    return MediaSpec(**fields)
 
 
 def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec:
-    sales = resolve(doc["sales_path"], "count-per-year")
+    sales = resolve(_field(doc, "sales_path"), "count-per-year")
     if "sales_scale" in doc:
         sales = sales.scale(float(doc["sales_scale"]))
-    if doc["kind"] == "analog":
+    kind = _field(doc, "kind")
+    if kind == "analog":
         storage = AnalogStorage(
-            minutes_per_unit=float(doc["minutes_per_unit"]),
+            minutes_per_unit=float(_field(doc, "minutes_per_unit")),
             raw_bits_per_minute=float(
                 doc.get("raw_bits_per_minute", one_minute_size_bits(case))
             ),
         )
-    elif doc["kind"] == "digital":
-        storage = DigitalStorage(unit_storage_megabytes=float(doc["unit_storage_megabytes"]))
+    elif kind == "digital":
+        storage = DigitalStorage(unit_storage_megabytes=float(_field(doc, "unit_storage_megabytes")))
     else:
-        raise ValueError(f"physical medium {doc.get('name')!r}: unknown kind {doc['kind']!r}")
-    return PhysicalMediaSpec(doc["name"], storage, sales)
+        raise ValueError(f"physical medium {doc.get('name')!r}: unknown kind {kind!r}")
+    return PhysicalMediaSpec(_field(doc, "name"), storage, sales)
 
 
 def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets:
@@ -258,7 +297,8 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     CSV), `custom_media` (reference media units), `custom_targets` (mail
     weights), `protocol_mix` (per-case media share built from protocol
     tables), and `custom_physical_media` (per-case competitor sets).
-    Relative CSV paths resolve against `base_dir`.
+    Relative CSV paths resolve against `base_dir`. An invalid entry raises
+    ValueError naming it, e.g. `custom_series['drive']: missing field 'unit'`.
     """
     from dataclasses import replace
     from pathlib import Path
@@ -267,37 +307,41 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = Path(base_dir) / p
-        return parse_series_csv(p, unit)
+        try:
+            return parse_series_csv(p, unit)
+        except FileNotFoundError:
+            raise ValueError(f"no such file: {p}") from None
+
+    def each(key: str, parse) -> dict:
+        return {name: _named(f"{key}[{name!r}]", lambda: parse(spec)) for name, spec in doc[key].items()}
+
+    def each_case(key: str, parse) -> dict:
+        return {
+            case: [_named(f"{key}[{case!r}][{i}]", lambda: parse(case, entry)) for i, entry in enumerate(entries)]
+            for case, entries in doc[key].items()
+        }
 
     updates: dict = {}
     if doc.get("custom_series"):
-        updates["custom_series"] = {
-            name: resolve(spec["path"], spec["unit"])
-            for name, spec in doc["custom_series"].items()
-        }
+        updates["custom_series"] = each(
+            "custom_series", lambda spec: resolve(_field(spec, "path"), _field(spec, "unit"))
+        )
     if doc.get("custom_media"):
-        updates["custom_media"] = {
-            name: _parse_custom_media(name, spec) for name, spec in doc["custom_media"].items()
-        }
+        updates["custom_media"] = each("custom_media", _parse_custom_media)
     if doc.get("custom_targets"):
-        updates["custom_mail"] = {
-            name: int(spec["weight_ounces"]) for name, spec in doc["custom_targets"].items()
-        }
+        updates["custom_mail"] = each("custom_targets", lambda spec: int(_field(spec, "weight_ounces")))
     if doc.get("protocol_mix"):
+        mixes = each_case("protocol_mix", lambda case, entry: (
+            resolve(_field(entry, "path"), "dimensionless-share"), float(_field(entry, "media_fraction"))
+        ))
         updates["media_share_override"] = {
-            case: protocol_mix(
-                [
-                    (resolve(entry["path"], "dimensionless-share"), float(entry["media_fraction"]))
-                    for entry in entries
-                ]
-            )
-            for case, entries in doc["protocol_mix"].items()
+            case: _named(f"protocol_mix[{case!r}]", lambda: protocol_mix(entries))
+            for case, entries in mixes.items()
         }
     if doc.get("custom_physical_media"):
-        updates["physical_media_override"] = {
-            case: tuple(_parse_physical_media(case, entry, resolve) for entry in entries)
-            for case, entries in doc["custom_physical_media"].items()
-        }
+        media = each_case("custom_physical_media",
+                          lambda case, entry: _parse_physical_media(case, entry, resolve))
+        updates["physical_media_override"] = {case: tuple(entries) for case, entries in media.items()}
     return replace(datasets, **updates) if updates else datasets
 
 
@@ -385,7 +429,7 @@ class _Stages:
     share those keys share one result. Stages are looked up by their
     module names at call time, so patching `techknee.sweep.<stage>` sees
     every call. An instance lives for one call of `run_scenario`,
-    `run_sweep` or `reproduce_case_studies`.
+    `sweep_blocks` or `reproduce_case_studies`.
     """
 
     def __init__(self, datasets: Datasets) -> None:
@@ -420,23 +464,25 @@ class _Stages:
             self._fit[key] = fit_exponential(series, window)
         return self._fit[key]
 
-    def crossover(self, s: Scenario) -> tuple[CrossoverResult, Mapping[str, float]]:
+    def crossover(self, case: str, target: str, reference_media: str,
+                  detection: Detection) -> tuple[CrossoverResult, Mapping[str, float]]:
         """The crossover and its read-only diagnostics, shared by every
         scenario with the same crossover key."""
-        key = (s.case, s.target, s.reference_media, s.detection)
+        key = (case, target, reference_media, detection)
         hit = self._crossover.get(key)
         if hit is None:
-            hit = self._crossover[key] = self._detect_crossover(s)
+            hit = self._crossover[key] = self._detect_crossover(*key)
         return hit
 
-    def _detect_crossover(self, s: Scenario) -> tuple[CrossoverResult, Mapping[str, float]]:
-        replacement = self.replacement(s.case, s.reference_media)
-        target = self.target(s.target)
-        if s.detection.mode == "empirical":
+    def _detect_crossover(self, case: str, target_name: str, reference_media: str,
+                          detection: Detection) -> tuple[CrossoverResult, Mapping[str, float]]:
+        replacement = self.replacement(case, reference_media)
+        target = self.target(target_name)
+        if detection.mode == "empirical":
             return crossover_empirical(replacement, target), _NO_DIAGNOSTICS
-        window = (s.detection.window_from, s.detection.window_to)
-        fit_r = self._fitted(("replacement", s.case, s.reference_media), replacement, window)
-        fit_t = self._fitted(("target", s.target), target, window)
+        window = (detection.window_from, detection.window_to)
+        fit_r = self._fitted(("replacement", case, reference_media), replacement, window)
+        fit_t = self._fitted(("target", target_name), target, window)
         crossover = crossover_fitted(fit_r, fit_t)
         diagnostics = {
             "replacement_a": fit_r.a,
@@ -454,22 +500,23 @@ class _Stages:
             )
         return crossover, MappingProxyType(diagnostics)
 
-    def knee(self, s: Scenario) -> KneeResult:
-        key = (s.case, s.usage_metric, s.knee_threshold)
+    def knee(self, case: str, metric: UsageMetric, threshold: float) -> KneeResult:
+        key = (case, metric, threshold)
         hit = self._knee.get(key)
         if hit is None:
-            if s.case == "custom":
+            if case == "custom":
                 # No bundled usage data for custom cases: the knee is absent.
-                hit = KneeResult(None, s.knee_threshold)
+                hit = KneeResult(None, threshold)
             else:
-                hit = knee(self.adoption(s.case, s.usage_metric), s.knee_threshold)
+                hit = knee(self.adoption(case, metric), threshold)
             self._knee[key] = hit
         return hit
 
     def run(self, scenario: Scenario) -> SweepResult:
+        s = scenario
         try:
-            crossover, diagnostics = self.crossover(scenario)
-            knee_result = self.knee(scenario)
+            crossover, diagnostics = self.crossover(s.case, s.target, s.reference_media, s.detection)
+            knee_result = self.knee(s.case, s.usage_metric, s.knee_threshold)
         except (TechkneeError, ValueError, KeyError) as exc:
             raise ScenarioError(f"scenario {scenario.scenario_id}: {exc}") from exc
         return SweepResult(scenario, crossover, knee_result, diagnostics)
@@ -480,15 +527,85 @@ def run_scenario(scenario: Scenario, datasets: Datasets) -> SweepResult:
     return _Stages(datasets).run(scenario)
 
 
+def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
+    """Evaluate a sweep one block at a time, in enumeration order.
+
+    A block is one (target, reference media, usage metric, detection)
+    with all of the config's thresholds. Each distinct crossover and knee
+    is computed once. A failure raises ScenarioError naming the first
+    failing scenario in enumeration order.
+    """
+    stages = _Stages(datasets)
+    case, thresholds = config.case, config.knee_thresholds
+    knees: dict[UsageMetric, tuple[KneeResult, ...]] = {}
+    blocks = []
+    for target, media, metric, detection in _blocks(config, datasets):
+        threshold = thresholds[0]  # names the failing scenario below
+        try:
+            crossover, diagnostics = stages.crossover(case, target, media, detection)
+            if metric not in knees:
+                row = []
+                for threshold in thresholds:
+                    row.append(stages.knee(case, metric, threshold))
+                knees[metric] = tuple(row)
+        except (TechkneeError, ValueError, KeyError) as exc:
+            scenario_id = _scenario_id(case, target, media, metric, detection, threshold)
+            raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
+        blocks.append(SweepBlock(target, media, metric, detection, crossover, diagnostics, knees[metric]))
+    return blocks
+
+
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
     """Evaluate every scenario; output order follows the enumeration.
 
-    Each distinct crossover and knee is computed once and joined onto
-    every scenario that shares its key. Scenarios are evaluated in
-    enumeration order, so a failure names the first failing scenario.
+    The results expand `sweep_blocks`: each distinct crossover and knee is
+    computed once and joined onto every scenario that shares its key, and
+    a failure names the first failing scenario in enumeration order.
     """
-    stages = _Stages(datasets)
-    return [stages.run(s) for s in enumerate_scenarios(config, datasets)]
+    return [
+        SweepResult(Scenario(config.case, b.target, b.reference_media, b.usage_metric, b.detection,
+                             threshold), b.crossover, k, b.diagnostics)
+        for b in sweep_blocks(config, datasets)
+        for threshold, k in zip(config.knee_thresholds, b.knees)
+    ]
+
+
+def _label(value) -> str:
+    if isinstance(value, (UsageMetric, Detection)):
+        return value.label()
+    return str(value)
+
+
+def _ranges(parts: Iterable[tuple]) -> list[FeasibilityRange]:
+    """Ranges per label, in label order. A part is (label, scenarios,
+    crossover year, knee min, knee max, knees absent): one result, or a
+    block of results that share one crossover."""
+    groups: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    for label, n, year, knee_min, knee_max, knees_absent in parts:
+        counts, crossings, knees = groups.setdefault(label, ([0, 0, 0], [], []))
+        counts[0] += n
+        if year is None:
+            counts[1] += n
+        else:
+            crossings.append(year)
+        if knee_min is not None:
+            knees += (knee_min, knee_max)
+        counts[2] += knees_absent
+    if not groups:
+        raise ValueError("no results to aggregate")
+    return [
+        FeasibilityRange(
+            label=label,
+            n_scenarios=n,
+            crossover_min=min(crossings) if crossings else None,
+            crossover_max=max(crossings) if crossings else None,
+            crossover_absent=crossover_absent,
+            knee_min=min(knees) if knees else None,
+            knee_max=max(knees) if knees else None,
+            knee_absent=knee_absent,
+        )
+        for label, ((n, crossover_absent, knee_absent), crossings, knees) in sorted(groups.items())
+    ]
 
 
 def feasibility_range(results: list[SweepResult], group_by: str | None = None) -> list[FeasibilityRange]:
@@ -498,41 +615,29 @@ def feasibility_range(results: list[SweepResult], group_by: str | None = None) -
     "usage_metric", "detection", "knee_threshold"); None pools everything
     under the label "all". Absent events are counted, not ranged.
     """
-    if not results:
-        raise ValueError("no results to aggregate")
+    return _ranges(
+        ("all" if group_by is None else _label(getattr(r.scenario, group_by)), 1,
+         r.crossover.year, r.knee.year, r.knee.year, int(r.knee.year is None))
+        for r in results
+    )
 
-    def key(result: SweepResult) -> str:
-        if group_by is None:
-            return "all"
-        value = getattr(result.scenario, group_by)
-        if isinstance(value, UsageMetric):
-            return value.label()
-        if isinstance(value, Detection):
-            return value.label()
-        return str(value)
 
-    groups: dict[str, list[SweepResult]] = {}
-    for r in results:
-        groups.setdefault(key(r), []).append(r)
-
-    out = []
-    for label in sorted(groups):
-        rs = groups[label]
-        crossings = [r.crossover.year for r in rs if r.crossover.year is not None]
-        knees = [r.knee.year for r in rs if r.knee.year is not None]
-        out.append(
-            FeasibilityRange(
-                label=label,
-                n_scenarios=len(rs),
-                crossover_min=min(crossings) if crossings else None,
-                crossover_max=max(crossings) if crossings else None,
-                crossover_absent=len(rs) - len(crossings),
-                knee_min=min(knees) if knees else None,
-                knee_max=max(knees) if knees else None,
-                knee_absent=len(rs) - len(knees),
+def block_feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[FeasibilityRange]:
+    """`feasibility_range` of the results the blocks expand to, one block
+    at a time. `group_by` names a block axis ("target", "reference_media",
+    "usage_metric", "detection") or is None."""
+    knee_spans: dict[UsageMetric, tuple] = {}
+    parts = []
+    for b in blocks:
+        span = knee_spans.get(b.usage_metric)
+        if span is None:
+            years = [k.year for k in b.knees if k.year is not None]
+            span = knee_spans[b.usage_metric] = (
+                min(years, default=None), max(years, default=None), len(b.knees) - len(years)
             )
-        )
-    return out
+        label = "all" if group_by is None else _label(getattr(b, group_by))
+        parts.append((label, len(b.knees), b.crossover.year, *span))
+    return _ranges(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import csv
+import io
 import json
+import math
 
 import pytest
 
@@ -203,6 +206,79 @@ class TestSweep:
         assert code == 2
         assert "config" in err
 
+    @staticmethod
+    def sweep(capsys, tmp_path, config):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path), "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        return tmp_path / "out" / "results.csv"
+
+    def test_names_needing_quotes(self, capsys, tmp_path):
+        from techknee.datasets import load_all
+        from techknee.sweep import SweepConfig, extend_datasets, run_sweep
+
+        drive = tmp_path / "drive.csv"
+        drive.write_text("year,value\n" + "".join(f"{y},{0.5 + 0.01 * (y - 1983)}\n" for y in range(1983, 2016)))
+        config = {
+            "case": "audio",
+            "targets": ['drive, "fast"', "mail_cd"],
+            "reference_media": ['album,"long"', "song", "two\nlines"],
+            "usage_metrics": ["minutes"],
+            "detection": ["empirical", "fitted"],
+            "knee_thresholds": [0.01, 0.1],
+            "custom_series": {'drive, "fast"': {"path": str(drive), "unit": "media-units-per-real-dollar"}},
+            "custom_media": {'album,"long"': {"kind": "audio", "length_seconds": 4000},
+                             "two\nlines": {"kind": "audio", "length_seconds": 100}},
+        }
+        path = self.sweep(capsys, tmp_path, config)
+
+        datasets = extend_datasets(load_all(), config)
+        expected = [[
+            "scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
+            "knee_threshold", "crossover_year", "crossover_fractional", "knee_year",
+        ]]
+        for r in run_sweep(SweepConfig.from_json(config), datasets):
+            s, x = r.scenario, r.crossover
+            expected.append([
+                s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
+                s.detection.label(), f"{s.knee_threshold:g}",
+                "" if x.year is None else str(x.year),
+                "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
+                "" if r.knee.year is None else str(r.knee.year),
+            ])
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows == expected
+        assert len(rows) == 1 + 2 * 3 * 2 * 2
+        assert rows[1][:4] == ['audio|drive, "fast"|album,"long"|minutes|empirical|0.01', "audio",
+                               'drive, "fast"', 'album,"long"']
+        buf = io.StringIO()
+        csv.writer(buf).writerows(expected)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    def test_knees_rise_with_threshold_within_each_block(self, capsys, tmp_path):
+        config = {
+            "case": "audio",
+            "targets": ["mail_cd", "mail_cassette"],
+            "reference_media": ["album"],
+            "usage_metrics": ["minutes", "raw_bits", "units:3"],
+            "detection": ["empirical", "fitted"],
+            "knee_thresholds": [0.3, 0.01, 0.5, 0.05, 0.99, 0.1, 0.02],
+        }
+        with open(self.sweep(capsys, tmp_path, config), newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        blocks = {}
+        for r in rows:
+            block = r["scenario_id"].rsplit("|", 1)[0]
+            year = int(r["knee_year"]) if r["knee_year"] else math.inf
+            blocks.setdefault(block, []).append((float(r["knee_threshold"]), year))
+        assert len(blocks) == 2 * 3 * 2
+        for block, knees in blocks.items():
+            years = [year for _, year in sorted(knees)]
+            assert years == sorted(years), block
+            assert len(set(years)) > 2, block
+
 
 class TestReproduce:
     def test_report_lists_every_cell(self, capsys):
@@ -292,6 +368,35 @@ class TestErrorContract:
 
     def test_sweep_config_not_an_object(self, capsys, tmp_path):
         self.assert_usage_error(self.sweep(capsys, tmp_path, ["audio"]))
+
+    SWEEP = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
+             "usage_metrics": ["minutes"], "detection": ["empirical"], "knee_thresholds": [0.01]}
+
+    def test_sweep_metric_object_without_kind(self, capsys, tmp_path):
+        config = dict(self.SWEEP, usage_metrics=["minutes", {"unit_length_minutes": 3}])
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert result[2] == "error: usage_metrics[1]: missing field 'kind'\n"
+
+    def test_sweep_custom_series_without_unit(self, capsys, tmp_path):
+        config = dict(self.SWEEP, custom_series={"drive": {"path": "drive.csv"}})
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert result[2] == "error: custom_series['drive']: missing field 'unit'\n"
+
+    def test_sweep_custom_series_file_missing(self, capsys, tmp_path):
+        config = dict(self.SWEEP, custom_series={
+            "drive": {"path": "nope.csv", "unit": "media-units-per-real-dollar"}})
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert result[2].startswith("error: custom_series['drive']: no such file: ")
+
+    def test_failing_sweep_writes_no_results(self, capsys, tmp_path):
+        config = dict(self.SWEEP, detection=["empirical", "fitted:2030-2040"])
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert "scenario audio|mail_cd|album|minutes|fitted:2030-2040|0.01: " in result[2]
+        assert not (tmp_path / "out" / "results.csv").exists()
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ from techknee.sweep import (
     ScenarioError,
     SweepConfig,
     adoption_series,
+    block_feasibility_range,
     enumerate_scenarios,
     feasibility_range,
     parse_detection,
@@ -21,6 +22,7 @@ from techknee.sweep import (
     reproduce_case_studies,
     run_scenario,
     run_sweep,
+    sweep_blocks,
     target_performance,
 )
 
@@ -396,6 +398,14 @@ class TestJoin:
             except ScenarioError:
                 failing.append(scenario.scenario_id)
         assert failing[0] == first
+
+    def test_block_ranges_equal_per_result_ranges(self, datasets):
+        cfg = config(**dict(self.JOIN_CONFIG, knee_thresholds=[0.01, 0.10, 0.999]))
+        blocks = sweep_blocks(cfg, datasets)
+        results = run_sweep(cfg, datasets)
+        assert len(blocks) * 3 == len(results)
+        for group_by in (None, "target", "reference_media", "usage_metric", "detection"):
+            assert block_feasibility_range(blocks, group_by) == feasibility_range(results, group_by)
 
     def test_shared_diagnostics_are_read_only(self, datasets):
         results = run_sweep(config(detection=["fitted"], knee_thresholds=[0.01, 0.10]), datasets)
