@@ -3,101 +3,16 @@ crossovers and adoption-curve knees, and sweep forecast uncertainty.
 
 The bundled datasets reproduce two historical case studies (internet
 audio vs CD-by-mail, internet video vs DVD-by-mail) end to end; see
-`techknee reproduce` and the README.
+`techknee reproduce` and the README. The root package exports what the
+README's Library section uses or lists; everything else is imported from
+its submodule (`techknee.sweep`, `techknee.costs`, ...).
 """
 
 __version__ = "0.1.0"
 
-from .adoption import (
-    AnalogStorage,
-    DigitalStorage,
-    DomainUsage,
-    PhysicalMediaSpec,
-    UsageMetric,
-    adoption_share,
-    analog_media_minutes,
-    digital_media_minutes,
-    extend_compression,
-    internet_media_minutes,
-    internet_media_raw_bits,
-    physical_media_raw_bits,
-    protocol_mix,
-)
-from .costs import (
-    AUDIO_BIT_RATE,
-    InternetPricing,
-    MailSpec,
-    MediaSpec,
-    REFERENCE_MEDIA,
-    SECONDS_IN_MONTH,
-    audio_file_size,
-    audio_spec,
-    internet_distribution_perf,
-    mail_distribution_perf,
-    one_minute_size_bits,
-    sd_video_spec,
-    uncompressed_size_bits,
-    video_file_size,
-)
-from .datasets import (
-    DATASET_IDS,
-    Datasets,
-    Finding,
-    export_bundled,
-    load_all,
-    load_bundled,
-    parse_series_csv,
-    validate_dataset,
-    write_series_csv,
-)
-from .errors import (
-    DataIntegrityError,
-    DegenerateFitError,
-    FitError,
-    MissingYearError,
-    TechkneeError,
-    UnitMismatchError,
-)
-from .fitting import (
-    CrossoverResult,
-    ExpFit,
-    ExtrapolationWarning,
-    KneeResult,
-    crossover_empirical,
-    crossover_fitted,
-    extrapolate,
-    fit_exponential,
-    knee,
-    tir,
-)
-from .series import (
-    AnnualSeries,
-    BASE_YEAR,
-    Deflator,
-    Money,
-    RateSchedule,
-    UNIT_TAGS,
-    align,
-    annualize,
-    deflate,
-    inflate,
-)
-from .sweep import (
-    Cell,
-    Detection,
-    FeasibilityRange,
-    ReproductionReport,
-    Scenario,
-    ScenarioError,
-    SweepConfig,
-    SweepResult,
-    adoption_series,
-    enumerate_scenarios,
-    extend_datasets,
-    feasibility_range,
-    replacement_performance,
-    reproduce_case_studies,
-    run_scenario,
-    run_sweep,
-    target_performance,
-)
+from .adoption import UsageMetric
+from .datasets import load_all
+from .errors import TechkneeError
+from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
+from .series import AnnualSeries
+from .sweep import adoption_series, replacement_performance, target_performance

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (no crossover under
 --require-crossover, reproduction mismatch under --strict), 2 usage error
-(bad flags, missing files, unit mismatches, input values the library
-rejects). Output carries explicit units and provenance and contains no
+(bad flags, missing or unusable paths, unit mismatches, input values the
+library rejects). Output carries explicit units and provenance and contains no
 timestamps, so identical invocations produce byte-identical output.
 """
 
@@ -438,6 +438,12 @@ def main(argv: list[str] | None = None) -> int:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A path the user named that cannot be used: an --out that is a
+        # file, an --input or --config that is a directory.
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

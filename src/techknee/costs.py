@@ -9,9 +9,7 @@ megabits/gigabits throughout, matching the source arithmetic
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .series import AnnualSeries
 
@@ -87,85 +85,34 @@ REFERENCE_MEDIA: dict[str, MediaSpec] = {
     "hd_movie": MediaSpec(kind="video", length_seconds=5400.0, override_size_bits=3.027e12),
 }
 
-def _audio_size_bits(bit_rate: float, length_seconds: float) -> float:
-    return bit_rate * length_seconds
-
-
-def _video_size_bits(
-    pixel_height: int,
-    pixel_width: int,
-    bits_per_pixel: int,
-    frames_per_second: float,
-    audio_bit_rate: float,
-    length_seconds: float,
-) -> float:
-    # With all pixel terms zeroed this reduces to the audio formula.
-    video_rate = pixel_height * pixel_width * bits_per_pixel * frames_per_second
-    return (video_rate + audio_bit_rate) * length_seconds
-
-
-def audio_file_size(spec: MediaSpec) -> float:
-    """Uncompressed audio reference size in bits."""
-    if spec.kind != "audio":
-        raise ValueError(f"expected an audio spec, got {spec.kind!r}")
-    if spec.override_size_bits is not None:
-        return spec.override_size_bits
-    return _audio_size_bits(spec.audio_bit_rate, spec.length_seconds)
-
-
-def video_file_size(spec: MediaSpec) -> float:
-    """Uncompressed video reference size in bits (override wins if set)."""
-    if spec.kind != "video":
-        raise ValueError(f"expected a video spec, got {spec.kind!r}")
-    if spec.override_size_bits is not None:
-        return spec.override_size_bits
-    return _video_size_bits(
-        spec.pixel_height,
-        spec.pixel_width,
-        spec.bits_per_pixel,
-        spec.frames_per_second,
-        spec.audio_bit_rate,
-        spec.length_seconds,
-    )
-
 
 def uncompressed_size_bits(spec: MediaSpec) -> float:
-    return audio_file_size(spec) if spec.kind == "audio" else video_file_size(spec)
+    """Uncompressed size of a media unit in bits; the override wins if set.
+
+    Video adds its pixel rate to the audio track's bit rate.
+    """
+    if spec.override_size_bits is not None:
+        return spec.override_size_bits
+    rate = spec.audio_bit_rate
+    if spec.kind == "video":
+        rate += spec.pixel_height * spec.pixel_width * spec.bits_per_pixel * spec.frames_per_second
+    return rate * spec.length_seconds
 
 
 def one_minute_size_bits(kind: str) -> float:
     """Uncompressed size of one minute of media at the reference quality."""
     if kind == "audio":
-        return _audio_size_bits(AUDIO_BIT_RATE, 60.0)
+        return uncompressed_size_bits(audio_spec(60.0))
     if kind == "video":
-        return _video_size_bits(
-            SD_PIXEL_HEIGHT, SD_PIXEL_WIDTH, SD_BITS_PER_PIXEL, SD_FRAMES_PER_SECOND, AUDIO_BIT_RATE, 60.0
-        )
+        return uncompressed_size_bits(sd_video_spec(60.0))
     raise ValueError(f"unknown media kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class InternetPricing:
-    """Monthly bandwidth pricing: real dollars per Mbps of speed per month."""
-
-    speed_cost: AnnualSeries
-    seconds_in_month: int = SECONDS_IN_MONTH
-
-    def __post_init__(self) -> None:
-        if self.seconds_in_month != SECONDS_IN_MONTH:
-            raise ValueError(f"seconds_in_month must be exactly {SECONDS_IN_MONTH}")
-        if self.speed_cost.unit != "real-dollars-per-megabit-month":
-            raise ValueError(f"speed cost series tagged {self.speed_cost.unit!r}")
-        if any(v <= 0 for _, v in self.speed_cost):
-            raise ValueError("speed cost must be positive")
 
 
 @dataclass(frozen=True)
 class MailSpec:
     """First-class mailing of one physical media unit.
 
-    `weight_ounces` is the already-ceiled integer weight; use
-    `MailSpec.with_weight` to ceil a raw weight at construction.
+    `weight_ounces` is the already-ceiled integer weight.
     """
 
     weight_ounces: int
@@ -181,52 +128,43 @@ class MailSpec:
             if any(v <= 0 for _, v in s):
                 raise ValueError("postage must be positive")
 
-    @classmethod
-    def with_weight(
-        cls, raw_ounces: float, postage_first: AnnualSeries, postage_additional: AnnualSeries
-    ) -> "MailSpec":
-        return cls(max(1, math.ceil(raw_ounces)), postage_first, postage_additional)
-
 
 def internet_distribution_perf(
-    pricing: InternetPricing,
-    compression: AnnualSeries,
-    spec: MediaSpec,
-    years: Iterable[int] | None = None,
+    speed_cost: AnnualSeries, compression: AnnualSeries, spec: MediaSpec
 ) -> AnnualSeries:
     """Media units transmittable per real dollar, per year.
 
-    value(t) = (seconds_in_month / speed_cost(t)) * compression(t) / size_megabits
+    value(t) = (SECONDS_IN_MONTH / speed_cost(t)) * compression(t) / size_megabits
 
-    Years missing from either input are omitted, never interpolated.
+    `speed_cost` is monthly bandwidth pricing: real dollars per Mbps of
+    speed per month. Years missing from either input are omitted, never
+    interpolated.
     """
+    if speed_cost.unit != "real-dollars-per-megabit-month":
+        raise ValueError(f"speed cost series tagged {speed_cost.unit!r}")
+    if any(v <= 0 for _, v in speed_cost):
+        raise ValueError("speed cost must be positive")
     size_megabits = uncompressed_size_bits(spec) / 1e6
-    wanted = set(years) if years is not None else None
     pairs = []
     comp = compression.to_mapping()
-    for year, cost in pricing.speed_cost:
-        if wanted is not None and year not in wanted:
-            continue
+    for year, cost in speed_cost:
         if year not in comp:
             continue
         if comp[year] <= 0:
             raise ValueError(f"compression ratio must be positive at {year}")
-        value = pricing.seconds_in_month / cost * comp[year] / size_megabits
+        value = SECONDS_IN_MONTH / cost * comp[year] / size_megabits
         pairs.append((year, value))
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")
 
 
-def mail_distribution_perf(mail: MailSpec, years: Iterable[int] | None = None) -> AnnualSeries:
+def mail_distribution_perf(mail: MailSpec) -> AnnualSeries:
     """Media units mailable per real dollar, per year.
 
     value(t) = 1 / (first_ounce(t) + (weight - 1) * additional_ounce(t))
     """
-    wanted = set(years) if years is not None else None
     additional = mail.postage_additional.to_mapping()
     pairs = []
     for year, first in mail.postage_first:
-        if wanted is not None and year not in wanted:
-            continue
         if year not in additional:
             continue
         cost = first + (mail.weight_ounces - 1) * additional[year]

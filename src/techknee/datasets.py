@@ -1,4 +1,4 @@
-"""Bundled appendix datasets plus ingestion and validation of user CSVs.
+"""Bundled appendix datasets plus ingestion of user CSVs.
 
 Each bundled table ships as a plain CSV next to a JSON manifest carrying
 unit tags, coverage, the source citation, and a sha256 checksum, so the
@@ -22,7 +22,7 @@ from typing import Mapping
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MediaSpec, one_minute_size_bits
 from .errors import DataIntegrityError
-from .series import AnnualSeries, Deflator, RateSchedule, UNIT_TAGS
+from .series import AnnualSeries, RateSchedule, UNIT_TAGS
 
 DATASET_IDS = (
     "a1_bandwidth_cost",
@@ -94,20 +94,17 @@ def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> Ann
 def load_bundled(dataset_id: str, directory: Path | None = None):
     """Load one bundled table into its domain objects.
 
-    Returns, by table: a1 -> dict of nominal/real AnnualSeries plus the
-    implied Deflator; a2 -> dict of compression AnnualSeries per media
-    type; a3 -> RateSchedule; a4 -> AnnualSeries; a5 -> dict of share
-    AnnualSeries; a6 -> dict of sales AnnualSeries (absolute counts);
-    a7/a8 -> plain keyed dicts.
+    Returns, by table: a1 -> AnnualSeries in 2016 dollars (the nominal
+    column stays in the CSV for auditing); a2 -> dict of compression
+    AnnualSeries per media type; a3 -> RateSchedule; a4 -> AnnualSeries;
+    a5 -> dict of share AnnualSeries; a6 -> dict of sales AnnualSeries
+    (absolute counts); a7/a8 -> plain keyed dicts.
     """
     directory = directory or data_dir()
     rows, _ = _read_table(dataset_id, directory)
 
     if dataset_id == "a1_bandwidth_cost":
-        nominal = _annual(rows, "nominal_usd_per_mbps_month", "real-dollars-per-megabit-month")
-        real = _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month")
-        factors = {y: real[y] / nominal[y] for y, _ in nominal}
-        return {"nominal": nominal, "real_2016": real, "deflator": Deflator(factors)}
+        return _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month")
 
     if dataset_id == "a2_compression":
         return {
@@ -174,9 +171,7 @@ class Datasets:
     competitor sets. Bundled data is never mutated.
     """
 
-    bandwidth_nominal: AnnualSeries
     bandwidth_real: AnnualSeries
-    deflator: Deflator
     compression: Mapping[str, AnnualSeries]
     postage: RateSchedule
     traffic: AnnualSeries
@@ -229,11 +224,8 @@ class Datasets:
 
 def load_all(directory: Path | None = None) -> Datasets:
     directory = directory or data_dir()
-    a1 = load_bundled("a1_bandwidth_cost", directory)
     return Datasets(
-        bandwidth_nominal=a1["nominal"],
-        bandwidth_real=a1["real_2016"],
-        deflator=a1["deflator"],
+        bandwidth_real=load_bundled("a1_bandwidth_cost", directory),
         compression=load_bundled("a2_compression", directory),
         postage=load_bundled("a3_postage", directory),
         traffic=load_bundled("a4_traffic", directory),
@@ -294,40 +286,6 @@ def write_series_csv(series: AnnualSeries, path: str | Path) -> None:
         writer.writerow(["year", "value"])
         for year, value in series:
             writer.writerow([year, repr(value)])
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One machine-readable validation finding."""
-
-    code: str
-    message: str
-
-
-def validate_dataset(series: AnnualSeries, expectations: Mapping[str, object] | None = None) -> list[Finding]:
-    """Check coverage, positivity, and contiguity; findings, not exceptions."""
-    expectations = expectations or {}
-    findings: list[Finding] = []
-    if len(series) == 0:
-        findings.append(Finding("empty-series", "series has no entries"))
-        return findings
-    years = series.years
-    cover = expectations.get("coverage")
-    if cover is not None:
-        lo, hi = cover  # type: ignore[misc]
-        if years[0] != lo or years[-1] != hi:
-            findings.append(
-                Finding("coverage", f"covers {years[0]}-{years[-1]}, expected {lo}-{hi}")
-            )
-    if expectations.get("contiguous"):
-        missing = sorted(set(range(years[0], years[-1] + 1)) - set(years))
-        if missing:
-            findings.append(Finding("gap", f"missing years {missing}"))
-    if expectations.get("positive"):
-        zeros = [y for y, v in series if v <= 0]
-        if zeros:
-            findings.append(Finding("non-positive", f"non-positive values at {zeros}"))
-    return findings
 
 
 def export_bundled(out_dir: str | Path, directory: Path | None = None) -> list[Path]:

@@ -10,7 +10,7 @@ class UnitMismatchError(TechkneeError):
 
 
 class MissingYearError(TechkneeError):
-    """A required year is absent from a series, deflator, or schedule."""
+    """A required year is absent from a rate schedule."""
 
 
 class DataIntegrityError(TechkneeError):

@@ -9,19 +9,10 @@ fitted variants intersect two fitted curves in closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import DegenerateFitError, FitError, UnitMismatchError
 from .series import AnnualSeries, align
-
-# Flag extrapolations more than this many years past the fit window.
-FAR_EXTRAPOLATION_YEARS = 10
-
-
-class ExtrapolationWarning(UserWarning):
-    """Raised (as a warning) when extrapolating far outside the fit window."""
-
 
 @dataclass(frozen=True)
 class ExpFit:
@@ -46,9 +37,6 @@ class ExpFit:
             raise ValueError("a fit needs at least two points")
         if self.window[0] > self.window[1]:
             raise ValueError("window start exceeds window end")
-
-    def value_at(self, year: float) -> float:
-        return self.a * math.exp(self.k * (year - self.t0))
 
 
 @dataclass(frozen=True)
@@ -127,19 +115,6 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
 def tir(fit: ExpFit) -> float:
     """Technological improvement rate: percent improvement per year."""
     return (math.exp(fit.k) - 1.0) * 100.0
-
-
-def extrapolate(fit: ExpFit, year: int) -> float:
-    """Fitted value at `year`; warns when far outside the fit window."""
-    lo, hi = fit.window
-    distance = max(lo - year, year - hi, 0)
-    if distance > FAR_EXTRAPOLATION_YEARS:
-        warnings.warn(
-            f"extrapolating {distance} years beyond the fit window {fit.window}",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    return fit.value_at(year)
 
 
 def crossover_empirical(replacement: AnnualSeries, target: AnnualSeries) -> CrossoverResult:

@@ -1,18 +1,17 @@
-"""Unit-tagged annual time series, real-dollar conversion, and dated rate schedules.
+"""Unit-tagged annual time series and dated rate schedules.
 
 Everything here is immutable and pure: series never interpolate missing
-years, arithmetic preserves unit tags, and combining series with different
-tags is an error rather than a coercion.
+years, and scaling preserves the unit tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MissingYearError, UnitMismatchError
+from .errors import MissingYearError
 
 # Closed vocabulary of unit tags. Tags are carried, never inferred.
 UNIT_TAGS = frozenset(
@@ -26,9 +25,6 @@ UNIT_TAGS = frozenset(
         "count-per-year",
     }
 )
-
-BASE_YEAR = 2016  # real-dollar base year used throughout
-
 
 @dataclass(frozen=True)
 class AnnualSeries:
@@ -76,32 +72,8 @@ class AnnualSeries:
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return iter(self.entries)
 
-    def __contains__(self, year: int) -> bool:
-        return any(y == year for y, _ in self.entries)
-
-    def __getitem__(self, year: int) -> float:
-        for y, v in self.entries:
-            if y == year:
-                return v
-        raise MissingYearError(f"year {year} not in series")
-
-    def get(self, year: int, default: float | None = None) -> float | None:
-        for y, v in self.entries:
-            if y == year:
-                return v
-        return default
-
     def to_mapping(self) -> dict[int, float]:
         return dict(self.entries)
-
-    def restrict(self, from_year: int | None = None, to_year: int | None = None) -> "AnnualSeries":
-        """Sub-series over [from_year, to_year], inclusive on both ends."""
-        pairs = tuple(
-            (y, v)
-            for y, v in self.entries
-            if (from_year is None or y >= from_year) and (to_year is None or y <= to_year)
-        )
-        return AnnualSeries(pairs, self.unit)
 
     def scale(self, factor: float) -> "AnnualSeries":
         """Multiply every value by a non-negative scalar; the tag is preserved."""
@@ -109,69 +81,11 @@ class AnnualSeries:
             raise ValueError("scale factor must be non-negative")
         return AnnualSeries(tuple((y, v * factor) for y, v in self.entries), self.unit)
 
-    def __add__(self, other: "AnnualSeries") -> "AnnualSeries":
-        """Year-wise sum over the intersection of years; unit tags must match."""
-        if not isinstance(other, AnnualSeries):
-            return NotImplemented
-        if self.unit != other.unit:
-            raise UnitMismatchError(f"cannot add {self.unit!r} to {other.unit!r}")
-        rows = align(self, other)
-        return AnnualSeries(tuple((y, a + b) for y, a, b in rows), self.unit)
-
 
 def align(a: AnnualSeries, b: AnnualSeries) -> list[tuple[int, float, float]]:
     """Rows (year, a-value, b-value) over the intersection of years, ascending."""
     bmap = b.to_mapping()
     return [(y, v, bmap[y]) for y, v in a.entries if y in bmap]
-
-
-@dataclass(frozen=True)
-class Money:
-    """An amount in a given nominal year, deflatable to the base year."""
-
-    amount: float
-    year: int
-    base: int = BASE_YEAR
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.amount):
-            raise ValueError("amount must be finite")
-
-
-@dataclass(frozen=True)
-class Deflator:
-    """Nominal-to-base-year multipliers, one per covered year.
-
-    Missing years are an error; there is deliberately no interpolation.
-    """
-
-    factors: Mapping[int, float] = field(default_factory=dict)
-    base_year: int = BASE_YEAR
-
-    def __post_init__(self) -> None:
-        for year, f in self.factors.items():
-            if f <= 0:
-                raise ValueError(f"non-positive deflator factor {f!r} for {year}")
-
-    def factor(self, year: int) -> float:
-        if year == self.base_year and year not in self.factors:
-            return 1.0
-        try:
-            return self.factors[year]
-        except KeyError:
-            raise MissingYearError(f"deflator has no factor for year {year}") from None
-
-
-def deflate(nominal: Money, deflator: Deflator) -> Money:
-    """Convert a nominal amount to base-year real dollars."""
-    return Money(nominal.amount * deflator.factor(nominal.year), deflator.base_year, deflator.base_year)
-
-
-def inflate(real: Money, deflator: Deflator, year: int) -> Money:
-    """Inverse of deflate: base-year real dollars back to a nominal year."""
-    if real.year != deflator.base_year:
-        raise ValueError(f"amount is in {real.year} dollars, expected base year {deflator.base_year}")
-    return Money(real.amount / deflator.factor(year), year, deflator.base_year)
 
 
 @dataclass(frozen=True)
@@ -221,21 +135,18 @@ class RateSchedule:
         return current
 
 
-def annualize(
-    schedule: RateSchedule,
-    years: Iterable[int],
-    column: str | int = 0,
-    probe_month: int = 7,
-    probe_day: int = 1,
-) -> AnnualSeries:
-    """Annual series from a dated schedule using a mid-year probe.
+def annualize(schedule: RateSchedule, years: Iterable[int], column: str | int = 0) -> AnnualSeries:
+    """Annual series from a dated schedule: the value for year Y is the rate
+    in force on July 1 of Y.
 
-    The value for year Y is the rate in force on July 1 of Y (the probe
-    date is configurable so alternate conventions can be tested).
+    A mid-year probe is the one convention the bundled postage table is
+    resolved by: a change in the first half of a year counts for that year
+    (2002-06-30 for 2002), one in the second half from the next year
+    (1981-11-01 from 1982).
     """
     idx = schedule.column_index(column)
     pairs = []
     for year in sorted(set(int(y) for y in years)):
-        value = schedule.rate_on(date(year, probe_month, probe_day), idx)
+        value = schedule.rate_on(date(year, 7, 1), idx)
         pairs.append((year, value))
     return AnnualSeries(tuple(pairs), schedule.units[idx])

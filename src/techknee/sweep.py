@@ -19,8 +19,8 @@ from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_min
     digital_media_minutes, extend_compression, internet_media_minutes, \
     internet_media_raw_bits, physical_media_raw_bits, protocol_mix, \
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import InternetPricing, MailSpec, MediaSpec, REFERENCE_MEDIA, \
-    internet_distribution_perf, mail_distribution_perf, one_minute_size_bits
+from .costs import MailSpec, MediaSpec, REFERENCE_MEDIA, internet_distribution_perf, \
+    mail_distribution_perf, one_minute_size_bits
 from .datasets import Datasets, parse_series_csv
 from .errors import TechkneeError
 from .fitting import CrossoverResult, ExpFit, KneeResult, crossover_empirical, \
@@ -45,6 +45,9 @@ class Detection:
             raise ValueError(f"unknown detection mode {self.mode!r}")
         if self.mode == "empirical" and (self.window_from or self.window_to):
             raise ValueError("empirical detection takes no window")
+        for year in (self.window_from, self.window_to):
+            if year is not None and not isinstance(year, int):
+                raise ValueError(f"window year {year!r} is not an integer")
 
     def label(self) -> str:
         if self.mode == "empirical":
@@ -132,12 +135,29 @@ class FeasibilityRange:
     knee_absent: int
 
 
-def _field(doc: Mapping, key: str):
-    """A required field of a config object."""
-    try:
-        return doc[key]
-    except KeyError:
-        raise ValueError(f"missing field {key!r}") from None
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+_REQUIRED = object()
+
+
+def _expect(raw, kind: type):
+    """A config value of JSON type `kind`: dict, list, str, or float (a
+    number, or a string holding one, returned as a float)."""
+    if kind is float and isinstance(raw, (int, str)):
+        return float(raw)
+    if not isinstance(raw, kind):
+        raise ValueError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(raw, default=repr)}")
+    return raw
+
+
+def _field(doc, key: str, kind: type | None = None, default=_REQUIRED):
+    """A field of a config object, checked by `_expect` when `kind` is
+    given; required unless it has a default."""
+    doc = _expect(doc, dict)
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    return doc[key] if kind is None else _named(key, lambda: _expect(doc[key], kind))
 
 
 def _named(where: str, parse):
@@ -159,7 +179,7 @@ def parse_usage_metric(raw) -> UsageMetric:
     if isinstance(raw, dict):
         kind = _field(raw, "kind")
         if kind == "units":
-            return UsageMetric.units(float(_field(raw, "unit_length_minutes")))
+            return UsageMetric.units(_field(raw, "unit_length_minutes", float))
         return UsageMetric(kind)
     raise ValueError(f"cannot parse usage metric from {raw!r}")
 
@@ -203,15 +223,19 @@ class SweepConfig:
                 raise ValueError(f"config needs at least one value for {key!r}")
 
         def each(key: str, parse) -> tuple:
-            return tuple(_named(f"{key}[{i}]", lambda: parse(raw)) for i, raw in enumerate(doc[key]))
+            values = _named(key, lambda: _expect(doc[key], list))
+            return tuple(_named(f"{key}[{i}]", lambda: parse(raw)) for i, raw in enumerate(values))
+
+        def name(raw) -> str:
+            return _expect(raw, str)
 
         return cls(
-            case=doc["case"],
-            targets=tuple(doc["targets"]),
-            reference_media=tuple(doc["reference_media"]),
+            case=_named("case", lambda: name(doc["case"])),
+            targets=each("targets", name),
+            reference_media=each("reference_media", name),
             usage_metrics=each("usage_metrics", parse_usage_metric),
             detection=each("detection", parse_detection),
-            knee_thresholds=each("knee_thresholds", float),
+            knee_thresholds=each("knee_thresholds", lambda raw: _expect(raw, float)),
         )
 
 
@@ -256,35 +280,33 @@ def _parse_custom_media(doc: Mapping) -> MediaSpec:
     kind = _field(doc, "kind")
     fields = dict(
         kind=kind,
-        length_seconds=float(_field(doc, "length_seconds")),
-        audio_bit_rate=float(doc.get("audio_bit_rate_kbps", 633.6)) * 1e3,
+        length_seconds=_field(doc, "length_seconds", float),
+        audio_bit_rate=_field(doc, "audio_bit_rate_kbps", float, 633.6) * 1e3,
     )
     if "override_size_gigabits" in doc:
-        fields["override_size_bits"] = float(doc["override_size_gigabits"]) * 1e9
+        fields["override_size_bits"] = _field(doc, "override_size_gigabits", float) * 1e9
     elif kind == "video":
         fields.update(
-            pixel_height=int(_field(doc, "pixel_height")),
-            pixel_width=int(_field(doc, "pixel_width")),
-            bits_per_pixel=int(_field(doc, "bits_per_pixel")),
-            frames_per_second=float(_field(doc, "frames_per_second")),
+            pixel_height=int(_field(doc, "pixel_height", float)),
+            pixel_width=int(_field(doc, "pixel_width", float)),
+            bits_per_pixel=int(_field(doc, "bits_per_pixel", float)),
+            frames_per_second=_field(doc, "frames_per_second", float),
         )
     return MediaSpec(**fields)
 
 
 def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec:
-    sales = resolve(_field(doc, "sales_path"), "count-per-year")
+    sales = resolve(_field(doc, "sales_path", str), "count-per-year")
     if "sales_scale" in doc:
-        sales = sales.scale(float(doc["sales_scale"]))
+        sales = sales.scale(_field(doc, "sales_scale", float))
     kind = _field(doc, "kind")
     if kind == "analog":
         storage = AnalogStorage(
-            minutes_per_unit=float(_field(doc, "minutes_per_unit")),
-            raw_bits_per_minute=float(
-                doc.get("raw_bits_per_minute", one_minute_size_bits(case))
-            ),
+            minutes_per_unit=_field(doc, "minutes_per_unit", float),
+            raw_bits_per_minute=_field(doc, "raw_bits_per_minute", float, one_minute_size_bits(case)),
         )
     elif kind == "digital":
-        storage = DigitalStorage(unit_storage_megabytes=float(_field(doc, "unit_storage_megabytes")))
+        storage = DigitalStorage(unit_storage_megabytes=_field(doc, "unit_storage_megabytes", float))
     else:
         raise ValueError(f"physical medium {doc.get('name')!r}: unknown kind {kind!r}")
     return PhysicalMediaSpec(_field(doc, "name"), storage, sales)
@@ -312,27 +334,32 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
         except FileNotFoundError:
             raise ValueError(f"no such file: {p}") from None
 
+    def objects(key: str) -> dict:
+        return _named(key, lambda: _expect(doc[key], dict))
+
     def each(key: str, parse) -> dict:
-        return {name: _named(f"{key}[{name!r}]", lambda: parse(spec)) for name, spec in doc[key].items()}
+        return {name: _named(f"{key}[{name!r}]", lambda: parse(spec)) for name, spec in objects(key).items()}
 
     def each_case(key: str, parse) -> dict:
-        return {
-            case: [_named(f"{key}[{case!r}][{i}]", lambda: parse(case, entry)) for i, entry in enumerate(entries)]
-            for case, entries in doc[key].items()
-        }
+        out = {}
+        for case, raw in objects(key).items():
+            where = f"{key}[{case!r}]"
+            out[case] = [_named(f"{where}[{i}]", lambda: parse(case, entry))
+                         for i, entry in enumerate(_named(where, lambda: _expect(raw, list)))]
+        return out
 
     updates: dict = {}
     if doc.get("custom_series"):
         updates["custom_series"] = each(
-            "custom_series", lambda spec: resolve(_field(spec, "path"), _field(spec, "unit"))
+            "custom_series", lambda spec: resolve(_field(spec, "path", str), _field(spec, "unit", str))
         )
     if doc.get("custom_media"):
         updates["custom_media"] = each("custom_media", _parse_custom_media)
     if doc.get("custom_targets"):
-        updates["custom_mail"] = each("custom_targets", lambda spec: int(_field(spec, "weight_ounces")))
+        updates["custom_mail"] = each("custom_targets", lambda spec: int(_field(spec, "weight_ounces", float)))
     if doc.get("protocol_mix"):
         mixes = each_case("protocol_mix", lambda case, entry: (
-            resolve(_field(entry, "path"), "dimensionless-share"), float(_field(entry, "media_fraction"))
+            resolve(_field(entry, "path", str), "dimensionless-share"), _field(entry, "media_fraction", float)
         ))
         updates["media_share_override"] = {
             case: _named(f"protocol_mix[{case!r}]", lambda: protocol_mix(entries))
@@ -358,19 +385,18 @@ def replacement_performance(case: str, reference_media: str, datasets: Datasets)
         raise ValueError(f"unresolvable reference media {reference_media!r}")
     if case in ("audio", "video") and spec.kind != case:
         raise ValueError(f"reference media {reference_media!r} is {spec.kind}, case is {case}")
-    pricing = InternetPricing(datasets.bandwidth_real)
     compression = datasets.compression[spec.kind]
-    return internet_distribution_perf(pricing, compression, spec)
+    return internet_distribution_perf(datasets.bandwidth_real, compression, spec)
 
 
-def target_performance(target: str, datasets: Datasets, years: Iterable[int] | None = None) -> AnnualSeries:
-    """Mail performance for a named target, or a user-supplied series."""
+def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
+    """Mail performance for a named target over the bandwidth table's
+    years, or a user-supplied series."""
     weight = MAIL_TARGETS.get(target)
     if weight is None:
         weight = datasets.custom_mail.get(target)
     if weight is not None:
-        if years is None:
-            years = datasets.bandwidth_real.years
+        years = datasets.bandwidth_real.years
         first = annualize(datasets.postage, years, "first_ounce_usd2016")
         additional = annualize(datasets.postage, years, "additional_ounce_usd2016")
         mail = MailSpec(weight, first, additional)
@@ -411,10 +437,9 @@ def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[D
     return internet, physical
 
 
-def adoption_series(case: str, metric: UsageMetric, datasets: Datasets,
-                    denominator: str = "all-domains") -> AnnualSeries:
+def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> AnnualSeries:
     internet, physical = domain_usages(case, metric, datasets)
-    return adoption_share(internet, physical, metric, denominator)
+    return adoption_share(internet, physical, metric)
 
 
 _NO_DIAGNOSTICS: Mapping[str, float] = MappingProxyType({})

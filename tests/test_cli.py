@@ -391,6 +391,42 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert result[2].startswith("error: custom_series['drive']: no such file: ")
 
+    @pytest.mark.parametrize("override, message", [
+        ({"knee_thresholds": [None]}, "knee_thresholds[0]: expected a number, got null"),
+        ({"targets": [["mail_cd"]]}, 'targets[0]: expected a string, got ["mail_cd"]'),
+        ({"targets": "mail_cd"}, 'targets: expected an array, got "mail_cd"'),
+        ({"custom_series": {"x": "a.csv"}}, 'custom_series[\'x\']: expected an object, got "a.csv"'),
+        ({"custom_series": {"x": {"path": 5, "unit": "bits"}}},
+         "custom_series['x']: path: expected a string, got 5"),
+        ({"detection": [{"mode": "fitted", "from": "1995"}]},
+         "detection[0]: window year '1995' is not an integer"),
+        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": None}]},
+         "usage_metrics[0]: unit_length_minutes: expected a number, got null"),
+        ({"protocol_mix": {"audio": 5}}, "protocol_mix['audio']: expected an array, got 5"),
+    ])
+    def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
+        result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
+        self.assert_usage_error(result)
+        assert result[2] == f"error: {message}\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["export-data", "--out", "{file}"], "file"),
+        (["reproduce", "--out", "{file}"], "file"),
+        (["case", "audio", "--out", "{file}"], "file"),
+        (["sweep", "--config", "{config}", "--out", "{file}"], "file"),
+        (["fit", "--input", "{dir}"], "dir"),
+        (["sweep", "--config", "{dir}", "--out", "{out}"], "dir"),
+    ])
+    def test_unusable_path(self, capsys, tmp_path, argv, bad):
+        paths = {"file": tmp_path / "a_file", "dir": tmp_path, "config": tmp_path / "sweep.json",
+                 "out": tmp_path / "out"}
+        paths["file"].write_text("")
+        paths["config"].write_text(json.dumps(self.SWEEP))
+        result = run(capsys, *[a.format(**paths) for a in argv])
+        self.assert_usage_error(result)
+        assert result[2].startswith(f"error: {paths[bad]}: ")
+
     def test_failing_sweep_writes_no_results(self, capsys, tmp_path):
         config = dict(self.SWEEP, detection=["empirical", "fitted:2030-2040"])
         result = self.sweep(capsys, tmp_path, config)

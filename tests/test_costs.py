@@ -3,20 +3,15 @@
 import pytest
 
 from techknee.costs import (
-    InternetPricing,
     MailSpec,
     MediaSpec,
     REFERENCE_MEDIA,
     SECONDS_IN_MONTH,
-    _video_size_bits,
-    audio_file_size,
     audio_spec,
     internet_distribution_perf,
     mail_distribution_perf,
     one_minute_size_bits,
-    sd_video_spec,
     uncompressed_size_bits,
-    video_file_size,
 )
 from techknee.fitting import crossover_empirical
 from techknee.series import AnnualSeries
@@ -29,38 +24,25 @@ def series(mapping, unit):
 class TestFileSizes:
     def test_album_size_published_value(self):
         # 633.6 kbit/s for 60 minutes: 2,280.96 megabits
-        assert audio_file_size(REFERENCE_MEDIA["album"]) == pytest.approx(2280.96e6, rel=1e-12)
+        assert uncompressed_size_bits(REFERENCE_MEDIA["album"]) == pytest.approx(2280.96e6, rel=1e-12)
 
     def test_song_size_published_value(self):
-        assert audio_file_size(REFERENCE_MEDIA["song"]) == pytest.approx(114.048e6, rel=1e-12)
+        assert uncompressed_size_bits(REFERENCE_MEDIA["song"]) == pytest.approx(114.048e6, rel=1e-12)
 
     def test_clip_size_published_value(self):
         # (480*640*24*30 + 633600) * 300 s = 66.54528 gigabits
-        assert video_file_size(REFERENCE_MEDIA["clip"]) == pytest.approx(66.54528e9, rel=1e-12)
-        assert video_file_size(REFERENCE_MEDIA["clip"]) == pytest.approx(66.545e9, rel=5e-5)
+        assert uncompressed_size_bits(REFERENCE_MEDIA["clip"]) == pytest.approx(66.54528e9, rel=1e-12)
+        assert uncompressed_size_bits(REFERENCE_MEDIA["clip"]) == pytest.approx(66.545e9, rel=5e-5)
 
     def test_sd_movie_size_four_significant_figures(self):
-        assert video_file_size(REFERENCE_MEDIA["sd_movie"]) == pytest.approx(1197.8e9, rel=5e-4)
+        assert uncompressed_size_bits(REFERENCE_MEDIA["sd_movie"]) == pytest.approx(1197.8e9, rel=5e-4)
 
     def test_hd_movie_uses_override(self):
-        assert video_file_size(REFERENCE_MEDIA["hd_movie"]) == 3.027e12
-
-    def test_audio_size_rejects_video_spec(self):
-        with pytest.raises(ValueError, match="audio"):
-            audio_file_size(sd_video_spec(300.0))
-
-    def test_video_size_rejects_audio_spec(self):
-        with pytest.raises(ValueError, match="video"):
-            video_file_size(audio_spec(180.0))
+        assert uncompressed_size_bits(REFERENCE_MEDIA["hd_movie"]) == 3.027e12
 
     def test_zero_length_rejected_at_construction(self):
         with pytest.raises(ValueError, match="length"):
             audio_spec(0.0)
-
-    def test_video_formula_reduces_to_audio_at_zero_pixels(self):
-        # Analytic limit of the video size formula with no pixel terms.
-        audio_only = _video_size_bits(0, 0, 0, 0.0, 633_600.0, 180.0)
-        assert audio_only == audio_file_size(audio_spec(180.0))
 
     def test_one_minute_sizes(self):
         assert one_minute_size_bits("audio") == pytest.approx(38.016e6, rel=1e-12)
@@ -72,7 +54,7 @@ class TestFileSizes:
 
 
 def pricing(costs):
-    return InternetPricing(series(costs, "real-dollars-per-megabit-month"))
+    return series(costs, "real-dollars-per-megabit-month")
 
 
 class TestInternetPerformance:
@@ -87,23 +69,23 @@ class TestInternetPerformance:
             pricing({1998: 1791.35}), series({1998: 3.68}, "dimensionless-share"),
             REFERENCE_MEDIA["album"],
         )
-        assert perf[1998] == pytest.approx(self.AUDIO_1998, rel=1e-12)
-        assert perf[1998] == pytest.approx(2.334, abs=5e-4)
+        assert perf.to_mapping()[1998] == pytest.approx(self.AUDIO_1998, rel=1e-12)
+        assert perf.to_mapping()[1998] == pytest.approx(2.334, abs=5e-4)
 
     def test_album_1997(self):
         perf = internet_distribution_perf(
             pricing({1997: 2239.83}), series({1997: 3.68}, "dimensionless-share"),
             REFERENCE_MEDIA["album"],
         )
-        assert perf[1997] == pytest.approx(self.AUDIO_1997, rel=1e-12)
+        assert perf.to_mapping()[1997] == pytest.approx(self.AUDIO_1997, rel=1e-12)
 
     def test_clip_2002(self):
         perf = internet_distribution_perf(
             pricing({2002: 269.85}), series({2002: 27.0}, "dimensionless-share"),
             REFERENCE_MEDIA["clip"],
         )
-        assert perf[2002] == pytest.approx(self.VIDEO_2002, rel=1e-12)
-        assert perf[2002] == pytest.approx(3.897, abs=5e-4)
+        assert perf.to_mapping()[2002] == pytest.approx(self.VIDEO_2002, rel=1e-12)
+        assert perf.to_mapping()[2002] == pytest.approx(3.897, abs=5e-4)
 
     def test_output_unit_tag(self):
         perf = internet_distribution_perf(
@@ -119,14 +101,12 @@ class TestInternetPerformance:
         )
         assert perf.years == (1998,)
 
-    def test_years_filter(self):
-        perf = internet_distribution_perf(
-            pricing({1998: 100.0, 1999: 100.0}),
-            series({1998: 1.0, 1999: 1.0}, "dimensionless-share"),
-            REFERENCE_MEDIA["album"],
-            years=[1999],
-        )
-        assert perf.years == (1999,)
+    def test_speed_cost_tag_and_sign_checked(self):
+        comp = series({1998: 1.0}, "dimensionless-share")
+        with pytest.raises(ValueError, match="tagged"):
+            internet_distribution_perf(series({1998: 1.0}, "real-dollars"), comp, REFERENCE_MEDIA["album"])
+        with pytest.raises(ValueError, match="positive"):
+            internet_distribution_perf(pricing({1998: 0.0}), comp, REFERENCE_MEDIA["album"])
 
     def test_doubling_size_halves_performance(self):
         costs = pricing({y: 50.0 + y % 7 for y in range(1990, 2010)})
@@ -139,33 +119,23 @@ class TestInternetPerformance:
 
     def test_seconds_in_month_is_pinned(self):
         assert SECONDS_IN_MONTH == 2_592_000
-        with pytest.raises(ValueError, match="2592000"):
-            InternetPricing(
-                series({1998: 1.0}, "real-dollars-per-megabit-month"), seconds_in_month=2_592_001
-            )
 
 
 class TestMailPerformance:
     def test_cd_1998(self):
         mail = MailSpec(1, series({1998: 0.52}, "real-dollars"), series({1998: 0.37}, "real-dollars"))
         perf = mail_distribution_perf(mail)
-        assert perf[1998] == pytest.approx(1.923076923076923, rel=1e-12)
+        assert perf.to_mapping()[1998] == pytest.approx(1.923076923076923, rel=1e-12)
 
     def test_unit_cost_one_dollar(self):
         mail = MailSpec(1, series({2000: 1.00}, "real-dollars"), series({2000: 0.5}, "real-dollars"))
-        assert mail_distribution_perf(mail)[2000] == pytest.approx(1.0, rel=1e-12)
+        assert mail_distribution_perf(mail).to_mapping()[2000] == pytest.approx(1.0, rel=1e-12)
 
     def test_two_ounces_2001(self):
         mail = MailSpec(2, series({2001: 0.47}, "real-dollars"), series({2001: 0.29}, "real-dollars"))
         perf = mail_distribution_perf(mail)
-        assert perf[2001] == pytest.approx(1.3157894736842106, rel=1e-12)
-        assert perf[2001] == pytest.approx(1.316, abs=5e-4)
-
-    def test_weight_is_ceiled_at_construction(self):
-        mail = MailSpec.with_weight(
-            1.2, series({2001: 0.47}, "real-dollars"), series({2001: 0.29}, "real-dollars")
-        )
-        assert mail.weight_ounces == 2
+        assert perf.to_mapping()[2001] == pytest.approx(1.3157894736842106, rel=1e-12)
+        assert perf.to_mapping()[2001] == pytest.approx(1.316, abs=5e-4)
 
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError, match="ounce"):
@@ -182,7 +152,7 @@ class TestMailPerformance:
     def test_size_invariance_at_one_ounce(self):
         # Mail performance depends on weight, not on the media unit's bits.
         mail = MailSpec(1, series({2000: 0.5}, "real-dollars"), series({2000: 0.3}, "real-dollars"))
-        assert mail_distribution_perf(mail)[2000] == 2.0
+        assert mail_distribution_perf(mail).to_mapping()[2000] == 2.0
 
 
 class TestDimensionalConsistency:

@@ -1,5 +1,6 @@
 """Bundled dataset registry: golden values, checksums, CSV ingestion."""
 
+import csv
 import shutil
 from pathlib import Path
 
@@ -12,42 +13,52 @@ from techknee.datasets import (
     load_all,
     load_bundled,
     parse_series_csv,
-    validate_dataset,
     write_series_csv,
 )
 from techknee.errors import DataIntegrityError
-from techknee.series import AnnualSeries, Money, deflate
+
+
+def a1_columns():
+    """Year -> (nominal, 2016-dollar) bandwidth cost, read from the bundled CSV."""
+    with open(data_dir() / "a1_bandwidth_cost.csv", newline="", encoding="utf-8") as f:
+        return {
+            int(r["year"]): (float(r["nominal_usd_per_mbps_month"]), float(r["usd2016_per_mbps_month"]))
+            for r in csv.DictReader(f)
+        }
 
 
 class TestBundledGoldenValues:
     def test_a1_2010_real_dollars(self):
-        assert load_bundled("a1_bandwidth_cost")["real_2016"][2010] == 5.54
+        assert load_bundled("a1_bandwidth_cost").to_mapping()[2010] == 5.54
 
     def test_a1_coverage(self):
-        real = load_bundled("a1_bandwidth_cost")["real_2016"]
+        real = load_bundled("a1_bandwidth_cost")
         assert real.years[0] == 1983 and real.years[-1] == 2015 and len(real) == 33
+        assert min(real.values) > 0
 
     def test_a1_implied_deflator_1998(self):
-        deflator = load_bundled("a1_bandwidth_cost")["deflator"]
-        assert deflator.factor(1998) == pytest.approx(1.49279, abs=5e-6)
-        real = deflate(Money(1200.00, 1998), deflator)
-        assert real.amount == pytest.approx(1791.35, rel=1e-12)
+        # The loaded series is the 2016-dollar column; its ratio to the
+        # nominal column is the implied deflator.
+        nominal, real = a1_columns()[1998]
+        assert load_bundled("a1_bandwidth_cost").to_mapping()[1998] == real
+        assert nominal == 1200.00
+        assert real / nominal == pytest.approx(1.49279, abs=5e-6)
+        assert nominal * (real / nominal) == pytest.approx(1791.35, rel=1e-12)
 
     def test_a1_base_year_factor(self):
-        deflator = load_bundled("a1_bandwidth_cost")["deflator"]
-        assert deflator.factor(2015) == pytest.approx(1.0, abs=1e-9)  # 0.63 / 0.63
-        assert deflator.factor(2016) == 1.0
+        nominal, real = a1_columns()[2015]
+        assert real / nominal == pytest.approx(1.0, abs=1e-9)  # 0.63 / 0.63
 
     def test_a2_2007_video(self):
-        assert load_bundled("a2_compression")["video"][2007] == 60.0
+        assert load_bundled("a2_compression")["video"].to_mapping()[2007] == 60.0
 
     def test_a2_spot_values(self):
         comp = load_bundled("a2_compression")
-        assert comp["audio"][1993] == 3.68
-        assert comp["audio"][2000] == 12.0
-        assert comp["audio"][2007] == 16.8
-        assert comp["video"][1992] == 1.0
-        assert comp["video"][2000] == 27.0
+        assert comp["audio"].to_mapping()[1993] == 3.68
+        assert comp["audio"].to_mapping()[2000] == 12.0
+        assert comp["audio"].to_mapping()[2007] == 16.8
+        assert comp["video"].to_mapping()[1992] == 1.0
+        assert comp["video"].to_mapping()[2000] == 27.0
         assert len(comp["audio"]) == 33
 
     def test_a3_rows_and_spot_rates(self):
@@ -63,21 +74,21 @@ class TestBundledGoldenValues:
         traffic = load_bundled("a4_traffic")
         assert len(traffic) == 31
         assert traffic.years[0] == 1984 and traffic.years[-1] == 2014
-        assert traffic[1998] == 134_400_000
-        assert traffic[2009] == 111_624_000_000
+        assert traffic.to_mapping()[1998] == 134_400_000
+        assert traffic.to_mapping()[2009] == 111_624_000_000
 
     def test_a5_shares_are_fractions(self):
         share = load_bundled("a5_media_share")
         assert len(share["audio"]) == 22
-        assert share["audio"][1998] == pytest.approx(0.095, rel=1e-12)
-        assert share["video"][2007] == pytest.approx(0.366, rel=1e-12)
+        assert share["audio"].to_mapping()[1998] == pytest.approx(0.095, rel=1e-12)
+        assert share["video"].to_mapping()[2007] == pytest.approx(0.366, rel=1e-12)
 
     def test_a6_sales_scaled_to_units(self):
         sales = load_bundled("a6_sales")
         assert len(sales["cd"]) == 15
-        assert sales["cd"][1999] == pytest.approx(2499e6, rel=1e-12)
-        assert sales["dvd"][1997] == pytest.approx(0.6e6, rel=1e-12)
-        assert sales["vhs"][2007] == pytest.approx(150.3e6, rel=1e-12)
+        assert sales["cd"].to_mapping()[1999] == pytest.approx(2499e6, rel=1e-12)
+        assert sales["dvd"].to_mapping()[1997] == pytest.approx(0.6e6, rel=1e-12)
+        assert sales["vhs"].to_mapping()[2007] == pytest.approx(150.3e6, rel=1e-12)
 
     def test_a7_a8_keyed_tables(self):
         assert load_bundled("a7_minutes_per_unit") == {"VHS": 180.0, "Cassette": 60.0, "Vinyl": 90.0}
@@ -89,7 +100,7 @@ class TestBundledGoldenValues:
 
     def test_load_all_assembles_everything(self):
         d = load_all()
-        assert d.bandwidth_real[2002] == 269.85
+        assert d.bandwidth_real.to_mapping()[2002] == 269.85
         assert d.unit_storage_mb["DVD"] == 4700.0
         assert {m.name for m in d.physical_media("audio")} == {"cd", "cassette", "vinyl"}
         assert {m.name for m in d.physical_media("video")} == {"dvd", "vhs"}
@@ -169,35 +180,6 @@ class TestParseSeriesCsv:
         write_series_csv(original, out)
         again = parse_series_csv(out, "count-per-year")
         assert again == original
-
-
-class TestValidateDataset:
-    def test_bundled_a1_is_clean(self):
-        real = load_bundled("a1_bandwidth_cost")["real_2016"]
-        findings = validate_dataset(
-            real, {"coverage": (1983, 2015), "contiguous": True, "positive": True}
-        )
-        assert findings == []
-
-    def test_gap_finding_lists_missing_years(self):
-        s = AnnualSeries.from_mapping({1990: 1.0, 1993: 1.0}, "count-per-year")
-        findings = validate_dataset(s, {"contiguous": True})
-        assert [f.code for f in findings] == ["gap"]
-        assert "1991" in findings[0].message and "1992" in findings[0].message
-
-    def test_empty_series_finding(self):
-        findings = validate_dataset(AnnualSeries((), "count-per-year"))
-        assert [f.code for f in findings] == ["empty-series"]
-
-    def test_coverage_mismatch(self):
-        s = AnnualSeries.from_mapping({1990: 1.0}, "count-per-year")
-        findings = validate_dataset(s, {"coverage": (1980, 1990)})
-        assert [f.code for f in findings] == ["coverage"]
-
-    def test_never_raises_on_zero_values(self):
-        s = AnnualSeries.from_mapping({1990: 0.0}, "count-per-year")
-        findings = validate_dataset(s, {"positive": True})
-        assert [f.code for f in findings] == ["non-positive"]
 
 
 class TestExport:

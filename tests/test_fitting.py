@@ -1,4 +1,4 @@
-"""Curve fitting, TIR, extrapolation, crossover and knee detection."""
+"""Curve fitting, TIR, crossover and knee detection."""
 
 import math
 
@@ -9,10 +9,8 @@ from techknee.datasets import load_bundled
 from techknee.errors import DegenerateFitError, FitError, UnitMismatchError
 from techknee.fitting import (
     ExpFit,
-    ExtrapolationWarning,
     crossover_empirical,
     crossover_fitted,
-    extrapolate,
     fit_exponential,
     knee,
     tir,
@@ -45,7 +43,7 @@ class TestFitExponential:
     def test_bundled_bandwidth_inverse_rate(self):
         # Inverse of the real-dollar bandwidth cost, 1998-2015 (18 points).
         # Independent log-space least-squares oracle gives k = 0.480817.
-        real = load_bundled("a1_bandwidth_cost")["real_2016"]
+        real = load_bundled("a1_bandwidth_cost")
         inverse = series({y: 1.0 / v for y, v in real}, "count-per-year")
         fit = fit_exponential(inverse, (1998, 2015))
         assert fit.n_points == 18
@@ -117,33 +115,6 @@ class TestTir:
     def test_small_continuous_rate_to_percent(self):
         fit = ExpFit(a=1.0, k=0.0305, t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0)
         assert tir(fit) == pytest.approx(3.097, abs=5e-4)
-
-
-class TestExtrapolate:
-    def fit(self, a=2.0, k=math.log(2), t0=2000):
-        return ExpFit(a=a, k=k, t0=t0, window=(2000, 2010), n_points=11, r_squared=1.0)
-
-    def test_at_reference_year(self):
-        assert extrapolate(self.fit(), 2000) == pytest.approx(2.0, rel=1e-12)
-
-    def test_three_doublings(self):
-        assert extrapolate(self.fit(), 2003) == pytest.approx(16.0, rel=1e-12)
-
-    def test_exact_fit_closed_form(self):
-        s = exponential_series(5.0, 0.1, 2000, 11)
-        fit = fit_exponential(s)
-        assert extrapolate(fit, 2015) == pytest.approx(5.0 * math.exp(1.5), rel=1e-9)
-
-    def test_far_extrapolation_warns(self):
-        with pytest.warns(ExtrapolationWarning):
-            extrapolate(self.fit(), 2021)
-
-    def test_near_extrapolation_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            extrapolate(self.fit(), 2020)
 
 
 class TestCrossoverEmpirical:

@@ -1,4 +1,4 @@
-"""Series core: unit-tagged series, deflation, rate-schedule annualization."""
+"""Series core: unit-tagged series and rate-schedule annualization."""
 
 import math
 from datetime import date
@@ -6,17 +6,8 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from techknee.errors import MissingYearError, UnitMismatchError
-from techknee.series import (
-    AnnualSeries,
-    Deflator,
-    Money,
-    RateSchedule,
-    align,
-    annualize,
-    deflate,
-    inflate,
-)
+from techknee.errors import MissingYearError
+from techknee.series import AnnualSeries, RateSchedule, align, annualize
 
 
 def series(mapping, unit="count-per-year"):
@@ -27,7 +18,7 @@ class TestAnnualSeries:
     def test_years_sorted_and_values_kept(self):
         s = series({1991: 2.0, 1990: 1.0})
         assert s.years == (1990, 1991)
-        assert s[1991] == 2.0
+        assert s.to_mapping()[1991] == 2.0
 
     def test_duplicate_years_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -44,25 +35,6 @@ class TestAnnualSeries:
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError, match="unit tag"):
             series({1990: 1.0}, unit="furlongs")
-
-    def test_missing_year_lookup(self):
-        with pytest.raises(MissingYearError):
-            series({1990: 1.0})[1991]
-
-    def test_add_requires_matching_unit(self):
-        a = series({1990: 1.0}, "minutes-per-year")
-        b = series({1990: 1.0}, "count-per-year")
-        with pytest.raises(UnitMismatchError):
-            a + b
-
-    def test_add_intersects_years(self):
-        a = series({1990: 1.0, 1991: 2.0})
-        b = series({1991: 5.0, 1992: 6.0})
-        assert (a + b).entries == ((1991, 7.0),)
-
-    def test_restrict(self):
-        s = series({y: float(y) for y in range(1990, 2000)})
-        assert s.restrict(1993, 1995).years == (1993, 1994, 1995)
 
 
 class TestAlign:
@@ -88,42 +60,6 @@ class TestAlign:
         assert [y for y, _, _ in rows] == sorted(set(ma) & set(mb))
 
 
-class TestDeflator:
-    FACTOR_1998 = 1791.35 / 1200.0
-
-    def test_published_1998_row(self):
-        d = Deflator({1998: self.FACTOR_1998})
-        real = deflate(Money(1200.00, 1998), d)
-        assert real.year == 2016
-        assert real.amount == pytest.approx(1791.35, rel=1e-12)
-
-    def test_base_year_identity(self):
-        d = Deflator({1998: self.FACTOR_1998})
-        m = Money(123.45, 2016)
-        assert deflate(m, d).amount == 123.45
-
-    def test_round_trip(self):
-        d = Deflator({1998: self.FACTOR_1998})
-        real = deflate(Money(1200.00, 1998), d)
-        back = inflate(real, d, 1998)
-        assert back.amount == pytest.approx(1200.00, rel=1e-12)
-        assert back.year == 1998
-
-    def test_missing_year_is_explicit(self):
-        with pytest.raises(MissingYearError, match="1997"):
-            deflate(Money(1.0, 1997), Deflator({1998: 1.5}))
-
-    def test_non_positive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            Deflator({1990: 0.0})
-
-    @given(st.floats(1e-6, 1e6), st.floats(0.1, 10.0))
-    def test_round_trip_any_factor(self, amount, factor):
-        d = Deflator({1990: factor})
-        back = inflate(deflate(Money(amount, 1990), d), d, 1990)
-        assert back.amount == pytest.approx(amount, rel=1e-12)
-
-
 def postage_schedule():
     # Trimmed copy of the bundled schedule, 2016$ columns only.
     rows = [
@@ -146,11 +82,11 @@ def postage_schedule():
 class TestAnnualize:
     def test_1998_uses_1995_rate(self):
         s = annualize(postage_schedule(), range(1998, 1999), "first_ounce")
-        assert s[1998] == 0.52
+        assert s.to_mapping()[1998] == 0.52
 
     def test_mid_year_2002_uses_june_30_rate(self):
         s = annualize(postage_schedule(), [2002], "first_ounce")
-        assert s[2002] == 0.50
+        assert s.to_mapping()[2002] == 0.50
 
     def test_single_entry_schedule_is_constant(self):
         sched = RateSchedule(

@@ -273,8 +273,8 @@ class TestRunScenario:
         # Ratio of the usage oracles over the bundled tables: 0.746% in
         # 1998 (below the 1% knee) and 2.752% in 1999.
         adoption = adoption_series("audio", UsageMetric.minutes(), datasets)
-        assert adoption[1998] == pytest.approx(0.0074610946726007075, rel=1e-12)
-        assert adoption[1999] == pytest.approx(0.02752441015074011, rel=1e-12)
+        assert adoption.to_mapping()[1998] == pytest.approx(0.0074610946726007075, rel=1e-12)
+        assert adoption.to_mapping()[1999] == pytest.approx(0.02752441015074011, rel=1e-12)
         assert adoption.years == tuple(range(1993, 2008))
 
 
