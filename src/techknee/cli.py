@@ -217,6 +217,10 @@ def _cmd_case(args) -> int:
     else:
         scenario = _baseline_scenario(args.case, knee_threshold=args.threshold)
     result = run_scenario(scenario, datasets)
+    if args.out:
+        # Before any output, so an unusable --out prints nothing.
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     threshold_label = f"{scenario.knee_threshold:.0%}"
     if args.json:
         print(
@@ -239,8 +243,6 @@ def _cmd_case(args) -> int:
         print(f"adoption: {scenario.usage_metric.label()} metric [a2, a4_traffic, a5_media_share, a6_sales, a7, a8]")
         print(f"crossover: {result.crossover.year}, knee({threshold_label}): {result.knee.year}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         from .sweep import adoption_series, replacement_performance, target_performance
 
         curves = {
@@ -361,6 +363,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_reproduce(args) -> int:
     datasets = load_all()
     report = reproduce_case_studies(datasets)
+    if args.out:
+        # Before any output, so an unusable --out prints nothing.
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     if args.json:
         print(report.to_json())
     else:
@@ -383,8 +389,6 @@ def _cmd_reproduce(args) -> int:
         n_dev = len(report.deviations)
         print(f"deviations: {n_dev}" + (f" ({', '.join(report.deviations)})" if n_dev else ""))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "cells.csv", "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["cell_id", "table", "case", "label", "expected", "tolerance", "computed", "status", "note"])

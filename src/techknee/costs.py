@@ -85,6 +85,11 @@ REFERENCE_MEDIA: dict[str, MediaSpec] = {
     "hd_movie": MediaSpec(kind="video", length_seconds=5400.0, override_size_bits=3.027e12),
 }
 
+# Mail targets available by name in scenarios: medium name -> ceiled
+# weight in ounces. CD and DVD ship under an ounce in a sleeve; a shelled
+# cassette exceeds one ounce.
+MAIL_TARGETS: dict[str, int] = {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
+
 
 def uncompressed_size_bits(spec: MediaSpec) -> float:
     """Uncompressed size of a media unit in bits; the override wins if set.

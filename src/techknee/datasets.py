@@ -13,14 +13,14 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import MediaSpec, one_minute_size_bits
+from .costs import MAIL_TARGETS, REFERENCE_MEDIA, MediaSpec, one_minute_size_bits
 from .errors import DataIntegrityError
 from .series import AnnualSeries, RateSchedule, UNIT_TAGS
 
@@ -94,11 +94,12 @@ def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> Ann
 def load_bundled(dataset_id: str, directory: Path | None = None):
     """Load one bundled table into its domain objects.
 
-    Returns, by table: a1 -> AnnualSeries in 2016 dollars (the nominal
-    column stays in the CSV for auditing); a2 -> dict of compression
-    AnnualSeries per media type; a3 -> RateSchedule; a4 -> AnnualSeries;
+    Returns, by table: a1 -> AnnualSeries in 2016 dollars; a2 -> dict of
+    compression AnnualSeries per media type; a3 -> dict of 2016-dollar
+    RateSchedules, "first_ounce" and "additional_ounce"; a4 -> AnnualSeries;
     a5 -> dict of share AnnualSeries; a6 -> dict of sales AnnualSeries
-    (absolute counts); a7/a8 -> plain keyed dicts.
+    (absolute counts); a7/a8 -> plain keyed dicts. The nominal-dollar
+    columns of a1 and a3 stay in the CSVs for auditing.
     """
     directory = directory or data_dir()
     rows, _ = _read_table(dataset_id, directory)
@@ -113,28 +114,13 @@ def load_bundled(dataset_id: str, directory: Path | None = None):
         }
 
     if dataset_id == "a3_postage":
-        changes = tuple(
-            (
-                date.fromisoformat(r["effective_date"]),
-                (
-                    float(r["first_ounce_nominal_usd"]),
-                    float(r["additional_ounce_nominal_usd"]),
-                    float(r["first_ounce_usd2016"]),
-                    float(r["additional_ounce_usd2016"]),
-                ),
+        return {
+            rate: RateSchedule(
+                tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in rows),
+                "real-dollars",
             )
-            for r in rows
-        )
-        return RateSchedule(
-            changes=changes,
-            columns=(
-                "first_ounce_nominal_usd",
-                "additional_ounce_nominal_usd",
-                "first_ounce_usd2016",
-                "additional_ounce_usd2016",
-            ),
-            units=("real-dollars",) * 4,
-        )
+            for rate in ("first_ounce", "additional_ounce")
+        }
 
     if dataset_id == "a4_traffic":
         return _annual(rows, "gigabytes_per_year", "count-per-year")
@@ -163,63 +149,44 @@ def load_bundled(dataset_id: str, directory: Path | None = None):
 
 @dataclass(frozen=True)
 class Datasets:
-    """All bundled tables, loaded and typed.
+    """What scenarios resolve against: the bundled tables, with one table
+    per scenario axis.
 
-    The `custom_*` fields carry user-supplied extensions declared in a
-    scenario config: extra performance series, reference media units,
-    mail weights, replacement media-share series, and replacement
-    competitor sets. Bundled data is never mutated.
+    `targets` maps a target name to a mail weight in ounces or to a
+    performance series; `reference_media` maps a name to its media unit;
+    `media_share` and `physical_media` (the competitor set) are keyed by
+    case. `load_all` fills them from the bundled tables, and
+    `sweep.extend_datasets` merges a scenario config's declarations into a
+    new bundle. Bundled data is never mutated.
     """
 
     bandwidth_real: AnnualSeries
     compression: Mapping[str, AnnualSeries]
-    postage: RateSchedule
+    postage: Mapping[str, RateSchedule]
     traffic: AnnualSeries
     media_share: Mapping[str, AnnualSeries]
-    sales: Mapping[str, AnnualSeries]
-    minutes_per_unit: Mapping[str, float]
-    unit_storage_mb: Mapping[str, float]
-    custom_series: Mapping[str, AnnualSeries] = field(default_factory=dict)
-    custom_media: Mapping[str, MediaSpec] = field(default_factory=dict)
-    custom_mail: Mapping[str, int] = field(default_factory=dict)
-    media_share_override: Mapping[str, AnnualSeries] = field(default_factory=dict)
-    physical_media_override: Mapping[str, tuple[PhysicalMediaSpec, ...]] = field(default_factory=dict)
+    physical_media: Mapping[str, tuple[PhysicalMediaSpec, ...]]
+    reference_media: Mapping[str, MediaSpec]
+    targets: Mapping[str, int | AnnualSeries]
 
-    def case_media_share(self, case: str) -> AnnualSeries:
-        if case in self.media_share_override:
-            return self.media_share_override[case]
-        return self.media_share[case]
 
-    def physical_media(self, case: str) -> list[PhysicalMediaSpec]:
-        """Competitor media for a case, built from tables A.6-A.8 unless
-        the case carries a user-supplied competitor set."""
-        if case in self.physical_media_override:
-            return list(self.physical_media_override[case])
-        audio_raw = one_minute_size_bits("audio")
-        if case == "audio":
-            return [
-                PhysicalMediaSpec("cd", DigitalStorage(self.unit_storage_mb["CD"]), self.sales["cd"]),
-                PhysicalMediaSpec(
-                    "cassette",
-                    AnalogStorage(self.minutes_per_unit["Cassette"], audio_raw),
-                    self.sales["cassette"],
-                ),
-                PhysicalMediaSpec(
-                    "vinyl",
-                    AnalogStorage(self.minutes_per_unit["Vinyl"], audio_raw),
-                    self.sales["vinyl"],
-                ),
-            ]
-        if case == "video":
-            return [
-                PhysicalMediaSpec("dvd", DigitalStorage(self.unit_storage_mb["DVD"]), self.sales["dvd"]),
-                PhysicalMediaSpec(
-                    "vhs",
-                    AnalogStorage(self.minutes_per_unit["VHS"], VHS_RAW_BITS_PER_MINUTE),
-                    self.sales["vhs"],
-                ),
-            ]
-        raise ValueError(f"unknown case {case!r}")
+def _physical_media(directory: Path) -> dict[str, tuple[PhysicalMediaSpec, ...]]:
+    """Competitor media per case, from tables A.6-A.8."""
+    sales = load_bundled("a6_sales", directory)
+    minutes = load_bundled("a7_minutes_per_unit", directory)
+    storage = load_bundled("a8_unit_storage", directory)
+    audio_raw = one_minute_size_bits("audio")
+    return {
+        "audio": (
+            PhysicalMediaSpec("cd", DigitalStorage(storage["CD"]), sales["cd"]),
+            PhysicalMediaSpec("cassette", AnalogStorage(minutes["Cassette"], audio_raw), sales["cassette"]),
+            PhysicalMediaSpec("vinyl", AnalogStorage(minutes["Vinyl"], audio_raw), sales["vinyl"]),
+        ),
+        "video": (
+            PhysicalMediaSpec("dvd", DigitalStorage(storage["DVD"]), sales["dvd"]),
+            PhysicalMediaSpec("vhs", AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE), sales["vhs"]),
+        ),
+    }
 
 
 def load_all(directory: Path | None = None) -> Datasets:
@@ -230,9 +197,9 @@ def load_all(directory: Path | None = None) -> Datasets:
         postage=load_bundled("a3_postage", directory),
         traffic=load_bundled("a4_traffic", directory),
         media_share=load_bundled("a5_media_share", directory),
-        sales=load_bundled("a6_sales", directory),
-        minutes_per_unit=load_bundled("a7_minutes_per_unit", directory),
-        unit_storage_mb=load_bundled("a8_unit_storage", directory),
+        physical_media=_physical_media(directory),
+        reference_media=dict(REFERENCE_MEDIA),
+        targets=dict(MAIL_TARGETS),
     )
 
 

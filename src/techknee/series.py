@@ -90,44 +90,26 @@ def align(a: AnnualSeries, b: AnnualSeries) -> list[tuple[int, float, float]]:
 
 @dataclass(frozen=True)
 class RateSchedule:
-    """Dated rate changes, each carrying one value per named column.
-
-    Used for postage: rows take effect on their calendar date and remain
-    in force until superseded.
+    """Dated changes of one rate, each in force from its calendar date
+    until superseded. Used for postage.
     """
 
-    changes: tuple[tuple[date, tuple[float, ...]], ...]
-    columns: tuple[str, ...]
-    units: tuple[str, ...]
+    changes: tuple[tuple[date, float], ...]
+    unit: str
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.units):
-            raise ValueError("one unit per column required")
         prev = None
-        for effective, values in self.changes:
+        for effective, _ in self.changes:
             if prev is not None and effective <= prev:
                 raise ValueError(f"effective dates not strictly increasing at {effective}")
-            if len(values) != len(self.columns):
-                raise ValueError(f"row {effective} has {len(values)} values, expected {len(self.columns)}")
             prev = effective
 
-    def column_index(self, column: str | int) -> int:
-        if isinstance(column, int):
-            if not 0 <= column < len(self.columns):
-                raise KeyError(f"schedule has no column index {column}")
-            return column
-        try:
-            return self.columns.index(column)
-        except ValueError:
-            raise KeyError(f"schedule has no column {column!r}") from None
-
-    def rate_on(self, probe: date, column: str | int) -> float:
-        """Value of `column` in force on `probe`; error if no row applies yet."""
-        idx = self.column_index(column)
+    def rate_on(self, probe: date) -> float:
+        """The rate in force on `probe`; error if no change applies yet."""
         current: float | None = None
-        for effective, values in self.changes:
+        for effective, value in self.changes:
             if effective <= probe:
-                current = values[idx]
+                current = value
             else:
                 break
         if current is None:
@@ -135,7 +117,7 @@ class RateSchedule:
         return current
 
 
-def annualize(schedule: RateSchedule, years: Iterable[int], column: str | int = 0) -> AnnualSeries:
+def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     """Annual series from a dated schedule: the value for year Y is the rate
     in force on July 1 of Y.
 
@@ -144,9 +126,8 @@ def annualize(schedule: RateSchedule, years: Iterable[int], column: str | int = 
     (2002-06-30 for 2002), one in the second half from the next year
     (1981-11-01 from 1982).
     """
-    idx = schedule.column_index(column)
     pairs = []
     for year in sorted(set(int(y) for y in years)):
-        value = schedule.rate_on(date(year, 7, 1), idx)
+        value = schedule.rate_on(date(year, 7, 1))
         pairs.append((year, value))
-    return AnnualSeries(tuple(pairs), schedule.units[idx])
+    return AnnualSeries(tuple(pairs), schedule.unit)

@@ -11,6 +11,7 @@ at its documented tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -19,8 +20,8 @@ from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_min
     digital_media_minutes, extend_compression, internet_media_minutes, \
     internet_media_raw_bits, physical_media_raw_bits, protocol_mix, \
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import MailSpec, MediaSpec, REFERENCE_MEDIA, internet_distribution_perf, \
-    mail_distribution_perf, one_minute_size_bits
+from .costs import MailSpec, MediaSpec, internet_distribution_perf, mail_distribution_perf, \
+    one_minute_size_bits
 from .datasets import Datasets, parse_series_csv
 from .errors import TechkneeError
 from .fitting import CrossoverResult, ExpFit, KneeResult, crossover_empirical, \
@@ -55,11 +56,6 @@ class Detection:
         lo = self.window_from if self.window_from is not None else ""
         hi = self.window_to if self.window_to is not None else ""
         return f"fitted:{lo}-{hi}" if (lo or hi) else "fitted"
-
-
-# Mail targets: medium name -> ceiled weight in ounces. CD and DVD ship
-# under an ounce in a sleeve; a shelled cassette exceeds one ounce.
-MAIL_TARGETS = {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
 
 
 @dataclass(frozen=True)
@@ -239,19 +235,15 @@ class SweepConfig:
         )
 
 
-def _blocks(config: SweepConfig, datasets: Datasets | None) -> Iterator[tuple]:
+def _blocks(config: SweepConfig, datasets: Datasets) -> Iterator[tuple]:
     """(target, reference media, usage metric, detection) of each block in
     enumeration order, raising the error of the first invalid scenario."""
-    custom_targets = custom_media = {}
-    if datasets is not None:
-        custom_targets = datasets.custom_series.keys() | datasets.custom_mail.keys()
-        custom_media = datasets.custom_media
     checked = False
     for target in config.targets:
-        if target not in MAIL_TARGETS and target not in custom_targets:
+        if target not in datasets.targets:
             raise ValueError(f"unresolvable target {target!r}")
         for media in config.reference_media:
-            if media not in REFERENCE_MEDIA and media not in custom_media:
+            if media not in datasets.reference_media:
                 raise ValueError(f"unresolvable reference media {media!r}")
             if not checked:
                 for threshold in config.knee_thresholds:
@@ -262,7 +254,7 @@ def _blocks(config: SweepConfig, datasets: Datasets | None) -> Iterator[tuple]:
                     yield target, media, metric, detection
 
 
-def enumerate_scenarios(config: SweepConfig, datasets: Datasets | None = None) -> list[Scenario]:
+def enumerate_scenarios(config: SweepConfig, datasets: Datasets) -> list[Scenario]:
     """Cartesian product over the axes, in axis declaration order."""
     return [
         Scenario(config.case, target, media, metric, detection, threshold)
@@ -273,6 +265,22 @@ def enumerate_scenarios(config: SweepConfig, datasets: Datasets | None = None) -
 
 # ---------------------------------------------------------------------------
 # config-declared extensions
+
+
+def _integer(doc: Mapping, key: str) -> int:
+    """An integer field; a whole number written as a float (1080.0) counts."""
+    value = _field(doc, key, float)
+    if not value.is_integer():
+        raise ValueError(f"{key}: expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _weight_ounces(doc: Mapping) -> int:
+    """A mail weight rounded up to the started ounce, as postage charges it."""
+    weight = _field(doc, "weight_ounces", float)
+    if not math.isfinite(weight):
+        raise ValueError(f"weight_ounces: expected a finite number, got {json.dumps(weight)}")
+    return math.ceil(weight)
 
 
 def _parse_custom_media(doc: Mapping) -> MediaSpec:
@@ -287,9 +295,9 @@ def _parse_custom_media(doc: Mapping) -> MediaSpec:
         fields["override_size_bits"] = _field(doc, "override_size_gigabits", float) * 1e9
     elif kind == "video":
         fields.update(
-            pixel_height=int(_field(doc, "pixel_height", float)),
-            pixel_width=int(_field(doc, "pixel_width", float)),
-            bits_per_pixel=int(_field(doc, "bits_per_pixel", float)),
+            pixel_height=_integer(doc, "pixel_height"),
+            pixel_width=_integer(doc, "pixel_width"),
+            bits_per_pixel=_integer(doc, "bits_per_pixel"),
             frames_per_second=_field(doc, "frames_per_second", float),
         )
     return MediaSpec(**fields)
@@ -313,14 +321,18 @@ def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec
 
 
 def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets:
-    """Apply a scenario config's custom declarations to a dataset bundle.
+    """Merge a scenario config's declarations into a new dataset bundle.
 
-    Supported keys: `custom_series` (named performance/usage series from
-    CSV), `custom_media` (reference media units), `custom_targets` (mail
-    weights), `protocol_mix` (per-case media share built from protocol
-    tables), and `custom_physical_media` (per-case competitor sets).
-    Relative CSV paths resolve against `base_dir`. An invalid entry raises
-    ValueError naming it, e.g. `custom_series['drive']: missing field 'unit'`.
+    `custom_series` (performance series from CSV) and `custom_targets`
+    (mail weights in ounces, rounded up to the started ounce) add targets;
+    `custom_media` adds reference media units, whose pixel fields are
+    integers. A declared target or media name must be new: one that is
+    bundled or already declared is refused. `protocol_mix` (a media share
+    built from protocol tables) and `custom_physical_media` (a competitor
+    set) replace their case's entry. Relative CSV paths resolve against
+    `base_dir`. An invalid entry raises ValueError naming it, e.g.
+    `custom_series['drive']: missing field 'unit'` or
+    `custom_media['album']: shadows a bundled reference media unit`.
     """
     from dataclasses import replace
     from pathlib import Path
@@ -335,41 +347,36 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
             raise ValueError(f"no such file: {p}") from None
 
     def objects(key: str) -> dict:
-        return _named(key, lambda: _expect(doc[key], dict))
+        return _named(key, lambda: _expect(doc[key], dict)) if doc.get(key) else {}
 
-    def each(key: str, parse) -> dict:
-        return {name: _named(f"{key}[{name!r}]", lambda: parse(spec)) for name, spec in objects(key).items()}
+    def declare(table: dict, bundled: Mapping, key: str, what: str, parse) -> None:
+        for name, spec in objects(key).items():
+            where = f"{key}[{name!r}]"
+            if name in table:
+                origin = "a bundled" if name in bundled else "an already declared"
+                raise ValueError(f"{where}: shadows {origin} {what}")
+            table[name] = _named(where, lambda: parse(spec))
 
-    def each_case(key: str, parse) -> dict:
-        out = {}
+    def replace_cases(table: dict, key: str, parse, combine) -> None:
         for case, raw in objects(key).items():
             where = f"{key}[{case!r}]"
-            out[case] = [_named(f"{where}[{i}]", lambda: parse(case, entry))
-                         for i, entry in enumerate(_named(where, lambda: _expect(raw, list)))]
-        return out
+            entries = [_named(f"{where}[{i}]", lambda: parse(case, entry))
+                       for i, entry in enumerate(_named(where, lambda: _expect(raw, list)))]
+            table[case] = _named(where, lambda: combine(entries))
 
-    updates: dict = {}
-    if doc.get("custom_series"):
-        updates["custom_series"] = each(
-            "custom_series", lambda spec: resolve(_field(spec, "path", str), _field(spec, "unit", str))
-        )
-    if doc.get("custom_media"):
-        updates["custom_media"] = each("custom_media", _parse_custom_media)
-    if doc.get("custom_targets"):
-        updates["custom_mail"] = each("custom_targets", lambda spec: int(_field(spec, "weight_ounces", float)))
-    if doc.get("protocol_mix"):
-        mixes = each_case("protocol_mix", lambda case, entry: (
-            resolve(_field(entry, "path", str), "dimensionless-share"), _field(entry, "media_fraction", float)
-        ))
-        updates["media_share_override"] = {
-            case: _named(f"protocol_mix[{case!r}]", lambda: protocol_mix(entries))
-            for case, entries in mixes.items()
-        }
-    if doc.get("custom_physical_media"):
-        media = each_case("custom_physical_media",
-                          lambda case, entry: _parse_physical_media(case, entry, resolve))
-        updates["physical_media_override"] = {case: tuple(entries) for case, entries in media.items()}
-    return replace(datasets, **updates) if updates else datasets
+    targets, media = dict(datasets.targets), dict(datasets.reference_media)
+    declare(targets, datasets.targets, "custom_series", "target",
+            lambda spec: resolve(_field(spec, "path", str), _field(spec, "unit", str)))
+    declare(media, datasets.reference_media, "custom_media", "reference media unit", _parse_custom_media)
+    declare(targets, datasets.targets, "custom_targets", "target", _weight_ounces)
+    shares, competitors = dict(datasets.media_share), dict(datasets.physical_media)
+    replace_cases(shares, "protocol_mix", lambda case, entry: (
+        resolve(_field(entry, "path", str), "dimensionless-share"), _field(entry, "media_fraction", float)
+    ), protocol_mix)
+    replace_cases(competitors, "custom_physical_media",
+                  lambda case, entry: _parse_physical_media(case, entry, resolve), tuple)
+    return replace(datasets, targets=targets, reference_media=media, media_share=shares,
+                   physical_media=competitors)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +385,7 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
 
 def replacement_performance(case: str, reference_media: str, datasets: Datasets) -> AnnualSeries:
     """Internet distribution performance for a case's reference unit."""
-    spec = REFERENCE_MEDIA.get(reference_media)
-    if spec is None:
-        spec = datasets.custom_media.get(reference_media)
+    spec = datasets.reference_media.get(reference_media)
     if spec is None:
         raise ValueError(f"unresolvable reference media {reference_media!r}")
     if case in ("audio", "video") and spec.kind != case:
@@ -390,23 +395,19 @@ def replacement_performance(case: str, reference_media: str, datasets: Datasets)
 
 
 def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
-    """Mail performance for a named target over the bandwidth table's
-    years, or a user-supplied series."""
-    weight = MAIL_TARGETS.get(target)
-    if weight is None:
-        weight = datasets.custom_mail.get(target)
-    if weight is not None:
-        years = datasets.bandwidth_real.years
-        first = annualize(datasets.postage, years, "first_ounce_usd2016")
-        additional = annualize(datasets.postage, years, "additional_ounce_usd2016")
-        mail = MailSpec(weight, first, additional)
-        return mail_distribution_perf(mail)
-    if target in datasets.custom_series:
-        series = datasets.custom_series[target]
-        if series.unit != "media-units-per-real-dollar":
-            raise ValueError(f"custom target {target!r} tagged {series.unit!r}")
-        return series
-    raise ValueError(f"unresolvable target {target!r}")
+    """Mail performance for a target's weight over the bandwidth table's
+    years, or the target's own performance series."""
+    weight_or_series = datasets.targets.get(target)
+    if weight_or_series is None:
+        raise ValueError(f"unresolvable target {target!r}")
+    if isinstance(weight_or_series, AnnualSeries):
+        if weight_or_series.unit != "media-units-per-real-dollar":
+            raise ValueError(f"custom target {target!r} tagged {weight_or_series.unit!r}")
+        return weight_or_series
+    years = datasets.bandwidth_real.years
+    first = annualize(datasets.postage["first_ounce"], years)
+    additional = annualize(datasets.postage["additional_ounce"], years)
+    return mail_distribution_perf(MailSpec(weight_or_series, first, additional))
 
 
 def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[DomainUsage, list[DomainUsage]]:
@@ -416,9 +417,9 @@ def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[D
     compression = extend_compression(
         datasets.compression[case], datasets.traffic.years[0], datasets.traffic.years[-1]
     )
-    share = datasets.case_media_share(case)
+    share = datasets.media_share[case]
     one_min = one_minute_size_bits(case)
-    media = datasets.physical_media(case)
+    media = datasets.physical_media[case]
 
     if metric.kind == "raw_bits":
         internet = DomainUsage("internet", internet_media_raw_bits(datasets.traffic, share))

@@ -371,6 +371,8 @@ class TestErrorContract:
 
     SWEEP = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
              "usage_metrics": ["minutes"], "detection": ["empirical"], "knee_thresholds": [0.01]}
+    HD_CLIP = {"kind": "video", "length_seconds": 300, "pixel_height": 1080, "pixel_width": 1920,
+               "bits_per_pixel": 24, "frames_per_second": 30}
 
     def test_sweep_metric_object_without_kind(self, capsys, tmp_path):
         config = dict(self.SWEEP, usage_metrics=["minutes", {"unit_length_minutes": 3}])
@@ -403,8 +405,34 @@ class TestErrorContract:
         ({"usage_metrics": [{"kind": "units", "unit_length_minutes": None}]},
          "usage_metrics[0]: unit_length_minutes: expected a number, got null"),
         ({"protocol_mix": {"audio": 5}}, "protocol_mix['audio']: expected an array, got 5"),
+        ({"custom_targets": {"m": {"weight_ounces": float("inf")}}},
+         "custom_targets['m']: weight_ounces: expected a finite number, got Infinity"),
+        ({"custom_media": {"v": dict(HD_CLIP, pixel_height=1080.5)}},
+         "custom_media['v']: pixel_height: expected an integer, got 1080.5"),
+        ({"custom_media": {"v": dict(HD_CLIP, pixel_width="1920.25")}},
+         "custom_media['v']: pixel_width: expected an integer, got 1920.25"),
+        ({"custom_media": {"v": dict(HD_CLIP, bits_per_pixel=float("inf"))}},
+         "custom_media['v']: bits_per_pixel: expected an integer, got Infinity"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
+        result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
+        self.assert_usage_error(result)
+        assert result[2] == f"error: {message}\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"custom_targets": {"mail_cd": {"weight_ounces": 5}}},
+         "custom_targets['mail_cd']: shadows a bundled target"),
+        ({"custom_series": {"mail_cd": {"path": "nope.csv", "unit": "media-units-per-real-dollar"}}},
+         "custom_series['mail_cd']: shadows a bundled target"),
+        ({"custom_media": {"album": {"kind": "audio", "length_seconds": 60}}},
+         "custom_media['album']: shadows a bundled reference media unit"),
+        ({"custom_series": {"drive": {"path": "drive.csv", "unit": "media-units-per-real-dollar"}},
+          "custom_targets": {"drive": {"weight_ounces": 5}}},
+         "custom_targets['drive']: shadows an already declared target"),
+    ])
+    def test_sweep_declared_name_collides(self, capsys, tmp_path, override, message):
+        (tmp_path / "drive.csv").write_text("year,value\n1990,1.0\n1991,2.0\n")
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
         self.assert_usage_error(result)
         assert result[2] == f"error: {message}\n"
@@ -426,6 +454,7 @@ class TestErrorContract:
         result = run(capsys, *[a.format(**paths) for a in argv])
         self.assert_usage_error(result)
         assert result[2].startswith(f"error: {paths[bad]}: ")
+        assert result[1] == ""  # nothing that looks like a success is printed first
 
     def test_failing_sweep_writes_no_results(self, capsys, tmp_path):
         config = dict(self.SWEEP, detection=["empirical", "fitted:2030-2040"])

@@ -64,11 +64,12 @@ class TestBundledGoldenValues:
     def test_a3_rows_and_spot_rates(self):
         from datetime import date
 
-        schedule = load_bundled("a3_postage")
-        assert len(schedule.changes) == 15
-        assert schedule.rate_on(date(1998, 7, 1), "first_ounce_usd2016") == 0.52
-        assert schedule.rate_on(date(2002, 7, 1), "first_ounce_usd2016") == 0.50
-        assert schedule.rate_on(date(2001, 7, 1), "additional_ounce_usd2016") == 0.29
+        postage = load_bundled("a3_postage")
+        assert set(postage) == {"first_ounce", "additional_ounce"}
+        assert len(postage["first_ounce"].changes) == len(postage["additional_ounce"].changes) == 15
+        assert postage["first_ounce"].rate_on(date(1998, 7, 1)) == 0.52
+        assert postage["first_ounce"].rate_on(date(2002, 7, 1)) == 0.50
+        assert postage["additional_ounce"].rate_on(date(2001, 7, 1)) == 0.29
 
     def test_a4_coverage_and_values(self):
         traffic = load_bundled("a4_traffic")
@@ -101,9 +102,14 @@ class TestBundledGoldenValues:
     def test_load_all_assembles_everything(self):
         d = load_all()
         assert d.bandwidth_real.to_mapping()[2002] == 269.85
-        assert d.unit_storage_mb["DVD"] == 4700.0
-        assert {m.name for m in d.physical_media("audio")} == {"cd", "cassette", "vinyl"}
-        assert {m.name for m in d.physical_media("video")} == {"dvd", "vhs"}
+        (dvd, vhs) = d.physical_media["video"]
+        assert dvd.storage.unit_storage_megabytes == 4700.0
+        assert dvd.yearly_sales == load_bundled("a6_sales")["dvd"]
+        assert vhs.storage.minutes_per_unit == 180.0
+        assert [m.name for m in d.physical_media["audio"]] == ["cd", "cassette", "vinyl"]
+        assert [m.name for m in d.physical_media["video"]] == ["dvd", "vhs"]
+        assert set(d.reference_media) == {"album", "song", "clip", "sd_movie", "hd_movie"}
+        assert d.targets == {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
 
 
 class TestChecksums:

@@ -61,70 +61,50 @@ class TestAlign:
 
 
 def postage_schedule():
-    # Trimmed copy of the bundled schedule, 2016$ columns only.
+    # Trimmed copy of the bundled first-ounce schedule, 2016$.
     rows = [
-        ("1981-11-01", 0.51, 0.44),
-        ("1985-02-17", 0.52, 0.40),
-        ("1988-04-03", 0.62, 0.43),
-        ("1991-02-03", 0.54, 0.42),
-        ("1995-01-01", 0.52, 0.37),
-        ("1999-01-10", 0.48, 0.32),
-        ("2001-01-07", 0.47, 0.29),
-        ("2002-06-30", 0.50, 0.31),
+        ("1981-11-01", 0.51),
+        ("1985-02-17", 0.52),
+        ("1988-04-03", 0.62),
+        ("1991-02-03", 0.54),
+        ("1995-01-01", 0.52),
+        ("1999-01-10", 0.48),
+        ("2001-01-07", 0.47),
+        ("2002-06-30", 0.50),
     ]
-    return RateSchedule(
-        changes=tuple((date.fromisoformat(d), (f, a)) for d, f, a in rows),
-        columns=("first_ounce", "additional_ounce"),
-        units=("real-dollars", "real-dollars"),
-    )
+    return RateSchedule(tuple((date.fromisoformat(d), rate) for d, rate in rows), "real-dollars")
 
 
 class TestAnnualize:
     def test_1998_uses_1995_rate(self):
-        s = annualize(postage_schedule(), range(1998, 1999), "first_ounce")
+        s = annualize(postage_schedule(), range(1998, 1999))
         assert s.to_mapping()[1998] == 0.52
 
     def test_mid_year_2002_uses_june_30_rate(self):
-        s = annualize(postage_schedule(), [2002], "first_ounce")
+        s = annualize(postage_schedule(), [2002])
         assert s.to_mapping()[2002] == 0.50
 
     def test_single_entry_schedule_is_constant(self):
-        sched = RateSchedule(
-            changes=((date(1900, 1, 1), (2.5,)),),
-            columns=("rate",),
-            units=("real-dollars",),
-        )
-        s = annualize(sched, range(1950, 1960), "rate")
+        sched = RateSchedule(((date(1900, 1, 1), 2.5),), "real-dollars")
+        s = annualize(sched, range(1950, 1960))
         assert set(s.values) == {2.5}
         assert len(s) == 10
 
     def test_no_rate_in_effect_is_error(self):
         with pytest.raises(MissingYearError):
-            annualize(postage_schedule(), [1980], "first_ounce")
+            annualize(postage_schedule(), [1980])
 
     def test_probe_before_first_change_within_year(self):
         # Nov 1, 1981 change is after July 1, 1981
         with pytest.raises(MissingYearError):
-            annualize(postage_schedule(), [1981], "first_ounce")
+            annualize(postage_schedule(), [1981])
 
     def test_idempotent_on_constant_schedule(self):
-        sched = RateSchedule(
-            changes=((date(1990, 1, 1), (3.0,)),),
-            columns=("rate",),
-            units=("real-dollars",),
-        )
-        once = annualize(sched, range(1990, 1995), "rate")
-        again = annualize(sched, once.years, "rate")
+        sched = RateSchedule(((date(1990, 1, 1), 3.0),), "real-dollars")
+        once = annualize(sched, range(1990, 1995))
+        again = annualize(sched, once.years)
         assert once == again
-
-    def test_unknown_column(self):
-        with pytest.raises(KeyError):
-            annualize(postage_schedule(), [1998], "nope")
 
     def test_dates_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            RateSchedule(
-                changes=((date(1990, 1, 1), (1.0,)), (date(1990, 1, 1), (2.0,))),
-                columns=("rate",),
-                units=("real-dollars",),
-            )
+            RateSchedule(((date(1990, 1, 1), 1.0), (date(1990, 1, 1), 2.0)), "real-dollars")

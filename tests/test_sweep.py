@@ -46,25 +46,26 @@ def config(**overrides):
 
 
 class TestEnumeration:
-    def test_counts_are_products(self):
+    def test_counts_are_products(self, datasets):
         scenarios = enumerate_scenarios(
             config(targets=["mail_cd", "mail_cassette"], reference_media=["album", "song"],
-                   usage_metrics=["minutes", "raw_bits", "units:3"])
+                   usage_metrics=["minutes", "raw_bits", "units:3"]),
+            datasets,
         )
         assert len(scenarios) == 2 * 3 * 2
 
-    def test_single_value_per_axis_is_baseline(self):
-        scenarios = enumerate_scenarios(config())
+    def test_single_value_per_axis_is_baseline(self, datasets):
+        scenarios = enumerate_scenarios(config(), datasets)
         assert len(scenarios) == 1
         assert scenarios[0].scenario_id == "audio|mail_cd|album|minutes|empirical|0.01"
 
-    def test_table4_audio_config_size(self):
-        scenarios = enumerate_scenarios(config(reference_media=["album", "song"]))
+    def test_table4_audio_config_size(self, datasets):
+        scenarios = enumerate_scenarios(config(reference_media=["album", "song"]), datasets)
         assert len(scenarios) == 2
 
-    def test_ordering_is_axis_major(self):
+    def test_ordering_is_axis_major(self, datasets):
         scenarios = enumerate_scenarios(
-            config(targets=["mail_cd", "mail_cassette"], knee_thresholds=[0.01, 0.10])
+            config(targets=["mail_cd", "mail_cassette"], knee_thresholds=[0.01, 0.10]), datasets
         )
         ids = [s.scenario_id for s in scenarios]
         # targets are the outer axis, thresholds the innermost
@@ -75,13 +76,13 @@ class TestEnumeration:
             "audio|mail_cassette|album|minutes|empirical|0.1",
         ]
 
-    def test_unresolvable_target(self):
+    def test_unresolvable_target(self, datasets):
         with pytest.raises(ValueError, match="unresolvable target"):
-            enumerate_scenarios(config(targets=["mail_pigeon"]))
+            enumerate_scenarios(config(targets=["mail_pigeon"]), datasets)
 
-    def test_unresolvable_media(self):
+    def test_unresolvable_media(self, datasets):
         with pytest.raises(ValueError, match="unresolvable reference"):
-            enumerate_scenarios(config(reference_media=["betamax"]))
+            enumerate_scenarios(config(reference_media=["betamax"]), datasets)
 
     def test_config_requires_every_axis(self):
         with pytest.raises(ValueError, match="knee_thresholds"):
@@ -123,24 +124,24 @@ class TestParsers:
 
 class TestRunScenario:
     def test_audio_baseline(self, datasets):
-        result = run_scenario(enumerate_scenarios(config())[0], datasets)
+        result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
         assert result.crossover.year == 1998
         assert result.knee.year == 1999
 
     def test_video_baseline(self, datasets):
         cfg = config(case="video", targets=["mail_dvd"], reference_media=["clip"])
-        result = run_scenario(enumerate_scenarios(cfg)[0], datasets)
+        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.year == 2002
         assert result.knee.year == 2001
 
     def test_audio_song_reference(self, datasets):
         cfg = config(reference_media=["song"])
-        result = run_scenario(enumerate_scenarios(cfg)[0], datasets)
+        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.year == 1992
 
     def test_fitted_detection_reports_diagnostics(self, datasets):
         cfg = config(detection=["fitted"])
-        result = run_scenario(enumerate_scenarios(cfg)[0], datasets)
+        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.mode == "fitted"
         assert result.crossover.year == 1996
         assert 0.9 < result.diagnostics["replacement_r_squared"] <= 1.0
@@ -154,7 +155,7 @@ class TestRunScenario:
         steady = AnnualSeries.from_mapping(
             {y: 1.0 for y in range(1990, 2000)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, custom_series={"steady": steady})
+        with_custom = replace(datasets, targets={**datasets.targets, "steady": steady})
         scenario = Scenario("custom", "steady", "album", UsageMetric.minutes(),
                             Detection("empirical"), 0.01)
         result = run_scenario(scenario, with_custom)
@@ -163,7 +164,7 @@ class TestRunScenario:
 
     def test_baseline_consistency_with_standalone_ops(self, datasets):
         # The sweep path must agree with calling the pipeline pieces directly.
-        result = run_scenario(enumerate_scenarios(config())[0], datasets)
+        result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
         replacement = replacement_performance("audio", "album", datasets)
         target = target_performance("mail_cd", datasets)
         adoption = adoption_series("audio", UsageMetric.minutes(), datasets)
@@ -183,7 +184,7 @@ class TestRunScenario:
         drive = AnnualSeries.from_mapping(
             {y: 0.5 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, custom_series={"drive": drive})
+        with_custom = replace(datasets, targets={**datasets.targets, "drive": drive})
         cfg = config(targets=["drive"])
         result = run_scenario(enumerate_scenarios(cfg, with_custom)[0], with_custom)
         assert result.crossover.year is not None
@@ -225,6 +226,42 @@ class TestRunScenario:
         result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
         assert result.crossover.year == 1997
 
+    def test_fractional_mail_weight_rounds_up(self, datasets):
+        from techknee.sweep import extend_datasets
+
+        # Postage charges by the started ounce: 1.5 ounces mail at the
+        # 2-ounce rate, as mail_cassette does.
+        doc = {"custom_targets": {"mail_1_5": {"weight_ounces": 1.5}}}
+        extended = extend_datasets(datasets, doc)
+        assert extended.targets["mail_1_5"] == 2
+        cfg = config(targets=["mail_1_5"])
+        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
+        assert result.crossover.year == 1997
+
+    def test_whole_float_pixel_fields_accepted(self, datasets):
+        from techknee.sweep import extend_datasets
+
+        # An SD clip declared with whole numbers written as floats equals
+        # the bundled clip.
+        doc = {"custom_media": {"sd_clip": {
+            "kind": "video", "length_seconds": 300, "pixel_height": 480.0, "pixel_width": "640.0",
+            "bits_per_pixel": 24.0, "frames_per_second": 30,
+        }}}
+        extended = extend_datasets(datasets, doc)
+        assert extended.reference_media["sd_clip"] == extended.reference_media["clip"]
+        cfg = config(case="video", targets=["mail_dvd"], reference_media=["sd_clip"])
+        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
+        assert result.crossover.year == 2002
+
+    def test_extension_leaves_bundle_unchanged(self, datasets):
+        from techknee.sweep import extend_datasets
+
+        before = repr(datasets)
+        extend_datasets(datasets, {"custom_targets": {"mail_heavy": {"weight_ounces": 2}},
+                                   "custom_media": {"single": {"kind": "audio", "length_seconds": 180}}})
+        assert repr(datasets) == before
+        assert repr(load_all()) == before
+
     def test_protocol_mix_override(self, datasets, tmp_path):
         from techknee.datasets import write_series_csv
         from techknee.sweep import extend_datasets
@@ -239,13 +276,13 @@ class TestRunScenario:
         assert result.knee.year == 1999
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
-        from techknee.datasets import write_series_csv
+        from techknee.datasets import load_bundled, write_series_csv
         from techknee.sweep import extend_datasets
 
         # Redeclaring the bundled audio competitors in config reproduces
         # the bundled knee.
         for name in ("cd", "cassette", "vinyl"):
-            write_series_csv(datasets.sales[name], tmp_path / f"{name}.csv")
+            write_series_csv(load_bundled("a6_sales")[name], tmp_path / f"{name}.csv")
         doc = {
             "custom_physical_media": {
                 "audio": [
@@ -446,7 +483,7 @@ class TestFeasibilityRange:
         unbeatable = AnnualSeries.from_mapping(
             {y: 1e9 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, custom_series={"unbeatable": unbeatable})
+        with_custom = replace(datasets, targets={**datasets.targets, "unbeatable": unbeatable})
         results = run_sweep(config(targets=["unbeatable"]), with_custom)
         (fr,) = feasibility_range(results)
         assert fr.crossover_min is None and fr.crossover_max is None
