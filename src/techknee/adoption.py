@@ -10,7 +10,8 @@ of the total.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import UnitMismatchError
 from .series import AnnualSeries
@@ -19,8 +20,7 @@ BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
 BITS_PER_MEGABYTE = 8e6  # decimal megabytes
 
 
-@dataclass(frozen=True)
-class DomainUsage:
+class DomainUsage(NamedTuple):
     """A distribution domain's yearly usage in a common metric (minutes,
     or raw bits)."""
 
@@ -28,63 +28,61 @@ class DomainUsage:
     series: AnnualSeries
 
 
-@dataclass(frozen=True)
-class AnalogStorage:
+class AnalogStorage(namedtuple("AnalogStorage", "minutes_per_unit raw_bits_per_minute")):
     """Analog medium: content measured in minutes per unit.
 
     `raw_bits_per_minute` is the digital-equivalent size of one minute of
     the medium's native-quality content, used only by the raw-bits metric.
     """
 
-    minutes_per_unit: float
-    raw_bits_per_minute: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.minutes_per_unit <= 0:
+    def __new__(cls, minutes_per_unit: float, raw_bits_per_minute: float) -> AnalogStorage:
+        if minutes_per_unit <= 0:
             raise ValueError("minutes per unit must be positive")
-        if self.raw_bits_per_minute <= 0:
+        if raw_bits_per_minute <= 0:
             raise ValueError("raw bits per minute must be positive")
+        return super().__new__(cls, minutes_per_unit, raw_bits_per_minute)
 
 
-@dataclass(frozen=True)
-class DigitalStorage:
+class DigitalStorage(namedtuple("DigitalStorage", "unit_storage_megabytes")):
     """Digital medium: content measured by on-disc capacity."""
 
-    unit_storage_megabytes: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.unit_storage_megabytes <= 0:
+    def __new__(cls, unit_storage_megabytes: float) -> DigitalStorage:
+        if unit_storage_megabytes <= 0:
             raise ValueError("unit storage must be positive")
+        return super().__new__(cls, unit_storage_megabytes)
 
 
-@dataclass(frozen=True)
-class PhysicalMediaSpec:
-    """A physical competitor medium and its yearly unit sales."""
+class PhysicalMediaSpec(namedtuple("PhysicalMediaSpec", "name storage yearly_sales")):
+    """A physical competitor medium and its yearly unit sales (absolute
+    unit counts per year)."""
 
-    name: str
-    storage: AnalogStorage | DigitalStorage
-    yearly_sales: AnnualSeries  # absolute unit counts per year
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.yearly_sales.unit != "count-per-year":
-            raise ValueError(f"sales series tagged {self.yearly_sales.unit!r}")
+    def __new__(cls, name: str, storage: AnalogStorage | DigitalStorage,
+                yearly_sales: AnnualSeries) -> PhysicalMediaSpec:
+        if yearly_sales.unit != "count-per-year":
+            raise ValueError(f"sales series tagged {yearly_sales.unit!r}")
+        return super().__new__(cls, name, storage, yearly_sales)
 
 
-@dataclass(frozen=True)
-class UsageMetric:
+class UsageMetric(namedtuple("UsageMetric", "kind unit_length_minutes")):
     """How usage is counted: minutes, raw bits, or fixed-length units."""
 
-    kind: str  # "minutes" | "raw_bits" | "units"
-    unit_length_minutes: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("minutes", "raw_bits", "units"):
-            raise ValueError(f"unknown usage metric {self.kind!r}")
-        if self.kind == "units":
-            if self.unit_length_minutes is None or self.unit_length_minutes <= 0:
+    def __new__(cls, kind: str, unit_length_minutes: float | None = None) -> UsageMetric:
+        if kind not in ("minutes", "raw_bits", "units"):
+            raise ValueError(f"unknown usage metric {kind!r}")
+        if kind == "units":
+            if unit_length_minutes is None or unit_length_minutes <= 0:
                 raise ValueError("units metric needs a positive unit length")
-        elif self.unit_length_minutes is not None:
-            raise ValueError(f"{self.kind} metric takes no unit length")
+        elif unit_length_minutes is not None:
+            raise ValueError(f"{kind} metric takes no unit length")
+        return super().__new__(cls, kind, unit_length_minutes)
 
     @classmethod
     def minutes(cls) -> "UsageMetric":

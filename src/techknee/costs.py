@@ -9,7 +9,7 @@ megabits/gigabits throughout, matching the source arithmetic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import AnnualSeries
 
@@ -23,40 +23,37 @@ SD_BITS_PER_PIXEL = 24
 SD_FRAMES_PER_SECOND = 30.0
 
 
-@dataclass(frozen=True)
-class MediaSpec:
-    """Parameters of an uncompressed reference media unit.
+class MediaSpec(namedtuple("MediaSpec", "kind length_seconds audio_bit_rate pixel_height pixel_width "
+                                        "bits_per_pixel frames_per_second override_size_bits")):
+    """Parameters of an uncompressed reference media unit, of kind "audio"
+    or "video".
 
     Video specs derive their size from pixel geometry plus an audio
     track; when `override_size_bits` is set it wins (used for reference
     units whose generation parameters are not published).
     """
 
-    kind: str  # "audio" | "video"
-    length_seconds: float
-    audio_bit_rate: float = AUDIO_BIT_RATE
-    pixel_height: int = 0
-    pixel_width: int = 0
-    bits_per_pixel: int = 0
-    frames_per_second: float = 0.0
-    override_size_bits: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("audio", "video"):
-            raise ValueError(f"unknown media kind {self.kind!r}")
-        if self.length_seconds <= 0:
+    def __new__(cls, kind: str, length_seconds: float, audio_bit_rate: float = AUDIO_BIT_RATE,
+                pixel_height: int = 0, pixel_width: int = 0, bits_per_pixel: int = 0,
+                frames_per_second: float = 0.0, override_size_bits: float | None = None) -> MediaSpec:
+        if kind not in ("audio", "video"):
+            raise ValueError(f"unknown media kind {kind!r}")
+        if length_seconds <= 0:
             raise ValueError("length must be positive")
-        if self.override_size_bits is not None:
-            if self.override_size_bits <= 0:
+        if override_size_bits is not None:
+            if override_size_bits <= 0:
                 raise ValueError("override size must be positive")
-            return
-        if self.audio_bit_rate <= 0:
+        elif audio_bit_rate <= 0:
             raise ValueError("audio bit rate must be positive")
-        if self.kind == "video":
-            if self.pixel_height <= 0 or self.pixel_width <= 0:
+        elif kind == "video":
+            if pixel_height <= 0 or pixel_width <= 0:
                 raise ValueError("video needs positive pixel dimensions")
-            if self.bits_per_pixel <= 0 or self.frames_per_second <= 0:
+            if bits_per_pixel <= 0 or frames_per_second <= 0:
                 raise ValueError("video needs positive depth and frame rate")
+        return super().__new__(cls, kind, length_seconds, audio_bit_rate, pixel_height, pixel_width,
+                               bits_per_pixel, frames_per_second, override_size_bits)
 
 
 def audio_spec(length_seconds: float, audio_bit_rate: float = AUDIO_BIT_RATE) -> MediaSpec:
@@ -113,25 +110,24 @@ def one_minute_size_bits(kind: str) -> float:
     raise ValueError(f"unknown media kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MailSpec:
+class MailSpec(namedtuple("MailSpec", "weight_ounces postage_first postage_additional")):
     """First-class mailing of one physical media unit.
 
     `weight_ounces` is the already-ceiled integer weight.
     """
 
-    weight_ounces: int
-    postage_first: AnnualSeries
-    postage_additional: AnnualSeries
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.weight_ounces < 1:
+    def __new__(cls, weight_ounces: int, postage_first: AnnualSeries,
+                postage_additional: AnnualSeries) -> MailSpec:
+        if weight_ounces < 1:
             raise ValueError("weight must be at least one ounce")
-        for s in (self.postage_first, self.postage_additional):
+        for s in (postage_first, postage_additional):
             if s.unit != "real-dollars":
                 raise ValueError(f"postage series tagged {s.unit!r}")
             if any(v <= 0 for _, v in s):
                 raise ValueError("postage must be positive")
+        return super().__new__(cls, weight_ounces, postage_first, postage_additional)
 
 
 def internet_distribution_perf(

@@ -8,16 +8,12 @@ data can be audited by eye and corruption is a hard error.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
-from datetime import date
-from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MAIL_TARGETS, REFERENCE_MEDIA, MediaSpec, one_minute_size_bits
@@ -48,10 +44,14 @@ def data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
         return Path(override)
+    from importlib import resources
+
     return Path(str(resources.files("techknee").joinpath("data")))
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -114,6 +114,8 @@ def load_bundled(dataset_id: str, directory: Path | None = None):
         }
 
     if dataset_id == "a3_postage":
+        from datetime import date
+
         return {
             rate: RateSchedule(
                 tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in rows),
@@ -147,8 +149,7 @@ def load_bundled(dataset_id: str, directory: Path | None = None):
     raise KeyError(dataset_id)
 
 
-@dataclass(frozen=True)
-class Datasets:
+class Datasets(NamedTuple):
     """What scenarios resolve against: the bundled tables, with one table
     per scenario axis.
 

@@ -9,13 +9,13 @@ fitted variants intersect two fitted curves in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import DegenerateFitError, FitError, UnitMismatchError
 from .series import AnnualSeries, align
 
-@dataclass(frozen=True)
-class ExpFit:
+class ExpFit(namedtuple("ExpFit", "a k t0 window n_points r_squared")):
     """Fitted curve value(t) = a * exp(k * (t - t0)).
 
     `a` is the fitted level at the reference year t0 (the first window
@@ -23,24 +23,20 @@ class ExpFit:
     coefficient of determination.
     """
 
-    a: float
-    k: float
-    t0: int
-    window: tuple[int, int]
-    n_points: int
-    r_squared: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a <= 0:
+    def __new__(cls, a: float, k: float, t0: int, window: tuple[int, int], n_points: int,
+                r_squared: float) -> ExpFit:
+        if a <= 0:
             raise ValueError("fitted level must be positive")
-        if self.n_points < 2:
+        if n_points < 2:
             raise ValueError("a fit needs at least two points")
-        if self.window[0] > self.window[1]:
+        if window[0] > window[1]:
             raise ValueError("window start exceeds window end")
+        return super().__new__(cls, a, k, t0, window, n_points, r_squared)
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(NamedTuple):
     """First year the replacement's performance reaches the target's.
 
     `fractional_year` is set in fitted mode only. Absent events carry
@@ -52,8 +48,7 @@ class CrossoverResult:
     fractional_year: float | None = None
 
 
-@dataclass(frozen=True)
-class KneeResult:
+class KneeResult(NamedTuple):
     """First year an adoption share reaches `threshold`."""
 
     year: int | None

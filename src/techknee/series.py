@@ -7,11 +7,13 @@ years, and scaling preserves the unit tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from datetime import date
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import MissingYearError
+
+if TYPE_CHECKING:
+    from datetime import date
 
 # Closed vocabulary of unit tags. Tags are carried, never inferred.
 UNIT_TAGS = frozenset(
@@ -26,17 +28,22 @@ UNIT_TAGS = frozenset(
     }
 )
 
-@dataclass(frozen=True)
 class AnnualSeries:
     """Year-indexed positive finite values with a unit tag.
 
     `entries` is stored as a tuple of (year, value) pairs with strictly
     increasing years. Construct from a mapping or pair iterable via
-    `AnnualSeries.from_mapping` / the constructor.
+    `AnnualSeries.from_mapping` / the constructor. Immutable, compared and
+    hashed by value; the constructor validates through `__post_init__`,
+    looked up on the class at every construction.
     """
 
-    entries: tuple[tuple[int, float], ...]
-    unit: str
+    __slots__ = ("entries", "unit")
+
+    def __init__(self, entries: tuple[tuple[int, float], ...], unit: str) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "unit", unit)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.unit not in UNIT_TAGS:
@@ -52,6 +59,26 @@ class AnnualSeries:
             if value < 0:
                 raise ValueError(f"negative value {value!r} at year {year}")
             prev = year
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.unit) == (other.entries, other.unit)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.unit))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={self.entries!r}, unit={self.unit!r})"
+
+    def __reduce__(self):
+        return type(self), (self.entries, self.unit)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, float], unit: str) -> "AnnualSeries":
@@ -88,21 +115,20 @@ def align(a: AnnualSeries, b: AnnualSeries) -> list[tuple[int, float, float]]:
     return [(y, v, bmap[y]) for y, v in a.entries if y in bmap]
 
 
-@dataclass(frozen=True)
-class RateSchedule:
+class RateSchedule(namedtuple("RateSchedule", "changes unit")):
     """Dated changes of one rate, each in force from its calendar date
     until superseded. Used for postage.
     """
 
-    changes: tuple[tuple[date, float], ...]
-    unit: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, changes: tuple[tuple[date, float], ...], unit: str) -> RateSchedule:
         prev = None
-        for effective, _ in self.changes:
+        for effective, _ in changes:
             if prev is not None and effective <= prev:
                 raise ValueError(f"effective dates not strictly increasing at {effective}")
             prev = effective
+        return super().__new__(cls, changes, unit)
 
     def rate_on(self, probe: date) -> float:
         """The rate in force on `probe`; error if no change applies yet."""
@@ -126,6 +152,8 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     (2002-06-30 for 2002), one in the second half from the next year
     (1981-11-01 from 1982).
     """
+    from datetime import date
+
     pairs = []
     for year in sorted(set(int(y) for y in years)):
         value = schedule.rate_on(date(year, 7, 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -33,22 +33,20 @@ class ScenarioError(TechkneeError):
     """A scenario failed; the message carries the scenario id."""
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(namedtuple("Detection", "mode window_from window_to")):
     """Crossover detection mode: empirical series or fitted curves."""
 
-    mode: str  # "empirical" | "fitted"
-    window_from: int | None = None
-    window_to: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("empirical", "fitted"):
-            raise ValueError(f"unknown detection mode {self.mode!r}")
-        if self.mode == "empirical" and (self.window_from or self.window_to):
+    def __new__(cls, mode: str, window_from: int | None = None, window_to: int | None = None) -> Detection:
+        if mode not in ("empirical", "fitted"):
+            raise ValueError(f"unknown detection mode {mode!r}")
+        if mode == "empirical" and (window_from or window_to):
             raise ValueError("empirical detection takes no window")
-        for year in (self.window_from, self.window_to):
+        for year in (window_from, window_to):
             if year is not None and not isinstance(year, int):
                 raise ValueError(f"window year {year!r} is not an integer")
+        return super().__new__(cls, mode, window_from, window_to)
 
     def label(self) -> str:
         if self.mode == "empirical":
@@ -58,19 +56,15 @@ class Detection:
         return f"fitted:{lo}-{hi}" if (lo or hi) else "fitted"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "case target reference_media usage_metric detection knee_threshold")):
     """One complete choice along the uncertainty axes."""
 
-    case: str  # "audio" | "video" | "custom"
-    target: str
-    reference_media: str
-    usage_metric: UsageMetric
-    detection: Detection
-    knee_threshold: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_scenario(self.case, self.knee_threshold)
+    def __new__(cls, case: str, target: str, reference_media: str, usage_metric: UsageMetric,
+                detection: Detection, knee_threshold: float) -> Scenario:
+        _check_scenario(case, knee_threshold)
+        return super().__new__(cls, case, target, reference_media, usage_metric, detection, knee_threshold)
 
     @property
     def scenario_id(self) -> str:
@@ -91,12 +85,14 @@ def _scenario_id(case: str, target: str, reference_media: str, usage_metric: Usa
                      f"{knee_threshold:g}"])
 
 
-@dataclass(frozen=True)
-class SweepResult:
+_NO_DIAGNOSTICS: Mapping[str, float] = MappingProxyType({})
+
+
+class SweepResult(NamedTuple):
     scenario: Scenario
     crossover: CrossoverResult
     knee: KneeResult
-    diagnostics: Mapping[str, float] = field(default_factory=dict)
+    diagnostics: Mapping[str, float] = _NO_DIAGNOSTICS
 
 
 class SweepBlock(NamedTuple):
@@ -104,8 +100,7 @@ class SweepBlock(NamedTuple):
 
     They share one crossover and its diagnostics; `knees` follows the
     config's thresholds in order and is shared by every block with the
-    same usage metric. (A named tuple: it is built at import for a
-    fraction of a frozen dataclass's cost, which every command pays.)
+    same usage metric.
     """
 
     target: str
@@ -117,8 +112,7 @@ class SweepBlock(NamedTuple):
     knees: tuple[KneeResult, ...]
 
 
-@dataclass(frozen=True)
-class FeasibilityRange:
+class FeasibilityRange(NamedTuple):
     """Min/max event years over a scenario group, absences counted."""
 
     label: str
@@ -201,8 +195,7 @@ def parse_detection(raw) -> Detection:
     raise ValueError(f"cannot parse detection from {raw!r}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Axis values for a cartesian sweep, in declaration order."""
 
     case: str
@@ -214,7 +207,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SweepConfig":
-        for key in ("case", "targets", "reference_media", "usage_metrics", "detection", "knee_thresholds"):
+        for key in cls._fields:
             if key not in doc or (key != "case" and not doc[key]):
                 raise ValueError(f"config needs at least one value for {key!r}")
 
@@ -320,6 +313,9 @@ def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec
     return PhysicalMediaSpec(_field(doc, "name"), storage, sales)
 
 
+_DECLARATIONS = ("custom_series", "custom_targets", "custom_media", "protocol_mix", "custom_physical_media")
+
+
 def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets:
     """Merge a scenario config's declarations into a new dataset bundle.
 
@@ -329,12 +325,12 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     integers. A declared target or media name must be new: one that is
     bundled or already declared is refused. `protocol_mix` (a media share
     built from protocol tables) and `custom_physical_media` (a competitor
-    set) replace their case's entry. Relative CSV paths resolve against
-    `base_dir`. An invalid entry raises ValueError naming it, e.g.
+    set) replace the entry of their case, 'audio' or 'video'. Relative
+    CSV paths resolve against `base_dir`. An invalid entry, an unknown case
+    or an unknown top-level key raises ValueError naming it, e.g.
     `custom_series['drive']: missing field 'unit'` or
     `custom_media['album']: shadows a bundled reference media unit`.
     """
-    from dataclasses import replace
     from pathlib import Path
 
     def resolve(path: str, unit: str) -> AnnualSeries:
@@ -360,10 +356,15 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     def replace_cases(table: dict, key: str, parse, combine) -> None:
         for case, raw in objects(key).items():
             where = f"{key}[{case!r}]"
+            if case not in ("audio", "video"):
+                raise ValueError(f"{where}: unknown case (expected 'audio' or 'video')")
             entries = [_named(f"{where}[{i}]", lambda: parse(case, entry))
                        for i, entry in enumerate(_named(where, lambda: _expect(raw, list)))]
             table[case] = _named(where, lambda: combine(entries))
 
+    for key in doc:
+        if key not in SweepConfig._fields and key not in _DECLARATIONS:
+            raise ValueError(f"{key}: unknown config key")
     targets, media = dict(datasets.targets), dict(datasets.reference_media)
     declare(targets, datasets.targets, "custom_series", "target",
             lambda spec: resolve(_field(spec, "path", str), _field(spec, "unit", str)))
@@ -375,8 +376,8 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     ), protocol_mix)
     replace_cases(competitors, "custom_physical_media",
                   lambda case, entry: _parse_physical_media(case, entry, resolve), tuple)
-    return replace(datasets, targets=targets, reference_media=media, media_share=shares,
-                   physical_media=competitors)
+    return datasets._replace(targets=targets, reference_media=media, media_share=shares,
+                             physical_media=competitors)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +442,6 @@ def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[D
 def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> AnnualSeries:
     internet, physical = domain_usages(case, metric, datasets)
     return adoption_share(internet, physical, metric)
-
-
-_NO_DIAGNOSTICS: Mapping[str, float] = MappingProxyType({})
 
 
 class _Stages:
@@ -670,8 +668,7 @@ def block_feasibility_range(blocks: list[SweepBlock], group_by: str | None = Non
 # reproduction of the published tables
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One published table cell checked against the pipeline."""
 
     cell_id: str
@@ -685,8 +682,7 @@ class Cell:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RangeCheck:
+class RangeCheck(NamedTuple):
     """A published feasibility range checked against computed cells."""
 
     range_id: str
@@ -696,8 +692,7 @@ class RangeCheck:
     status: str
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
+class ReproductionReport(NamedTuple):
     cells: tuple[Cell, ...]
     ranges: tuple[RangeCheck, ...]
     curves: Mapping[str, Mapping[str, AnnualSeries]]

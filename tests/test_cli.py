@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +442,19 @@ class TestErrorContract:
         assert result[2] == f"error: {message}\n"
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"custom_target": {"mail_x": {"weight_ounces": 2}}}, "custom_target: unknown config key"),
+        ({"protocol_mix": {"audoi": []}},
+         "protocol_mix['audoi']: unknown case (expected 'audio' or 'video')"),
+        ({"custom_physical_media": {"custom": []}},
+         "custom_physical_media['custom']: unknown case (expected 'audio' or 'video')"),
+    ])
+    def test_sweep_unknown_key_or_case(self, capsys, tmp_path, override, message):
+        result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
+        self.assert_usage_error(result)
+        assert result[2] == f"error: {message}\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize("argv, bad", [
         (["export-data", "--out", "{file}"], "file"),
         (["reproduce", "--out", "{file}"], "file"),
@@ -462,6 +479,23 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert "scenario audio|mail_cd|album|minutes|fitted:2030-2040|0.01: " in result[2]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+
+class TestColdStart:
+    def test_import_loads_no_module_only_some_commands_need(self):
+        # Each command runs in a fresh interpreter, so whatever the import
+        # loads is paid by every command.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def loaded(statement: str) -> set:
+            code = f"import sys; {statement}; print(' '.join(sys.modules))"
+            child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, check=True)
+            return set(child.stdout.split())
+
+        new = loaded("import techknee.cli") - loaded("pass")
+        assert "techknee.sweep" in new
+        assert not new & {"dataclasses", "inspect", "hashlib", "datetime"}
 
 
 class TestUsageErrors:

@@ -149,13 +149,12 @@ class TestRunScenario:
         assert result.diagnostics["crossover_extrapolated"] == 0.0
 
     def test_custom_case_has_no_knee(self, datasets):
-        from dataclasses import replace
         from techknee.series import AnnualSeries
 
         steady = AnnualSeries.from_mapping(
             {y: 1.0 for y in range(1990, 2000)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, targets={**datasets.targets, "steady": steady})
+        with_custom = datasets._replace(targets={**datasets.targets, "steady": steady})
         scenario = Scenario("custom", "steady", "album", UsageMetric.minutes(),
                             Detection("empirical"), 0.01)
         result = run_scenario(scenario, with_custom)
@@ -178,13 +177,12 @@ class TestRunScenario:
             run_scenario(scenario, datasets)
 
     def test_custom_target_series(self, datasets):
-        from dataclasses import replace
         from techknee.series import AnnualSeries
 
         drive = AnnualSeries.from_mapping(
             {y: 0.5 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, targets={**datasets.targets, "drive": drive})
+        with_custom = datasets._replace(targets={**datasets.targets, "drive": drive})
         cfg = config(targets=["drive"])
         result = run_scenario(enumerate_scenarios(cfg, with_custom)[0], with_custom)
         assert result.crossover.year is not None
@@ -477,13 +475,12 @@ class TestFeasibilityRange:
         assert ranges["mail_cassette"].crossover_min == 1997
 
     def test_all_absent_group(self, datasets):
-        from dataclasses import replace
         from techknee.series import AnnualSeries
 
         unbeatable = AnnualSeries.from_mapping(
             {y: 1e9 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
-        with_custom = replace(datasets, targets={**datasets.targets, "unbeatable": unbeatable})
+        with_custom = datasets._replace(targets={**datasets.targets, "unbeatable": unbeatable})
         results = run_sweep(config(targets=["unbeatable"]), with_custom)
         (fr,) = feasibility_range(results)
         assert fr.crossover_min is None and fr.crossover_max is None
