@@ -14,7 +14,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import UnitMismatchError
-from .series import AnnualSeries
+from .series import AnnualSeries, align
 
 BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
 BITS_PER_MEGABYTE = 8e6  # decimal megabytes
@@ -161,30 +161,22 @@ def digital_media_minutes(
 ) -> AnnualSeries:
     """Minutes storable on a digital medium's yearly sales.
 
-    sales * storage_bits * compression(t) / one_minute_uncompressed; years
-    missing from the compression series are omitted.
+    sales * storage_bits * compression(t) / one_minute_uncompressed, over
+    the years both series have (`series.align`).
     """
     if not isinstance(spec.storage, DigitalStorage):
         raise ValueError(f"{spec.name} is not a digital medium")
     storage_bits = spec.storage.unit_storage_megabytes * BITS_PER_MEGABYTE
-    comp = compression.to_mapping()
-    pairs = []
-    for year, sales in spec.yearly_sales:
-        if year not in comp:
-            continue
-        pairs.append((year, sales * storage_bits * comp[year] / one_min_uncompressed_bits))
+    pairs = [(year, sales * storage_bits * ratio / one_min_uncompressed_bits)
+             for year, sales, ratio in align(spec.yearly_sales, compression)]
     return AnnualSeries(tuple(pairs), "minutes-per-year")
 
 
 def internet_media_raw_bits(traffic: AnnualSeries, media_share: AnnualSeries) -> AnnualSeries:
     """Raw bits carried for a media type: traffic * share, no compression
-    adjustment."""
-    share = media_share.to_mapping()
-    pairs = [
-        (year, gigabytes * BITS_PER_GIGABYTE * share[year])
-        for year, gigabytes in traffic
-        if year in share
-    ]
+    adjustment, over the years both series have (`series.align`)."""
+    pairs = [(year, gigabytes * BITS_PER_GIGABYTE * share)
+             for year, gigabytes, share in align(traffic, media_share)]
     return AnnualSeries(tuple(pairs), "count-per-year")
 
 

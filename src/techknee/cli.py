@@ -16,12 +16,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .datasets import data_dir, export_bundled, load_all, parse_series_csv
+from .datasets import DATASET_IDS, data_dir, export_bundled, load_all, parse_series_csv
 from .errors import TechkneeError
 from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
 from .plots import write_case_svg, write_tidy_csv
 from .series import UNIT_TAGS
 from .sweep import (
+    Cell,
     SweepConfig,
     block_feasibility_range,
     feasibility_range,  # noqa: F401 -- kept for callers that look it up here (bench/tracer.py)
@@ -228,7 +229,7 @@ def _cmd_case(args) -> int:
                 {
                     "case": args.case,
                     "scenario": scenario.scenario_id,
-                    "data": sorted(p.name for p in data_dir().glob("*.csv")),
+                    "data": [f"{dataset_id}.csv" for dataset_id in DATASET_IDS],
                     "crossover": result.crossover.year,
                     "knee_threshold": scenario.knee_threshold,
                     "knee": result.knee.year,
@@ -390,13 +391,9 @@ def _cmd_reproduce(args) -> int:
         print(f"deviations: {n_dev}" + (f" ({', '.join(report.deviations)})" if n_dev else ""))
     if args.out:
         with open(out / "cells.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["cell_id", "table", "case", "label", "expected", "tolerance", "computed", "status", "note"])
-            for c in report.cells:
-                writer.writerow([c.cell_id, c.table, c.case, c.label,
-                                 c.expected if c.expected is not None else "",
-                                 c.tolerance, c.computed if c.computed is not None else "",
-                                 c.status, c.note])
+            writer = csv.writer(f)  # writes None as an empty field
+            writer.writerow(Cell._fields)
+            writer.writerows(report.cells)
         (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
         for case, curves in report.curves.items():
             write_tidy_csv(out / f"fig3_{case}.csv", curves)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .series import AnnualSeries
+from .series import AnnualSeries, align
 
 SECONDS_IN_MONTH = 2_592_000  # 30-day month
 
@@ -138,8 +138,7 @@ def internet_distribution_perf(
     value(t) = (SECONDS_IN_MONTH / speed_cost(t)) * compression(t) / size_megabits
 
     `speed_cost` is monthly bandwidth pricing: real dollars per Mbps of
-    speed per month. Years missing from either input are omitted, never
-    interpolated.
+    speed per month. Covers the years both inputs have (`series.align`).
     """
     if speed_cost.unit != "real-dollars-per-megabit-month":
         raise ValueError(f"speed cost series tagged {speed_cost.unit!r}")
@@ -147,27 +146,20 @@ def internet_distribution_perf(
         raise ValueError("speed cost must be positive")
     size_megabits = uncompressed_size_bits(spec) / 1e6
     pairs = []
-    comp = compression.to_mapping()
-    for year, cost in speed_cost:
-        if year not in comp:
-            continue
-        if comp[year] <= 0:
+    for year, cost, ratio in align(speed_cost, compression):
+        if ratio <= 0:
             raise ValueError(f"compression ratio must be positive at {year}")
-        value = SECONDS_IN_MONTH / cost * comp[year] / size_megabits
-        pairs.append((year, value))
+        pairs.append((year, SECONDS_IN_MONTH / cost * ratio / size_megabits))
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")
 
 
 def mail_distribution_perf(mail: MailSpec) -> AnnualSeries:
     """Media units mailable per real dollar, per year.
 
-    value(t) = 1 / (first_ounce(t) + (weight - 1) * additional_ounce(t))
+    value(t) = 1 / (first_ounce(t) + (weight - 1) * additional_ounce(t)),
+    over the years both postage series have (`series.align`).
     """
-    additional = mail.postage_additional.to_mapping()
-    pairs = []
-    for year, first in mail.postage_first:
-        if year not in additional:
-            continue
-        cost = first + (mail.weight_ounces - 1) * additional[year]
-        pairs.append((year, 1.0 / cost))
+    extra = mail.weight_ounces - 1
+    pairs = [(year, 1.0 / (first + extra * additional))
+             for year, first, additional in align(mail.postage_first, mail.postage_additional)]
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")

@@ -110,7 +110,9 @@ class AnnualSeries:
 
 
 def align(a: AnnualSeries, b: AnnualSeries) -> list[tuple[int, float, float]]:
-    """Rows (year, a-value, b-value) over the intersection of years, ascending."""
+    """Rows (year, a-value, b-value) over the intersection of years, ascending:
+    the one rule for combining two series. A year missing from either input
+    is omitted, never interpolated."""
     bmap = b.to_mapping()
     return [(y, v, bmap[y]) for y, v in a.entries if y in bmap]
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
@@ -41,19 +40,19 @@ class Detection(namedtuple("Detection", "mode window_from window_to")):
     def __new__(cls, mode: str, window_from: int | None = None, window_to: int | None = None) -> Detection:
         if mode not in ("empirical", "fitted"):
             raise ValueError(f"unknown detection mode {mode!r}")
-        if mode == "empirical" and (window_from or window_to):
+        if mode == "empirical" and (window_from is not None or window_to is not None):
             raise ValueError("empirical detection takes no window")
         for year in (window_from, window_to):
-            if year is not None and not isinstance(year, int):
+            # A JSON `true` is a Python int; it is not a year.
+            if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
                 raise ValueError(f"window year {year!r} is not an integer")
         return super().__new__(cls, mode, window_from, window_to)
 
     def label(self) -> str:
-        if self.mode == "empirical":
-            return "empirical"
-        lo = self.window_from if self.window_from is not None else ""
-        hi = self.window_to if self.window_to is not None else ""
-        return f"fitted:{lo}-{hi}" if (lo or hi) else "fitted"
+        lo, hi = self.window_from, self.window_to
+        if lo is None and hi is None:
+            return self.mode
+        return f"fitted:{'' if lo is None else lo}-{'' if hi is None else hi}"
 
 
 class Scenario(namedtuple("Scenario", "case target reference_media usage_metric detection knee_threshold")):
@@ -73,7 +72,7 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
 
 
 def _check_scenario(case: str, knee_threshold: float) -> None:
-    if case not in ("audio", "video", "custom"):
+    if case not in ("audio", "video"):
         raise ValueError(f"unknown case {case!r}")
     if not 0.0 < knee_threshold < 1.0:
         raise ValueError("knee threshold must be in (0, 1)")
@@ -85,14 +84,25 @@ def _scenario_id(case: str, target: str, reference_media: str, usage_metric: Usa
                      f"{knee_threshold:g}"])
 
 
-_NO_DIAGNOSTICS: Mapping[str, float] = MappingProxyType({})
+class FitDiagnostics(NamedTuple):
+    """The two fits behind a fitted crossover; empirical detection has none.
+    `crossover_extrapolated` says whether the intersection lies outside the
+    span of both fit windows, and is None when the curves never intersect."""
+
+    replacement_a: float
+    replacement_k: float
+    replacement_r_squared: float
+    target_a: float
+    target_k: float
+    target_r_squared: float
+    crossover_extrapolated: bool | None
 
 
 class SweepResult(NamedTuple):
     scenario: Scenario
     crossover: CrossoverResult
     knee: KneeResult
-    diagnostics: Mapping[str, float] = _NO_DIAGNOSTICS
+    diagnostics: FitDiagnostics | None = None
 
 
 class SweepBlock(NamedTuple):
@@ -108,7 +118,7 @@ class SweepBlock(NamedTuple):
     usage_metric: UsageMetric
     detection: Detection
     crossover: CrossoverResult
-    diagnostics: Mapping[str, float]
+    diagnostics: FitDiagnostics | None
     knees: tuple[KneeResult, ...]
 
 
@@ -389,7 +399,7 @@ def replacement_performance(case: str, reference_media: str, datasets: Datasets)
     spec = datasets.reference_media.get(reference_media)
     if spec is None:
         raise ValueError(f"unresolvable reference media {reference_media!r}")
-    if case in ("audio", "video") and spec.kind != case:
+    if spec.kind != case:
         raise ValueError(f"reference media {reference_media!r} is {spec.kind}, case is {case}")
     compression = datasets.compression[spec.kind]
     return internet_distribution_perf(datasets.bandwidth_real, compression, spec)
@@ -413,8 +423,6 @@ def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
 
 def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[DomainUsage, list[DomainUsage]]:
     """Internet and physical-media usage series in the chosen metric."""
-    if case not in ("audio", "video"):
-        raise ValueError(f"adoption is defined for the audio/video cases, not {case!r}")
     compression = extend_compression(
         datasets.compression[case], datasets.traffic.years[0], datasets.traffic.years[-1]
     )
@@ -462,7 +470,7 @@ class _Stages:
         self._target: dict[str, AnnualSeries] = {}
         self._adoption: dict[tuple, AnnualSeries] = {}
         self._fit: dict[tuple, ExpFit] = {}
-        self._crossover: dict[tuple, tuple[CrossoverResult, Mapping[str, float]]] = {}
+        self._crossover: dict[tuple, tuple[CrossoverResult, FitDiagnostics | None]] = {}
         self._knee: dict[tuple, KneeResult] = {}
 
     def replacement(self, case: str, reference_media: str) -> AnnualSeries:
@@ -489,9 +497,9 @@ class _Stages:
         return self._fit[key]
 
     def crossover(self, case: str, target: str, reference_media: str,
-                  detection: Detection) -> tuple[CrossoverResult, Mapping[str, float]]:
-        """The crossover and its read-only diagnostics, shared by every
-        scenario with the same crossover key."""
+                  detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
+        """The crossover and its diagnostics, shared by every scenario with
+        the same crossover key."""
         key = (case, target, reference_media, detection)
         hit = self._crossover.get(key)
         if hit is None:
@@ -499,41 +507,28 @@ class _Stages:
         return hit
 
     def _detect_crossover(self, case: str, target_name: str, reference_media: str,
-                          detection: Detection) -> tuple[CrossoverResult, Mapping[str, float]]:
+                          detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
         replacement = self.replacement(case, reference_media)
         target = self.target(target_name)
         if detection.mode == "empirical":
-            return crossover_empirical(replacement, target), _NO_DIAGNOSTICS
+            return crossover_empirical(replacement, target), None
         window = (detection.window_from, detection.window_to)
         fit_r = self._fitted(("replacement", case, reference_media), replacement, window)
         fit_t = self._fitted(("target", target_name), target, window)
         crossover = crossover_fitted(fit_r, fit_t)
-        diagnostics = {
-            "replacement_a": fit_r.a,
-            "replacement_k": fit_r.k,
-            "replacement_r_squared": fit_r.r_squared,
-            "target_a": fit_t.a,
-            "target_k": fit_t.k,
-            "target_r_squared": fit_t.r_squared,
-        }
+        extrapolated = None
         if crossover.fractional_year is not None:
             lo = min(fit_r.window[0], fit_t.window[0])
             hi = max(fit_r.window[1], fit_t.window[1])
-            diagnostics["crossover_extrapolated"] = float(
-                not lo <= crossover.fractional_year <= hi
-            )
-        return crossover, MappingProxyType(diagnostics)
+            extrapolated = not lo <= crossover.fractional_year <= hi
+        return crossover, FitDiagnostics(fit_r.a, fit_r.k, fit_r.r_squared,
+                                         fit_t.a, fit_t.k, fit_t.r_squared, extrapolated)
 
     def knee(self, case: str, metric: UsageMetric, threshold: float) -> KneeResult:
         key = (case, metric, threshold)
         hit = self._knee.get(key)
         if hit is None:
-            if case == "custom":
-                # No bundled usage data for custom cases: the knee is absent.
-                hit = KneeResult(None, threshold)
-            else:
-                hit = knee(self.adoption(case, metric), threshold)
-            self._knee[key] = hit
+            hit = self._knee[key] = knee(self.adoption(case, metric), threshold)
         return hit
 
     def run(self, scenario: Scenario) -> SweepResult:
@@ -708,31 +703,13 @@ class ReproductionReport(NamedTuple):
         return not self.deviations
 
     def to_json(self) -> str:
+        """Cells and ranges keyed by field name, the first field as "id"."""
+        def record(row: tuple) -> dict:
+            return {"id": row[0], **dict(zip(row._fields[1:], row[1:]))}
+
         doc = {
-            "cells": [
-                {
-                    "id": c.cell_id,
-                    "table": c.table,
-                    "case": c.case,
-                    "label": c.label,
-                    "expected": c.expected,
-                    "tolerance": c.tolerance,
-                    "computed": c.computed,
-                    "status": c.status,
-                    "note": c.note,
-                }
-                for c in self.cells
-            ],
-            "ranges": [
-                {
-                    "id": r.range_id,
-                    "case": r.case,
-                    "expected": list(r.expected),
-                    "computed": list(r.computed) if r.computed else None,
-                    "status": r.status,
-                }
-                for r in self.ranges
-            ],
+            "cells": [record(c) for c in self.cells],
+            "ranges": [record(r) for r in self.ranges],
             "deviations": self.deviations,
         }
         return json.dumps(doc, indent=2)

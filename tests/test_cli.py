@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,17 @@ class TestCase:
         doc = json.loads(out)
         assert (doc["crossover"], doc["knee"]) == (1998, 1999)
 
+    def test_json_lists_the_tables_read_not_the_directory(self, capsys, tmp_path, monkeypatch):
+        from techknee.datasets import DATASET_IDS, data_dir
+
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir(), copy)
+        (copy / "notes.csv").write_text("year,value\n")
+        monkeypatch.setenv("TECHKNEE_DATA", str(copy))
+        code, out, _ = run(capsys, "case", "audio", "--json")
+        assert code == 0
+        assert json.loads(out)["data"] == [f"{dataset_id}.csv" for dataset_id in DATASET_IDS]
+
     def test_scenario_override(self, capsys):
         # Song reference vs two-ounce cassette target: the cheap-postage-era
         # crossing holds from 1988 on (1.0999 vs 0.952 songs per dollar).
@@ -166,6 +178,19 @@ class TestCase:
 
 
 class TestSweep:
+    def test_year_zero_window_has_its_own_label(self, capsys, tmp_path):
+        config = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
+                  "usage_metrics": ["minutes"], "detection": ["fitted", {"mode": "fitted", "from": 0}],
+                  "knee_thresholds": [0.01]}
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        code, _, _ = run(capsys, "sweep", "--config", str(config_path), "--out", str(tmp_path / "out"))
+        assert code == 0
+        with open(tmp_path / "out" / "results.csv", newline="") as f:
+            ids = [row["scenario_id"] for row in csv.DictReader(f)]
+        assert ids == ["audio|mail_cd|album|minutes|fitted|0.01",
+                       "audio|mail_cd|album|minutes|fitted:0-|0.01"]
+
     def test_end_to_end(self, capsys, tmp_path):
         config = {
             "case": "audio",
@@ -417,6 +442,10 @@ class TestErrorContract:
          "custom_media['v']: pixel_width: expected an integer, got 1920.25"),
         ({"custom_media": {"v": dict(HD_CLIP, bits_per_pixel=float("inf"))}},
          "custom_media['v']: bits_per_pixel: expected an integer, got Infinity"),
+        ({"detection": [{"mode": "fitted", "from": True}]},
+         "detection[0]: window year True is not an integer"),
+        ({"detection": [{"mode": "empirical", "from": 0}]},
+         "detection[0]: empirical detection takes no window"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -448,6 +477,7 @@ class TestErrorContract:
          "protocol_mix['audoi']: unknown case (expected 'audio' or 'video')"),
         ({"custom_physical_media": {"custom": []}},
          "custom_physical_media['custom']: unknown case (expected 'audio' or 'video')"),
+        ({"case": "custom"}, "unknown case 'custom'"),
     ])
     def test_sweep_unknown_key_or_case(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))

@@ -6,7 +6,12 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
+from techknee.adoption import DigitalStorage, PhysicalMediaSpec, digital_media_minutes, \
+    internet_media_raw_bits
+from techknee.costs import REFERENCE_MEDIA, MailSpec, internet_distribution_perf, \
+    mail_distribution_perf, one_minute_size_bits
 from techknee.errors import MissingYearError
+from techknee.fitting import crossover_empirical
 from techknee.series import AnnualSeries, RateSchedule, align, annualize
 
 
@@ -58,6 +63,78 @@ class TestAlign:
     def test_output_years_are_exact_intersection(self, ma, mb):
         rows = align(series(ma), series(mb))
         assert [y for y, _, _ in rows] == sorted(set(ma) & set(mb))
+
+
+def positive_series(unit):
+    values = st.dictionaries(st.integers(1990, 2010), st.floats(0.01, 100.0), max_size=12)
+    return values.map(lambda mapping: series(mapping, unit))
+
+
+def shifted(s, d):
+    return AnnualSeries(tuple((y + d, v) for y, v in s), s.unit)
+
+
+def without(s, years):
+    return AnnualSeries(tuple((y, v) for y, v in s if y not in years), s.unit)
+
+
+# Every function that combines two series, with its inputs' unit tags.
+COMBINATORS = {
+    "internet_distribution_perf": (
+        lambda cost, ratio: internet_distribution_perf(cost, ratio, REFERENCE_MEDIA["album"]),
+        "real-dollars-per-megabit-month", "dimensionless-share"),
+    "mail_distribution_perf": (
+        lambda first, additional: mail_distribution_perf(MailSpec(2, first, additional)),
+        "real-dollars", "real-dollars"),
+    "digital_media_minutes": (
+        lambda sales, ratio: digital_media_minutes(
+            PhysicalMediaSpec("cd", DigitalStorage(700.0), sales), ratio, one_minute_size_bits("audio")),
+        "count-per-year", "dimensionless-share"),
+    "internet_media_raw_bits": (internet_media_raw_bits, "count-per-year", "dimensionless-share"),
+}
+
+
+class TestAlignmentRule:
+    """Every two-series combinator covers exactly the years both inputs
+    have (`align`), never interpolating."""
+
+    @pytest.mark.parametrize("name", list(COMBINATORS))
+    @given(data=st.data(), d=st.integers(-100, 100))
+    def test_combinators(self, name, data, d):
+        combine, unit_a, unit_b = COMBINATORS[name]
+        a = data.draw(positive_series(unit_a))
+        b = data.draw(positive_series(unit_b))
+        out = combine(a, b)
+        assert out.years == tuple(sorted(set(a.years) & set(b.years)))
+        # Shifting every input year by d shifts the output years only.
+        assert combine(shifted(a, d), shifted(b, d)) == shifted(out, d)
+        if a.years:
+            year = data.draw(st.sampled_from(a.years))
+            assert combine(without(a, {year}), b) == without(out, {year})
+        if b.years:
+            year = data.draw(st.sampled_from(b.years))
+            assert combine(a, without(b, {year})) == without(out, {year})
+
+    @given(data=st.data(), d=st.integers(-100, 100))
+    def test_crossover_empirical(self, data, d):
+        unit = "media-units-per-real-dollar"
+        a = data.draw(positive_series(unit))
+        b = data.draw(positive_series(unit))
+        common = set(a.years) & set(b.years)
+        if not common:
+            with pytest.raises(ValueError, match="share no years"):
+                crossover_empirical(a, b)
+            return
+        result = crossover_empirical(a, b)
+        only_a, only_b = set(a.years) - common, set(b.years) - common
+        assert crossover_empirical(without(a, only_a), without(b, only_b)) == result
+        assert result.year is None or result.year in common
+        expected = None if result.year is None else result.year + d
+        assert crossover_empirical(shifted(a, d), shifted(b, d)).year == expected
+        year = data.draw(st.sampled_from(sorted(common)))
+        if len(common) > 1:
+            assert crossover_empirical(without(a, {year}), b) == \
+                crossover_empirical(without(a, {year}), without(b, {year}))
 
 
 def postage_schedule():

@@ -1,8 +1,11 @@
 """Scenario sweep engine: enumeration, determinism, aggregation, reproduction."""
 
+import copy
 import json
+import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from techknee.adoption import UsageMetric
 from techknee.datasets import Datasets, load_all
@@ -121,6 +124,32 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_detection("sometimes")
 
+    def test_window_is_tested_for_presence_not_truth(self):
+        assert Detection("fitted", 0).label() == "fitted:0-"
+        assert Detection("fitted", None, 0).label() == "fitted:-0"
+        with pytest.raises(ValueError, match="takes no window"):
+            parse_detection({"mode": "empirical", "from": 0})
+        with pytest.raises(ValueError, match="window year True is not an integer"):
+            parse_detection({"mode": "fitted", "from": True})
+
+    # Years are non-negative: the label's "-" separator cannot tell a
+    # negative year from an open side.
+    @given(st.one_of(
+        st.just(Detection("empirical")),
+        st.builds(Detection, st.just("fitted"), st.none() | st.integers(0, 10**6),
+                  st.none() | st.integers(0, 10**6)),
+    ))
+    def test_detection_label_round_trips(self, detection):
+        assert parse_detection(detection.label()) == detection
+
+    @given(st.one_of(
+        st.sampled_from([UsageMetric.minutes(), UsageMetric.raw_bits()]),
+        st.builds(UsageMetric.units, st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+                  | st.integers(1, 10**6)),
+    ))
+    def test_usage_metric_label_round_trips(self, metric):
+        assert parse_usage_metric(metric.label()) == metric
+
 
 class TestRunScenario:
     def test_audio_baseline(self, datasets):
@@ -144,22 +173,9 @@ class TestRunScenario:
         result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.mode == "fitted"
         assert result.crossover.year == 1996
-        assert 0.9 < result.diagnostics["replacement_r_squared"] <= 1.0
-        assert result.diagnostics["replacement_k"] > 0.4
-        assert result.diagnostics["crossover_extrapolated"] == 0.0
-
-    def test_custom_case_has_no_knee(self, datasets):
-        from techknee.series import AnnualSeries
-
-        steady = AnnualSeries.from_mapping(
-            {y: 1.0 for y in range(1990, 2000)}, "media-units-per-real-dollar"
-        )
-        with_custom = datasets._replace(targets={**datasets.targets, "steady": steady})
-        scenario = Scenario("custom", "steady", "album", UsageMetric.minutes(),
-                            Detection("empirical"), 0.01)
-        result = run_scenario(scenario, with_custom)
-        assert result.knee.year is None
-        assert result.crossover.year is not None
+        assert 0.9 < result.diagnostics.replacement_r_squared <= 1.0
+        assert result.diagnostics.replacement_k > 0.4
+        assert result.diagnostics.crossover_extrapolated is False
 
     def test_baseline_consistency_with_standalone_ops(self, datasets):
         # The sweep path must agree with calling the pipeline pieces directly.
@@ -359,7 +375,7 @@ class TestJoin:
         alone = [run_scenario(s, datasets) for s in enumerate_scenarios(cfg, datasets)]
         assert len(joined) == 2 * 2 * 3 * 3 * 2
         assert joined == alone
-        assert [dict(r.diagnostics) for r in joined] == [dict(r.diagnostics) for r in alone]
+        assert [r.diagnostics for r in joined] == [r.diagnostics for r in alone]
 
     @staticmethod
     def count_stage_calls(monkeypatch, names):
@@ -446,12 +462,19 @@ class TestJoin:
         results = run_sweep(config(detection=["fitted"], knee_thresholds=[0.01, 0.10]), datasets)
         first, second = results
         assert first.diagnostics is second.diagnostics
-        with pytest.raises(TypeError):
-            first.diagnostics["replacement_k"] = 0.0
-        assert second.diagnostics["replacement_k"] > 0.4
+        with pytest.raises(AttributeError):
+            first.diagnostics.replacement_k = 0.0
+        assert second.diagnostics.replacement_k > 0.4
         (empirical,) = run_sweep(config(), datasets)
-        with pytest.raises(TypeError):
-            empirical.diagnostics["replacement_k"] = 0.0
+        assert empirical.diagnostics is None
+
+    def test_results_pickle_and_deepcopy(self, datasets):
+        results = run_sweep(config(**self.JOIN_CONFIG), datasets)
+        for copied in (pickle.loads(pickle.dumps(results)), copy.deepcopy(results)):
+            assert copied == results
+            # The two thresholds of one fitted block still share one record.
+            assert copied[2].scenario.detection == Detection("fitted")
+            assert copied[2].diagnostics is copied[3].diagnostics is not None
 
 
 class TestFeasibilityRange:
