@@ -9,6 +9,7 @@ of the total.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import namedtuple
 from typing import NamedTuple
@@ -78,8 +79,9 @@ class UsageMetric(namedtuple("UsageMetric", "kind unit_length_minutes")):
         if kind not in ("minutes", "raw_bits", "units"):
             raise ValueError(f"unknown usage metric {kind!r}")
         if kind == "units":
-            if unit_length_minutes is None or unit_length_minutes <= 0:
-                raise ValueError("units metric needs a positive unit length")
+            # Also refuses NaN; an infinite length would count no units at all.
+            if unit_length_minutes is None or not 0 < unit_length_minutes < math.inf:
+                raise ValueError("units metric needs a finite positive unit length")
         elif unit_length_minutes is not None:
             raise ValueError(f"{kind} metric takes no unit length")
         return super().__new__(cls, kind, unit_length_minutes)

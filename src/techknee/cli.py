@@ -11,30 +11,50 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .datasets import DATASET_IDS, data_dir, export_bundled, load_all, parse_series_csv
 from .errors import TechkneeError
 from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
-from .plots import write_case_svg, write_tidy_csv
-from .series import UNIT_TAGS
-from .sweep import (
-    Cell,
-    SweepConfig,
-    block_feasibility_range,
-    feasibility_range,  # noqa: F401 -- kept for callers that look it up here (bench/tracer.py)
-    reproduce_case_studies,
-    run_scenario,
-    run_sweep,  # noqa: F401 -- likewise
-    Scenario,
-    _baseline_scenario,
-    parse_detection,
-    parse_usage_metric,
-    sweep_blocks,
-)
+from .series import UNIT_TAGS, parse_series_csv
+
+if TYPE_CHECKING:
+    from .sweep import Scenario, SweepConfig
+
+# Library names that only some commands call, by the submodule that
+# defines them. A command imports its submodules when it runs, so `fit`,
+# `crossover` and `knee` never load `datasets`, `sweep` or `plots`. A
+# command binds these names into this module on first use and keeps a
+# binding already there, so a caller that replaced one (bench/tracer.py
+# wraps `cli.load_all`) keeps its replacement. `__getattr__` resolves
+# them for readers from outside before any command has run; no command
+# calls `run_sweep` or `feasibility_range`, which are here for them.
+_LAZY = {
+    "load_all": "datasets",
+    "feasibility_range": "sweep",
+    "reproduce_case_studies": "sweep",
+    "run_scenario": "sweep",
+    "run_sweep": "sweep",
+    "write_case_svg": "plots",
+    "write_tidy_csv": "plots",
+}
+
+
+def _bind(*names: str) -> list:
+    """The `_LAZY` names, each bound into this module unless it already is."""
+    from importlib import import_module
+
+    bound = globals()
+    return [bound.setdefault(name, getattr(import_module(f".{_LAZY[name]}", __package__), name))
+            for name in names]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _bind(name)[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,6 +135,8 @@ def _cmd_fit(args) -> int:
     fit = fit_exponential(series, (args.from_year, args.to_year))
     rate = tir(fit)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -150,6 +172,8 @@ def _cmd_crossover(args) -> int:
     else:
         result = crossover_empirical(replacement, target)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -180,6 +204,8 @@ def _cmd_knee(args) -> int:
     series = _load_series(args.input, "dimensionless-share")
     result = knee(series, args.threshold)
     if args.json:
+        import json
+
         print(json.dumps({"input": args.input, "threshold": args.threshold, "year": result.year}))
     elif result.year is None:
         print(f"{args.input}: share never reaches {args.threshold:.0%}")
@@ -190,6 +216,8 @@ def _cmd_knee(args) -> int:
 
 def _parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenario:
     """Scenario from 'target|reference|metric|detection[|threshold]'."""
+    from .sweep import Scenario, parse_detection, parse_usage_metric
+
     parts = raw.split("|")
     if parts and parts[0] == case:
         parts = parts[1:]
@@ -209,6 +237,12 @@ def _parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenari
 
 
 def _cmd_case(args) -> int:
+    import json
+
+    from .datasets import DATASET_IDS
+    from .sweep import _baseline_scenario
+
+    load_all, run_scenario = _bind("load_all", "run_scenario")
     datasets = load_all()
     if args.scenario:
         try:
@@ -246,6 +280,7 @@ def _cmd_case(args) -> int:
     if args.out:
         from .sweep import adoption_series, replacement_performance, target_performance
 
+        write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
         curves = {
             f"internet_{args.case}": replacement_performance(args.case, scenario.reference_media, datasets),
             scenario.target: target_performance(scenario.target, datasets),
@@ -319,6 +354,8 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    import json
+
     try:
         with open(args.config, encoding="utf-8") as f:
             doc = json.load(f)
@@ -329,8 +366,9 @@ def _cmd_sweep(args) -> int:
     if not isinstance(doc, dict):
         raise _Usage(f"{args.config}: a sweep config is a JSON object")
 
-    from .sweep import extend_datasets
+    from .sweep import SweepConfig, block_feasibility_range, extend_datasets, sweep_blocks
 
+    (load_all,) = _bind("load_all")
     datasets = extend_datasets(load_all(), doc, base_dir=Path(args.config).parent)
     config = SweepConfig.from_json(doc)
     blocks = sweep_blocks(config, datasets)
@@ -362,6 +400,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .sweep import Cell
+
+    load_all, reproduce_case_studies = _bind("load_all", "reproduce_case_studies")
     datasets = load_all()
     report = reproduce_case_studies(datasets)
     if args.out:
@@ -395,6 +436,7 @@ def _cmd_reproduce(args) -> int:
             writer.writerow(Cell._fields)
             writer.writerows(report.cells)
         (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
         for case, curves in report.curves.items():
             write_tidy_csv(out / f"fig3_{case}.csv", curves)
             write_case_svg(
@@ -410,6 +452,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_export_data(args) -> int:
+    from .datasets import data_dir, export_bundled
+
     written = export_bundled(args.out)
     print(f"exported {len(written)} files from {data_dir()} to {args.out}")
     return 0

@@ -1,4 +1,4 @@
-"""Bundled appendix datasets plus ingestion of user CSVs.
+"""Bundled appendix datasets.
 
 Each bundled table ships as a plain CSV next to a JSON manifest carrying
 unit tags, coverage, the source citation, and a sha256 checksum, so the
@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
-import shutil
+import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MAIL_TARGETS, REFERENCE_MEDIA, MediaSpec, one_minute_size_bits
 from .errors import DataIntegrityError
-from .series import AnnualSeries, RateSchedule, UNIT_TAGS
+from .series import AnnualSeries, RateSchedule, date_class
 
 DATASET_IDS = (
     "a1_bandwidth_cost",
@@ -50,9 +49,17 @@ def data_dir() -> Path:
 
 
 def _sha256(path: Path) -> str:
-    import hashlib
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # CPython's built-in SHA-256 gives hashlib's digest without loading
+    # OpenSSL, which takes longer than hashing the tables (`random` loads
+    # `_sha512` the same way). Its module is `_sha2` from Python 3.12 on.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _read_manifest(dataset_id: str, directory: Path) -> dict:
@@ -68,7 +75,12 @@ def _read_table(dataset_id: str, directory: Path) -> tuple[list[dict], dict]:
     if dataset_id not in DATASET_IDS:
         raise KeyError(f"unknown dataset id {dataset_id!r}")
     manifest = _read_manifest(dataset_id, directory)
-    csv_path = directory / manifest["file"]
+    csv_path = directory / f"{dataset_id}.csv"
+    if manifest.get("file") != csv_path.name:
+        # `export-data` and `case --json` name each table's CSV by its id.
+        raise DataIntegrityError(
+            f"{dataset_id}: manifest names file {manifest.get('file')!r}, not {csv_path.name!r}"
+        )
     if not csv_path.exists():
         raise DataIntegrityError(f"missing data file {csv_path}")
     digest = _sha256(csv_path)
@@ -114,8 +126,7 @@ def load_bundled(dataset_id: str, directory: Path | None = None):
         }
 
     if dataset_id == "a3_postage":
-        from datetime import date
-
+        date = date_class()
         return {
             rate: RateSchedule(
                 tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in rows),
@@ -204,60 +215,10 @@ def load_all(directory: Path | None = None) -> Datasets:
     )
 
 
-def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
-    """Read a `year,value` CSV into a validated series.
-
-    The unit is supplied by the caller (manifest or CLI flag), never
-    inferred. Malformed rows are reported with their line number.
-    """
-    path = Path(path)
-    if declared_unit not in UNIT_TAGS:
-        raise ValueError(f"unknown unit tag {declared_unit!r}")
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    pairs: list[tuple[int, float]] = []
-    seen: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["year", "value"]:
-            raise ValueError(f"{path}:1: expected header 'year,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                year = int(row[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
-            if year in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate year {year} (first at line {seen[year]})")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative value")
-            seen[year] = lineno
-            pairs.append((year, value))
-    pairs.sort()
-    return AnnualSeries(tuple(pairs), declared_unit)
-
-
-def write_series_csv(series: AnnualSeries, path: str | Path) -> None:
-    """Write a series in the `year,value` exchange format."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["year", "value"])
-        for year, value in series:
-            writer.writerow([year, repr(value)])
-
-
 def export_bundled(out_dir: str | Path, directory: Path | None = None) -> list[Path]:
     """Copy every bundled CSV and manifest into `out_dir` for auditing."""
+    import shutil
+
     directory = directory or data_dir()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

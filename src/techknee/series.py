@@ -1,4 +1,5 @@
-"""Unit-tagged annual time series and dated rate schedules.
+"""Unit-tagged annual time series, dated rate schedules, and the
+`year,value` CSV format series are exchanged in.
 
 Everything here is immutable and pure: series never interpolate missing
 years, and scaling preserves the unit tag.
@@ -6,8 +7,10 @@ years, and scaling preserves the unit tag.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import namedtuple
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import MissingYearError
@@ -145,6 +148,18 @@ class RateSchedule(namedtuple("RateSchedule", "changes unit")):
         return current
 
 
+def date_class() -> type[date]:
+    """`datetime.date`, taken from the C module `_datetime` that `datetime`
+    re-exports, so that the pure-Python `datetime` module (loaded by
+    `import datetime` up to Python 3.11) is not; `datetime` is the
+    fallback."""
+    try:
+        from _datetime import date
+    except ImportError:
+        from datetime import date
+    return date
+
+
 def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     """Annual series from a dated schedule: the value for year Y is the rate
     in force on July 1 of Y.
@@ -154,10 +169,61 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     (2002-06-30 for 2002), one in the second half from the next year
     (1981-11-01 from 1982).
     """
-    from datetime import date
-
+    date = date_class()
     pairs = []
     for year in sorted(set(int(y) for y in years)):
         value = schedule.rate_on(date(year, 7, 1))
         pairs.append((year, value))
     return AnnualSeries(tuple(pairs), schedule.unit)
+
+
+def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
+    """Read a `year,value` CSV into a validated series.
+
+    The unit is supplied by the caller (manifest or CLI flag), never
+    inferred. Malformed rows are reported with their line number.
+    """
+    path = Path(path)
+    if declared_unit not in UNIT_TAGS:
+        raise ValueError(f"unknown unit tag {declared_unit!r}")
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    pairs: list[tuple[int, float]] = []
+    seen: dict[int, int] = {}
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["year", "value"]:
+            raise ValueError(f"{path}:1: expected header 'year,value'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"{path}:{lineno}: expected two columns")
+            try:
+                year = int(row[0])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
+            if year in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate year {year} (first at line {seen[year]})")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if value < 0:
+                raise ValueError(f"{path}:{lineno}: negative value")
+            seen[year] = lineno
+            pairs.append((year, value))
+    pairs.sort()
+    return AnnualSeries(tuple(pairs), declared_unit)
+
+
+def write_series_csv(series: AnnualSeries, path: str | Path) -> None:
+    """Write a series in the `year,value` exchange format."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["year", "value"])
+        for year, value in series:
+            writer.writerow([year, repr(value)])

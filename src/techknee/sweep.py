@@ -21,11 +21,11 @@ from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_min
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MailSpec, MediaSpec, internet_distribution_perf, mail_distribution_perf, \
     one_minute_size_bits
-from .datasets import Datasets, parse_series_csv
+from .datasets import Datasets
 from .errors import TechkneeError
 from .fitting import CrossoverResult, ExpFit, KneeResult, crossover_empirical, \
     crossover_fitted, fit_exponential, knee
-from .series import AnnualSeries, annualize
+from .series import AnnualSeries, annualize, parse_series_csv
 
 
 class ScenarioError(TechkneeError):
@@ -43,9 +43,15 @@ class Detection(namedtuple("Detection", "mode window_from window_to")):
         if mode == "empirical" and (window_from is not None or window_to is not None):
             raise ValueError("empirical detection takes no window")
         for year in (window_from, window_to):
+            if year is None:
+                continue
             # A JSON `true` is a Python int; it is not a year.
-            if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
+            if isinstance(year, bool) or not isinstance(year, int):
                 raise ValueError(f"window year {year!r} is not an integer")
+            # `label` writes 'fitted:<from>-<to>', which a negative year
+            # would make unparseable.
+            if year < 0:
+                raise ValueError(f"window year {year} is negative")
         return super().__new__(cls, mode, window_from, window_to)
 
     def label(self) -> str:

@@ -1,5 +1,7 @@
 """Usage builders, adoption shares, and the protocol-mix combiner."""
 
+import math
+
 import pytest
 
 from techknee.adoption import (
@@ -259,6 +261,11 @@ class TestUsageMetric:
     def test_units_needs_length(self):
         with pytest.raises(ValueError, match="unit length"):
             UsageMetric("units")
+
+    @pytest.mark.parametrize("length", [0.0, -3.0, math.inf, -math.inf, math.nan])
+    def test_units_length_is_finite_and_positive(self, length):
+        with pytest.raises(ValueError, match="finite positive unit length"):
+            UsageMetric.units(length)
 
     def test_minutes_takes_no_length(self):
         with pytest.raises(ValueError, match="no unit length"):

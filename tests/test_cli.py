@@ -378,6 +378,30 @@ class TestErrorContract:
     def test_knee_threshold_outside_unit_interval(self, capsys, share_csv):
         self.assert_usage_error(run(capsys, "knee", "--input", share_csv, "--threshold", "1.5"))
 
+    @pytest.mark.parametrize("metric", ["units:inf", "units:nan", "units:0"])
+    def test_scenario_unit_length_must_be_finite_and_positive(self, capsys, metric):
+        result = run(capsys, "case", "audio", "--scenario", f"mail_cd|album|{metric}|empirical|0.01")
+        self.assert_usage_error(result)
+        assert result[2] == "error: bad scenario id: units metric needs a finite positive unit length\n"
+
+    @pytest.mark.parametrize("argv", [["case", "audio", "--json"], ["reproduce"], ["export-data", "--out", "out"]])
+    def test_manifest_must_name_its_own_csv(self, capsys, tmp_path, monkeypatch, argv):
+        # A table read under another name would be neither exported nor
+        # listed by `case --json`, which name each CSV by its table id.
+        from techknee.datasets import data_dir
+
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir(), copy)
+        (copy / "a4_traffic.csv").rename(copy / "traffic.csv")
+        manifest = json.loads((copy / "a4_traffic.manifest.json").read_text())
+        (copy / "a4_traffic.manifest.json").write_text(json.dumps(dict(manifest, file="traffic.csv")))
+        monkeypatch.setenv("TECHKNEE_DATA", str(copy))
+        monkeypatch.chdir(tmp_path)
+        result = run(capsys, *argv)
+        self.assert_usage_error(result)
+        assert result[2] == "error: a4_traffic: manifest names file 'traffic.csv', not 'a4_traffic.csv'\n"
+        assert result[1] == ""
+
     @staticmethod
     def sweep(capsys, tmp_path, config):
         path = tmp_path / "sweep.json"
@@ -446,6 +470,11 @@ class TestErrorContract:
          "detection[0]: window year True is not an integer"),
         ({"detection": [{"mode": "empirical", "from": 0}]},
          "detection[0]: empirical detection takes no window"),
+        ({"detection": [{"mode": "fitted", "from": -5}]}, "detection[0]: window year -5 is negative"),
+        ({"usage_metrics": ["units:inf"]},
+         "usage_metrics[0]: units metric needs a finite positive unit length"),
+        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": float("nan")}]},
+         "usage_metrics[0]: units metric needs a finite positive unit length"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -512,20 +541,42 @@ class TestErrorContract:
 
 
 class TestColdStart:
-    def test_import_loads_no_module_only_some_commands_need(self):
-        # Each command runs in a fresh interpreter, so whatever the import
-        # loads is paid by every command.
+    """Each command runs in a fresh interpreter, so whatever it imports is
+    paid by every run of it."""
+
+    @staticmethod
+    def loaded(statement: str) -> set:
+        """Modules a child interpreter holds after `statement` beyond a
+        bare interpreter's; the list goes to stderr, clear of command output."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
-        def loaded(statement: str) -> set:
-            code = f"import sys; {statement}; print(' '.join(sys.modules))"
+        def modules(statement: str) -> set:
+            code = f"import sys; {statement}; sys.stderr.write(' '.join(sys.modules))"
             child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                    text=True, check=True)
-            return set(child.stdout.split())
+            return set(child.stderr.split())
 
-        new = loaded("import techknee.cli") - loaded("pass")
-        assert "techknee.sweep" in new
-        assert not new & {"dataclasses", "inspect", "hashlib", "datetime"}
+        return modules(statement) - modules("pass")
+
+    def command(self, *argv: str) -> set:
+        return self.loaded(f"from techknee.cli import main; assert main({list(argv)!r}) == 0")
+
+    def test_import_loads_no_module_only_some_commands_need(self):
+        new = self.loaded("import techknee.cli")
+        assert not new & {"dataclasses", "inspect", "hashlib", "datetime", "json", "techknee.sweep",
+                          "techknee.adoption", "techknee.costs", "techknee.datasets", "techknee.plots"}
+
+    def test_fit_loads_only_series_and_fitting(self, rising_csv):
+        new = self.command("fit", "--input", rising_csv)
+        assert {"techknee.series", "techknee.fitting"} <= new
+        assert not new & {"techknee.sweep", "techknee.adoption", "techknee.costs",
+                          "techknee.datasets", "techknee.plots", "json"}
+
+    @pytest.mark.parametrize("argv", [("case", "audio"), ("reproduce",)])
+    def test_data_commands_skip_openssl_and_pure_python_datetime(self, argv):
+        new = self.command(*argv)
+        assert "techknee.datasets" in new
+        assert not new & {"hashlib", "datetime"}
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
 """Bundled dataset registry: golden values, checksums, CSV ingestion."""
 
 import csv
+import datetime
+import hashlib
 import shutil
 from pathlib import Path
 
@@ -8,14 +10,14 @@ import pytest
 
 from techknee.datasets import (
     DATASET_IDS,
+    _sha256,
     data_dir,
     export_bundled,
     load_all,
     load_bundled,
-    parse_series_csv,
-    write_series_csv,
 )
 from techknee.errors import DataIntegrityError
+from techknee.series import parse_series_csv, write_series_csv
 
 
 def a1_columns():
@@ -70,6 +72,10 @@ class TestBundledGoldenValues:
         assert postage["first_ounce"].rate_on(date(1998, 7, 1)) == 0.52
         assert postage["first_ounce"].rate_on(date(2002, 7, 1)) == 0.50
         assert postage["additional_ounce"].rate_on(date(2001, 7, 1)) == 0.29
+
+    def test_postage_dates_are_datetime_dates(self):
+        for schedule in load_bundled("a3_postage").values():
+            assert all(type(effective) is datetime.date for effective, _ in schedule.changes)
 
     def test_a4_coverage_and_values(self):
         traffic = load_bundled("a4_traffic")
@@ -132,6 +138,10 @@ class TestChecksums:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataIntegrityError, match="manifest"):
             load_bundled("a4_traffic", tmp_path)
+
+    def test_lean_digest_is_hashlibs(self):
+        for path in sorted(data_dir().iterdir()):
+            assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path.name
 
 
 class TestParseSeriesCsv:

@@ -1,6 +1,7 @@
 """The README's Library example runs as printed, and the root package
 exports exactly the names that section uses or lists."""
 
+import importlib
 import inspect
 from pathlib import Path
 
@@ -30,8 +31,17 @@ def test_library_example_prints_its_years():
 
 
 def test_root_exports_are_the_documented_ones():
+    # The root binds its exports on first use, so `vars(tk)` cannot list
+    # them; `__all__` does, and each name must resolve.
     section = library_section()
-    exported = {name for name, value in vars(tk).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
+    exported = set(tk.__all__)
     documented = {name for name in exported if f"tk.{name}" in section or f"`{name}`" in section}
     assert exported == documented
+    assert len(tk.__all__) == len(exported) == 12
+    for name in tk.__all__:
+        value = getattr(tk, name)
+        module = importlib.import_module(value.__module__)
+        assert getattr(module, name) is value
+    public = {name for name, value in vars(tk).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported

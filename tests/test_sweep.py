@@ -5,7 +5,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from techknee.adoption import UsageMetric
 from techknee.datasets import Datasets, load_all
@@ -132,19 +132,27 @@ class TestParsers:
         with pytest.raises(ValueError, match="window year True is not an integer"):
             parse_detection({"mode": "fitted", "from": True})
 
-    # Years are non-negative: the label's "-" separator cannot tell a
-    # negative year from an open side.
-    @given(st.one_of(
-        st.just(Detection("empirical")),
-        st.builds(Detection, st.just("fitted"), st.none() | st.integers(0, 10**6),
-                  st.none() | st.integers(0, 10**6)),
-    ))
-    def test_detection_label_round_trips(self, detection):
+    def test_negative_window_year_is_refused(self):
+        # The label's "-" separator cannot tell a negative year from an
+        # open side, so 'fitted:-5-' could not be parsed back.
+        with pytest.raises(ValueError, match="window year -5 is negative"):
+            parse_detection({"mode": "fitted", "from": -5})
+        with pytest.raises(ValueError, match="window year -1 is negative"):
+            Detection("fitted", 1990, -1)
+
+    # Every accepted detection, whatever it was built from, parses back
+    # from its label.
+    @given(st.sampled_from(["empirical", "fitted"]), st.none() | st.integers(), st.none() | st.integers())
+    def test_detection_label_round_trips(self, mode, window_from, window_to):
+        try:
+            detection = Detection(mode, window_from, window_to)
+        except ValueError:
+            assume(False)
         assert parse_detection(detection.label()) == detection
 
     @given(st.one_of(
         st.sampled_from([UsageMetric.minutes(), UsageMetric.raw_bits()]),
-        st.builds(UsageMetric.units, st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+        st.builds(UsageMetric.units, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
                   | st.integers(1, 10**6)),
     ))
     def test_usage_metric_label_round_trips(self, metric):
@@ -277,7 +285,7 @@ class TestRunScenario:
         assert repr(load_all()) == before
 
     def test_protocol_mix_override(self, datasets, tmp_path):
-        from techknee.datasets import write_series_csv
+        from techknee.series import write_series_csv
         from techknee.sweep import extend_datasets
 
         # One protocol carrying the bundled audio share at fraction 1.0
@@ -290,7 +298,8 @@ class TestRunScenario:
         assert result.knee.year == 1999
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
-        from techknee.datasets import load_bundled, write_series_csv
+        from techknee.datasets import load_bundled
+        from techknee.series import write_series_csv
         from techknee.sweep import extend_datasets
 
         # Redeclaring the bundled audio competitors in config reproduces
