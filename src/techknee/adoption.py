@@ -132,19 +132,13 @@ def internet_media_minutes(
     """Minutes of media moved over the internet per year.
 
     traffic_bits(t) * share(t) / (one_minute_uncompressed / compression(t));
-    traffic is in decimal gigabytes per year. Years missing from any input
-    are omitted.
+    traffic is in decimal gigabytes per year. Covers the years all three
+    inputs have (`series.align`).
     """
     if one_min_uncompressed_bits <= 0:
         raise ValueError("one-minute size must be positive")
-    share = media_share.to_mapping()
-    comp = compression.to_mapping()
-    pairs = []
-    for year, gigabytes in traffic:
-        if year not in share or year not in comp:
-            continue
-        compressed_minute = one_min_uncompressed_bits / comp[year]
-        pairs.append((year, gigabytes * BITS_PER_GIGABYTE * share[year] / compressed_minute))
+    pairs = [(year, gigabytes * BITS_PER_GIGABYTE * share / (one_min_uncompressed_bits / ratio))
+             for year, gigabytes, share, ratio in align(traffic, media_share, compression)]
     return AnnualSeries(tuple(pairs), "minutes-per-year")
 
 
@@ -202,7 +196,7 @@ def adoption_share(
     metric: UsageMetric | None = None,
 ) -> AnnualSeries:
     """Internet share of total usage (internet included), per year, over the
-    common year range; shares lie in [0, 1].
+    years every domain has (`series.align`); shares lie in [0, 1].
 
     All usages must carry the same unit tag. The units metric divides every
     domain by the same unit length, so its shares equal the minutes
@@ -223,18 +217,12 @@ def adoption_share(
     series = [u.series for u in usages]
     if metric.kind == "units":
         series = [s.scale(1.0 / metric.unit_length_minutes) for s in series]
-
-    common = set(series[0].years)
-    for s in series[1:]:
-        common &= set(s.years)
-    if not common:
+    rows = align(*series)
+    if not rows:
         raise ValueError("domains share no years")
-
-    maps = [s.to_mapping() for s in series]
     pairs = []
-    for year in sorted(common):
-        net = maps[0][year]
-        total = net + sum(m[year] for m in maps[1:])
+    for year, net, *others in rows:
+        total = net + sum(others)
         if total == 0:
             warnings.warn(f"zero total usage in {year}; year omitted", stacklevel=2)
             continue
@@ -246,18 +234,13 @@ def protocol_mix(protocol_shares: list[tuple[AnnualSeries, float]]) -> AnnualSer
     """Media share of total internet use from per-protocol shares.
 
     Sum over protocols of internet_share_i(t) * media_fraction_i, over the
-    years common to all protocol series.
+    years common to all protocol series (`series.align`).
     """
     for _, fraction in protocol_shares:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"media fraction {fraction} outside [0, 1]")
     if not protocol_shares:
         return AnnualSeries((), "dimensionless-share")
-    maps = [(s.to_mapping(), f) for s, f in protocol_shares]
-    common = set(maps[0][0])
-    for m, _ in maps[1:]:
-        common &= m.keys()
-    pairs = []
-    for year in sorted(common):
-        pairs.append((year, sum(m[year] * f for m, f in maps)))
+    shares, fractions = zip(*protocol_shares)
+    pairs = [(row[0], sum(share * f for share, f in zip(row[1:], fractions))) for row in align(*shares)]
     return AnnualSeries(tuple(pairs), "dimensionless-share")

@@ -43,9 +43,7 @@ def data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
         return Path(override)
-    from importlib import resources
-
-    return Path(str(resources.files("techknee").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def _sha256(path: Path) -> str:

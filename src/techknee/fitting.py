@@ -144,19 +144,25 @@ def crossover_fitted(fit_replacement: ExpFit, fit_target: ExpFit) -> CrossoverRe
     integer year is the ceiling of the fractional solution when the
     replacement starts below the target (first whole year of superiority);
     when the replacement never transitions from below to above, no integer
-    year is reported.
+    year is reported. Rates with |kR - kT| <= 1e-9 * max(1, |kR|, |kT|) are
+    parallel, as fits of parallel data differ by rounding (t* would be ~1e16):
+    no crossover, or DegenerateFitError if log-levels ln a - k*t0 are as close.
     """
     fr, ft = fit_replacement, fit_target
     log_level_r = math.log(fr.a) - fr.k * fr.t0
     log_level_t = math.log(ft.a) - ft.k * ft.t0
-    if fr.k == ft.k:
-        if log_level_r == log_level_t:
+    if _close(fr.k, ft.k):
+        if _close(log_level_r, log_level_t):
             raise DegenerateFitError("fitted curves are identical")
         return CrossoverResult(year=None, mode="fitted", fractional_year=None)
     t_star = (log_level_t - log_level_r) / (fr.k - ft.k)
     rising = fr.k > ft.k  # replacement below target before t_star
     year = math.ceil(t_star) if rising else None
     return CrossoverResult(year=year, mode="fitted", fractional_year=t_star)
+
+
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
 def knee(adoption: AnnualSeries, threshold: float) -> KneeResult:

@@ -112,12 +112,15 @@ class AnnualSeries:
         return AnnualSeries(tuple((y, v * factor) for y, v in self.entries), self.unit)
 
 
-def align(a: AnnualSeries, b: AnnualSeries) -> list[tuple[int, float, float]]:
-    """Rows (year, a-value, b-value) over the intersection of years, ascending:
-    the one rule for combining two series. A year missing from either input
-    is omitted, never interpolated."""
-    bmap = b.to_mapping()
-    return [(y, v, bmap[y]) for y, v in a.entries if y in bmap]
+def align(first: AnnualSeries, *others: AnnualSeries) -> list[tuple]:
+    """Rows (year, first-value, *other-values) over the years every input
+    has, ascending: the one rule for combining series. A year missing from
+    any input is omitted, never interpolated."""
+    rows = list(first.entries)
+    for other in others:
+        values = other.to_mapping()
+        rows = [row + (values[row[0]],) for row in rows if row[0] in values]
+    return rows
 
 
 class RateSchedule(namedtuple("RateSchedule", "changes unit")):

@@ -23,7 +23,7 @@ from .costs import MailSpec, MediaSpec, internet_distribution_perf, mail_distrib
     one_minute_size_bits
 from .datasets import Datasets
 from .errors import TechkneeError
-from .fitting import CrossoverResult, ExpFit, KneeResult, crossover_empirical, \
+from .fitting import CrossoverResult, KneeResult, crossover_empirical, \
     crossover_fitted, fit_exponential, knee
 from .series import AnnualSeries, annualize, parse_series_csv
 
@@ -166,6 +166,14 @@ def _field(doc, key: str, kind: type | None = None, default=_REQUIRED):
     return doc[key] if kind is None else _named(key, lambda: _expect(doc[key], kind))
 
 
+def _known(doc, *keys: str) -> Mapping:
+    """A config object whose keys are all among `keys`, those its parser reads."""
+    for key in _expect(doc, dict):
+        if key not in keys:
+            raise ValueError(f"{key}: unknown config key")
+    return doc
+
+
 def _named(where: str, parse):
     """`parse()`, its ValueError prefixed with the config entry it parses."""
     try:
@@ -176,24 +184,18 @@ def _named(where: str, parse):
 
 def parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
-    if isinstance(raw, UsageMetric):
-        return raw
     if isinstance(raw, str):
         if raw.startswith("units:"):
             return UsageMetric.units(float(raw.split(":", 1)[1]))
         return UsageMetric(raw)
     if isinstance(raw, dict):
-        kind = _field(raw, "kind")
-        if kind == "units":
-            return UsageMetric.units(_field(raw, "unit_length_minutes", float))
-        return UsageMetric(kind)
+        _known(raw, "kind", "unit_length_minutes")
+        return UsageMetric(_field(raw, "kind"), _field(raw, "unit_length_minutes", float, None))
     raise ValueError(f"cannot parse usage metric from {raw!r}")
 
 
 def parse_detection(raw) -> Detection:
     """Accepts 'empirical', 'fitted', 'fitted:<from>-<to>', or a JSON object."""
-    if isinstance(raw, Detection):
-        return raw
     if isinstance(raw, str):
         if raw == "empirical":
             return Detection("empirical")
@@ -203,11 +205,8 @@ def parse_detection(raw) -> Detection:
             lo, _, hi = raw.split(":", 1)[1].partition("-")
             return Detection("fitted", int(lo) if lo else None, int(hi) if hi else None)
     if isinstance(raw, dict):
-        return Detection(
-            raw.get("mode", "fitted"),
-            raw.get("from"),
-            raw.get("to"),
-        )
+        _known(raw, "mode", "from", "to")
+        return Detection(raw.get("mode", "fitted"), raw.get("from"), raw.get("to"))
     raise ValueError(f"cannot parse detection from {raw!r}")
 
 
@@ -286,7 +285,7 @@ def _integer(doc: Mapping, key: str) -> int:
 
 def _weight_ounces(doc: Mapping) -> int:
     """A mail weight rounded up to the started ounce, as postage charges it."""
-    weight = _field(doc, "weight_ounces", float)
+    weight = _field(_known(doc, "weight_ounces"), "weight_ounces", float)
     if not math.isfinite(weight):
         raise ValueError(f"weight_ounces: expected a finite number, got {json.dumps(weight)}")
     return math.ceil(weight)
@@ -300,32 +299,39 @@ def _parse_custom_media(doc: Mapping) -> MediaSpec:
         length_seconds=_field(doc, "length_seconds", float),
         audio_bit_rate=_field(doc, "audio_bit_rate_kbps", float, 633.6) * 1e3,
     )
+    size_keys = ()
     if "override_size_gigabits" in doc:
+        size_keys = ("override_size_gigabits",)
         fields["override_size_bits"] = _field(doc, "override_size_gigabits", float) * 1e9
     elif kind == "video":
+        size_keys = ("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
         fields.update(
             pixel_height=_integer(doc, "pixel_height"),
             pixel_width=_integer(doc, "pixel_width"),
             bits_per_pixel=_integer(doc, "bits_per_pixel"),
             frames_per_second=_field(doc, "frames_per_second", float),
         )
-    return MediaSpec(**fields)
+    spec = MediaSpec(**fields)
+    _known(doc, "kind", "length_seconds", "audio_bit_rate_kbps", *size_keys)
+    return spec
 
 
 def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec:
+    kind = _field(doc, "kind")
+    if kind not in ("analog", "digital"):
+        raise ValueError(f"physical medium {doc.get('name')!r}: unknown kind {kind!r}")
+    storage_keys = ("minutes_per_unit", "raw_bits_per_minute") if kind == "analog" else ("unit_storage_megabytes",)
+    _known(doc, "name", "kind", "sales_path", "sales_scale", *storage_keys)
     sales = resolve(_field(doc, "sales_path", str), "count-per-year")
     if "sales_scale" in doc:
         sales = sales.scale(_field(doc, "sales_scale", float))
-    kind = _field(doc, "kind")
     if kind == "analog":
         storage = AnalogStorage(
             minutes_per_unit=_field(doc, "minutes_per_unit", float),
             raw_bits_per_minute=_field(doc, "raw_bits_per_minute", float, one_minute_size_bits(case)),
         )
-    elif kind == "digital":
-        storage = DigitalStorage(unit_storage_megabytes=_field(doc, "unit_storage_megabytes", float))
     else:
-        raise ValueError(f"physical medium {doc.get('name')!r}: unknown kind {kind!r}")
+        storage = DigitalStorage(unit_storage_megabytes=_field(doc, "unit_storage_megabytes", float))
     return PhysicalMediaSpec(_field(doc, "name"), storage, sales)
 
 
@@ -343,9 +349,9 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     built from protocol tables) and `custom_physical_media` (a competitor
     set) replace the entry of their case, 'audio' or 'video'. Relative
     CSV paths resolve against `base_dir`. An invalid entry, an unknown case
-    or an unknown top-level key raises ValueError naming it, e.g.
-    `custom_series['drive']: missing field 'unit'` or
-    `custom_media['album']: shadows a bundled reference media unit`.
+    or a key that no parser reads, at the top level or in an entry, raises
+    ValueError naming it, e.g. `custom_series['drive']: missing field
+    'unit'` or `custom_targets['x']: wieght: unknown config key`.
     """
     from pathlib import Path
 
@@ -378,17 +384,16 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
                        for i, entry in enumerate(_named(where, lambda: _expect(raw, list)))]
             table[case] = _named(where, lambda: combine(entries))
 
-    for key in doc:
-        if key not in SweepConfig._fields and key not in _DECLARATIONS:
-            raise ValueError(f"{key}: unknown config key")
+    _known(doc, *SweepConfig._fields, *_DECLARATIONS)
     targets, media = dict(datasets.targets), dict(datasets.reference_media)
-    declare(targets, datasets.targets, "custom_series", "target",
-            lambda spec: resolve(_field(spec, "path", str), _field(spec, "unit", str)))
+    declare(targets, datasets.targets, "custom_series", "target", lambda spec: resolve(
+        _field(_known(spec, "path", "unit"), "path", str), _field(spec, "unit", str)))
     declare(media, datasets.reference_media, "custom_media", "reference media unit", _parse_custom_media)
     declare(targets, datasets.targets, "custom_targets", "target", _weight_ounces)
     shares, competitors = dict(datasets.media_share), dict(datasets.physical_media)
     replace_cases(shares, "protocol_mix", lambda case, entry: (
-        resolve(_field(entry, "path", str), "dimensionless-share"), _field(entry, "media_fraction", float)
+        resolve(_field(_known(entry, "path", "media_fraction"), "path", str), "dimensionless-share"),
+        _field(entry, "media_fraction", float)
     ), protocol_mix)
     replace_cases(competitors, "custom_physical_media",
                   lambda case, entry: _parse_physical_media(case, entry, resolve), tuple)
@@ -472,45 +477,30 @@ class _Stages:
 
     def __init__(self, datasets: Datasets) -> None:
         self.datasets = datasets
-        self._replacement: dict[tuple, AnnualSeries] = {}
-        self._target: dict[str, AnnualSeries] = {}
-        self._adoption: dict[tuple, AnnualSeries] = {}
-        self._fit: dict[tuple, ExpFit] = {}
-        self._crossover: dict[tuple, tuple[CrossoverResult, FitDiagnostics | None]] = {}
-        self._knee: dict[tuple, KneeResult] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, compute, *args):
+        """`compute(*args)`, computed once per key; keys start with their stage."""
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
 
     def replacement(self, case: str, reference_media: str) -> AnnualSeries:
-        key = (case, reference_media)
-        if key not in self._replacement:
-            self._replacement[key] = replacement_performance(case, reference_media, self.datasets)
-        return self._replacement[key]
+        return self._once(("replacement", case, reference_media), replacement_performance,
+                          case, reference_media, self.datasets)
 
     def target(self, target: str) -> AnnualSeries:
-        if target not in self._target:
-            self._target[target] = target_performance(target, self.datasets)
-        return self._target[target]
+        return self._once(("target", target), target_performance, target, self.datasets)
 
     def adoption(self, case: str, metric: UsageMetric) -> AnnualSeries:
-        key = (case, metric)
-        if key not in self._adoption:
-            self._adoption[key] = adoption_series(case, metric, self.datasets)
-        return self._adoption[key]
-
-    def _fitted(self, series_key: tuple, series: AnnualSeries, window: tuple) -> ExpFit:
-        key = (series_key, window)
-        if key not in self._fit:
-            self._fit[key] = fit_exponential(series, window)
-        return self._fit[key]
+        return self._once(("adoption", case, metric), adoption_series, case, metric, self.datasets)
 
     def crossover(self, case: str, target: str, reference_media: str,
                   detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
         """The crossover and its diagnostics, shared by every scenario with
         the same crossover key."""
-        key = (case, target, reference_media, detection)
-        hit = self._crossover.get(key)
-        if hit is None:
-            hit = self._crossover[key] = self._detect_crossover(*key)
-        return hit
+        return self._once(("crossover", case, target, reference_media, detection),
+                          self._detect_crossover, case, target, reference_media, detection)
 
     def _detect_crossover(self, case: str, target_name: str, reference_media: str,
                           detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
@@ -519,8 +509,9 @@ class _Stages:
         if detection.mode == "empirical":
             return crossover_empirical(replacement, target), None
         window = (detection.window_from, detection.window_to)
-        fit_r = self._fitted(("replacement", case, reference_media), replacement, window)
-        fit_t = self._fitted(("target", target_name), target, window)
+        fit_r = self._once(("fit", "replacement", case, reference_media, window),
+                           fit_exponential, replacement, window)
+        fit_t = self._once(("fit", "target", target_name, window), fit_exponential, target, window)
         crossover = crossover_fitted(fit_r, fit_t)
         extrapolated = None
         if crossover.fractional_year is not None:
@@ -531,11 +522,7 @@ class _Stages:
                                          fit_t.a, fit_t.k, fit_t.r_squared, extrapolated)
 
     def knee(self, case: str, metric: UsageMetric, threshold: float) -> KneeResult:
-        key = (case, metric, threshold)
-        hit = self._knee.get(key)
-        if hit is None:
-            hit = self._knee[key] = knee(self.adoption(case, metric), threshold)
-        return hit
+        return self._once(("knee", case, metric, threshold), knee, self.adoption(case, metric), threshold)
 
     def run(self, scenario: Scenario) -> SweepResult:
         s = scenario

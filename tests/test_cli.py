@@ -507,6 +507,21 @@ class TestErrorContract:
         ({"custom_physical_media": {"custom": []}},
          "custom_physical_media['custom']: unknown case (expected 'audio' or 'video')"),
         ({"case": "custom"}, "unknown case 'custom'"),
+        ({"detection": [{"mode": "fitted", "form": 1995}]}, "detection[0]: form: unknown config key"),
+        ({"custom_targets": {"x": {"weight_ounces": 2, "wieght": 5}}},
+         "custom_targets['x']: wieght: unknown config key"),
+        ({"usage_metrics": [{"kind": "minutes", "unit_length_minutes": 3}]},
+         "usage_metrics[0]: minutes metric takes no unit length"),
+        ({"usage_metrics": [{"kind": "units", "length": 3}]}, "usage_metrics[0]: length: unknown config key"),
+        ({"custom_series": {"x": {"path": "a.csv", "unit": "bits", "scale": 2}}},
+         "custom_series['x']: scale: unknown config key"),
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "pixel_height": 1080}}},
+         "custom_media['v']: pixel_height: unknown config key"),
+        ({"protocol_mix": {"audio": [{"path": "a.csv", "media_fraction": 0.5, "fraction": 1}]}},
+         "protocol_mix['audio'][0]: fraction: unknown config key"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "lp", "kind": "analog", "sales_path": "a.csv", "unit_storage_megabytes": 700}]}},
+         "custom_physical_media['audio'][0]: unit_storage_megabytes: unknown config key"),
     ])
     def test_sweep_unknown_key_or_case(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -545,21 +560,22 @@ class TestColdStart:
     paid by every run of it."""
 
     @staticmethod
-    def loaded(statement: str) -> set:
-        """Modules a child interpreter holds after `statement` beyond a
-        bare interpreter's; the list goes to stderr, clear of command output."""
+    def loaded(statement: str, *flags: str) -> set:
+        """Modules a child interpreter started with `flags` holds after
+        `statement` beyond a bare one's; the list goes to stderr, clear of
+        command output."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
         def modules(statement: str) -> set:
             code = f"import sys; {statement}; sys.stderr.write(' '.join(sys.modules))"
-            child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            child = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                                    text=True, check=True)
             return set(child.stderr.split())
 
         return modules(statement) - modules("pass")
 
-    def command(self, *argv: str) -> set:
-        return self.loaded(f"from techknee.cli import main; assert main({list(argv)!r}) == 0")
+    def command(self, *argv: str, flags: tuple = ()) -> set:
+        return self.loaded(f"from techknee.cli import main; assert main({list(argv)!r}) == 0", *flags)
 
     def test_import_loads_no_module_only_some_commands_need(self):
         new = self.loaded("import techknee.cli")
@@ -577,6 +593,13 @@ class TestColdStart:
         new = self.command(*argv)
         assert "techknee.datasets" in new
         assert not new & {"hashlib", "datetime"}
+
+    def test_case_without_site_skips_importlib_resources(self):
+        # Without `site`, whose `.pth` files may load it first, the bundled
+        # data directory is found with no `importlib.resources`.
+        new = self.command("case", "audio", flags=("-S",))
+        assert "techknee.datasets" in new
+        assert "importlib.resources" not in new
 
 
 class TestUsageErrors:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import example, given, assume, strategies as st
 
 from techknee.datasets import load_bundled
 from techknee.errors import DegenerateFitError, FitError, UnitMismatchError
@@ -198,6 +198,28 @@ class TestCrossoverFitted:
         result = crossover_fitted(self.fit(1.0, 0.3), self.fit(2.0, 0.3))
         assert result.year is None
         assert result.fractional_year is None
+
+    @given(
+        log_ar=st.floats(-3.0, 3.0),
+        log_at=st.floats(-3.0, 3.0),
+        k=st.floats(-0.5, 0.9),
+        t0=st.integers(1900, 2050),
+        n=st.integers(2, 30),
+    )
+    @example(log_ar=math.log(2.0), log_at=math.log(7.0), k=0.25, t0=1990, n=21)
+    def test_fits_of_parallel_data_never_cross(self, log_ar, log_at, k, t0, n):
+        # The two fitted rates differ by rounding only.
+        assume(abs(log_at - log_ar) > 1e-6)
+        rep = exponential_series(math.exp(log_ar), k, t0, n)
+        tgt = exponential_series(math.exp(log_at), k, t0, n)
+        result = crossover_fitted(fit_exponential(rep), fit_exponential(tgt))
+        assert result.year is None
+        assert result.fractional_year is None
+
+    def test_near_identical_fits_are_degenerate(self):
+        fit = self.fit(2.0, 0.3, t0=1990)
+        with pytest.raises(DegenerateFitError):
+            crossover_fitted(fit, fit._replace(a=2.0 * (1 + 1e-15), k=0.3 * (1 + 1e-15)))
 
     def test_declining_advantage_has_no_integer_year(self):
         # Replacement starts above and grows slower: no below-to-above transition.

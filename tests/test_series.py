@@ -6,8 +6,8 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from techknee.adoption import DigitalStorage, PhysicalMediaSpec, digital_media_minutes, \
-    internet_media_raw_bits
+from techknee.adoption import DigitalStorage, DomainUsage, PhysicalMediaSpec, adoption_share, \
+    digital_media_minutes, internet_media_minutes, internet_media_raw_bits, protocol_mix
 from techknee.costs import REFERENCE_MEDIA, MailSpec, internet_distribution_perf, \
     mail_distribution_perf, one_minute_size_bits
 from techknee.errors import MissingYearError
@@ -56,13 +56,18 @@ class TestAlign:
         b = series({1990: 3.0, 1991: 4.0})
         assert align(a, b) == [(1990, 1.0, 3.0), (1991, 2.0, 4.0)]
 
-    @given(
-        st.dictionaries(st.integers(1900, 2100), st.floats(0, 1e9), max_size=20),
-        st.dictionaries(st.integers(1900, 2100), st.floats(0, 1e9), max_size=20),
-    )
-    def test_output_years_are_exact_intersection(self, ma, mb):
-        rows = align(series(ma), series(mb))
-        assert [y for y, _, _ in rows] == sorted(set(ma) & set(mb))
+    def test_three_series(self):
+        a = series({1990: 1.0, 1991: 2.0, 1992: 3.0})
+        b = series({1991: 5.0, 1992: 6.0})
+        c = series({1990: 7.0, 1992: 8.0})
+        assert align(a, b, c) == [(1992, 3.0, 6.0, 8.0)]
+        assert align(a) == [(1990, 1.0), (1991, 2.0), (1992, 3.0)]
+
+    @given(st.lists(st.dictionaries(st.integers(1900, 2100), st.floats(0, 1e9), max_size=20),
+                    min_size=1, max_size=3))
+    def test_output_years_are_exact_intersection(self, maps):
+        common = sorted(set(maps[0]).intersection(*maps[1:]))
+        assert align(*map(series, maps)) == [(y, *(m[y] for m in maps)) for y in common]
 
 
 def positive_series(unit):
@@ -78,7 +83,18 @@ def without(s, years):
     return AnnualSeries(tuple((y, v) for y, v in s if y not in years), s.unit)
 
 
-# Every function that combines two series, with its inputs' unit tags.
+def share_of(internet, *physical):
+    """`adoption_share` over the given usages; a refusal for want of common
+    years reads as an empty series."""
+    try:
+        return adoption_share(DomainUsage("internet", internet),
+                              [DomainUsage(f"m{i}", s) for i, s in enumerate(physical)])
+    except ValueError as exc:
+        assert str(exc) == "domains share no years"
+        return AnnualSeries((), "dimensionless-share")
+
+
+# Every function that combines series, with its inputs' unit tags.
 COMBINATORS = {
     "internet_distribution_perf": (
         lambda cost, ratio: internet_distribution_perf(cost, ratio, REFERENCE_MEDIA["album"]),
@@ -91,29 +107,35 @@ COMBINATORS = {
             PhysicalMediaSpec("cd", DigitalStorage(700.0), sales), ratio, one_minute_size_bits("audio")),
         "count-per-year", "dimensionless-share"),
     "internet_media_raw_bits": (internet_media_raw_bits, "count-per-year", "dimensionless-share"),
+    "internet_media_minutes": (
+        lambda traffic, share, ratio: internet_media_minutes(traffic, share, ratio, 8e6),
+        "count-per-year", "dimensionless-share", "dimensionless-share"),
+    "adoption_share": (share_of, "minutes-per-year", "minutes-per-year", "minutes-per-year"),
+    "protocol_mix": (
+        lambda *shares: protocol_mix(list(zip(shares, (0.5, 0.25, 1.0)))),
+        "dimensionless-share", "dimensionless-share", "dimensionless-share"),
 }
 
 
 class TestAlignmentRule:
-    """Every two-series combinator covers exactly the years both inputs
-    have (`align`), never interpolating."""
+    """Every combinator covers exactly the years all of its inputs have
+    (`align`), never interpolating."""
 
     @pytest.mark.parametrize("name", list(COMBINATORS))
     @given(data=st.data(), d=st.integers(-100, 100))
     def test_combinators(self, name, data, d):
-        combine, unit_a, unit_b = COMBINATORS[name]
-        a = data.draw(positive_series(unit_a))
-        b = data.draw(positive_series(unit_b))
-        out = combine(a, b)
-        assert out.years == tuple(sorted(set(a.years) & set(b.years)))
+        combine, *units = COMBINATORS[name]
+        inputs = [data.draw(positive_series(unit)) for unit in units]
+        out = combine(*inputs)
+        assert out.years == tuple(sorted(set(inputs[0].years).intersection(*(s.years for s in inputs))))
         # Shifting every input year by d shifts the output years only.
-        assert combine(shifted(a, d), shifted(b, d)) == shifted(out, d)
-        if a.years:
-            year = data.draw(st.sampled_from(a.years))
-            assert combine(without(a, {year}), b) == without(out, {year})
-        if b.years:
-            year = data.draw(st.sampled_from(b.years))
-            assert combine(a, without(b, {year})) == without(out, {year})
+        assert combine(*(shifted(s, d) for s in inputs)) == shifted(out, d)
+        # Dropping a year from any one input drops exactly that year.
+        for i, s in enumerate(inputs):
+            if s.years:
+                year = data.draw(st.sampled_from(s.years))
+                fewer = [without(t, {year}) if j == i else t for j, t in enumerate(inputs)]
+                assert combine(*fewer) == without(out, {year})
 
     @given(data=st.data(), d=st.integers(-100, 100))
     def test_crossover_empirical(self, data, d):
