@@ -21,7 +21,7 @@ from .fitting import crossover_empirical, crossover_fitted, fit_exponential, kne
 from .series import UNIT_TAGS, parse_series_csv
 
 if TYPE_CHECKING:
-    from .sweep import Scenario, SweepConfig
+    from .sweep import SweepConfig
 
 # Library names that only some commands call, by the submodule that
 # defines them. A command imports its submodules when it runs, so `fit`,
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 # binding already there, so a caller that replaced one (bench/tracer.py
 # wraps `cli.load_all`) keeps its replacement. `__getattr__` resolves
 # them for readers from outside before any command has run; no command
-# calls `run_sweep` or `feasibility_range`, which are here for them.
+# calls `run_sweep`, which is here for them.
 _LAZY = {
     "load_all": "datasets",
     "feasibility_range": "sweep",
@@ -121,13 +121,7 @@ def _load_series(path: str, unit: str):
     try:
         return parse_series_csv(path, unit)
     except FileNotFoundError:
-        raise _Usage(f"no such file: {path} (pass an existing CSV with header year,value)")
-    except ValueError as exc:
-        raise _Usage(str(exc))
-
-
-class _Usage(Exception):
-    pass
+        raise ValueError(f"no such file: {path} (pass an existing CSV with header year,value)")
 
 
 def _cmd_fit(args) -> int:
@@ -214,43 +208,21 @@ def _cmd_knee(args) -> int:
     return 0
 
 
-def _parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenario:
-    """Scenario from 'target|reference|metric|detection[|threshold]'."""
-    from .sweep import Scenario, parse_detection, parse_usage_metric
-
-    parts = raw.split("|")
-    if parts and parts[0] == case:
-        parts = parts[1:]
-    if len(parts) not in (4, 5):
-        raise _Usage(
-            f"scenario id {raw!r} needs target|reference|metric|detection[|threshold]"
-        )
-    threshold = float(parts[4]) if len(parts) == 5 else default_threshold
-    return Scenario(
-        case=case,
-        target=parts[0],
-        reference_media=parts[1],
-        usage_metric=parse_usage_metric(parts[2]),
-        detection=parse_detection(parts[3]),
-        knee_threshold=threshold,
-    )
-
-
 def _cmd_case(args) -> int:
     import json
 
     from .datasets import DATASET_IDS
-    from .sweep import _baseline_scenario
+    from .sweep import _BASELINE, parse_scenario_id
 
     load_all, run_scenario = _bind("load_all", "run_scenario")
     datasets = load_all()
     if args.scenario:
         try:
-            scenario = _parse_scenario_id(args.case, args.scenario, args.threshold)
+            scenario = parse_scenario_id(args.case, args.scenario, args.threshold)
         except ValueError as exc:
-            raise _Usage(f"bad scenario id: {exc}")
+            raise ValueError(f"bad scenario id: {exc}")
     else:
-        scenario = _baseline_scenario(args.case, knee_threshold=args.threshold)
+        scenario = parse_scenario_id(args.case, _BASELINE[args.case], args.threshold)
     result = run_scenario(scenario, datasets)
     if args.out:
         # Before any output, so an unusable --out prints nothing.
@@ -320,9 +292,11 @@ class _CsvCells(dict):
 def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
     """results.csv, one string per block, byte-identical to csv.writer
     writing one row per scenario."""
+    from .sweep import _threshold_label
+
     cells = _CsvCells()
     case = cells[config.case]
-    thresholds = [f"{t:g}" for t in config.knee_thresholds]
+    thresholds = [_threshold_label(t) for t in config.knee_thresholds]
     threshold_cells = [cells[t] for t in thresholds]
     # csv quotes a field for the characters in it, so an id whose prefix
     # and threshold need no quoting needs none either.
@@ -360,15 +334,15 @@ def _cmd_sweep(args) -> int:
         with open(args.config, encoding="utf-8") as f:
             doc = json.load(f)
     except FileNotFoundError:
-        raise _Usage(f"no such config file: {args.config}")
+        raise ValueError(f"no such config file: {args.config}")
     except json.JSONDecodeError as exc:
-        raise _Usage(f"{args.config}: invalid JSON ({exc})")
+        raise ValueError(f"{args.config}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
-        raise _Usage(f"{args.config}: a sweep config is a JSON object")
+        raise ValueError(f"{args.config}: a sweep config is a JSON object")
 
-    from .sweep import SweepConfig, block_feasibility_range, extend_datasets, sweep_blocks
+    from .sweep import SweepConfig, extend_datasets, sweep_blocks
 
-    (load_all,) = _bind("load_all")
+    load_all, feasibility_range = _bind("load_all", "feasibility_range")
     datasets = extend_datasets(load_all(), doc, base_dir=Path(args.config).parent)
     config = SweepConfig.from_json(doc)
     blocks = sweep_blocks(config, datasets)
@@ -378,7 +352,7 @@ def _cmd_sweep(args) -> int:
     rows_path = out / "results.csv"
     _write_sweep_rows(rows_path, config, blocks)
     n_scenarios = len(blocks) * len(config.knee_thresholds)
-    ranges = block_feasibility_range(blocks) + block_feasibility_range(blocks, group_by="target")
+    ranges = feasibility_range(blocks) + feasibility_range(blocks, group_by="target")
     summary = {
         "n_scenarios": n_scenarios,
         "ranges": [
@@ -479,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (_Usage, TechkneeError, ValueError, KeyError) as exc:
+    except (TechkneeError, ValueError, KeyError) as exc:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.
         print(f"error: {exc}", file=sys.stderr)

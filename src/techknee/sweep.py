@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
@@ -87,7 +87,12 @@ def _check_scenario(case: str, knee_threshold: float) -> None:
 def _scenario_id(case: str, target: str, reference_media: str, usage_metric: UsageMetric,
                  detection: Detection, knee_threshold: float) -> str:
     return "|".join([case, target, reference_media, usage_metric.label(), detection.label(),
-                     f"{knee_threshold:g}"])
+                     _threshold_label(knee_threshold)])
+
+
+def _threshold_label(knee_threshold: float) -> str:
+    """The shortest text that parses back to the same threshold."""
+    return repr(float(knee_threshold))
 
 
 class FitDiagnostics(NamedTuple):
@@ -210,6 +215,20 @@ def parse_detection(raw) -> Detection:
     raise ValueError(f"cannot parse detection from {raw!r}")
 
 
+def parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenario:
+    """The scenario of a `scenario_id`,
+    'case|target|reference|metric|detection|threshold'. The case may be
+    left out, and so may the threshold, which is then `default_threshold`."""
+    parts = raw.split("|")
+    if parts and parts[0] == case:
+        parts = parts[1:]
+    if len(parts) not in (4, 5):
+        raise ValueError(f"scenario id {raw!r} needs target|reference|metric|detection[|threshold]")
+    target, media, metric, detection, *threshold = parts
+    return Scenario(case, target, media, parse_usage_metric(metric), parse_detection(detection),
+                    float(threshold[0]) if threshold else default_threshold)
+
+
 class SweepConfig(NamedTuple):
     """Axis values for a cartesian sweep, in declaration order."""
 
@@ -227,8 +246,14 @@ class SweepConfig(NamedTuple):
                 raise ValueError(f"config needs at least one value for {key!r}")
 
         def each(key: str, parse) -> tuple:
-            values = _named(key, lambda: _expect(doc[key], list))
-            return tuple(_named(f"{key}[{i}]", lambda: parse(raw)) for i, raw in enumerate(values))
+            # A value equal to an earlier one would repeat its scenario ids.
+            first: dict = {}
+            for i, raw in enumerate(_named(key, lambda: _expect(doc[key], list))):
+                value = _named(f"{key}[{i}]", lambda: parse(raw))
+                if value in first:
+                    raise ValueError(f"{key}[{i}]: duplicate of {key}[{first[value]}]")
+                first[value] = i
+            return tuple(first)
 
         def name(raw) -> str:
             return _expect(raw, str)
@@ -294,25 +319,24 @@ def _weight_ounces(doc: Mapping) -> int:
 def _parse_custom_media(doc: Mapping) -> MediaSpec:
     """Media unit from JSON with explicit unit suffixes on every field."""
     kind = _field(doc, "kind")
-    fields = dict(
-        kind=kind,
-        length_seconds=_field(doc, "length_seconds", float),
-        audio_bit_rate=_field(doc, "audio_bit_rate_kbps", float, 633.6) * 1e3,
-    )
-    size_keys = ()
+    fields = dict(kind=kind, length_seconds=_field(doc, "length_seconds", float))
     if "override_size_gigabits" in doc:
         size_keys = ("override_size_gigabits",)
         fields["override_size_bits"] = _field(doc, "override_size_gigabits", float) * 1e9
-    elif kind == "video":
-        size_keys = ("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
-        fields.update(
-            pixel_height=_integer(doc, "pixel_height"),
-            pixel_width=_integer(doc, "pixel_width"),
-            bits_per_pixel=_integer(doc, "bits_per_pixel"),
-            frames_per_second=_field(doc, "frames_per_second", float),
-        )
+    else:
+        # The size is derived, from the audio rate and any video geometry.
+        size_keys = ("audio_bit_rate_kbps",)
+        fields["audio_bit_rate"] = _field(doc, "audio_bit_rate_kbps", float, 633.6) * 1e3
+        if kind == "video":
+            size_keys += ("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
+            fields.update(
+                pixel_height=_integer(doc, "pixel_height"),
+                pixel_width=_integer(doc, "pixel_width"),
+                bits_per_pixel=_integer(doc, "bits_per_pixel"),
+                frames_per_second=_field(doc, "frames_per_second", float),
+            )
     spec = MediaSpec(**fields)
-    _known(doc, "kind", "length_seconds", "audio_bit_rate_kbps", *size_keys)
+    _known(doc, "kind", "length_seconds", *size_keys)
     return spec
 
 
@@ -344,14 +368,15 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     `custom_series` (performance series from CSV) and `custom_targets`
     (mail weights in ounces, rounded up to the started ounce) add targets;
     `custom_media` adds reference media units, whose pixel fields are
-    integers. A declared target or media name must be new: one that is
-    bundled or already declared is refused. `protocol_mix` (a media share
-    built from protocol tables) and `custom_physical_media` (a competitor
-    set) replace the entry of their case, 'audio' or 'video'. Relative
-    CSV paths resolve against `base_dir`. An invalid entry, an unknown case
-    or a key that no parser reads, at the top level or in an entry, raises
-    ValueError naming it, e.g. `custom_series['drive']: missing field
-    'unit'` or `custom_targets['x']: wieght: unknown config key`.
+    integers. A declared target or media name must be new (one that is
+    bundled or already declared is refused) and hold no '|'.
+    `protocol_mix` (a media share built from protocol tables) and
+    `custom_physical_media` (a competitor set) replace the entry of their
+    case, 'audio' or 'video'. Relative CSV paths resolve against
+    `base_dir`. An invalid entry, an unknown case or a key that no parser
+    reads, at the top level or in an entry, raises ValueError naming it,
+    e.g. `custom_series['drive']: missing field 'unit'` or
+    `custom_targets['x']: wieght: unknown config key`.
     """
     from pathlib import Path
 
@@ -373,6 +398,8 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
             if name in table:
                 origin = "a bundled" if name in bundled else "an already declared"
                 raise ValueError(f"{where}: shadows {origin} {what}")
+            if "|" in name:
+                raise ValueError(f"{where}: '|' separates scenario id fields, so no name may hold it")
             table[name] = _named(where, lambda: parse(spec))
 
     def replace_cases(table: dict, key: str, parse, combine) -> None:
@@ -588,20 +615,33 @@ def _label(value) -> str:
     return str(value)
 
 
-def _ranges(parts: Iterable[tuple]) -> list[FeasibilityRange]:
-    """Ranges per label, in label order. A part is (label, scenarios,
-    crossover year, knee min, knee max, knees absent): one result, or a
-    block of results that share one crossover."""
+def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[FeasibilityRange]:
+    """Min/max crossover and knee years per group of a sweep's scenarios,
+    in label order.
+
+    `group_by` names a block axis ("target", "reference_media",
+    "usage_metric", "detection"); None pools everything under the label
+    "all". Absent events are counted, not ranged.
+    """
+    knee_spans: dict[UsageMetric, tuple] = {}
     groups: dict[str, tuple[list[int], list[int], list[int]]] = {}
-    for label, n, year, knee_min, knee_max, knees_absent in parts:
+    for b in blocks:
+        span = knee_spans.get(b.usage_metric)
+        if span is None:
+            years = [k.year for k in b.knees if k.year is not None]
+            span = knee_spans[b.usage_metric] = (
+                [min(years), max(years)] if years else [], len(b.knees) - len(years)
+            )
+        knee_extremes, knees_absent = span
+        label = "all" if group_by is None else _label(getattr(b, group_by))
         counts, crossings, knees = groups.setdefault(label, ([0, 0, 0], [], []))
+        n = len(b.knees)
         counts[0] += n
-        if year is None:
+        if b.crossover.year is None:
             counts[1] += n
         else:
-            crossings.append(year)
-        if knee_min is not None:
-            knees += (knee_min, knee_max)
+            crossings.append(b.crossover.year)
+        knees += knee_extremes
         counts[2] += knees_absent
     if not groups:
         raise ValueError("no results to aggregate")
@@ -618,38 +658,6 @@ def _ranges(parts: Iterable[tuple]) -> list[FeasibilityRange]:
         )
         for label, ((n, crossover_absent, knee_absent), crossings, knees) in sorted(groups.items())
     ]
-
-
-def feasibility_range(results: list[SweepResult], group_by: str | None = None) -> list[FeasibilityRange]:
-    """Min/max crossover and knee years per group of scenarios.
-
-    `group_by` names a scenario axis ("case", "target", "reference_media",
-    "usage_metric", "detection", "knee_threshold"); None pools everything
-    under the label "all". Absent events are counted, not ranged.
-    """
-    return _ranges(
-        ("all" if group_by is None else _label(getattr(r.scenario, group_by)), 1,
-         r.crossover.year, r.knee.year, r.knee.year, int(r.knee.year is None))
-        for r in results
-    )
-
-
-def block_feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[FeasibilityRange]:
-    """`feasibility_range` of the results the blocks expand to, one block
-    at a time. `group_by` names a block axis ("target", "reference_media",
-    "usage_metric", "detection") or is None."""
-    knee_spans: dict[UsageMetric, tuple] = {}
-    parts = []
-    for b in blocks:
-        span = knee_spans.get(b.usage_metric)
-        if span is None:
-            years = [k.year for k in b.knees if k.year is not None]
-            span = knee_spans[b.usage_metric] = (
-                min(years, default=None), max(years, default=None), len(b.knees) - len(years)
-            )
-        label = "all" if group_by is None else _label(getattr(b, group_by))
-        parts.append((label, len(b.knees), b.crossover.year, *span))
-    return _ranges(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -720,60 +728,45 @@ def _score(expected: int | None, tolerance: int, computed: int | None) -> str:
     return "deviation"
 
 
+# The scenario each case's `techknee case` runs by default, and the one the
+# reproduction's curves show: a scenario id without its case and threshold.
 _BASELINE = {
-    "audio": {"target": "mail_cd", "reference": "album"},
-    "video": {"target": "mail_dvd", "reference": "clip"},
+    "audio": "mail_cd|album|minutes|empirical",
+    "video": "mail_dvd|clip|minutes|empirical",
 }
 
-_EMPIRICAL = Detection("empirical")
-_MINUTES = UsageMetric.minutes()
-
-
-def _baseline_scenario(case: str, **overrides) -> Scenario:
-    base = _BASELINE[case]
-    fields = dict(
-        case=case,
-        target=base["target"],
-        reference_media=base["reference"],
-        usage_metric=_MINUTES,
-        detection=_EMPIRICAL,
-        knee_threshold=0.01,
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
-
-
-# (cell_id, table, case, label, scenario overrides, event, expected, tolerance)
+# (cell_id, table, case, label, scenario id, event, expected, tolerance);
+# `techknee case <case> --scenario <id>` re-runs a cell.
 # Tolerance policy: baseline cells exact; ±1 for cells sensitive to the
 # documented convention ambiguities (usage-metric conventions, late-2000s
 # postage changes, regression windows).
 _CELL_SPECS: tuple = (
-    ("t2_audio_mail_cd", "table2", "audio", "mail CD", {}, "crossover", 1998, 0),
-    ("t2_audio_mail_cassette", "table2", "audio", "mail cassette", {"target": "mail_cassette"}, "crossover", 1997, 0),
-    ("t2_video_mail_dvd", "table2", "video", "mail DVD", {}, "crossover", 2002, 0),
-    ("t3_audio_minutes_1pct", "table3", "audio", "minutes knee above 1%", {}, "knee", 1999, 0),
-    ("t3_audio_minutes_10pct", "table3", "audio", "minutes knee above 10%", {"knee_threshold": 0.10}, "knee", 2001, 0),
-    ("t3_audio_raw_1pct", "table3", "audio", "raw-data knee above 1%", {"usage_metric": UsageMetric.raw_bits()}, "knee", 1999, 1),
-    ("t3_audio_raw_10pct", "table3", "audio", "raw-data knee above 10%", {"usage_metric": UsageMetric.raw_bits(), "knee_threshold": 0.10}, "knee", 2001, 1),
-    ("t3_audio_songs_1pct", "table3", "audio", "3-min songs knee above 1%", {"usage_metric": UsageMetric.units(3)}, "knee", 1999, 1),
-    ("t3_audio_songs_10pct", "table3", "audio", "3-min songs knee above 10%", {"usage_metric": UsageMetric.units(3), "knee_threshold": 0.10}, "knee", 2000, 1),
-    ("t3_video_minutes_1pct", "table3", "video", "minutes knee above 1%", {}, "knee", 2001, 0),
-    ("t3_video_minutes_10pct", "table3", "video", "minutes knee above 10%", {"knee_threshold": 0.10}, "knee", 2003, 1),
-    ("t3_video_raw_1pct", "table3", "video", "raw-data knee above 1%", {"usage_metric": UsageMetric.raw_bits()}, "knee", 2001, 1),
-    ("t3_video_raw_10pct", "table3", "video", "raw-data knee above 10%", {"usage_metric": UsageMetric.raw_bits(), "knee_threshold": 0.10}, "knee", 2005, 1),
-    ("t3_video_movies_1pct", "table3", "video", "movies knee above 1%", {"usage_metric": UsageMetric.units(90)}, "knee", 2000, 1),
-    ("t3_video_movies_10pct", "table3", "video", "movies knee above 10%", {"usage_metric": UsageMetric.units(90), "knee_threshold": 0.10}, "knee", 2002, 1),
-    ("t4_audio_album", "table4", "audio", "album reference", {}, "crossover", 1998, 0),
-    ("t4_audio_song", "table4", "audio", "3-min song reference", {"reference_media": "song"}, "crossover", 1992, 0),
-    ("t4_video_clip", "table4", "video", "5-min clip reference", {}, "crossover", 2002, 0),
-    ("t4_video_sd_movie", "table4", "video", "90-min SD movie reference", {"reference_media": "sd_movie"}, "crossover", 2007, 1),
-    ("t4_video_hd_movie", "table4", "video", "90-min HD movie reference", {"reference_media": "hd_movie"}, "crossover", 2008, 1),
-    ("t5_audio_empirical", "table5", "audio", "empirical data", {}, "crossover", 1998, 0),
-    ("t5_audio_fit_all", "table5", "audio", "exponential regression, all data", {"detection": Detection("fitted")}, "crossover", 1996, 1),
-    ("t5_audio_fit_from1995", "table5", "audio", "exponential regression, from 1995", {"detection": Detection("fitted", 1995)}, "crossover", 2001, 1),
-    ("t5_video_empirical", "table5", "video", "empirical data", {}, "crossover", 2002, 0),
-    ("t5_video_fit_all", "table5", "video", "exponential regression, all data", {"detection": Detection("fitted")}, "crossover", 2001, 1),
-    ("t5_video_fit_from1995", "table5", "video", "exponential regression, from 1995", {"detection": Detection("fitted", 1995)}, "crossover", 2002, 1),
+    ("t2_audio_mail_cd", "table2", "audio", "mail CD", "mail_cd|album|minutes|empirical|0.01", "crossover", 1998, 0),
+    ("t2_audio_mail_cassette", "table2", "audio", "mail cassette", "mail_cassette|album|minutes|empirical|0.01", "crossover", 1997, 0),
+    ("t2_video_mail_dvd", "table2", "video", "mail DVD", "mail_dvd|clip|minutes|empirical|0.01", "crossover", 2002, 0),
+    ("t3_audio_minutes_1pct", "table3", "audio", "minutes knee above 1%", "mail_cd|album|minutes|empirical|0.01", "knee", 1999, 0),
+    ("t3_audio_minutes_10pct", "table3", "audio", "minutes knee above 10%", "mail_cd|album|minutes|empirical|0.1", "knee", 2001, 0),
+    ("t3_audio_raw_1pct", "table3", "audio", "raw-data knee above 1%", "mail_cd|album|raw_bits|empirical|0.01", "knee", 1999, 1),
+    ("t3_audio_raw_10pct", "table3", "audio", "raw-data knee above 10%", "mail_cd|album|raw_bits|empirical|0.1", "knee", 2001, 1),
+    ("t3_audio_songs_1pct", "table3", "audio", "3-min songs knee above 1%", "mail_cd|album|units:3|empirical|0.01", "knee", 1999, 1),
+    ("t3_audio_songs_10pct", "table3", "audio", "3-min songs knee above 10%", "mail_cd|album|units:3|empirical|0.1", "knee", 2000, 1),
+    ("t3_video_minutes_1pct", "table3", "video", "minutes knee above 1%", "mail_dvd|clip|minutes|empirical|0.01", "knee", 2001, 0),
+    ("t3_video_minutes_10pct", "table3", "video", "minutes knee above 10%", "mail_dvd|clip|minutes|empirical|0.1", "knee", 2003, 1),
+    ("t3_video_raw_1pct", "table3", "video", "raw-data knee above 1%", "mail_dvd|clip|raw_bits|empirical|0.01", "knee", 2001, 1),
+    ("t3_video_raw_10pct", "table3", "video", "raw-data knee above 10%", "mail_dvd|clip|raw_bits|empirical|0.1", "knee", 2005, 1),
+    ("t3_video_movies_1pct", "table3", "video", "movies knee above 1%", "mail_dvd|clip|units:90|empirical|0.01", "knee", 2000, 1),
+    ("t3_video_movies_10pct", "table3", "video", "movies knee above 10%", "mail_dvd|clip|units:90|empirical|0.1", "knee", 2002, 1),
+    ("t4_audio_album", "table4", "audio", "album reference", "mail_cd|album|minutes|empirical|0.01", "crossover", 1998, 0),
+    ("t4_audio_song", "table4", "audio", "3-min song reference", "mail_cd|song|minutes|empirical|0.01", "crossover", 1992, 0),
+    ("t4_video_clip", "table4", "video", "5-min clip reference", "mail_dvd|clip|minutes|empirical|0.01", "crossover", 2002, 0),
+    ("t4_video_sd_movie", "table4", "video", "90-min SD movie reference", "mail_dvd|sd_movie|minutes|empirical|0.01", "crossover", 2007, 1),
+    ("t4_video_hd_movie", "table4", "video", "90-min HD movie reference", "mail_dvd|hd_movie|minutes|empirical|0.01", "crossover", 2008, 1),
+    ("t5_audio_empirical", "table5", "audio", "empirical data", "mail_cd|album|minutes|empirical|0.01", "crossover", 1998, 0),
+    ("t5_audio_fit_all", "table5", "audio", "exponential regression, all data", "mail_cd|album|minutes|fitted|0.01", "crossover", 1996, 1),
+    ("t5_audio_fit_from1995", "table5", "audio", "exponential regression, from 1995", "mail_cd|album|minutes|fitted:1995-|0.01", "crossover", 2001, 1),
+    ("t5_video_empirical", "table5", "video", "empirical data", "mail_dvd|clip|minutes|empirical|0.01", "crossover", 2002, 0),
+    ("t5_video_fit_all", "table5", "video", "exponential regression, all data", "mail_dvd|clip|minutes|fitted|0.01", "crossover", 2001, 1),
+    ("t5_video_fit_from1995", "table5", "video", "exponential regression, from 1995", "mail_dvd|clip|minutes|fitted:1995-|0.01", "crossover", 2002, 1),
 )
 
 # Drive-to-store cells: the source tables give no cost model, so they
@@ -796,9 +789,8 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     stages = _Stages(datasets)
     cells = []
     crossover_years: dict[str, list[int]] = {"audio": [], "video": []}
-    for cell_id, table, case, label, overrides, event, expected, tolerance in _CELL_SPECS:
-        scenario = _baseline_scenario(case, **overrides)
-        result = stages.run(scenario)
+    for cell_id, table, case, label, scenario_id, event, expected, tolerance in _CELL_SPECS:
+        result = stages.run(parse_scenario_id(case, scenario_id, 0.01))
         computed = result.crossover.year if event == "crossover" else result.knee.year
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
@@ -820,11 +812,11 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
         ranges.append(RangeCheck(range_id, case, expected, computed, status))
 
     curves = {}
-    for case in ("audio", "video"):
-        base = _BASELINE[case]
+    for case, scenario_id in _BASELINE.items():
+        base = parse_scenario_id(case, scenario_id, 0.01)
         curves[case] = {
-            "replacement": stages.replacement(case, base["reference"]),
-            "target": stages.target(base["target"]),
-            "adoption": stages.adoption(case, _MINUTES),
+            "replacement": stages.replacement(case, base.reference_media),
+            "target": stages.target(base.target),
+            "adoption": stages.adoption(case, base.usage_metric),
         }
     return ReproductionReport(tuple(cells), tuple(ranges), curves)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from techknee.cli import main
+from techknee.sweep import _CELL_SPECS
 
 
 def run(capsys, *argv):
@@ -158,7 +159,24 @@ class TestCase:
     def test_bad_scenario_id(self, capsys):
         code, _, err = run(capsys, "case", "audio", "--scenario", "just|two")
         assert code == 2
-        assert "scenario id" in err
+        assert err == ("error: bad scenario id: scenario id 'just|two' needs "
+                       "target|reference|metric|detection[|threshold]\n")
+
+    @pytest.fixture(scope="class")
+    def computed(self):
+        from techknee.datasets import load_all
+        from techknee.sweep import reproduce_case_studies
+
+        return {c.cell_id: c.computed for c in reproduce_case_studies(load_all()).cells}
+
+    @pytest.mark.parametrize("spec", _CELL_SPECS, ids=lambda spec: spec[0])
+    def test_each_published_cell_reruns_from_its_scenario_id(self, capsys, computed, spec):
+        cell_id, _, case, _, scenario_id, event, _, _ = spec
+        code, out, err = run(capsys, "case", case, "--scenario", scenario_id, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["scenario"] == f"{case}|{scenario_id}"
+        assert doc[event] == computed[cell_id]
 
     def test_plot_emission_and_determinism(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -271,7 +289,7 @@ class TestSweep:
             s, x = r.scenario, r.crossover
             expected.append([
                 s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
-                s.detection.label(), f"{s.knee_threshold:g}",
+                s.detection.label(), repr(s.knee_threshold),
                 "" if x.year is None else str(x.year),
                 "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
                 "" if r.knee.year is None else str(r.knee.year),
@@ -285,6 +303,19 @@ class TestSweep:
         buf = io.StringIO()
         csv.writer(buf).writerows(expected)
         assert path.read_bytes() == buf.getvalue().encode()
+
+    def test_ids_and_thresholds_parse_back(self, capsys, tmp_path):
+        from techknee.sweep import parse_scenario_id
+
+        # Written with six significant digits, both thresholds would read
+        # 0.123457 and share one id.
+        config = dict(TestErrorContract.SWEEP, knee_thresholds=[0.1234567, 0.1234568, 1e-05])
+        with open(self.sweep(capsys, tmp_path, config), newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["knee_threshold"] for r in rows] == ["0.1234567", "0.1234568", "1e-05"]
+        for r, threshold in zip(rows, config["knee_thresholds"]):
+            assert parse_scenario_id("audio", r["scenario_id"], 0.5).knee_threshold == threshold
+            assert float(r["knee_threshold"]) == threshold
 
     def test_knees_rise_with_threshold_within_each_block(self, capsys, tmp_path):
         config = {
@@ -522,8 +553,29 @@ class TestErrorContract:
         ({"custom_physical_media": {"audio": [
             {"name": "lp", "kind": "analog", "sales_path": "a.csv", "unit_storage_megabytes": 700}]}},
          "custom_physical_media['audio'][0]: unit_storage_megabytes: unknown config key"),
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "override_size_gigabits": 0.1,
+                                 "audio_bit_rate_kbps": 1.0}}},
+         "custom_media['v']: audio_bit_rate_kbps: unknown config key"),
     ])
     def test_sweep_unknown_key_or_case(self, capsys, tmp_path, override, message):
+        result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
+        self.assert_usage_error(result)
+        assert result[2] == f"error: {message}\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"usage_metrics": ["units:3", {"kind": "units", "unit_length_minutes": 3.0}]},
+         "usage_metrics[1]: duplicate of usage_metrics[0]"),
+        ({"knee_thresholds": [0.1, 0.1]}, "knee_thresholds[1]: duplicate of knee_thresholds[0]"),
+        ({"targets": ["mail_cd", "mail_cassette", "mail_cd"]}, "targets[2]: duplicate of targets[0]"),
+        ({"detection": ["fitted:1995-", {"mode": "fitted", "from": 1995}]},
+         "detection[1]: duplicate of detection[0]"),
+        ({"custom_targets": {"a|b": {"weight_ounces": 2}}},
+         "custom_targets['a|b']: '|' separates scenario id fields, so no name may hold it"),
+        ({"custom_media": {"album|long": {"kind": "audio", "length_seconds": 4000}}},
+         "custom_media['album|long']: '|' separates scenario id fields, so no name may hold it"),
+    ])
+    def test_sweep_scenario_ids_stay_unique(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
         self.assert_usage_error(result)
         assert result[2] == f"error: {message}\n"

@@ -53,7 +53,7 @@ RECORDS = [
     EMPIRICAL,
     SCENARIO,
     SweepResult(SCENARIO, CROSSOVER, KNEE),
-    SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, {}, (KNEE,)),
+    SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, None, (KNEE,)),
     FeasibilityRange("all", 1, 1998, 1998, 0, 1999, 1999, 0),
     SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
     CELL,

@@ -5,21 +5,22 @@ import json
 import pickle
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from techknee.adoption import UsageMetric
 from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, knee
 from techknee.sweep import (
     Detection,
+    FeasibilityRange,
     Scenario,
     ScenarioError,
     SweepConfig,
     adoption_series,
-    block_feasibility_range,
     enumerate_scenarios,
     feasibility_range,
     parse_detection,
+    parse_scenario_id,
     parse_usage_metric,
     replacement_performance,
     reproduce_case_studies,
@@ -141,13 +142,14 @@ class TestParsers:
             Detection("fitted", 1990, -1)
 
     # Every accepted detection, whatever it was built from, parses back
-    # from its label.
+    # from its label. Most drawn inputs are refused, too many to filter
+    # them out with `assume`.
     @given(st.sampled_from(["empirical", "fitted"]), st.none() | st.integers(), st.none() | st.integers())
     def test_detection_label_round_trips(self, mode, window_from, window_to):
         try:
             detection = Detection(mode, window_from, window_to)
         except ValueError:
-            assume(False)
+            return
         assert parse_detection(detection.label()) == detection
 
     @given(st.one_of(
@@ -157,6 +159,34 @@ class TestParsers:
     ))
     def test_usage_metric_label_round_trips(self, metric):
         assert parse_usage_metric(metric.label()) == metric
+
+    # Any name without the '|' separator, as `extend_datasets` accepts.
+    NAMES = st.text(st.characters(exclude_characters="|"))
+
+    @given(
+        st.sampled_from(["audio", "video"]),
+        NAMES,
+        NAMES,
+        st.one_of(
+            st.sampled_from([UsageMetric.minutes(), UsageMetric.raw_bits()]),
+            st.builds(UsageMetric.units, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        ),
+        st.just(Detection("empirical"))
+        | st.builds(Detection, st.just("fitted"), st.none() | st.integers(0, 10**6),
+                    st.none() | st.integers(0, 10**6)),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_scenario_id_round_trips(self, case, target, media, metric, detection, threshold):
+        scenario = Scenario(case, target, media, metric, detection, threshold)
+        assert parse_scenario_id(case, scenario.scenario_id, 0.5) == scenario
+
+    def test_scenario_id_may_leave_out_case_and_threshold(self):
+        scenario = parse_scenario_id("video", "mail_dvd|clip|units:90|fitted:1995-", 0.25)
+        assert scenario == Scenario("video", "mail_dvd", "clip", UsageMetric.units(90),
+                                    Detection("fitted", 1995), 0.25)
+        assert parse_scenario_id("video", "video|mail_dvd|clip|units:90|fitted:1995-|0.25", 0.5) == scenario
+        with pytest.raises(ValueError, match=r"needs target\|reference\|metric\|detection"):
+            parse_scenario_id("video", "audio|mail_dvd|clip|units:90|fitted:1995-|0.25", 0.5)
 
 
 class TestRunScenario:
@@ -465,7 +495,7 @@ class TestJoin:
         results = run_sweep(cfg, datasets)
         assert len(blocks) * 3 == len(results)
         for group_by in (None, "target", "reference_media", "usage_metric", "detection"):
-            assert block_feasibility_range(blocks, group_by) == feasibility_range(results, group_by)
+            assert feasibility_range(blocks, group_by) == ranges_per_result(results, group_by)
 
     def test_shared_diagnostics_are_read_only(self, datasets):
         results = run_sweep(config(detection=["fitted"], knee_thresholds=[0.01, 0.10]), datasets)
@@ -486,23 +516,48 @@ class TestJoin:
             assert copied[2].diagnostics is copied[3].diagnostics is not None
 
 
+def ranges_per_result(results, group_by=None):
+    """Min/max crossover and knee years per label, one result at a time."""
+    groups = {}
+    for r in results:
+        value = "all" if group_by is None else getattr(r.scenario, group_by)
+        groups.setdefault(value if isinstance(value, str) else value.label(), []).append(r)
+    ranges = []
+    for label, group in sorted(groups.items()):
+        crossovers = [r.crossover.year for r in group if r.crossover.year is not None]
+        knees = [r.knee.year for r in group if r.knee.year is not None]
+        ranges.append(FeasibilityRange(
+            label, len(group),
+            min(crossovers, default=None), max(crossovers, default=None), len(group) - len(crossovers),
+            min(knees, default=None), max(knees, default=None), len(group) - len(knees),
+        ))
+    return ranges
+
+
 class TestFeasibilityRange:
+    @staticmethod
+    def ranges(cfg, datasets, group_by=None):
+        """`feasibility_range` of a sweep, checked against the ranges of its
+        results one by one."""
+        ranges = feasibility_range(sweep_blocks(cfg, datasets), group_by)
+        assert ranges == ranges_per_result(run_sweep(cfg, datasets), group_by)
+        return ranges
+
     def test_audio_reference_axis_range(self, datasets):
         # Album and song references: crossover range spans 1992-1998.
-        results = run_sweep(config(reference_media=["album", "song"]), datasets)
-        (fr,) = feasibility_range(results)
+        (fr,) = self.ranges(config(reference_media=["album", "song"]), datasets)
         assert fr.label == "all"
         assert (fr.crossover_min, fr.crossover_max) == (1992, 1998)
         assert fr.crossover_absent == 0
 
     def test_single_scenario_degenerate_range(self, datasets):
-        (fr,) = feasibility_range(run_sweep(config(), datasets))
+        (fr,) = self.ranges(config(), datasets)
         assert fr.crossover_min == fr.crossover_max == 1998
         assert fr.knee_min == fr.knee_max == 1999
 
     def test_group_by_target(self, datasets):
-        results = run_sweep(config(targets=["mail_cd", "mail_cassette"]), datasets)
-        ranges = {fr.label: fr for fr in feasibility_range(results, group_by="target")}
+        ranges = self.ranges(config(targets=["mail_cd", "mail_cassette"]), datasets, group_by="target")
+        ranges = {fr.label: fr for fr in ranges}
         assert ranges["mail_cd"].crossover_min == 1998
         assert ranges["mail_cassette"].crossover_min == 1997
 
@@ -513,10 +568,10 @@ class TestFeasibilityRange:
             {y: 1e9 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
         with_custom = datasets._replace(targets={**datasets.targets, "unbeatable": unbeatable})
-        results = run_sweep(config(targets=["unbeatable"]), with_custom)
-        (fr,) = feasibility_range(results)
+        (fr,) = self.ranges(config(targets=["unbeatable"], knee_thresholds=[0.01, 0.999]), with_custom)
         assert fr.crossover_min is None and fr.crossover_max is None
-        assert fr.crossover_absent == 1
+        assert fr.crossover_absent == 2
+        assert (fr.knee_min, fr.knee_max, fr.knee_absent) == (1999, 1999, 1)
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
