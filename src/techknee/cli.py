@@ -10,7 +10,9 @@ timestamps, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -98,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "'mail_cassette|song|raw_bits|fitted:1995-|0.1' "
         "(target|reference|metric|detection|threshold)",
     )
-    p.add_argument("--threshold", type=float, default=0.01, help="knee threshold (default 1%%)")
+    p.add_argument("--threshold", type=float, default=None,
+                   help="knee threshold, for a scenario id without one (default 1%%)")
     p.add_argument("--out", default=None, help="directory for tidy curve CSV and SVG chart")
     p.add_argument("--json", action="store_true")
 
@@ -467,7 +470,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    """The `techknee` command: `main()`, then the end of the process.
+
+    Interpreter teardown frees every module and object the command loaded,
+    which takes longer than a small command's work, and nothing it does is
+    visible: every file a command writes is closed before `main()`
+    returns, and techknee starts no thread. So the process ends with
+    `os._exit` once the `atexit` handlers have run and stdout and stderr
+    are flushed, as a forked `multiprocessing` child does. If a flush
+    fails, or a trace or profile function is set (coverage, cProfile, a
+    debugger), it exits through `sys.exit` as usual, and so reports a
+    failed flush and writes profiles the same way."""
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()  # clears them, so `sys.exit` below runs none twice
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

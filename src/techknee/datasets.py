@@ -8,6 +8,7 @@ data can be audited by eye and corruption is a hard error.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -46,7 +47,7 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _sha256(path: Path) -> str:
+def _sha256(data: bytes) -> str:
     # CPython's built-in SHA-256 gives hashlib's digest without loading
     # OpenSSL, which takes longer than hashing the tables (`random` loads
     # `_sha512` the same way). Its module is `_sha2` from Python 3.12 on.
@@ -57,7 +58,7 @@ def _sha256(path: Path) -> str:
             from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
-    return sha256(path.read_bytes()).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def _read_manifest(dataset_id: str, directory: Path) -> dict:
@@ -81,13 +82,14 @@ def _read_table(dataset_id: str, directory: Path) -> tuple[list[dict], dict]:
         )
     if not csv_path.exists():
         raise DataIntegrityError(f"missing data file {csv_path}")
-    digest = _sha256(csv_path)
+    # One read, so the rows parsed are the bytes whose checksum was verified.
+    data = csv_path.read_bytes()
+    digest = _sha256(data)
     if digest != manifest["sha256"]:
         raise DataIntegrityError(
             f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest['sha256']})"
         )
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
+    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
     coverage = manifest.get("coverage")
     if coverage and "rows" in coverage and len(rows) != coverage["rows"]:
         raise DataIntegrityError(

@@ -215,18 +215,26 @@ def parse_detection(raw) -> Detection:
     raise ValueError(f"cannot parse detection from {raw!r}")
 
 
-def parse_scenario_id(case: str, raw: str, default_threshold: float) -> Scenario:
+def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Scenario:
     """The scenario of a `scenario_id`,
     'case|target|reference|metric|detection|threshold'. The case may be
-    left out, and so may the threshold, which is then `default_threshold`."""
+    left out. The knee threshold is the id's, or else `threshold`, or else
+    1%; an id that carries one refuses a `threshold`."""
     parts = raw.split("|")
-    if parts and parts[0] == case:
+    if len(parts) == 6 and parts[0] != case:
+        raise ValueError(f"scenario id {raw!r} is for case {parts[0]!r}, not {case!r}")
+    if parts[0] == case:
         parts = parts[1:]
     if len(parts) not in (4, 5):
         raise ValueError(f"scenario id {raw!r} needs target|reference|metric|detection[|threshold]")
-    target, media, metric, detection, *threshold = parts
+    target, media, metric, detection, *carried = parts
+    if carried:
+        if threshold is not None:
+            raise ValueError(f"scenario id {raw!r} carries threshold {carried[0]}, so threshold "
+                             f"{threshold!r} cannot be given too")
+        threshold = float(carried[0])
     return Scenario(case, target, media, parse_usage_metric(metric), parse_detection(detection),
-                    float(threshold[0]) if threshold else default_threshold)
+                    0.01 if threshold is None else threshold)
 
 
 class SweepConfig(NamedTuple):
@@ -790,7 +798,7 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     cells = []
     crossover_years: dict[str, list[int]] = {"audio": [], "video": []}
     for cell_id, table, case, label, scenario_id, event, expected, tolerance in _CELL_SPECS:
-        result = stages.run(parse_scenario_id(case, scenario_id, 0.01))
+        result = stages.run(parse_scenario_id(case, scenario_id))
         computed = result.crossover.year if event == "crossover" else result.knee.year
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
@@ -813,7 +821,7 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
 
     curves = {}
     for case, scenario_id in _BASELINE.items():
-        base = parse_scenario_id(case, scenario_id, 0.01)
+        base = parse_scenario_id(case, scenario_id)
         curves[case] = {
             "replacement": stages.replacement(case, base.reference_media),
             "target": stages.target(base.target),

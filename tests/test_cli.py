@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -155,6 +156,12 @@ class TestCase:
         doc = json.loads(out)
         assert doc["crossover"] == 1998  # from-1995 regression intersection
         assert doc["scenario"] == "audio|mail_cd|album|minutes|fitted:1995-|0.01"
+
+    @pytest.mark.parametrize("argv", [[], ["--scenario", "mail_cd|album|minutes|empirical"]])
+    def test_threshold_flag_sets_a_threshold_the_id_leaves_out(self, capsys, argv):
+        code, out, _ = run(capsys, "case", "audio", *argv, "--threshold", "0.1")
+        assert code == 0
+        assert "crossover: 1998, knee(10%): 2001" in out
 
     def test_bad_scenario_id(self, capsys):
         code, _, err = run(capsys, "case", "audio", "--scenario", "just|two")
@@ -314,7 +321,7 @@ class TestSweep:
             rows = list(csv.DictReader(f))
         assert [r["knee_threshold"] for r in rows] == ["0.1234567", "0.1234568", "1e-05"]
         for r, threshold in zip(rows, config["knee_thresholds"]):
-            assert parse_scenario_id("audio", r["scenario_id"], 0.5).knee_threshold == threshold
+            assert parse_scenario_id("audio", r["scenario_id"]).knee_threshold == threshold
             assert float(r["knee_threshold"]) == threshold
 
     def test_knees_rise_with_threshold_within_each_block(self, capsys, tmp_path):
@@ -414,6 +421,19 @@ class TestErrorContract:
         result = run(capsys, "case", "audio", "--scenario", f"mail_cd|album|{metric}|empirical|0.01")
         self.assert_usage_error(result)
         assert result[2] == "error: bad scenario id: units metric needs a finite positive unit length\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|0.1", "--threshold", "0.05"],
+         "scenario id 'mail_cd|album|minutes|empirical|0.1' carries threshold 0.1, so threshold 0.05 "
+         "cannot be given too"),
+        (["case", "video", "--scenario", "audio|mail_cd|album|minutes|empirical|0.1"],
+         "scenario id 'audio|mail_cd|album|minutes|empirical|0.1' is for case 'audio', not 'video'"),
+    ])
+    def test_case_scenario_id_refused(self, capsys, argv, message):
+        result = run(capsys, *argv)
+        self.assert_usage_error(result)
+        assert result[2] == f"error: bad scenario id: {message}\n"
+        assert result[1] == ""
 
     @pytest.mark.parametrize("argv", [["case", "audio", "--json"], ["reproduce"], ["export-data", "--out", "out"]])
     def test_manifest_must_name_its_own_csv(self, capsys, tmp_path, monkeypatch, argv):
@@ -652,6 +672,83 @@ class TestColdStart:
         new = self.command("case", "audio", flags=("-S",))
         assert "techknee.datasets" in new
         assert "importlib.resources" not in new
+
+
+class TestApp:
+    """`techknee` as a command: `app()` in a fresh interpreter, which ends
+    the process without interpreter teardown. Each run is compared with
+    `sys.exit(main())`, which ends it through teardown."""
+
+    APP = "from techknee.cli import app; app()"
+    MAIN = "from techknee.cli import main; sys.exit(main())"
+
+    @staticmethod
+    def spawn(statement: str, argv, cwd, redirect: str = "", prelude: str = ""):
+        """Run `techknee argv` through `statement` in `cwd`, with stdout
+        piped or, through sh, redirected by `redirect`; stdout is block
+        buffered, as when a script reads it."""
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "TECHKNEE_DATA")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        code = f"import sys\nsys.argv[0] = 'techknee'\n{prelude}\n{statement}"
+        command = [sys.executable, "-c", code, *argv]
+        if redirect:
+            command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+        return subprocess.run(command, cwd=cwd, env=env, capture_output=True)
+
+    @pytest.mark.parametrize("name", ["reproduce --out", "case audio --out", "sweep 13k"])
+    def test_stdout_and_files_match_main(self, tmp_path, name):
+        from test_golden import GOLDEN, INVOCATIONS
+
+        child = self.spawn(self.APP, INVOCATIONS[name], tmp_path)
+        assert (child.returncode, child.stderr) == (0, b"")
+        found = {"stdout": hashlib.sha256(child.stdout).hexdigest()}
+        found.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                     for path in sorted((tmp_path / "out").iterdir()))
+        assert found == GOLDEN[name]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["case", "audio"], 0),
+        (["reproduce", "--strict"], 1),
+        (["frobnicate"], 2),
+    ], ids=["case", "reproduce --strict", "unknown command"])
+    def test_exit_code_and_output_match_main(self, tmp_path, argv, code):
+        child = self.spawn(self.APP, argv, tmp_path)
+        assert child.returncode == code
+        reference = self.spawn(self.MAIN, argv, tmp_path)
+        assert (child.returncode, child.stdout, child.stderr) == \
+            (reference.returncode, reference.stdout, reference.stderr)
+
+    def test_atexit_handlers_run_once_after_the_output(self, tmp_path):
+        prelude = "import atexit\natexit.register(print, 'atexit handler ran')"
+        child = self.spawn(self.APP, ["case", "audio"], tmp_path, prelude=prelude)
+        assert child.returncode == 0
+        lines = child.stdout.decode().splitlines()
+        assert lines[-1] == "atexit handler ran"
+        assert lines.count("atexit handler ran") == 1
+
+    @pytest.mark.parametrize("redirect", [">&-", ">/dev/full"])
+    def test_unusable_stdout_fails_as_main_does(self, tmp_path, redirect):
+        # A closed stdout is None, and output to it is dropped; a full one
+        # fails at the last flush, which app() leaves to teardown to report.
+        child = self.spawn(self.APP, ["case", "audio"], tmp_path, redirect)
+        reference = self.spawn(self.MAIN, ["case", "audio"], tmp_path, redirect)
+        assert (child.returncode, child.stderr) == (reference.returncode, reference.stderr)
+        if redirect == ">/dev/full":
+            assert child.returncode == 120
+            assert b"No space left on device" in child.stderr
+
+    @pytest.mark.parametrize("hook, teardown", [
+        ("", False),
+        ("sys.setprofile(lambda *a: None)", True),
+        ("sys.settrace(lambda *a: None)", True),
+    ], ids=["plain", "setprofile", "settrace"])
+    def test_tracer_or_profiler_exits_through_teardown(self, tmp_path, rising_csv, hook, teardown):
+        # Only `sys.exit` raises SystemExit; `os._exit` ends the process at once.
+        statement = (f"{hook}\ntry:\n    {self.APP}\n"
+                     "except SystemExit:\n    sys.stderr.write('teardown')\n    raise")
+        child = self.spawn(statement, ["fit", "--input", rising_csv], tmp_path)
+        assert child.returncode == 0
+        assert child.stderr == (b"teardown" if teardown else b"")
 
 
 class TestUsageErrors:

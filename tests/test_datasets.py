@@ -1,9 +1,12 @@
 """Bundled dataset registry: golden values, checksums, CSV ingestion."""
 
+import builtins
 import csv
 import datetime
 import hashlib
+import io
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,9 +142,25 @@ class TestChecksums:
         with pytest.raises(DataIntegrityError, match="manifest"):
             load_bundled("a4_traffic", tmp_path)
 
+    def test_each_table_is_read_once(self, monkeypatch):
+        # The rows parsed are then the bytes whose checksum was verified.
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib's read_bytes opens through io.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        load_all()
+        tables = [str(data_dir() / f"{dataset_id}.csv") for dataset_id in DATASET_IDS]
+        assert {table: opened[table] for table in tables} == dict.fromkeys(tables, 1)
+
     def test_lean_digest_is_hashlibs(self):
         for path in sorted(data_dir().iterdir()):
-            assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path.name
+            data = path.read_bytes()
+            assert _sha256(data) == hashlib.sha256(data).hexdigest(), path.name
 
 
 class TestParseSeriesCsv:

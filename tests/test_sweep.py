@@ -178,15 +178,18 @@ class TestParsers:
     )
     def test_scenario_id_round_trips(self, case, target, media, metric, detection, threshold):
         scenario = Scenario(case, target, media, metric, detection, threshold)
-        assert parse_scenario_id(case, scenario.scenario_id, 0.5) == scenario
+        assert parse_scenario_id(case, scenario.scenario_id) == scenario
 
     def test_scenario_id_may_leave_out_case_and_threshold(self):
         scenario = parse_scenario_id("video", "mail_dvd|clip|units:90|fitted:1995-", 0.25)
         assert scenario == Scenario("video", "mail_dvd", "clip", UsageMetric.units(90),
                                     Detection("fitted", 1995), 0.25)
-        assert parse_scenario_id("video", "video|mail_dvd|clip|units:90|fitted:1995-|0.25", 0.5) == scenario
-        with pytest.raises(ValueError, match=r"needs target\|reference\|metric\|detection"):
-            parse_scenario_id("video", "audio|mail_dvd|clip|units:90|fitted:1995-|0.25", 0.5)
+        assert parse_scenario_id("video", "video|mail_dvd|clip|units:90|fitted:1995-|0.25") == scenario
+        assert parse_scenario_id("video", "mail_dvd|clip|units:90|fitted:1995-").knee_threshold == 0.01
+        with pytest.raises(ValueError, match=r"is for case 'audio', not 'video'"):
+            parse_scenario_id("video", "audio|mail_dvd|clip|units:90|fitted:1995-|0.25")
+        with pytest.raises(ValueError, match=r"carries threshold 0\.25, so threshold 0\.5 cannot"):
+            parse_scenario_id("video", "mail_dvd|clip|units:90|fitted:1995-|0.25", 0.5)
 
 
 class TestRunScenario:
