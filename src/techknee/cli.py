@@ -197,6 +197,11 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
+def _percent(share: float) -> str:
+    """A threshold as a percentage, to six significant digits: 1%, 0.4%."""
+    return f"{share * 100:g}%"
+
+
 def _cmd_knee(args) -> int:
     series = _load_series(args.input, "dimensionless-share")
     result = knee(series, args.threshold)
@@ -205,9 +210,9 @@ def _cmd_knee(args) -> int:
 
         print(json.dumps({"input": args.input, "threshold": args.threshold, "year": result.year}))
     elif result.year is None:
-        print(f"{args.input}: share never reaches {args.threshold:.0%}")
+        print(f"{args.input}: share never reaches {_percent(args.threshold)}")
     else:
-        print(f"{args.input}: knee({args.threshold:.0%}) = {result.year}")
+        print(f"{args.input}: knee({_percent(args.threshold)}) = {result.year}")
     return 0
 
 
@@ -231,7 +236,6 @@ def _cmd_case(args) -> int:
         # Before any output, so an unusable --out prints nothing.
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    threshold_label = f"{scenario.knee_threshold:.0%}"
     if args.json:
         print(
             json.dumps(
@@ -251,7 +255,7 @@ def _cmd_case(args) -> int:
               f"[a1_bandwidth_cost, a2_compression]")
         print(f"target: {scenario.target} [a3_postage]")
         print(f"adoption: {scenario.usage_metric.label()} metric [a2, a4_traffic, a5_media_share, a6_sales, a7, a8]")
-        print(f"crossover: {result.crossover.year}, knee({threshold_label}): {result.knee.year}")
+        print(f"crossover: {result.crossover.year}, knee({_percent(scenario.knee_threshold)}): {result.knee.year}")
     if args.out:
         from .sweep import adoption_series, replacement_performance, target_performance
 
@@ -448,6 +452,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        # A closed stdout, which `print` would silently drop everything to.
+        print("error: stdout is closed, so no output can be written", file=sys.stderr)
+        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -61,19 +61,15 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _read_manifest(dataset_id: str, directory: Path) -> dict:
-    path = directory / f"{dataset_id}.manifest.json"
-    if not path.exists():
-        raise DataIntegrityError(f"missing manifest {path}")
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _read_table(dataset_id: str, directory: Path) -> tuple[list[dict], dict]:
-    """Rows + manifest for one bundled table, checksum-verified."""
-    if dataset_id not in DATASET_IDS:
-        raise KeyError(f"unknown dataset id {dataset_id!r}")
-    manifest = _read_manifest(dataset_id, directory)
+def _read_table(dataset_id: str, directory: Path) -> list[dict]:
+    """The rows of one bundled table, checked against its manifest: the
+    manifest must exist, name the table's CSV and carry its sha256, and a
+    row count it declares must match."""
+    manifest_path = directory / f"{dataset_id}.manifest.json"
+    if not manifest_path.exists():
+        raise DataIntegrityError(f"missing manifest {manifest_path}")
+    with open(manifest_path, encoding="utf-8") as f:
+        manifest = json.load(f)
     csv_path = directory / f"{dataset_id}.csv"
     if manifest.get("file") != csv_path.name:
         # `export-data` and `case --json` name each table's CSV by its id.
@@ -95,7 +91,7 @@ def _read_table(dataset_id: str, directory: Path) -> tuple[list[dict], dict]:
         raise DataIntegrityError(
             f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}"
         )
-    return rows, manifest
+    return rows
 
 
 def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> AnnualSeries:
@@ -103,69 +99,14 @@ def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> Ann
     return AnnualSeries(pairs, unit)
 
 
-def load_bundled(dataset_id: str, directory: Path | None = None):
-    """Load one bundled table into its domain objects.
-
-    Returns, by table: a1 -> AnnualSeries in 2016 dollars; a2 -> dict of
-    compression AnnualSeries per media type; a3 -> dict of 2016-dollar
-    RateSchedules, "first_ounce" and "additional_ounce"; a4 -> AnnualSeries;
-    a5 -> dict of share AnnualSeries; a6 -> dict of sales AnnualSeries
-    (absolute counts); a7/a8 -> plain keyed dicts. The nominal-dollar
-    columns of a1 and a3 stay in the CSVs for auditing.
-    """
-    directory = directory or data_dir()
-    rows, _ = _read_table(dataset_id, directory)
-
-    if dataset_id == "a1_bandwidth_cost":
-        return _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month")
-
-    if dataset_id == "a2_compression":
-        return {
-            media: _annual(rows, media, "dimensionless-share")
-            for media in ("text", "image", "audio", "video")
-        }
-
-    if dataset_id == "a3_postage":
-        date = date_class()
-        return {
-            rate: RateSchedule(
-                tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in rows),
-                "real-dollars",
-            )
-            for rate in ("first_ounce", "additional_ounce")
-        }
-
-    if dataset_id == "a4_traffic":
-        return _annual(rows, "gigabytes_per_year", "count-per-year")
-
-    if dataset_id == "a5_media_share":
-        return {
-            media: _annual(rows, f"{media}_percent", "dimensionless-share", scale=0.01)
-            for media in ("audio", "video")
-        }
-
-    if dataset_id == "a6_sales":
-        # Stored in millions as printed; scaled to absolute counts here.
-        return {
-            name: _annual(rows, f"{name}_millions", "count-per-year", scale=1e6)
-            for name in ("cd", "cassette", "vinyl", "dvd", "vhs")
-        }
-
-    if dataset_id == "a7_minutes_per_unit":
-        return {r["media"]: float(r["minutes_per_unit"]) for r in rows}
-
-    if dataset_id == "a8_unit_storage":
-        return {r["media"]: float(r["megabytes_per_unit"]) for r in rows}
-
-    raise KeyError(dataset_id)
-
-
 class Datasets(NamedTuple):
     """What scenarios resolve against: the bundled tables, with one table
     per scenario axis.
 
-    `targets` maps a target name to a mail weight in ounces or to a
-    performance series; `reference_media` maps a name to its media unit;
+    Money is in 2016 dollars and sales in absolute counts. `postage` maps
+    "first_ounce" and "additional_ounce" to rate schedules; `targets` maps
+    a target name to a mail weight in ounces or to a performance series;
+    `reference_media` maps a name to its media unit; `compression`,
     `media_share` and `physical_media` (the competitor set) are keyed by
     case. `load_all` fills them from the bundled tables, and
     `sweep.extend_datasets` merges a scenario config's declarations into a
@@ -182,34 +123,43 @@ class Datasets(NamedTuple):
     targets: Mapping[str, int | AnnualSeries]
 
 
-def _physical_media(directory: Path) -> dict[str, tuple[PhysicalMediaSpec, ...]]:
-    """Competitor media per case, from tables A.6-A.8."""
-    sales = load_bundled("a6_sales", directory)
-    minutes = load_bundled("a7_minutes_per_unit", directory)
-    storage = load_bundled("a8_unit_storage", directory)
-    audio_raw = one_minute_size_bits("audio")
-    return {
-        "audio": (
-            PhysicalMediaSpec("cd", DigitalStorage(storage["CD"]), sales["cd"]),
-            PhysicalMediaSpec("cassette", AnalogStorage(minutes["Cassette"], audio_raw), sales["cassette"]),
-            PhysicalMediaSpec("vinyl", AnalogStorage(minutes["Vinyl"], audio_raw), sales["vinyl"]),
-        ),
-        "video": (
-            PhysicalMediaSpec("dvd", DigitalStorage(storage["DVD"]), sales["dvd"]),
-            PhysicalMediaSpec("vhs", AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE), sales["vhs"]),
-        ),
-    }
-
-
 def load_all(directory: Path | None = None) -> Datasets:
+    """The eight bundled tables, each checked against its manifest, as one
+    bundle. The nominal-dollar columns of a1 and a3 and the text and image
+    compression columns of a2 stay in the CSVs for auditing."""
     directory = directory or data_dir()
+    a1, a2, a3, a4, a5, a6, a7, a8 = (_read_table(dataset_id, directory) for dataset_id in DATASET_IDS)
+    date = date_class()
+    # Sales are stored in millions as printed; scaled to absolute counts here.
+    sales = {name: _annual(a6, f"{name}_millions", "count-per-year", scale=1e6)
+             for name in ("cd", "cassette", "vinyl", "dvd", "vhs")}
+    minutes = {r["media"]: float(r["minutes_per_unit"]) for r in a7}
+    storage = {r["media"]: float(r["megabytes_per_unit"]) for r in a8}
+    audio_raw = one_minute_size_bits("audio")
     return Datasets(
-        bandwidth_real=load_bundled("a1_bandwidth_cost", directory),
-        compression=load_bundled("a2_compression", directory),
-        postage=load_bundled("a3_postage", directory),
-        traffic=load_bundled("a4_traffic", directory),
-        media_share=load_bundled("a5_media_share", directory),
-        physical_media=_physical_media(directory),
+        bandwidth_real=_annual(a1, "usd2016_per_mbps_month", "real-dollars-per-megabit-month"),
+        compression={media: _annual(a2, media, "dimensionless-share") for media in ("audio", "video")},
+        postage={
+            rate: RateSchedule(
+                tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in a3),
+                "real-dollars",
+            )
+            for rate in ("first_ounce", "additional_ounce")
+        },
+        traffic=_annual(a4, "gigabytes_per_year", "count-per-year"),
+        media_share={media: _annual(a5, f"{media}_percent", "dimensionless-share", scale=0.01)
+                     for media in ("audio", "video")},
+        physical_media={
+            "audio": (
+                PhysicalMediaSpec("cd", DigitalStorage(storage["CD"]), sales["cd"]),
+                PhysicalMediaSpec("cassette", AnalogStorage(minutes["Cassette"], audio_raw), sales["cassette"]),
+                PhysicalMediaSpec("vinyl", AnalogStorage(minutes["Vinyl"], audio_raw), sales["vinyl"]),
+            ),
+            "video": (
+                PhysicalMediaSpec("dvd", DigitalStorage(storage["DVD"]), sales["dvd"]),
+                PhysicalMediaSpec("vhs", AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE), sales["vhs"]),
+            ),
+        },
         reference_media=dict(REFERENCE_MEDIA),
         targets=dict(MAIL_TARGETS),
     )

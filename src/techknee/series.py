@@ -8,6 +8,7 @@ years, and scaling preserves the unit tag.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import namedtuple
 from pathlib import Path
@@ -184,7 +185,8 @@ def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
     """Read a `year,value` CSV into a validated series.
 
     The unit is supplied by the caller (manifest or CLI flag), never
-    inferred. Malformed rows are reported with their line number.
+    inferred. Malformed rows are reported with their line number, and
+    bytes that are not UTF-8 with the file's name.
     """
     path = Path(path)
     if declared_unit not in UNIT_TAGS:
@@ -193,40 +195,35 @@ def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
         raise FileNotFoundError(f"no such file: {path}")
     pairs: list[tuple[int, float]] = []
     seen: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["year", "value"]:
-            raise ValueError(f"{path}:1: expected header 'year,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                year = int(row[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
-            if year in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate year {year} (first at line {seen[year]})")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative value")
-            seen[year] = lineno
-            pairs.append((year, value))
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["year", "value"]:
+        raise ValueError(f"{path}:1: expected header 'year,value'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns")
+        try:
+            year = int(row[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
+        if year in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate year {year} (first at line {seen[year]})")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative value")
+        seen[year] = lineno
+        pairs.append((year, value))
     pairs.sort()
     return AnnualSeries(tuple(pairs), declared_unit)
 
-
-def write_series_csv(series: AnnualSeries, path: str | Path) -> None:
-    """Write a series in the `year,value` exchange format."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["year", "value"])
-        for year, value in series:
-            writer.writerow([year, repr(value)])

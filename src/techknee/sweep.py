@@ -80,8 +80,13 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
 def _check_scenario(case: str, knee_threshold: float) -> None:
     if case not in ("audio", "video"):
         raise ValueError(f"unknown case {case!r}")
+    _check_threshold(knee_threshold)
+
+
+def _check_threshold(knee_threshold: float) -> float:
     if not 0.0 < knee_threshold < 1.0:
         raise ValueError("knee threshold must be in (0, 1)")
+    return knee_threshold
 
 
 def _scenario_id(case: str, target: str, reference_media: str, usage_metric: UsageMetric,
@@ -272,7 +277,7 @@ class SweepConfig(NamedTuple):
             reference_media=each("reference_media", name),
             usage_metrics=each("usage_metrics", parse_usage_metric),
             detection=each("detection", parse_detection),
-            knee_thresholds=each("knee_thresholds", lambda raw: _expect(raw, float)),
+            knee_thresholds=each("knee_thresholds", lambda raw: _check_threshold(_expect(raw, float))),
         )
 
 

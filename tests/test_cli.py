@@ -110,6 +110,24 @@ class TestKnee:
         assert code == 0
         assert "never reaches" in out
 
+    @pytest.mark.parametrize("threshold, label, year, case_year", [
+        ("0.004", "0.4%", 1998, 1998),
+        ("0.025", "2.5%", 1999, 1999),
+        ("0.01", "1%", 1999, 1999),
+        ("0.1", "10%", 2001, 2001),
+    ])
+    def test_threshold_label_keeps_the_threshold(self, capsys, tmp_path, share_csv, threshold, label,
+                                                 year, case_year):
+        low = tmp_path / "low.csv"
+        low.write_text("year,value\n1998,0.001\n1999,0.002\n")
+        assert run(capsys, "knee", "--input", share_csv, "--threshold", threshold) == \
+            (0, f"{share_csv}: knee({label}) = {year}\n", "")
+        assert run(capsys, "knee", "--input", str(low), "--threshold", threshold) == \
+            (0, f"{low}: share never reaches {label}\n", "")
+        code, out, _ = run(capsys, "case", "audio", "--threshold", threshold)
+        assert code == 0
+        assert out.splitlines()[-1] == f"crossover: 1998, knee({label}): {case_year}"
+
 
 class TestCase:
     def test_audio_case_published_years(self, capsys):
@@ -490,6 +508,18 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert result[2] == "error: custom_series['drive']: missing field 'unit'\n"
 
+    def test_input_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe")
+        result = run(capsys, "fit", "--input", str(path))
+        self.assert_usage_error(result)
+        assert result[2].startswith(f"error: {path}: not UTF-8 text (")
+        config = dict(self.SWEEP, custom_series={
+            "drive": {"path": "bin.csv", "unit": "media-units-per-real-dollar"}})
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert result[2].startswith(f"error: custom_series['drive']: {path}: not UTF-8 text (")
+
     def test_sweep_custom_series_file_missing(self, capsys, tmp_path):
         config = dict(self.SWEEP, custom_series={
             "drive": {"path": "nope.csv", "unit": "media-units-per-real-dollar"}})
@@ -526,6 +556,9 @@ class TestErrorContract:
          "usage_metrics[0]: units metric needs a finite positive unit length"),
         ({"usage_metrics": [{"kind": "units", "unit_length_minutes": float("nan")}]},
          "usage_metrics[0]: units metric needs a finite positive unit length"),
+        ({"knee_thresholds": [1.5]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
+        ({"knee_thresholds": [0.01, 0]}, "knee_thresholds[1]: knee threshold must be in (0, 1)"),
+        ({"knee_thresholds": ["nan"]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -728,11 +761,18 @@ class TestApp:
 
     @pytest.mark.parametrize("redirect", [">&-", ">/dev/full"])
     def test_unusable_stdout_fails_as_main_does(self, tmp_path, redirect):
-        # A closed stdout is None, and output to it is dropped; a full one
-        # fails at the last flush, which app() leaves to teardown to report.
+        # A closed stdout is None, which main() refuses before any command
+        # runs; a full one fails at the last flush, which app() leaves to
+        # teardown to report.
         child = self.spawn(self.APP, ["case", "audio"], tmp_path, redirect)
         reference = self.spawn(self.MAIN, ["case", "audio"], tmp_path, redirect)
         assert (child.returncode, child.stderr) == (reference.returncode, reference.stderr)
+        if redirect == ">&-":
+            assert child.returncode == 2
+            assert child.stderr == b"error: stdout is closed, so no output can be written\n"
+            written = self.spawn(self.APP, ["reproduce", "--out", "out"], tmp_path, redirect)
+            assert written.returncode == 2
+            assert not (tmp_path / "out").exists()
         if redirect == ">/dev/full":
             assert child.returncode == 120
             assert b"No space left on device" in child.stderr

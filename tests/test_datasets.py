@@ -5,6 +5,7 @@ import csv
 import datetime
 import hashlib
 import io
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -17,10 +18,9 @@ from techknee.datasets import (
     data_dir,
     export_bundled,
     load_all,
-    load_bundled,
 )
 from techknee.errors import DataIntegrityError
-from techknee.series import parse_series_csv, write_series_csv
+from techknee.series import parse_series_csv
 
 
 def a1_columns():
@@ -32,20 +32,25 @@ def a1_columns():
         }
 
 
-class TestBundledGoldenValues:
-    def test_a1_2010_real_dollars(self):
-        assert load_bundled("a1_bandwidth_cost").to_mapping()[2010] == 5.54
+@pytest.fixture(scope="module")
+def bundle():
+    return load_all()
 
-    def test_a1_coverage(self):
-        real = load_bundled("a1_bandwidth_cost")
+
+class TestBundledGoldenValues:
+    def test_a1_2010_real_dollars(self, bundle):
+        assert bundle.bandwidth_real.to_mapping()[2010] == 5.54
+
+    def test_a1_coverage(self, bundle):
+        real = bundle.bandwidth_real
         assert real.years[0] == 1983 and real.years[-1] == 2015 and len(real) == 33
         assert min(real.values) > 0
 
-    def test_a1_implied_deflator_1998(self):
+    def test_a1_implied_deflator_1998(self, bundle):
         # The loaded series is the 2016-dollar column; its ratio to the
         # nominal column is the implied deflator.
         nominal, real = a1_columns()[1998]
-        assert load_bundled("a1_bandwidth_cost").to_mapping()[1998] == real
+        assert bundle.bandwidth_real.to_mapping()[1998] == real
         assert nominal == 1200.00
         assert real / nominal == pytest.approx(1.49279, abs=5e-6)
         assert nominal * (real / nominal) == pytest.approx(1791.35, rel=1e-12)
@@ -54,11 +59,11 @@ class TestBundledGoldenValues:
         nominal, real = a1_columns()[2015]
         assert real / nominal == pytest.approx(1.0, abs=1e-9)  # 0.63 / 0.63
 
-    def test_a2_2007_video(self):
-        assert load_bundled("a2_compression")["video"].to_mapping()[2007] == 60.0
+    def test_a2_2007_video(self, bundle):
+        assert bundle.compression["video"].to_mapping()[2007] == 60.0
 
-    def test_a2_spot_values(self):
-        comp = load_bundled("a2_compression")
+    def test_a2_spot_values(self, bundle):
+        comp = bundle.compression
         assert comp["audio"].to_mapping()[1993] == 3.68
         assert comp["audio"].to_mapping()[2000] == 12.0
         assert comp["audio"].to_mapping()[2007] == 16.8
@@ -66,81 +71,95 @@ class TestBundledGoldenValues:
         assert comp["video"].to_mapping()[2000] == 27.0
         assert len(comp["audio"]) == 33
 
-    def test_a3_rows_and_spot_rates(self):
+    def test_a2_only_the_cases_compression_is_loaded(self, bundle):
+        # The text and image columns stay in the CSV for auditing.
+        assert set(bundle.compression) == {"audio", "video"}
+
+    def test_a3_rows_and_spot_rates(self, bundle):
         from datetime import date
 
-        postage = load_bundled("a3_postage")
+        postage = bundle.postage
         assert set(postage) == {"first_ounce", "additional_ounce"}
         assert len(postage["first_ounce"].changes) == len(postage["additional_ounce"].changes) == 15
         assert postage["first_ounce"].rate_on(date(1998, 7, 1)) == 0.52
         assert postage["first_ounce"].rate_on(date(2002, 7, 1)) == 0.50
         assert postage["additional_ounce"].rate_on(date(2001, 7, 1)) == 0.29
 
-    def test_postage_dates_are_datetime_dates(self):
-        for schedule in load_bundled("a3_postage").values():
+    def test_postage_dates_are_datetime_dates(self, bundle):
+        for schedule in bundle.postage.values():
             assert all(type(effective) is datetime.date for effective, _ in schedule.changes)
 
-    def test_a4_coverage_and_values(self):
-        traffic = load_bundled("a4_traffic")
+    def test_a4_coverage_and_values(self, bundle):
+        traffic = bundle.traffic
         assert len(traffic) == 31
         assert traffic.years[0] == 1984 and traffic.years[-1] == 2014
         assert traffic.to_mapping()[1998] == 134_400_000
         assert traffic.to_mapping()[2009] == 111_624_000_000
 
-    def test_a5_shares_are_fractions(self):
-        share = load_bundled("a5_media_share")
+    def test_a5_shares_are_fractions(self, bundle):
+        share = bundle.media_share
         assert len(share["audio"]) == 22
         assert share["audio"].to_mapping()[1998] == pytest.approx(0.095, rel=1e-12)
         assert share["video"].to_mapping()[2007] == pytest.approx(0.366, rel=1e-12)
 
-    def test_a6_sales_scaled_to_units(self):
-        sales = load_bundled("a6_sales")
+    def test_a6_sales_scaled_to_units(self, bundle):
+        sales = {m.name: m.yearly_sales for media in bundle.physical_media.values() for m in media}
         assert len(sales["cd"]) == 15
         assert sales["cd"].to_mapping()[1999] == pytest.approx(2499e6, rel=1e-12)
         assert sales["dvd"].to_mapping()[1997] == pytest.approx(0.6e6, rel=1e-12)
         assert sales["vhs"].to_mapping()[2007] == pytest.approx(150.3e6, rel=1e-12)
 
-    def test_a7_a8_keyed_tables(self):
-        assert load_bundled("a7_minutes_per_unit") == {"VHS": 180.0, "Cassette": 60.0, "Vinyl": 90.0}
-        assert load_bundled("a8_unit_storage") == {"CD": 700.0, "DVD": 4700.0}
+    def test_a7_a8_keyed_tables(self, bundle):
+        (cd, cassette, vinyl), (dvd, vhs) = bundle.physical_media["audio"], bundle.physical_media["video"]
+        assert [m.storage.minutes_per_unit for m in (vhs, cassette, vinyl)] == [180.0, 60.0, 90.0]
+        assert [m.storage.unit_storage_megabytes for m in (cd, dvd)] == [700.0, 4700.0]
 
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            load_bundled("a9_nope")
-
-    def test_load_all_assembles_everything(self):
-        d = load_all()
-        assert d.bandwidth_real.to_mapping()[2002] == 269.85
-        (dvd, vhs) = d.physical_media["video"]
+    def test_load_all_assembles_everything(self, bundle):
+        assert bundle.bandwidth_real.to_mapping()[2002] == 269.85
+        (dvd, vhs) = bundle.physical_media["video"]
         assert dvd.storage.unit_storage_megabytes == 4700.0
-        assert dvd.yearly_sales == load_bundled("a6_sales")["dvd"]
+        assert dvd.yearly_sales.to_mapping()[1997] == pytest.approx(0.6e6, rel=1e-12)
         assert vhs.storage.minutes_per_unit == 180.0
-        assert [m.name for m in d.physical_media["audio"]] == ["cd", "cassette", "vinyl"]
-        assert [m.name for m in d.physical_media["video"]] == ["dvd", "vhs"]
-        assert set(d.reference_media) == {"album", "song", "clip", "sd_movie", "hd_movie"}
-        assert d.targets == {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
+        assert [m.name for m in bundle.physical_media["audio"]] == ["cd", "cassette", "vinyl"]
+        assert [m.name for m in bundle.physical_media["video"]] == ["dvd", "vhs"]
+        assert set(bundle.reference_media) == {"album", "song", "clip", "sd_movie", "hd_movie"}
+        assert bundle.targets == {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
 
 
 class TestChecksums:
-    def corrupted_copy(self, tmp_path: Path) -> Path:
-        target = tmp_path / "data"
+    @staticmethod
+    def copy(tmp_path: Path, dataset_id: str) -> Path:
+        target = tmp_path / dataset_id
         shutil.copytree(data_dir(), target)
-        csv_path = target / "a4_traffic.csv"
-        csv_path.write_text(csv_path.read_text().replace("134400000", "134400001"))
         return target
 
+    def corrupted_copy(self, tmp_path: Path, dataset_id: str = "a4_traffic") -> Path:
+        """A copy of the bundled tables with one byte of one CSV changed."""
+        target = self.copy(tmp_path, dataset_id)
+        csv_path = target / f"{dataset_id}.csv"
+        data = bytearray(csv_path.read_bytes())
+        data[-2] ^= 1  # the last digit of the last row
+        csv_path.write_bytes(data)
+        return target
+
+    # Each table of DATASET_IDS in turn, in a copy of its own, so each
+    # failure names the one table that was changed.
     def test_corrupted_csv_is_hard_error(self, tmp_path):
-        with pytest.raises(DataIntegrityError, match="checksum"):
-            load_bundled("a4_traffic", self.corrupted_copy(tmp_path))
+        for dataset_id in DATASET_IDS:
+            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: checksum mismatch"):
+                load_all(self.corrupted_copy(tmp_path, dataset_id))
+
+    def test_missing_manifest(self, tmp_path):
+        for dataset_id in DATASET_IDS:
+            target = self.copy(tmp_path, dataset_id)
+            (target / f"{dataset_id}.manifest.json").unlink()
+            with pytest.raises(DataIntegrityError, match=f"^missing manifest .*{dataset_id}.manifest.json$"):
+                load_all(target)
 
     def test_env_override_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TECHKNEE_DATA", str(self.corrupted_copy(tmp_path)))
-        with pytest.raises(DataIntegrityError):
-            load_bundled("a4_traffic")
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataIntegrityError, match="manifest"):
-            load_bundled("a4_traffic", tmp_path)
+        with pytest.raises(DataIntegrityError, match="^a4_traffic: checksum mismatch"):
+            load_all()
 
     def test_each_table_is_read_once(self, monkeypatch):
         # The rows parsed are then the bytes whose checksum was verified.
@@ -209,12 +228,11 @@ class TestParseSeriesCsv:
         path = self.write(tmp_path, "year,value\n1991,2.0\n1990,1.0\n")
         assert parse_series_csv(path, "count-per-year").years == (1990, 1991)
 
-    def test_round_trip_identity(self, tmp_path):
-        original = load_bundled("a4_traffic")
-        out = tmp_path / "traffic.csv"
-        write_series_csv(original, out)
-        again = parse_series_csv(out, "count-per-year")
-        assert again == original
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfeyear,value\n1990,1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text \\("):
+            parse_series_csv(path, "count-per-year")
 
 
 class TestExport:
@@ -226,5 +244,4 @@ class TestExport:
 
     def test_exported_tables_reload_identically(self, tmp_path):
         export_bundled(tmp_path)
-        for dataset_id in DATASET_IDS:
-            assert load_bundled(dataset_id, tmp_path) == load_bundled(dataset_id)
+        assert load_all(tmp_path) == load_all()

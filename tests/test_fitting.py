@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, assume, strategies as st
 
-from techknee.datasets import load_bundled
+from techknee.datasets import load_all
 from techknee.errors import DegenerateFitError, FitError, UnitMismatchError
 from techknee.fitting import (
     ExpFit,
@@ -43,7 +43,7 @@ class TestFitExponential:
     def test_bundled_bandwidth_inverse_rate(self):
         # Inverse of the real-dollar bandwidth cost, 1998-2015 (18 points).
         # Independent log-space least-squares oracle gives k = 0.480817.
-        real = load_bundled("a1_bandwidth_cost")
+        real = load_all().bandwidth_real
         inverse = series({y: 1.0 / v for y, v in real}, "count-per-year")
         fit = fit_exponential(inverse, (1998, 2015))
         assert fit.n_points == 18

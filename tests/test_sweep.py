@@ -49,6 +49,11 @@ def config(**overrides):
     return SweepConfig.from_json(doc)
 
 
+def write_series(series, path):
+    """`series` as a `year,value` CSV whose values parse back exactly."""
+    path.write_text("year,value\n" + "".join(f"{year},{value!r}\n" for year, value in series))
+
+
 class TestEnumeration:
     def test_counts_are_products(self, datasets):
         scenarios = enumerate_scenarios(
@@ -318,27 +323,24 @@ class TestRunScenario:
         assert repr(load_all()) == before
 
     def test_protocol_mix_override(self, datasets, tmp_path):
-        from techknee.series import write_series_csv
         from techknee.sweep import extend_datasets
 
         # One protocol carrying the bundled audio share at fraction 1.0
         # must reproduce the bundled knee exactly.
         path = tmp_path / "protocol.csv"
-        write_series_csv(datasets.media_share["audio"], path)
+        write_series(datasets.media_share["audio"], path)
         doc = {"protocol_mix": {"audio": [{"path": str(path), "media_fraction": 1.0}]}}
         extended = extend_datasets(datasets, doc)
         result = run_scenario(enumerate_scenarios(config(), extended)[0], extended)
         assert result.knee.year == 1999
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
-        from techknee.datasets import load_bundled
-        from techknee.series import write_series_csv
         from techknee.sweep import extend_datasets
 
         # Redeclaring the bundled audio competitors in config reproduces
         # the bundled knee.
-        for name in ("cd", "cassette", "vinyl"):
-            write_series_csv(load_bundled("a6_sales")[name], tmp_path / f"{name}.csv")
+        for medium in datasets.physical_media["audio"]:
+            write_series(medium.yearly_sales, tmp_path / f"{medium.name}.csv")
         doc = {
             "custom_physical_media": {
                 "audio": [
