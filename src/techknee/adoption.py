@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import UnitMismatchError
 from .series import AnnualSeries, align
@@ -21,12 +20,11 @@ BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
 BITS_PER_MEGABYTE = 8e6  # decimal megabytes
 
 
-class DomainUsage(NamedTuple):
+class DomainUsage(namedtuple("DomainUsage", "domain_name series")):
     """A distribution domain's yearly usage in a common metric (minutes,
     or raw bits)."""
 
-    domain_name: str
-    series: AnnualSeries
+    __slots__ = ()
 
 
 class AnalogStorage(namedtuple("AnalogStorage", "minutes_per_unit raw_bits_per_minute")):

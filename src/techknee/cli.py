@@ -5,16 +5,21 @@ Exit codes: 0 success, 1 domain error (no crossover under
 (bad flags, missing or unusable paths, unit mismatches, input values the
 library rejects). Output carries explicit units and provenance and contains no
 timestamps, so identical invocations produce byte-identical output.
+
+Every command's arguments are declared once, in `_COMMANDS`. Plain argv is
+read from that table by `_parse_plain`, without importing argparse; any argv
+it cannot vouch for goes to the argparse parser `_build_parser` builds from
+the same table, which alone prints help, the version and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import csv
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -23,6 +28,8 @@ from .fitting import crossover_empirical, crossover_fitted, fit_exponential, kne
 from .series import UNIT_TAGS, parse_series_csv
 
 if TYPE_CHECKING:
+    import argparse
+
     from .sweep import SweepConfig
 
 # Library names that only some commands call, by the submodule that
@@ -57,67 +64,6 @@ def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return _bind(name)[0]
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="techknee",
-        description="Fit technology improvement curves, detect performance "
-        "crossovers and adoption knees, and reproduce the bundled "
-        "internet-audio/video case studies.",
-    )
-    parser.add_argument("--version", action="version", version=f"techknee {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit an exponential improvement curve to a CSV series")
-    p.add_argument("--input", required=True, help="CSV file with header year,value")
-    p.add_argument("--unit", default="count-per-year", choices=sorted(UNIT_TAGS))
-    p.add_argument("--from", dest="from_year", type=int, default=None)
-    p.add_argument("--to", dest="to_year", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("crossover", help="detect the performance crossover of two series")
-    p.add_argument("--replacement", required=True, help="CSV for the improving technology")
-    p.add_argument("--target", required=True, help="CSV for the incumbent technology")
-    p.add_argument("--unit", default="media-units-per-real-dollar", choices=sorted(UNIT_TAGS))
-    p.add_argument("--fitted", action="store_true", help="intersect fitted curves instead of raw data")
-    p.add_argument("--from", dest="from_year", type=int, default=None, help="fit window start (fitted mode)")
-    p.add_argument("--to", dest="to_year", type=int, default=None, help="fit window end (fitted mode)")
-    p.add_argument("--require-crossover", action="store_true", help="exit 1 if no crossover is found")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("knee", help="detect the adoption-curve knee of a share series")
-    p.add_argument("--input", required=True, help="CSV file with header year,value (shares in [0,1])")
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("case", help="run a bundled case study end to end")
-    p.add_argument("case", choices=["audio", "video"])
-    p.add_argument(
-        "--scenario",
-        default=None,
-        help="override the baseline axes with a scenario id, e.g. "
-        "'mail_cassette|song|raw_bits|fitted:1995-|0.1' "
-        "(target|reference|metric|detection|threshold)",
-    )
-    p.add_argument("--threshold", type=float, default=None,
-                   help="knee threshold, for a scenario id without one (default 1%%)")
-    p.add_argument("--out", default=None, help="directory for tidy curve CSV and SVG chart")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("sweep", help="run a scenario sweep from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="directory for results.csv and feasibility.json")
-
-    p = sub.add_parser("reproduce", help="recompute every reproducible published table cell")
-    p.add_argument("--strict", action="store_true", help="exit 1 if any cell deviates beyond tolerance")
-    p.add_argument("--out", default=None, help="directory for the cell report and curve data")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("export-data", help="dump the bundled tables for auditing")
-    p.add_argument("--out", required=True)
-
-    return parser
 
 
 def _load_series(path: str, unit: str):
@@ -159,6 +105,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    if not args.fitted and (args.from_year, args.to_year) != (None, None):
+        raise ValueError(f"--{'to' if args.from_year is None else 'from'} applies only with --fitted")
     replacement = _load_series(args.replacement, args.unit)
     target = _load_series(args.target, args.unit)
     if args.fitted:
@@ -198,8 +146,13 @@ def _cmd_crossover(args) -> int:
 
 
 def _percent(share: float) -> str:
-    """A threshold as a percentage, to six significant digits: 1%, 0.4%."""
-    return f"{share * 100:g}%"
+    """A threshold as a plain decimal percentage, to six significant
+    digits: 1%, 0.4%, 0.0000001%."""
+    text = f"{share * 100:g}"
+    if "e" in text:  # `g` writes an exponent below 0.0001
+        digits, exponent = text.split("e")
+        text = f"{float(text):.{len(digits.replace('.', '')) - 1 - int(exponent)}f}"
+    return text + "%"
 
 
 def _cmd_knee(args) -> int:
@@ -440,15 +393,116 @@ def _cmd_export_data(args) -> int:
     return 0
 
 
+# Each command: its function, its help, and its arguments as
+# (name or flag, add_argument keywords). `_build_parser` builds argparse's
+# parser from this table, and `_parse_plain` reads plain argv with it.
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "crossover": _cmd_crossover,
-    "knee": _cmd_knee,
-    "case": _cmd_case,
-    "sweep": _cmd_sweep,
-    "reproduce": _cmd_reproduce,
-    "export-data": _cmd_export_data,
+    "fit": (_cmd_fit, "fit an exponential improvement curve to a CSV series", (
+        ("--input", dict(required=True, help="CSV file with header year,value")),
+        ("--unit", dict(default="count-per-year", choices=sorted(UNIT_TAGS))),
+        ("--from", dict(dest="from_year", type=int, default=None)),
+        ("--to", dict(dest="to_year", type=int, default=None)),
+        ("--json", dict(action="store_true")),
+    )),
+    "crossover": (_cmd_crossover, "detect the performance crossover of two series", (
+        ("--replacement", dict(required=True, help="CSV for the improving technology")),
+        ("--target", dict(required=True, help="CSV for the incumbent technology")),
+        ("--unit", dict(default="media-units-per-real-dollar", choices=sorted(UNIT_TAGS))),
+        ("--fitted", dict(action="store_true", help="intersect fitted curves instead of raw data")),
+        ("--from", dict(dest="from_year", type=int, default=None, help="fit window start (fitted mode)")),
+        ("--to", dict(dest="to_year", type=int, default=None, help="fit window end (fitted mode)")),
+        ("--require-crossover", dict(action="store_true", help="exit 1 if no crossover is found")),
+        ("--json", dict(action="store_true")),
+    )),
+    "knee": (_cmd_knee, "detect the adoption-curve knee of a share series", (
+        ("--input", dict(required=True, help="CSV file with header year,value (shares in [0,1])")),
+        ("--threshold", dict(type=float, required=True)),
+        ("--json", dict(action="store_true")),
+    )),
+    "case": (_cmd_case, "run a bundled case study end to end", (
+        ("case", dict(choices=["audio", "video"])),
+        ("--scenario", dict(default=None, help="override the baseline axes with a scenario id, e.g. "
+                            "'mail_cassette|song|raw_bits|fitted:1995-|0.1' "
+                            "(target|reference|metric|detection|threshold)")),
+        ("--threshold", dict(type=float, default=None,
+                             help="knee threshold, for a scenario id without one (default 1%%)")),
+        ("--out", dict(default=None, help="directory for tidy curve CSV and SVG chart")),
+        ("--json", dict(action="store_true")),
+    )),
+    "sweep": (_cmd_sweep, "run a scenario sweep from a JSON config", (
+        ("--config", dict(required=True)),
+        ("--out", dict(required=True, help="directory for results.csv and feasibility.json")),
+    )),
+    "reproduce": (_cmd_reproduce, "recompute every reproducible published table cell", (
+        ("--strict", dict(action="store_true", help="exit 1 if any cell deviates beyond tolerance")),
+        ("--out", dict(default=None, help="directory for the cell report and curve data")),
+        ("--json", dict(action="store_true")),
+    )),
+    "export-data": (_cmd_export_data, "dump the bundled tables for auditing", (
+        ("--out", dict(required=True)),
+    )),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="techknee",
+        description="Fit technology improvement curves, detect performance "
+        "crossovers and adoption knees, and reproduce the bundled "
+        "internet-audio/video case studies.",
+    )
+    parser.add_argument("--version", action="version", version=f"techknee {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+    return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for `argv`, read from `_COMMANDS`
+    without argparse; None wherever argparse might do anything else (help,
+    the version, a usage error, an abbreviated or `=` option, a value that
+    starts with `-`), which leaves that argv to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args, options, positionals = {"command": argv[0]}, {}, []
+    for name, keywords in _COMMANDS[argv[0]][2]:
+        dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+        args[dest] = keywords.get("default", False if keywords.get("action") else None)
+        if name.startswith("-"):
+            options[name] = dest, keywords
+        else:
+            positionals.append((dest, keywords))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            dest, keywords = positionals.pop(0)
+        elif token not in options:
+            return None
+        else:
+            dest, keywords = options[token]
+            if keywords.get("action"):  # store_true
+                args[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value reads as an option
+            if token.startswith("-"):
+                return None
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = value
+    if positionals or any(k.get("required") and args[d] is None for d, k in options.values()):
+        return None
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -456,14 +510,16 @@ def main(argv: list[str] | None = None) -> int:
         # A closed stdout, which `print` would silently drop everything to.
         print("error: stdout is closed, so no output can be written", file=sys.stderr)
         return 2
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help/--version
+            return int(exc.code or 0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (TechkneeError, ValueError, KeyError) as exc:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.

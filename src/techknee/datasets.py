@@ -12,11 +12,11 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import Mapping, NamedTuple
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import MAIL_TARGETS, REFERENCE_MEDIA, MediaSpec, one_minute_size_bits
+from .costs import MAIL_TARGETS, REFERENCE_MEDIA, one_minute_size_bits
 from .errors import DataIntegrityError
 from .series import AnnualSeries, RateSchedule, date_class
 
@@ -99,7 +99,8 @@ def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> Ann
     return AnnualSeries(pairs, unit)
 
 
-class Datasets(NamedTuple):
+class Datasets(namedtuple("Datasets", "bandwidth_real compression postage traffic media_share "
+                           "physical_media reference_media targets")):
     """What scenarios resolve against: the bundled tables, with one table
     per scenario axis.
 
@@ -113,14 +114,7 @@ class Datasets(NamedTuple):
     new bundle. Bundled data is never mutated.
     """
 
-    bandwidth_real: AnnualSeries
-    compression: Mapping[str, AnnualSeries]
-    postage: Mapping[str, RateSchedule]
-    traffic: AnnualSeries
-    media_share: Mapping[str, AnnualSeries]
-    physical_media: Mapping[str, tuple[PhysicalMediaSpec, ...]]
-    reference_media: Mapping[str, MediaSpec]
-    targets: Mapping[str, int | AnnualSeries]
+    __slots__ = ()
 
 
 def load_all(directory: Path | None = None) -> Datasets:

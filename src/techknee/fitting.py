@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import DegenerateFitError, FitError, UnitMismatchError
 from .series import AnnualSeries, align
@@ -36,23 +35,20 @@ class ExpFit(namedtuple("ExpFit", "a k t0 window n_points r_squared")):
         return super().__new__(cls, a, k, t0, window, n_points, r_squared)
 
 
-class CrossoverResult(NamedTuple):
+class CrossoverResult(namedtuple("CrossoverResult", "year mode fractional_year", defaults=(None,))):
     """First year the replacement's performance reaches the target's.
 
     `fractional_year` is set in fitted mode only. Absent events carry
     year=None.
     """
 
-    year: int | None
-    mode: str
-    fractional_year: float | None = None
+    __slots__ = ()
 
 
-class KneeResult(NamedTuple):
+class KneeResult(namedtuple("KneeResult", "year threshold")):
     """First year an adoption share reaches `threshold`."""
 
-    year: int | None
-    threshold: float
+    __slots__ = ()
 
 
 def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] | None = None) -> ExpFit:
@@ -65,6 +61,8 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
             either side leaves that side open.
     """
     from_year, to_year = window if window is not None else (None, None)
+    if from_year is not None and to_year is not None and from_year > to_year:
+        raise FitError(f"window start {from_year} exceeds window end {to_year}")
     pairs = [
         (y, v)
         for y, v in series

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
@@ -100,28 +100,21 @@ def _threshold_label(knee_threshold: float) -> str:
     return repr(float(knee_threshold))
 
 
-class FitDiagnostics(NamedTuple):
+class FitDiagnostics(namedtuple("FitDiagnostics", "replacement_a replacement_k replacement_r_squared "
+                                 "target_a target_k target_r_squared crossover_extrapolated")):
     """The two fits behind a fitted crossover; empirical detection has none.
     `crossover_extrapolated` says whether the intersection lies outside the
     span of both fit windows, and is None when the curves never intersect."""
 
-    replacement_a: float
-    replacement_k: float
-    replacement_r_squared: float
-    target_a: float
-    target_k: float
-    target_r_squared: float
-    crossover_extrapolated: bool | None
+    __slots__ = ()
 
 
-class SweepResult(NamedTuple):
-    scenario: Scenario
-    crossover: CrossoverResult
-    knee: KneeResult
-    diagnostics: FitDiagnostics | None = None
+class SweepResult(namedtuple("SweepResult", "scenario crossover knee diagnostics", defaults=(None,))):
+    __slots__ = ()
 
 
-class SweepBlock(NamedTuple):
+class SweepBlock(namedtuple("SweepBlock", "target reference_media usage_metric detection crossover "
+                            "diagnostics knees")):
     """The scenarios of a sweep that differ only in their knee threshold.
 
     They share one crossover and its diagnostics; `knees` follows the
@@ -129,26 +122,14 @@ class SweepBlock(NamedTuple):
     same usage metric.
     """
 
-    target: str
-    reference_media: str
-    usage_metric: UsageMetric
-    detection: Detection
-    crossover: CrossoverResult
-    diagnostics: FitDiagnostics | None
-    knees: tuple[KneeResult, ...]
+    __slots__ = ()
 
 
-class FeasibilityRange(NamedTuple):
+class FeasibilityRange(namedtuple("FeasibilityRange", "label n_scenarios crossover_min crossover_max "
+                                  "crossover_absent knee_min knee_max knee_absent")):
     """Min/max event years over a scenario group, absences counted."""
 
-    label: str
-    n_scenarios: int
-    crossover_min: int | None
-    crossover_max: int | None
-    crossover_absent: int
-    knee_min: int | None
-    knee_max: int | None
-    knee_absent: int
+    __slots__ = ()
 
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
@@ -242,15 +223,11 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
                     0.01 if threshold is None else threshold)
 
 
-class SweepConfig(NamedTuple):
+class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_metrics detection "
+                             "knee_thresholds")):
     """Axis values for a cartesian sweep, in declaration order."""
 
-    case: str
-    targets: tuple[str, ...]
-    reference_media: tuple[str, ...]
-    usage_metrics: tuple[UsageMetric, ...]
-    detection: tuple[Detection, ...]
-    knee_thresholds: tuple[float, ...]
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SweepConfig":
@@ -677,34 +654,22 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
 # reproduction of the published tables
 
 
-class Cell(NamedTuple):
-    """One published table cell checked against the pipeline."""
+class Cell(namedtuple("Cell", "cell_id table case label expected tolerance computed status note",
+                      defaults=("",))):
+    """One published table cell checked against the pipeline; `status` is
+    exact, within_tolerance, deviation or unsupported."""
 
-    cell_id: str
-    table: str
-    case: str
-    label: str
-    expected: int | None
-    tolerance: int
-    computed: int | None
-    status: str  # exact | within_tolerance | deviation | unsupported
-    note: str = ""
+    __slots__ = ()
 
 
-class RangeCheck(NamedTuple):
+class RangeCheck(namedtuple("RangeCheck", "range_id case expected computed status")):
     """A published feasibility range checked against computed cells."""
 
-    range_id: str
-    case: str
-    expected: tuple[int, int]
-    computed: tuple[int, int] | None
-    status: str
+    __slots__ = ()
 
 
-class ReproductionReport(NamedTuple):
-    cells: tuple[Cell, ...]
-    ranges: tuple[RangeCheck, ...]
-    curves: Mapping[str, Mapping[str, AnnualSeries]]
+class ReproductionReport(namedtuple("ReproductionReport", "cells ranges curves")):
+    __slots__ = ()
 
     @property
     def deviations(self) -> list[str]:

@@ -3,17 +3,21 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from techknee.cli import main
+from techknee.cli import _COMMANDS, _build_parser, _parse_plain, main
 from techknee.sweep import _CELL_SPECS
 
 
@@ -111,6 +115,8 @@ class TestKnee:
         assert "never reaches" in out
 
     @pytest.mark.parametrize("threshold, label, year, case_year", [
+        ("1e-9", "0.0000001%", 1998, 1993),
+        ("1.5e-7", "0.000015%", 1998, 1993),
         ("0.004", "0.4%", 1998, 1998),
         ("0.025", "2.5%", 1999, 1999),
         ("0.01", "1%", 1999, 1999),
@@ -118,8 +124,11 @@ class TestKnee:
     ])
     def test_threshold_label_keeps_the_threshold(self, capsys, tmp_path, share_csv, threshold, label,
                                                  year, case_year):
+        # Shares that never reach the threshold: 0.001 and 0.002, or zeros
+        # for the tiny thresholds those would reach.
+        low_shares = (0.001, 0.002) if float(threshold) > 0.002 else (0.0, 0.0)
         low = tmp_path / "low.csv"
-        low.write_text("year,value\n1998,0.001\n1999,0.002\n")
+        low.write_text("year,value\n1998,{}\n1999,{}\n".format(*low_shares))
         assert run(capsys, "knee", "--input", share_csv, "--threshold", threshold) == \
             (0, f"{share_csv}: knee({label}) = {year}\n", "")
         assert run(capsys, "knee", "--input", str(low), "--threshold", threshold) == \
@@ -426,6 +435,23 @@ class TestErrorContract:
             "--unit", "count-per-year",
         ))
 
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    def test_crossover_window_needs_fitted(self, capsys, flat_csv, rising_csv, flag):
+        result = run(capsys, "crossover", "--replacement", rising_csv, "--target", flat_csv, flag, "1990")
+        self.assert_usage_error(result)
+        assert result[1:] == ("", f"error: {flag} applies only with --fitted\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--input", "{rising}", "--from", "2000", "--to", "1990"],
+         "window start 2000 exceeds window end 1990"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:2005-1990|0.1"],
+         "scenario audio|mail_cd|album|minutes|fitted:2005-1990|0.1: window start 2005 exceeds window end 1990"),
+    ], ids=["fit", "case"])
+    def test_reversed_fit_window_is_named(self, capsys, rising_csv, argv, message):
+        result = run(capsys, *[a.format(rising=rising_csv) for a in argv])
+        self.assert_usage_error(result)
+        assert result[1:] == ("", f"error: {message}\n")
+
     def test_knee_on_share_above_one(self, capsys, tmp_path):
         path = tmp_path / "over.csv"
         path.write_text("year,value\n2000,0.5\n2001,1.5\n")
@@ -660,6 +686,98 @@ class TestErrorContract:
         assert not (tmp_path / "out" / "results.csv").exists()
 
 
+# Values for argv, and stray tokens that argparse reads in its own way
+# (help, abbreviations, `=`, negative numbers, `--`).
+_VALUES = {int: ["1990", "2005", "0"], float: ["0.1", "1e-9", "nan", "1"], str: ["s.csv", "c.json", "x y", ""]}
+_STRAYS = ["abc", "-5", "-", "--", "-h", "--help", "--version", "--thr", "--threshold=0.1", "--from=1990",
+           "--json"]
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command (or a stray) and, in any order, most of its arguments, each
+    with a value or a stray in its place, and a few stray tokens."""
+    command = draw(st.sampled_from([*_COMMANDS, "bogus", "--help"]))
+    token = st.sampled_from([*_STRAYS, *itertools.chain(*_VALUES.values())]) | st.text(max_size=3)
+    items = [[stray] for stray in draw(st.lists(token, max_size=2))]
+    for name, keywords in _COMMANDS[command][2] if command in _COMMANDS else ():
+        if draw(st.integers(0, 3)):  # each argument is given three times in four
+            item = [name] if name.startswith("-") else []
+            if not keywords.get("action"):
+                good = st.sampled_from(keywords.get("choices") or _VALUES[keywords.get("type", str)])
+                item.append(draw(good if draw(st.integers(0, 3)) else token))
+            items.append(item)
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+
+
+def argparse_vars(argv: list) -> dict | None:
+    """vars() of argparse's namespace for `argv`, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def nan_as_text(args: dict) -> dict:
+    return {k: "nan" if v != v else v for k, v in args.items()}
+
+
+class TestArgv:
+    """Plain argv is read from the command table without argparse, and
+    gives what argparse would; everything else is argparse's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        plain = _parse_plain(argv)
+        if plain is not None:
+            expected = argparse_vars(argv)
+            assert expected is not None and nan_as_text(vars(plain)) == nan_as_text(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "s.csv", "--from", "1990", "--to", "2005", "--json"],
+        ["crossover", "--target", "t.csv", "--replacement", "r.csv", "--fitted", "--unit", "count-per-year"],
+        ["knee", "--threshold", "nan", "--input", "s.csv", "--input", "t.csv"],
+        ["case", "--json", "video", "--scenario", "mail_dvd|clip|minutes|empirical", "--threshold", "1e-9"],
+        ["sweep", "--config", "c.json", "--out", ""],
+        ["reproduce", "--strict", "--strict"],
+        ["export-data", "--out", "x y"],
+    ], ids=lambda argv: argv[0])
+    def test_plain_argv_is_read_without_argparse(self, argv):
+        plain = _parse_plain(argv)
+        assert plain is not None
+        assert nan_as_text(vars(plain)) == nan_as_text(argparse_vars(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "-h"] for command in _COMMANDS), ["--version"], [], ["frobnicate"],
+        ["knee", "--input", "s.csv"], ["knee", "--input", "s.csv", "--threshold", "abc"],
+        ["knee", "--thr", "0.1"], ["knee", "--threshold=0.1"], ["fit", "--from", "-5"],
+    ], ids=lambda argv: " ".join(argv) or "no argv")
+    def test_help_and_usage_errors_come_from_argparse(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert (code, out, err) == (exc.value.code or 0, *capsys.readouterr())
+
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_any_argv_exits_0_1_or_2_without_a_traceback(self, argv):
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            os.chdir(work)
+            try:
+                Path("s.csv").write_text("year,value\n1998,0.007\n1999,0.027\n2000,0.08\n")
+                Path("c.json").write_text(json.dumps(TestErrorContract.SWEEP))
+                code = main(argv)
+            finally:
+                os.chdir(here)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestColdStart:
     """Each command runs in a fresh interpreter, so whatever it imports is
     paid by every run of it."""
@@ -667,25 +785,39 @@ class TestColdStart:
     @staticmethod
     def loaded(statement: str, *flags: str) -> set:
         """Modules a child interpreter started with `flags` holds after
-        `statement` beyond a bare one's; the list goes to stderr, clear of
-        command output."""
+        `statement` beyond a bare one's; the list goes to the last line of
+        stderr, clear of command output."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
         def modules(statement: str) -> set:
-            code = f"import sys; {statement}; sys.stderr.write(' '.join(sys.modules))"
+            code = f"import sys; {statement}; sys.stderr.write('\\n' + ' '.join(sys.modules))"
             child = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                                    text=True, check=True)
-            return set(child.stderr.split())
+            return set(child.stderr.rsplit("\n", 1)[-1].split())
 
         return modules(statement) - modules("pass")
 
-    def command(self, *argv: str, flags: tuple = ()) -> set:
-        return self.loaded(f"from techknee.cli import main; assert main({list(argv)!r}) == 0", *flags)
+    def command(self, *argv: str, flags: tuple = (), code: int = 0) -> set:
+        return self.loaded(f"from techknee.cli import main; assert main({list(argv)!r}) == {code}", *flags)
 
     def test_import_loads_no_module_only_some_commands_need(self):
         new = self.loaded("import techknee.cli")
-        assert not new & {"dataclasses", "inspect", "hashlib", "datetime", "json", "techknee.sweep",
+        assert not new & {"dataclasses", "inspect", "hashlib", "datetime", "json", "argparse", "techknee.sweep",
                           "techknee.adoption", "techknee.costs", "techknee.datasets", "techknee.plots"}
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--input", "{rising}"), ("case", "audio"), ("reproduce",),
+        ("sweep", "--config", "{config}", "--out", "{out}"),
+    ], ids=lambda argv: argv[0])
+    def test_plain_argv_loads_no_argparse_or_locale(self, tmp_path, rising_csv, argv):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(TestErrorContract.SWEEP))
+        new = self.command(*[a.format(rising=rising_csv, config=config, out=tmp_path / "out") for a in argv])
+        assert not new & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("argv, code", [(("--help",), 0), (("case", "bogus"), 2)], ids=["help", "usage error"])
+    def test_help_and_usage_errors_load_argparse(self, argv, code):
+        assert "argparse" in self.command(*argv, code=code)
 
     def test_fit_loads_only_series_and_fitting(self, rising_csv):
         new = self.command("fit", "--input", rising_csv)

@@ -61,6 +61,16 @@ class TestFitExponential:
         with pytest.raises(FitError, match="at least 2"):
             fit_exponential(series({1990: 1.0}))
 
+    @pytest.mark.parametrize("window, message", [
+        ((2000, 1990), "window start 2000 exceeds window end 1990"),
+        ((1995, 1995), "need at least 2 points in window, got 1"),
+    ])
+    def test_window_error_names_the_window(self, window, message):
+        s = series({y: float(y) for y in range(1990, 2010)})
+        with pytest.raises(FitError) as err:
+            fit_exponential(s, window)
+        assert str(err.value) == message
+
     def test_non_positive_value_in_window(self):
         with pytest.raises(FitError, match="non-positive"):
             fit_exponential(series({1990: 1.0, 1991: 0.0, 1992: 2.0}))
