@@ -20,13 +20,13 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import TechkneeError
 from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
 from .series import UNIT_TAGS, parse_series_csv
 
+TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
 if TYPE_CHECKING:
     import argparse
 

@@ -16,7 +16,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import MAIL_TARGETS, REFERENCE_MEDIA, one_minute_size_bits
+from .costs import MAIL_TARGETS, REFERENCE_BIT_RATES, REFERENCE_MEDIA, one_minute_size_bits
 from .errors import DataIntegrityError
 from .series import AnnualSeries, RateSchedule, date_class
 
@@ -36,7 +36,7 @@ ENV_DATA_DIR = "TECHKNEE_DATA"
 # Digital equivalent of one minute of VHS-quality content (320x240 at SD
 # color depth and frame rate, plus the audio track). Used only by the
 # raw-bits usage metric; analog audio media use the reference audio rate.
-VHS_RAW_BITS_PER_MINUTE = (320 * 240 * 24 * 30 + 633_600) * 60.0
+VHS_RAW_BITS_PER_MINUTE = (320 * 240 * 24 * 30 + REFERENCE_BIT_RATES["audio"]) * 60.0
 
 
 def data_dir() -> Path:
@@ -61,15 +61,24 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _read_table(dataset_id: str, directory: Path) -> list[dict]:
-    """The rows of one bundled table, checked against its manifest: the
-    manifest must exist, name the table's CSV and carry its sha256, and a
-    row count it declares must match."""
+def _read_table(dataset_id: str, directory: Path, parse=list):
+    """`parse` of the rows of one bundled table, checked against its
+    manifest: the manifest must be a JSON object that names the table's
+    CSV and carries its sha256, and a row count it declares must match.
+    Rows that `parse` cannot read (a missing column, a cell that is not a
+    number) make the table malformed."""
     manifest_path = directory / f"{dataset_id}.manifest.json"
     if not manifest_path.exists():
         raise DataIntegrityError(f"missing manifest {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataIntegrityError(f"{dataset_id}: manifest {manifest_path} is not UTF-8 JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DataIntegrityError(f"{dataset_id}: manifest is not a JSON object")
+    coverage = manifest.get("coverage") or {}
+    if not isinstance(coverage, dict):
+        raise DataIntegrityError(f"{dataset_id}: manifest coverage is not a JSON object")
     csv_path = directory / f"{dataset_id}.csv"
     if manifest.get("file") != csv_path.name:
         # `export-data` and `case --json` name each table's CSV by its id.
@@ -81,17 +90,18 @@ def _read_table(dataset_id: str, directory: Path) -> list[dict]:
     # One read, so the rows parsed are the bytes whose checksum was verified.
     data = csv_path.read_bytes()
     digest = _sha256(data)
-    if digest != manifest["sha256"]:
+    if digest != manifest.get("sha256"):
         raise DataIntegrityError(
-            f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest['sha256']})"
+            f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest.get('sha256')})"
         )
-    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
-    coverage = manifest.get("coverage")
-    if coverage and "rows" in coverage and len(rows) != coverage["rows"]:
-        raise DataIntegrityError(
-            f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}"
-        )
-    return rows
+    try:
+        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+        if "rows" in coverage and len(rows) != coverage["rows"]:
+            raise DataIntegrityError(f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}")
+        return parse(rows)
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise DataIntegrityError(f"{dataset_id}: malformed table: {reason}") from None
 
 
 def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> AnnualSeries:
@@ -122,41 +132,42 @@ def load_all(directory: Path | None = None) -> Datasets:
     bundle. The nominal-dollar columns of a1 and a3 and the text and image
     compression columns of a2 stay in the CSVs for auditing."""
     directory = directory or data_dir()
-    a1, a2, a3, a4, a5, a6, a7, a8 = (_read_table(dataset_id, directory) for dataset_id in DATASET_IDS)
     date = date_class()
-    # Sales are stored in millions as printed; scaled to absolute counts here.
-    sales = {name: _annual(a6, f"{name}_millions", "count-per-year", scale=1e6)
-             for name in ("cd", "cassette", "vinyl", "dvd", "vhs")}
-    minutes = {r["media"]: float(r["minutes_per_unit"]) for r in a7}
-    storage = {r["media"]: float(r["megabytes_per_unit"]) for r in a8}
     audio_raw = one_minute_size_bits("audio")
-    return Datasets(
-        bandwidth_real=_annual(a1, "usd2016_per_mbps_month", "real-dollars-per-megabit-month"),
-        compression={media: _annual(a2, media, "dimensionless-share") for media in ("audio", "video")},
-        postage={
-            rate: RateSchedule(
-                tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"])) for r in a3),
-                "real-dollars",
-            )
-            for rate in ("first_ounce", "additional_ounce")
-        },
-        traffic=_annual(a4, "gigabytes_per_year", "count-per-year"),
-        media_share={media: _annual(a5, f"{media}_percent", "dimensionless-share", scale=0.01)
-                     for media in ("audio", "video")},
-        physical_media={
-            "audio": (
-                PhysicalMediaSpec("cd", DigitalStorage(storage["CD"]), sales["cd"]),
-                PhysicalMediaSpec("cassette", AnalogStorage(minutes["Cassette"], audio_raw), sales["cassette"]),
-                PhysicalMediaSpec("vinyl", AnalogStorage(minutes["Vinyl"], audio_raw), sales["vinyl"]),
-            ),
-            "video": (
-                PhysicalMediaSpec("dvd", DigitalStorage(storage["DVD"]), sales["dvd"]),
-                PhysicalMediaSpec("vhs", AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE), sales["vhs"]),
-            ),
-        },
-        reference_media=dict(REFERENCE_MEDIA),
-        targets=dict(MAIL_TARGETS),
+
+    def analog(rows: list[dict]) -> dict:
+        minutes = {r["media"]: float(r["minutes_per_unit"]) for r in rows}
+        return {"cassette": AnalogStorage(minutes["Cassette"], audio_raw),
+                "vinyl": AnalogStorage(minutes["Vinyl"], audio_raw),
+                "vhs": AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE)}
+
+    def digital(rows: list[dict]) -> dict:
+        megabytes = {r["media"]: float(r["megabytes_per_unit"]) for r in rows}
+        return {"cd": DigitalStorage(megabytes["CD"]), "dvd": DigitalStorage(megabytes["DVD"])}
+
+    # Each table's part of the bundle, in DATASET_IDS order; the first five
+    # are the first five fields of Datasets.
+    parsers = (
+        lambda rows: _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month"),
+        lambda rows: {media: _annual(rows, media, "dimensionless-share") for media in ("audio", "video")},
+        lambda rows: {rate: RateSchedule(tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"]))
+                                               for r in rows), "real-dollars")
+                      for rate in ("first_ounce", "additional_ounce")},
+        lambda rows: _annual(rows, "gigabytes_per_year", "count-per-year"),
+        lambda rows: {media: _annual(rows, f"{media}_percent", "dimensionless-share", scale=0.01)
+                      for media in ("audio", "video")},
+        # Sales are stored in millions as printed; scaled to absolute counts here.
+        lambda rows: {name: _annual(rows, f"{name}_millions", "count-per-year", scale=1e6)
+                      for name in ("cd", "cassette", "vinyl", "dvd", "vhs")},
+        analog,
+        digital,
     )
+    *tables, sales, analog_storage, digital_storage = (
+        _read_table(dataset_id, directory, parse) for dataset_id, parse in zip(DATASET_IDS, parsers))
+    storage = {**analog_storage, **digital_storage}
+    physical_media = {case: tuple(PhysicalMediaSpec(name, storage[name], sales[name]) for name in names)
+                      for case, names in (("audio", ("cd", "cassette", "vinyl")), ("video", ("dvd", "vhs")))}
+    return Datasets(*tables, physical_media, dict(REFERENCE_MEDIA), dict(MAIL_TARGETS))
 
 
 def export_bundled(out_dir: str | Path, directory: Path | None = None) -> list[Path]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Mapping
+from collections.abc import Mapping
 
 from .series import AnnualSeries
 

@@ -11,11 +11,12 @@ import csv
 import io
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import MissingYearError
 
+TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
 if TYPE_CHECKING:
     from datetime import date
 

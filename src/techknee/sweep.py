@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
     internet_media_raw_bits, physical_media_raw_bits, protocol_mix, \
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import MailSpec, MediaSpec, internet_distribution_perf, mail_distribution_perf, \
-    one_minute_size_bits
+from .costs import REFERENCE_BIT_RATES, MailSpec, MediaSpec, internet_distribution_perf, \
+    mail_distribution_perf, one_minute_size_bits
 from .datasets import Datasets
 from .errors import TechkneeError
 from .fitting import CrossoverResult, KneeResult, crossover_empirical, \
@@ -138,8 +138,9 @@ _REQUIRED = object()
 
 def _expect(raw, kind: type):
     """A config value of JSON type `kind`: dict, list, str, or float (a
-    number, or a string holding one, returned as a float)."""
-    if kind is float and isinstance(raw, (int, str)):
+    number, or a string holding one, returned as a float; `true` and
+    `false` are not numbers)."""
+    if kind is float and isinstance(raw, (int, str)) and not isinstance(raw, bool):
         return float(raw)
     if not isinstance(raw, kind):
         raise ValueError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(raw, default=repr)}")
@@ -307,25 +308,38 @@ def _weight_ounces(doc: Mapping) -> int:
 
 
 def _parse_custom_media(doc: Mapping) -> MediaSpec:
-    """Media unit from JSON with explicit unit suffixes on every field."""
+    """Media unit from JSON with explicit unit suffixes on every field. Its
+    size is `override_size_gigabits`, or else the audio rate plus, for
+    video, the pixel rate, over `length_seconds`."""
     kind = _field(doc, "kind")
-    fields = dict(kind=kind, length_seconds=_field(doc, "length_seconds", float))
-    if "override_size_gigabits" in doc:
+    length = _field(doc, "length_seconds", float)
+    override = "override_size_gigabits" in doc
+    if override:
         size_keys = ("override_size_gigabits",)
-        fields["override_size_bits"] = _field(doc, "override_size_gigabits", float) * 1e9
+        size = _field(doc, "override_size_gigabits", float) * 1e9
     else:
-        # The size is derived, from the audio rate and any video geometry.
         size_keys = ("audio_bit_rate_kbps",)
-        fields["audio_bit_rate"] = _field(doc, "audio_bit_rate_kbps", float, 633.6) * 1e3
+        rate = _field(doc, "audio_bit_rate_kbps", float, REFERENCE_BIT_RATES["audio"] / 1e3) * 1e3
         if kind == "video":
             size_keys += ("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
-            fields.update(
-                pixel_height=_integer(doc, "pixel_height"),
-                pixel_width=_integer(doc, "pixel_width"),
-                bits_per_pixel=_integer(doc, "bits_per_pixel"),
-                frames_per_second=_field(doc, "frames_per_second", float),
-            )
-    spec = MediaSpec(**fields)
+            height, width, depth = (_integer(doc, key) for key in size_keys[1:4])
+            fps = _field(doc, "frames_per_second", float)
+    if kind not in ("audio", "video"):
+        raise ValueError(f"unknown media kind {kind!r}")
+    if not length > 0:
+        raise ValueError("length must be positive")
+    if override:
+        if not size > 0:
+            raise ValueError("override size must be positive")
+    elif not rate > 0:
+        raise ValueError("audio bit rate must be positive")
+    elif kind == "video":
+        if height <= 0 or width <= 0:
+            raise ValueError("video needs positive pixel dimensions")
+        if depth <= 0 or not fps > 0:
+            raise ValueError("video needs positive depth and frame rate")
+        rate += height * width * depth * fps
+    spec = MediaSpec(kind, size if override else rate * length)
     _known(doc, "kind", "length_seconds", *size_keys)
     return spec
 
@@ -713,11 +727,15 @@ _BASELINE = {
     "video": "mail_dvd|clip|minutes|empirical",
 }
 
-# (cell_id, table, case, label, scenario id, event, expected, tolerance);
+# (cell_id, table, case, label, scenario id, event, expected, tolerance[, note]);
 # `techknee case <case> --scenario <id>` re-runs a cell.
 # Tolerance policy: baseline cells exact; ±1 for cells sensitive to the
 # documented convention ambiguities (usage-metric conventions, late-2000s
-# postage changes, regression windows).
+# postage changes, regression windows). The drive-to-store cells come last:
+# the source tables give them no cost model, so they have no scenario and
+# no expected year, and are scored unsupported; a custom target series can
+# explore them.
+_NO_COST_MODEL = "no published cost model; supply a custom target series to explore"
 _CELL_SPECS: tuple = (
     ("t2_audio_mail_cd", "table2", "audio", "mail CD", "mail_cd|album|minutes|empirical|0.01", "crossover", 1998, 0),
     ("t2_audio_mail_cassette", "table2", "audio", "mail cassette", "mail_cassette|album|minutes|empirical|0.01", "crossover", 1997, 0),
@@ -745,13 +763,8 @@ _CELL_SPECS: tuple = (
     ("t5_video_empirical", "table5", "video", "empirical data", "mail_dvd|clip|minutes|empirical|0.01", "crossover", 2002, 0),
     ("t5_video_fit_all", "table5", "video", "exponential regression, all data", "mail_dvd|clip|minutes|fitted|0.01", "crossover", 2001, 1),
     ("t5_video_fit_from1995", "table5", "video", "exponential regression, from 1995", "mail_dvd|clip|minutes|fitted:1995-|0.01", "crossover", 2002, 1),
-)
-
-# Drive-to-store cells: the source tables give no cost model, so they
-# are carried only as user-supplied custom targets and never scored.
-_UNSUPPORTED_CELLS: tuple = (
-    ("t2_audio_drive", "table2", "audio", "drive to store"),
-    ("t2_video_drive", "table2", "video", "drive to store"),
+    ("t2_audio_drive", "table2", "audio", "drive to store", None, None, None, 0, _NO_COST_MODEL),
+    ("t2_video_drive", "table2", "video", "drive to store", None, None, None, 0, _NO_COST_MODEL),
 )
 
 # Published feasibility ranges (crossover), per case, over the union of
@@ -767,19 +780,15 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     stages = _Stages(datasets)
     cells = []
     crossover_years: dict[str, list[int]] = {"audio": [], "video": []}
-    for cell_id, table, case, label, scenario_id, event, expected, tolerance in _CELL_SPECS:
-        result = stages.run(parse_scenario_id(case, scenario_id))
-        computed = result.crossover.year if event == "crossover" else result.knee.year
+    for cell_id, table, case, label, scenario_id, event, expected, tolerance, *note in _CELL_SPECS:
+        # `event` names the SweepResult field holding the cell's year.
+        computed = None if scenario_id is None else \
+            getattr(stages.run(parse_scenario_id(case, scenario_id)), event).year
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
         cells.append(
             Cell(cell_id, table, case, label, expected, tolerance, computed,
-                 _score(expected, tolerance, computed))
-        )
-    for cell_id, table, case, label in _UNSUPPORTED_CELLS:
-        cells.append(
-            Cell(cell_id, table, case, label, None, 0, None, "unsupported",
-                 note="no published cost model; supply a custom target series to explore")
+                 _score(expected, tolerance, computed), *note)
         )
 
     ranges = []

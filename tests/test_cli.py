@@ -203,9 +203,9 @@ class TestCase:
 
         return {c.cell_id: c.computed for c in reproduce_case_studies(load_all()).cells}
 
-    @pytest.mark.parametrize("spec", _CELL_SPECS, ids=lambda spec: spec[0])
+    @pytest.mark.parametrize("spec", [spec for spec in _CELL_SPECS if spec[4] is not None], ids=lambda spec: spec[0])
     def test_each_published_cell_reruns_from_its_scenario_id(self, capsys, computed, spec):
-        cell_id, _, case, _, scenario_id, event, _, _ = spec
+        cell_id, _, case, _, scenario_id, event, *_ = spec
         code, out, err = run(capsys, "case", case, "--scenario", scenario_id, "--json")
         assert code == 0, err
         doc = json.loads(out)
@@ -585,6 +585,15 @@ class TestErrorContract:
         ({"knee_thresholds": [1.5]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
         ({"knee_thresholds": [0.01, 0]}, "knee_thresholds[1]: knee threshold must be in (0, 1)"),
         ({"knee_thresholds": ["nan"]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
+        ({"custom_targets": {"m2": {"weight_ounces": True}}},
+         "custom_targets['m2']: weight_ounces: expected a number, got true"),
+        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": True}]},
+         "usage_metrics[0]: unit_length_minutes: expected a number, got true"),
+        ({"knee_thresholds": [True]}, "knee_thresholds[0]: expected a number, got true"),
+        ({"custom_media": {"v": dict(HD_CLIP, pixel_height=True)}},
+         "custom_media['v']: pixel_height: expected a number, got true"),
+        ({"custom_media": {"v": dict(HD_CLIP, length_seconds=False)}},
+         "custom_media['v']: length_seconds: expected a number, got false"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -838,6 +847,18 @@ class TestColdStart:
         assert "techknee.datasets" in new
         assert "importlib.resources" not in new
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--input", "{rising}"), ("case", "audio", "--out", "{out}"), ("reproduce", "--out", "{out}"),
+        ("sweep", "--config", "{config}", "--out", "{out}"),
+    ], ids=lambda argv: argv[0])
+    def test_commands_without_site_skip_typing(self, tmp_path, rising_csv, argv):
+        # Annotations name `collections.abc` types, and type-only imports
+        # sit behind a TYPE_CHECKING that is no `typing` import.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(TestErrorContract.SWEEP))
+        argv = [a.format(rising=rising_csv, config=config, out=tmp_path / "out") for a in argv]
+        assert "typing" not in self.command(*argv, flags=("-S",))
+
 
 class TestApp:
     """`techknee` as a command: `app()` in a fresh interpreter, which ends
@@ -882,6 +903,18 @@ class TestApp:
         reference = self.spawn(self.MAIN, argv, tmp_path)
         assert (child.returncode, child.stdout, child.stderr) == \
             (reference.returncode, reference.stdout, reference.stderr)
+
+    def test_malformed_manifest_is_named_without_a_traceback(self, tmp_path):
+        from techknee.datasets import data_dir
+
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir(), copy)
+        (copy / "a4_traffic.manifest.json").write_text("[]")
+        prelude = f"import os\nos.environ['TECHKNEE_DATA'] = {str(copy)!r}"
+        child = self.spawn(self.APP, ["case", "audio"], tmp_path, prelude=prelude)
+        assert child.returncode == 2
+        assert b"Traceback" not in child.stderr
+        assert child.stderr == b"error: a4_traffic: manifest is not a JSON object\n"
 
     def test_atexit_handlers_run_once_after_the_output(self, tmp_path):
         prelude = "import atexit\natexit.register(print, 'atexit handler ran')"

@@ -1,20 +1,20 @@
-"""Cost models: reference file sizes and distribution performance."""
+"""Cost models: reference media sizes and distribution performance."""
 
 import pytest
 
 from techknee.costs import (
     MailSpec,
     MediaSpec,
+    REFERENCE_BIT_RATES,
     REFERENCE_MEDIA,
     SECONDS_IN_MONTH,
-    audio_spec,
     internet_distribution_perf,
     mail_distribution_perf,
     one_minute_size_bits,
-    uncompressed_size_bits,
 )
 from techknee.fitting import crossover_empirical
 from techknee.series import AnnualSeries
+from techknee.sweep import _parse_custom_media
 
 
 def series(mapping, unit):
@@ -24,33 +24,57 @@ def series(mapping, unit):
 class TestFileSizes:
     def test_album_size_published_value(self):
         # 633.6 kbit/s for 60 minutes: 2,280.96 megabits
-        assert uncompressed_size_bits(REFERENCE_MEDIA["album"]) == pytest.approx(2280.96e6, rel=1e-12)
+        assert REFERENCE_MEDIA["album"].size_bits == pytest.approx(2280.96e6, rel=1e-12)
 
     def test_song_size_published_value(self):
-        assert uncompressed_size_bits(REFERENCE_MEDIA["song"]) == pytest.approx(114.048e6, rel=1e-12)
+        assert REFERENCE_MEDIA["song"].size_bits == pytest.approx(114.048e6, rel=1e-12)
 
     def test_clip_size_published_value(self):
         # (480*640*24*30 + 633600) * 300 s = 66.54528 gigabits
-        assert uncompressed_size_bits(REFERENCE_MEDIA["clip"]) == pytest.approx(66.54528e9, rel=1e-12)
-        assert uncompressed_size_bits(REFERENCE_MEDIA["clip"]) == pytest.approx(66.545e9, rel=5e-5)
+        assert REFERENCE_MEDIA["clip"].size_bits == pytest.approx(66.54528e9, rel=1e-12)
+        assert REFERENCE_MEDIA["clip"].size_bits == pytest.approx(66.545e9, rel=5e-5)
 
     def test_sd_movie_size_four_significant_figures(self):
-        assert uncompressed_size_bits(REFERENCE_MEDIA["sd_movie"]) == pytest.approx(1197.8e9, rel=5e-4)
+        assert REFERENCE_MEDIA["sd_movie"].size_bits == pytest.approx(1197.8e9, rel=5e-4)
 
     def test_hd_movie_uses_override(self):
-        assert uncompressed_size_bits(REFERENCE_MEDIA["hd_movie"]) == 3.027e12
+        # Only the aggregate size is published, so it stands in for rate x length.
+        assert REFERENCE_MEDIA["hd_movie"].size_bits == 3.027e12
 
     def test_zero_length_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="length"):
-            audio_spec(0.0)
+        with pytest.raises(ValueError, match="^length must be positive$"):
+            _parse_custom_media({"kind": "audio", "length_seconds": 0})
+        with pytest.raises(ValueError, match="^size must be positive$"):
+            MediaSpec("audio", 0.0)
 
     def test_one_minute_sizes(self):
         assert one_minute_size_bits("audio") == pytest.approx(38.016e6, rel=1e-12)
         assert one_minute_size_bits("video") == pytest.approx(13309.056e6, rel=1e-12)
 
     def test_strict_video_spec_needs_pixels(self):
-        with pytest.raises(ValueError, match="pixel"):
-            MediaSpec(kind="video", length_seconds=10.0, audio_bit_rate=1000.0)
+        with pytest.raises(ValueError, match="^video needs positive pixel dimensions$"):
+            _parse_custom_media({"kind": "video", "length_seconds": 10, "audio_bit_rate_kbps": 1,
+                                 "pixel_height": 0, "pixel_width": 640, "bits_per_pixel": 24,
+                                 "frames_per_second": 30})
+
+    def test_reference_rates(self):
+        assert REFERENCE_BIT_RATES == {"audio": 633_600.0, "video": 633_600.0 + 480 * 640 * 24 * 30.0}
+
+    def test_unit_is_its_kind_and_size(self):
+        assert MediaSpec._fields == ("kind", "size_bits")
+        with pytest.raises(ValueError, match="^unknown media kind 'tape'$"):
+            MediaSpec("tape", 1.0)
+        with pytest.raises(ValueError, match="^size must be positive$"):
+            MediaSpec("video", float("nan"))
+
+    def test_declared_geometry_derives_the_bundled_sizes(self):
+        clip = {"kind": "video", "length_seconds": 300, "pixel_height": 480, "pixel_width": 640,
+                "bits_per_pixel": 24, "frames_per_second": 30}
+        assert _parse_custom_media(clip) == REFERENCE_MEDIA["clip"]
+        assert _parse_custom_media({"kind": "audio", "length_seconds": 3600}) == REFERENCE_MEDIA["album"]
+        # (audio rate + pixel rate) x length, in that order, for a fractional frame rate too.
+        ntsc = _parse_custom_media(dict(clip, frames_per_second=29.97, length_seconds=0.1))
+        assert ntsc.size_bits == (633_600.0 + 480 * 640 * 24 * 29.97) * 0.1
 
 
 def pricing(costs):
@@ -111,8 +135,8 @@ class TestInternetPerformance:
     def test_doubling_size_halves_performance(self):
         costs = pricing({y: 50.0 + y % 7 for y in range(1990, 2010)})
         comp = series({y: 3.0 for y in range(1990, 2010)}, "dimensionless-share")
-        base = internet_distribution_perf(costs, comp, audio_spec(100.0))
-        doubled = internet_distribution_perf(costs, comp, audio_spec(200.0))
+        base = internet_distribution_perf(costs, comp, MediaSpec("audio", 1e8))
+        doubled = internet_distribution_perf(costs, comp, MediaSpec("audio", 2e8))
         for (y1, v1), (y2, v2) in zip(base, doubled):
             assert y1 == y2
             assert v2 == pytest.approx(v1 / 2.0, rel=1e-12)
@@ -174,8 +198,8 @@ class TestDimensionalConsistency:
 class TestUncompressedSizeDispatch:
     @pytest.mark.parametrize("name", sorted(REFERENCE_MEDIA))
     def test_positive_sizes(self, name):
-        assert uncompressed_size_bits(REFERENCE_MEDIA[name]) > 0
+        assert REFERENCE_MEDIA[name].size_bits > 0
 
     def test_audio_override_wins(self):
-        spec = MediaSpec(kind="audio", length_seconds=60.0, override_size_bits=123.0)
-        assert uncompressed_size_bits(spec) == 123.0
+        spec = _parse_custom_media({"kind": "audio", "length_seconds": 60, "override_size_gigabits": 1.5})
+        assert spec == MediaSpec("audio", 1.5e9)

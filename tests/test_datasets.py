@@ -5,6 +5,7 @@ import csv
 import datetime
 import hashlib
 import io
+import json
 import re
 import shutil
 from collections import Counter
@@ -155,6 +156,52 @@ class TestChecksums:
             (target / f"{dataset_id}.manifest.json").unlink()
             with pytest.raises(DataIntegrityError, match=f"^missing manifest .*{dataset_id}.manifest.json$"):
                 load_all(target)
+
+    @pytest.mark.parametrize("manifest, message", [
+        (b"[]", "manifest is not a JSON object"),
+        (b'{"coverage": 5}', "manifest coverage is not a JSON object"),
+        (b"{not json", "manifest .* is not UTF-8 JSON"),
+        (b"\xff\xfe{}", "manifest .* is not UTF-8 JSON"),
+    ], ids=["array", "coverage", "not JSON", "not UTF-8"])
+    def test_malformed_manifest_is_named(self, tmp_path, manifest, message):
+        for dataset_id in DATASET_IDS:
+            target = self.copy(tmp_path, dataset_id)
+            (target / f"{dataset_id}.manifest.json").write_bytes(manifest)
+            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: {message}"):
+                load_all(target)
+
+    def test_manifest_without_checksum_is_named(self, tmp_path):
+        for dataset_id in DATASET_IDS:
+            target = self.copy(tmp_path, dataset_id)
+            path = target / f"{dataset_id}.manifest.json"
+            manifest = json.loads(path.read_text())
+            del manifest["sha256"]
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: checksum mismatch .* != manifest None"):
+                load_all(target)
+
+    def resealed_copy(self, tmp_path: Path, dataset_id: str, edit) -> Path:
+        """A copy of the bundled tables with the rows of one CSV changed by
+        `edit` and its manifest's checksum updated to match."""
+        target = self.copy(tmp_path, dataset_id)
+        csv_path = target / f"{dataset_id}.csv"
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        data = "".join(",".join(row) + "\n" for row in edit(rows)).encode()
+        csv_path.write_bytes(data)
+        manifest_path = target / f"{dataset_id}.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(dict(manifest, sha256=hashlib.sha256(data).hexdigest())))
+        return target
+
+    # The last column of every table is one load_all reads, and a number.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [row[:-1] for row in rows], "missing '"),
+        (lambda rows: rows[:-1] + [rows[-1][:-1] + ["abc"]], "could not convert string to float: 'abc'"),
+    ], ids=["missing column", "non-numeric cell"])
+    def test_malformed_resealed_csv_is_named(self, tmp_path, edit, message):
+        for dataset_id in DATASET_IDS:
+            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: malformed table: {message}"):
+                load_all(self.resealed_copy(tmp_path, dataset_id, edit))
 
     def test_env_override_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TECHKNEE_DATA", str(self.corrupted_copy(tmp_path)))

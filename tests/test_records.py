@@ -93,7 +93,7 @@ class TestEveryRecord:
     lambda: DigitalStorage(-1.0),
     lambda: PhysicalMediaSpec("cd", CD, POSTAGE),
     lambda: UsageMetric("units"),
-    lambda: MediaSpec("video", 60.0),
+    lambda: MediaSpec("video", 0.0),
     lambda: MailSpec(weight_ounces=0, postage_first=POSTAGE, postage_additional=POSTAGE),
     lambda: Detection("empirical", window_from=1995),
     lambda: Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, knee_threshold=1.5),

@@ -364,6 +364,25 @@ class TestRunScenario:
             extend_datasets(datasets, {"custom_media": {"broken": {"kind": "audio",
                                                                    "length_seconds": -5}}})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"protocol_mix": {"audio": [{"path": "cd.csv", "media_fraction": True}]}},
+         "protocol_mix['audio'][0]: media_fraction: expected a number, got true"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "lp", "kind": "analog", "sales_path": "cd.csv", "minutes_per_unit": True}]}},
+         "custom_physical_media['audio'][0]: minutes_per_unit: expected a number, got true"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "cd", "kind": "digital", "sales_path": "cd.csv", "sales_scale": False,
+             "unit_storage_megabytes": 700}]}},
+         "custom_physical_media['audio'][0]: sales_scale: expected a number, got false"),
+    ])
+    def test_true_is_not_a_number(self, datasets, tmp_path, doc, message):
+        from techknee.sweep import extend_datasets
+
+        write_series(datasets.physical_media["audio"][0].yearly_sales, tmp_path / "cd.csv")
+        with pytest.raises(ValueError) as exc:
+            extend_datasets(datasets, doc, base_dir=tmp_path)
+        assert str(exc.value) == message
+
     def test_bundled_adoption_share_spot_values(self, datasets):
         # Ratio of the usage oracles over the bundled tables: 0.746% in
         # 1998 (below the 1% knee) and 2.752% in 1999.
