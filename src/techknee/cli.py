@@ -313,20 +313,7 @@ def _cmd_sweep(args) -> int:
     _write_sweep_rows(rows_path, config, blocks)
     n_scenarios = len(blocks) * len(config.knee_thresholds)
     ranges = feasibility_range(blocks) + feasibility_range(blocks, group_by="target")
-    summary = {
-        "n_scenarios": n_scenarios,
-        "ranges": [
-            {
-                "label": fr.label,
-                "n_scenarios": fr.n_scenarios,
-                "crossover": [fr.crossover_min, fr.crossover_max],
-                "crossover_absent": fr.crossover_absent,
-                "knee": [fr.knee_min, fr.knee_max],
-                "knee_absent": fr.knee_absent,
-            }
-            for fr in ranges
-        ],
-    }
+    summary = {"n_scenarios": n_scenarios, "ranges": ranges}
     (out / "feasibility.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"{n_scenarios} scenarios -> {rows_path}")
     print(f"feasibility summary -> {out / 'feasibility.json'}")
@@ -523,14 +510,14 @@ def main(argv: list[str] | None = None) -> int:
     except (TechkneeError, ValueError, KeyError) as exc:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
     except OSError as exc:
         # A path the user named that cannot be used: an --out that is a
         # file, an --input or --config that is a directory.
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    # One line, though a path or config key named in it may hold a newline.
+    print("error: " + str(message).replace("\n", "\\n"), file=sys.stderr)
+    return 2
 
 
 def app() -> None:

@@ -11,6 +11,7 @@ megabits/gigabits throughout, matching the source arithmetic
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .series import AnnualSeries, align
@@ -35,6 +36,8 @@ class MediaSpec(namedtuple("MediaSpec", "kind size_bits")):
             raise ValueError(f"unknown media kind {kind!r}")
         if not size_bits > 0:
             raise ValueError("size must be positive")
+        if size_bits == math.inf:
+            raise ValueError("size must be finite")
         return super().__new__(cls, kind, size_bits)
 
 
@@ -57,26 +60,6 @@ MAIL_TARGETS: dict[str, int] = {"mail_cd": 1, "mail_cassette": 2, "mail_dvd": 1}
 def one_minute_size_bits(kind: str) -> float:
     """Uncompressed size of one minute of media of `kind` at the reference quality."""
     return REFERENCE_BIT_RATES[kind] * 60.0
-
-
-class MailSpec(namedtuple("MailSpec", "weight_ounces postage_first postage_additional")):
-    """First-class mailing of one physical media unit.
-
-    `weight_ounces` is the already-ceiled integer weight.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, weight_ounces: int, postage_first: AnnualSeries,
-                postage_additional: AnnualSeries) -> MailSpec:
-        if weight_ounces < 1:
-            raise ValueError("weight must be at least one ounce")
-        for s in (postage_first, postage_additional):
-            if s.unit != "real-dollars":
-                raise ValueError(f"postage series tagged {s.unit!r}")
-            if any(v <= 0 for _, v in s):
-                raise ValueError("postage must be positive")
-        return super().__new__(cls, weight_ounces, postage_first, postage_additional)
 
 
 def internet_distribution_perf(
@@ -102,13 +85,23 @@ def internet_distribution_perf(
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")
 
 
-def mail_distribution_perf(mail: MailSpec) -> AnnualSeries:
-    """Media units mailable per real dollar, per year.
+def mail_distribution_perf(weight_ounces: int, first_ounce: AnnualSeries,
+                           additional_ounce: AnnualSeries) -> AnnualSeries:
+    """Media units mailable per real dollar, per year, by first-class mail
+    of a unit weighing `weight_ounces`, an already-ceiled whole number of
+    at least one, under two positive postage series in real dollars.
 
     value(t) = 1 / (first_ounce(t) + (weight - 1) * additional_ounce(t)),
     over the years both postage series have (`series.align`).
     """
-    extra = mail.weight_ounces - 1
+    if weight_ounces < 1:
+        raise ValueError("weight must be at least one ounce")
+    for s in (first_ounce, additional_ounce):
+        if s.unit != "real-dollars":
+            raise ValueError(f"postage series tagged {s.unit!r}")
+        if any(v <= 0 for _, v in s):
+            raise ValueError("postage must be positive")
+    extra = weight_ounces - 1
     pairs = [(year, 1.0 / (first + extra * additional))
-             for year, first, additional in align(mail.postage_first, mail.postage_additional)]
+             for year, first, additional in align(first_ounce, additional_ounce)]
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")

@@ -64,9 +64,9 @@ def _sha256(data: bytes) -> str:
 def _read_table(dataset_id: str, directory: Path, parse=list):
     """`parse` of the rows of one bundled table, checked against its
     manifest: the manifest must be a JSON object that names the table's
-    CSV and carries its sha256, and a row count it declares must match.
-    Rows that `parse` cannot read (a missing column, a cell that is not a
-    number) make the table malformed."""
+    CSV and carries its sha256, and a row count it declares must be an
+    integer that matches. Rows that `parse` cannot read (a missing column,
+    a cell that is not a number) make the table malformed."""
     manifest_path = directory / f"{dataset_id}.manifest.json"
     if not manifest_path.exists():
         raise DataIntegrityError(f"missing manifest {manifest_path}")
@@ -79,6 +79,8 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
     coverage = manifest.get("coverage") or {}
     if not isinstance(coverage, dict):
         raise DataIntegrityError(f"{dataset_id}: manifest coverage is not a JSON object")
+    if type(coverage.get("rows", 0)) is not int:  # a JSON `true` is a Python int, but no count
+        raise DataIntegrityError(f"{dataset_id}: manifest coverage rows {coverage['rows']!r} is not an integer")
     csv_path = directory / f"{dataset_id}.csv"
     if manifest.get("file") != csv_path.name:
         # `export-data` and `case --json` name each table's CSV by its id.

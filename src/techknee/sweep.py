@@ -19,8 +19,8 @@ from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_min
     digital_media_minutes, extend_compression, internet_media_minutes, \
     internet_media_raw_bits, physical_media_raw_bits, protocol_mix, \
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
-from .costs import REFERENCE_BIT_RATES, MailSpec, MediaSpec, internet_distribution_perf, \
-    mail_distribution_perf, one_minute_size_bits
+from .costs import REFERENCE_BIT_RATES, MediaSpec, internet_distribution_perf, mail_distribution_perf, \
+    one_minute_size_bits
 from .datasets import Datasets
 from .errors import TechkneeError
 from .fitting import CrossoverResult, KneeResult, crossover_empirical, \
@@ -68,7 +68,8 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
 
     def __new__(cls, case: str, target: str, reference_media: str, usage_metric: UsageMetric,
                 detection: Detection, knee_threshold: float) -> Scenario:
-        _check_scenario(case, knee_threshold)
+        _check_case(case)
+        _check_threshold(knee_threshold)
         return super().__new__(cls, case, target, reference_media, usage_metric, detection, knee_threshold)
 
     @property
@@ -77,10 +78,9 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
                             self.detection, self.knee_threshold)
 
 
-def _check_scenario(case: str, knee_threshold: float) -> None:
+def _check_case(case: str) -> None:
     if case not in ("audio", "video"):
         raise ValueError(f"unknown case {case!r}")
-    _check_threshold(knee_threshold)
 
 
 def _check_threshold(knee_threshold: float) -> float:
@@ -125,13 +125,6 @@ class SweepBlock(namedtuple("SweepBlock", "target reference_media usage_metric d
     __slots__ = ()
 
 
-class FeasibilityRange(namedtuple("FeasibilityRange", "label n_scenarios crossover_min crossover_max "
-                                  "crossover_absent knee_min knee_max knee_absent")):
-    """Min/max event years over a scenario group, absences counted."""
-
-    __slots__ = ()
-
-
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
 _REQUIRED = object()
 
@@ -141,7 +134,9 @@ def _expect(raw, kind: type):
     number, or a string holding one, returned as a float; `true` and
     `false` are not numbers)."""
     if kind is float and isinstance(raw, (int, str)) and not isinstance(raw, bool):
-        return float(raw)
+        # Through the text, so that an integer beyond a float's range reads
+        # as infinite, as "1e400" does, where float(10**400) would raise.
+        return float(str(raw))
     if not isinstance(raw, kind):
         raise ValueError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(raw, default=repr)}")
     return raw
@@ -261,18 +256,15 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
 
 def _blocks(config: SweepConfig, datasets: Datasets) -> Iterator[tuple]:
     """(target, reference media, usage metric, detection) of each block in
-    enumeration order, raising the error of the first invalid scenario."""
-    checked = False
+    enumeration order, raising the error of the first invalid scenario. The
+    case is checked first; `SweepConfig.from_json` checked the thresholds."""
+    _check_case(config.case)
     for target in config.targets:
         if target not in datasets.targets:
             raise ValueError(f"unresolvable target {target!r}")
         for media in config.reference_media:
             if media not in datasets.reference_media:
                 raise ValueError(f"unresolvable reference media {media!r}")
-            if not checked:
-                for threshold in config.knee_thresholds:
-                    _check_scenario(config.case, threshold)
-                checked = True
             for metric in config.usage_metrics:
                 for detection in config.detection:
                     yield target, media, metric, detection
@@ -291,57 +283,46 @@ def enumerate_scenarios(config: SweepConfig, datasets: Datasets) -> list[Scenari
 # config-declared extensions
 
 
-def _integer(doc: Mapping, key: str) -> int:
-    """An integer field; a whole number written as a float (1080.0) counts."""
-    value = _field(doc, key, float)
-    if not value.is_integer():
+def _number(doc: Mapping, key: str, default=_REQUIRED, *, integer: bool = False) -> float:
+    """A finite number field, checked where it is read; with `integer` it
+    must be a whole number, which may be written as a float (1080.0)."""
+    value = _field(doc, key, float, default)
+    if integer and not value.is_integer():
         raise ValueError(f"{key}: expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _weight_ounces(doc: Mapping) -> int:
-    """A mail weight rounded up to the started ounce, as postage charges it."""
-    weight = _field(_known(doc, "weight_ounces"), "weight_ounces", float)
-    if not math.isfinite(weight):
-        raise ValueError(f"weight_ounces: expected a finite number, got {json.dumps(weight)}")
-    return math.ceil(weight)
+    if not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {json.dumps(value)}")
+    return value
 
 
 def _parse_custom_media(doc: Mapping) -> MediaSpec:
-    """Media unit from JSON with explicit unit suffixes on every field. Its
-    size is `override_size_gigabits`, or else the audio rate plus, for
-    video, the pixel rate, over `length_seconds`."""
+    """Media unit from JSON with explicit unit suffixes on every field, each
+    checked as it is read: the kind, `length_seconds`, then the size, which
+    is `override_size_gigabits` or else (audio rate + a video's pixel rate)
+    × length. A key of the size not taken is refused before its values."""
     kind = _field(doc, "kind")
-    length = _field(doc, "length_seconds", float)
-    override = "override_size_gigabits" in doc
-    if override:
-        size_keys = ("override_size_gigabits",)
-        size = _field(doc, "override_size_gigabits", float) * 1e9
-    else:
-        size_keys = ("audio_bit_rate_kbps",)
-        rate = _field(doc, "audio_bit_rate_kbps", float, REFERENCE_BIT_RATES["audio"] / 1e3) * 1e3
-        if kind == "video":
-            size_keys += ("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
-            height, width, depth = (_integer(doc, key) for key in size_keys[1:4])
-            fps = _field(doc, "frames_per_second", float)
     if kind not in ("audio", "video"):
         raise ValueError(f"unknown media kind {kind!r}")
+    length = _number(doc, "length_seconds")
     if not length > 0:
         raise ValueError("length must be positive")
-    if override:
-        if not size > 0:
-            raise ValueError("override size must be positive")
-    elif not rate > 0:
+    if "override_size_gigabits" in doc:
+        return MediaSpec(kind, _number(_known(doc, "kind", "length_seconds", "override_size_gigabits"),
+                                       "override_size_gigabits") * 1e9)
+    video_keys = (("pixel_height", "pixel_width", "bits_per_pixel", "frames_per_second")
+                  if kind == "video" else ())
+    rate = _number(_known(doc, "kind", "length_seconds", "audio_bit_rate_kbps", *video_keys),
+                   "audio_bit_rate_kbps", REFERENCE_BIT_RATES["audio"] / 1e3) * 1e3
+    if not rate > 0:
         raise ValueError("audio bit rate must be positive")
-    elif kind == "video":
+    if kind == "video":
+        height, width, depth = (_number(doc, key, integer=True) for key in video_keys[:3])
         if height <= 0 or width <= 0:
             raise ValueError("video needs positive pixel dimensions")
+        fps = _number(doc, "frames_per_second")
         if depth <= 0 or not fps > 0:
             raise ValueError("video needs positive depth and frame rate")
         rate += height * width * depth * fps
-    spec = MediaSpec(kind, size if override else rate * length)
-    _known(doc, "kind", "length_seconds", *size_keys)
-    return spec
+    return MediaSpec(kind, rate * length)
 
 
 def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec:
@@ -352,14 +333,14 @@ def _parse_physical_media(case: str, doc: Mapping, resolve) -> PhysicalMediaSpec
     _known(doc, "name", "kind", "sales_path", "sales_scale", *storage_keys)
     sales = resolve(_field(doc, "sales_path", str), "count-per-year")
     if "sales_scale" in doc:
-        sales = sales.scale(_field(doc, "sales_scale", float))
+        sales = sales.scale(_number(doc, "sales_scale"))
     if kind == "analog":
         storage = AnalogStorage(
-            minutes_per_unit=_field(doc, "minutes_per_unit", float),
-            raw_bits_per_minute=_field(doc, "raw_bits_per_minute", float, one_minute_size_bits(case)),
+            minutes_per_unit=_number(doc, "minutes_per_unit"),
+            raw_bits_per_minute=_number(doc, "raw_bits_per_minute", one_minute_size_bits(case)),
         )
     else:
-        storage = DigitalStorage(unit_storage_megabytes=_field(doc, "unit_storage_megabytes", float))
+        storage = DigitalStorage(unit_storage_megabytes=_number(doc, "unit_storage_megabytes"))
     return PhysicalMediaSpec(_field(doc, "name"), storage, sales)
 
 
@@ -377,10 +358,11 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     `protocol_mix` (a media share built from protocol tables) and
     `custom_physical_media` (a competitor set) replace the entry of their
     case, 'audio' or 'video'. Relative CSV paths resolve against
-    `base_dir`. An invalid entry, an unknown case or a key that no parser
-    reads, at the top level or in an entry, raises ValueError naming it,
-    e.g. `custom_series['drive']: missing field 'unit'` or
-    `custom_targets['x']: wieght: unknown config key`.
+    `base_dir`. An invalid entry, an unknown case, a key that no parser
+    reads or a number that is not finite raises ValueError naming it, e.g.
+    `custom_series['drive']: missing field 'unit'`, `custom_targets['x']:
+    wieght: unknown config key` or `custom_media['long']: length_seconds:
+    expected a finite number, got Infinity`.
     """
     from pathlib import Path
 
@@ -420,11 +402,12 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     declare(targets, datasets.targets, "custom_series", "target", lambda spec: resolve(
         _field(_known(spec, "path", "unit"), "path", str), _field(spec, "unit", str)))
     declare(media, datasets.reference_media, "custom_media", "reference media unit", _parse_custom_media)
-    declare(targets, datasets.targets, "custom_targets", "target", _weight_ounces)
+    declare(targets, datasets.targets, "custom_targets", "target", lambda spec: math.ceil(
+        _number(_known(spec, "weight_ounces"), "weight_ounces")))
     shares, competitors = dict(datasets.media_share), dict(datasets.physical_media)
     replace_cases(shares, "protocol_mix", lambda case, entry: (
         resolve(_field(_known(entry, "path", "media_fraction"), "path", str), "dimensionless-share"),
-        _field(entry, "media_fraction", float)
+        _number(entry, "media_fraction")
     ), protocol_mix)
     replace_cases(competitors, "custom_physical_media",
                   lambda case, entry: _parse_physical_media(case, entry, resolve), tuple)
@@ -460,7 +443,7 @@ def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
     years = datasets.bandwidth_real.years
     first = annualize(datasets.postage["first_ounce"], years)
     additional = annualize(datasets.postage["additional_ounce"], years)
-    return mail_distribution_perf(MailSpec(weight_or_series, first, additional))
+    return mail_distribution_perf(weight_or_series, first, additional)
 
 
 def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[DomainUsage, list[DomainUsage]]:
@@ -619,9 +602,11 @@ def _label(value) -> str:
     return str(value)
 
 
-def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[FeasibilityRange]:
+def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[dict]:
     """Min/max crossover and knee years per group of a sweep's scenarios,
-    in label order.
+    in label order, as the entries of `feasibility.json`: `label`,
+    `n_scenarios`, `crossover` [min, max], `crossover_absent`, `knee`
+    [min, max] and `knee_absent`, with null for a range that has no year.
 
     `group_by` names a block axis ("target", "reference_media",
     "usage_metric", "detection"); None pools everything under the label
@@ -650,16 +635,10 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
     if not groups:
         raise ValueError("no results to aggregate")
     return [
-        FeasibilityRange(
-            label=label,
-            n_scenarios=n,
-            crossover_min=min(crossings) if crossings else None,
-            crossover_max=max(crossings) if crossings else None,
-            crossover_absent=crossover_absent,
-            knee_min=min(knees) if knees else None,
-            knee_max=max(knees) if knees else None,
-            knee_absent=knee_absent,
-        )
+        {"label": label, "n_scenarios": n,
+         "crossover": [min(crossings, default=None), max(crossings, default=None)],
+         "crossover_absent": crossover_absent,
+         "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": knee_absent}
         for label, ((n, crossover_absent, knee_absent), crossings, knees) in sorted(groups.items())
     ]
 

@@ -594,8 +594,38 @@ class TestErrorContract:
          "custom_media['v']: pixel_height: expected a number, got true"),
         ({"custom_media": {"v": dict(HD_CLIP, length_seconds=False)}},
          "custom_media['v']: length_seconds: expected a number, got false"),
+        # Every declared number is finite, refused where it is read.
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": "inf"}}},
+         "custom_media['v']: length_seconds: expected a finite number, got Infinity"),
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "override_size_gigabits": "inf"}}},
+         "custom_media['v']: override_size_gigabits: expected a finite number, got Infinity"),
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "audio_bit_rate_kbps": "nan"}}},
+         "custom_media['v']: audio_bit_rate_kbps: expected a finite number, got NaN"),
+        ({"custom_media": {"v": dict(HD_CLIP, frames_per_second="inf")}},
+         "custom_media['v']: frames_per_second: expected a finite number, got Infinity"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "lp", "kind": "analog", "sales_path": "s.csv", "sales_scale": "inf", "minutes_per_unit": 40}]}},
+         "custom_physical_media['audio'][0]: sales_scale: expected a finite number, got Infinity"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "lp", "kind": "analog", "sales_path": "s.csv", "minutes_per_unit": "inf"}]}},
+         "custom_physical_media['audio'][0]: minutes_per_unit: expected a finite number, got Infinity"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "lp", "kind": "analog", "sales_path": "s.csv", "minutes_per_unit": 40,
+             "raw_bits_per_minute": "nan"}]}},
+         "custom_physical_media['audio'][0]: raw_bits_per_minute: expected a finite number, got NaN"),
+        ({"custom_physical_media": {"audio": [
+            {"name": "cd", "kind": "digital", "sales_path": "s.csv", "unit_storage_megabytes": "inf"}]}},
+         "custom_physical_media['audio'][0]: unit_storage_megabytes: expected a finite number, got Infinity"),
+        ({"protocol_mix": {"audio": [{"path": "s.csv", "media_fraction": "nan"}]}},
+         "protocol_mix['audio'][0]: media_fraction: expected a finite number, got NaN"),
+        # A JSON integer beyond a float's range, and a size that overflows.
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 10 ** 400}}},
+         "custom_media['v']: length_seconds: expected a finite number, got Infinity"),
+        ({"custom_media": {"v": dict(HD_CLIP, pixel_height=1e300, pixel_width=1e300)}},
+         "custom_media['v']: size must be finite"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
+        (tmp_path / "s.csv").write_text("year,value\n1990,0.5\n1991,0.5\n")
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
         self.assert_usage_error(result)
         assert result[2] == f"error: {message}\n"
@@ -644,6 +674,14 @@ class TestErrorContract:
         ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "override_size_gigabits": 0.1,
                                  "audio_bit_rate_kbps": 1.0}}},
          "custom_media['v']: audio_bit_rate_kbps: unknown config key"),
+        # The error stays one line.
+        ({"custom_targets": {"x": {"weight_ounces": 2, "a\nb": 1}}},
+         "custom_targets['x']: a\\nb: unknown config key"),
+        # A bad case comes before an unresolvable target, and an unknown
+        # custom-media key before a bad value of that unit's size.
+        ({"case": "custom", "targets": ["nope"]}, "unknown case 'custom'"),
+        ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "audio_bit_rate_kbps": "nan", "fps": 30}}},
+         "custom_media['v']: fps: unknown config key"),
     ])
     def test_sweep_unknown_key_or_case(self, capsys, tmp_path, override, message):
         result = self.sweep(capsys, tmp_path, dict(self.SWEEP, **override))
@@ -693,6 +731,105 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert "scenario audio|mail_cd|album|minutes|fitted:2030-2040|0.01: " in result[2]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+
+# A valid one-scenario sweep config that uses all five declarations, and
+# the CSVs it names. Every declared number field is present and read.
+_FUZZ_CSVS = {"drive.csv": 1.0, "share.csv": 0.01, "sales.csv": 1e6}  # value per year since 1980
+_FUZZ_CONFIG = {
+    "case": "audio", "targets": ["heavy"], "reference_media": ["long"], "usage_metrics": ["minutes"],
+    "detection": ["empirical"], "knee_thresholds": [0.01],
+    "custom_series": {"drive": {"path": "drive.csv", "unit": "media-units-per-real-dollar"}},
+    "custom_targets": {"heavy": {"weight_ounces": 2.5}},
+    "custom_media": {
+        "long": {"kind": "audio", "length_seconds": 7200, "audio_bit_rate_kbps": 633.6},
+        "hd": dict(TestErrorContract.HD_CLIP),
+        "big": {"kind": "video", "length_seconds": 60, "override_size_gigabits": 100},
+    },
+    "protocol_mix": {"audio": [{"path": "share.csv", "media_fraction": 0.5}]},
+    "custom_physical_media": {"audio": [
+        {"name": "lp", "kind": "analog", "sales_path": "sales.csv", "sales_scale": 2,
+         "minutes_per_unit": 45, "raw_bits_per_minute": 3.8e7},
+        {"name": "cd", "kind": "digital", "sales_path": "sales.csv", "unit_storage_megabytes": 700},
+    ]},
+}
+_DECLARED_NUMBERS = {"length_seconds", "override_size_gigabits", "audio_bit_rate_kbps", "pixel_height",
+                     "pixel_width", "bits_per_pixel", "frames_per_second", "weight_ounces", "sales_scale",
+                     "minutes_per_unit", "raw_bits_per_minute", "unit_storage_megabytes", "media_fraction"}
+_NON_FINITE = ("inf", "nan", "-inf")
+
+
+def _slots(doc, path=()):
+    """(path of its container, key, value) of every value in a JSON document."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield path, key, value
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, (*path, key))
+
+
+def _container(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_SLOTS = list(_slots(_FUZZ_CONFIG))
+_JSON_VALUES = (st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()
+                | st.sampled_from(_NON_FINITE) | st.lists(st.integers(), max_size=2)
+                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_MUTATIONS = (
+    st.tuples(st.just("replace"),
+              st.sampled_from([(p, k) for p, k, v in _SLOTS if not isinstance(v, (dict, list))]), _JSON_VALUES)
+    | st.tuples(st.just("replace"), st.sampled_from([(p, k) for p, k, _ in _SLOTS if k in _DECLARED_NUMBERS]),
+                st.sampled_from([*_NON_FINITE, math.inf, -math.inf, math.nan]))
+    | st.tuples(st.just("delete"),
+                st.sampled_from([(p, k) for p, k, _ in _SLOTS if isinstance(_container(_FUZZ_CONFIG, p), dict)]),
+                st.none())
+    | st.tuples(st.just("add"),
+                st.tuples(st.sampled_from([(*p, k) for p, k, v in _SLOTS if isinstance(v, dict)] + [()]),
+                          st.text(max_size=8)),
+                _JSON_VALUES)
+)
+
+
+class TestSweepConfigFuzz:
+    """A sweep config with one leaf replaced by any JSON value, one key
+    deleted or one key added exits 0, or 2 with one error line and no
+    results; a non-finite declared number is always refused."""
+
+    @staticmethod
+    def sweep(doc) -> tuple[int, str, bool]:
+        """Exit code, stderr and whether results.csv was written."""
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            for name, value in _FUZZ_CSVS.items():
+                rows = "".join(f"{year},{value * (year - 1980)}\n" for year in range(1981, 2016))
+                (Path(work) / name).write_text(f"year,value\n{rows}")
+            (Path(work) / "c.json").write_text(json.dumps(doc))
+            code = main(["sweep", "--config", str(Path(work) / "c.json"), "--out", str(Path(work) / "out")])
+            return code, err.getvalue(), (Path(work) / "out" / "results.csv").exists()
+
+    def test_unchanged_config_runs(self):
+        assert self.sweep(_FUZZ_CONFIG) == (0, "", True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_MUTATIONS)
+    def test_mutated_config_exits_0_or_2_with_one_error_line(self, mutation):
+        action, (path, key), value = mutation
+        doc = json.loads(json.dumps(_FUZZ_CONFIG))
+        container = _container(doc, path)
+        if action == "delete":
+            del container[key]
+        else:
+            container[key] = value
+        code, err, written = self.sweep(doc)
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+            assert not written
+        non_finite = value in _NON_FINITE or isinstance(value, float) and not math.isfinite(value)
+        if action == "replace" and key in _DECLARED_NUMBERS and non_finite:
+            assert code == 2 and f": {key}: expected " in err, err
 
 
 # Values for argv, and stray tokens that argparse reads in its own way

@@ -3,7 +3,6 @@
 import pytest
 
 from techknee.costs import (
-    MailSpec,
     MediaSpec,
     REFERENCE_BIT_RATES,
     REFERENCE_MEDIA,
@@ -19,6 +18,10 @@ from techknee.sweep import _parse_custom_media
 
 def series(mapping, unit):
     return AnnualSeries.from_mapping(mapping, unit)
+
+
+def postage(mapping):
+    return series(mapping, "real-dollars")
 
 
 class TestFileSizes:
@@ -147,36 +150,30 @@ class TestInternetPerformance:
 
 class TestMailPerformance:
     def test_cd_1998(self):
-        mail = MailSpec(1, series({1998: 0.52}, "real-dollars"), series({1998: 0.37}, "real-dollars"))
-        perf = mail_distribution_perf(mail)
+        perf = mail_distribution_perf(1, postage({1998: 0.52}), postage({1998: 0.37}))
         assert perf.to_mapping()[1998] == pytest.approx(1.923076923076923, rel=1e-12)
 
     def test_unit_cost_one_dollar(self):
-        mail = MailSpec(1, series({2000: 1.00}, "real-dollars"), series({2000: 0.5}, "real-dollars"))
-        assert mail_distribution_perf(mail).to_mapping()[2000] == pytest.approx(1.0, rel=1e-12)
+        perf = mail_distribution_perf(1, postage({2000: 1.00}), postage({2000: 0.5}))
+        assert perf.to_mapping()[2000] == pytest.approx(1.0, rel=1e-12)
 
     def test_two_ounces_2001(self):
-        mail = MailSpec(2, series({2001: 0.47}, "real-dollars"), series({2001: 0.29}, "real-dollars"))
-        perf = mail_distribution_perf(mail)
+        perf = mail_distribution_perf(2, postage({2001: 0.47}), postage({2001: 0.29}))
         assert perf.to_mapping()[2001] == pytest.approx(1.3157894736842106, rel=1e-12)
         assert perf.to_mapping()[2001] == pytest.approx(1.316, abs=5e-4)
 
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError, match="ounce"):
-            MailSpec(0, series({2001: 0.47}, "real-dollars"), series({2001: 0.29}, "real-dollars"))
+            mail_distribution_perf(0, postage({2001: 0.47}), postage({2001: 0.29}))
 
     def test_missing_additional_year_omitted(self):
-        mail = MailSpec(
-            1,
-            series({2000: 0.5, 2001: 0.5}, "real-dollars"),
-            series({2000: 0.3}, "real-dollars"),
-        )
-        assert mail_distribution_perf(mail).years == (2000,)
+        perf = mail_distribution_perf(1, postage({2000: 0.5, 2001: 0.5}), postage({2000: 0.3}))
+        assert perf.years == (2000,)
 
     def test_size_invariance_at_one_ounce(self):
         # Mail performance depends on weight, not on the media unit's bits.
-        mail = MailSpec(1, series({2000: 0.5}, "real-dollars"), series({2000: 0.3}, "real-dollars"))
-        assert mail_distribution_perf(mail).to_mapping()[2000] == 2.0
+        perf = mail_distribution_perf(1, postage({2000: 0.5}), postage({2000: 0.3}))
+        assert perf.to_mapping()[2000] == 2.0
 
 
 class TestDimensionalConsistency:
@@ -186,12 +183,7 @@ class TestDimensionalConsistency:
             series({1998: 3.68, 1999: 3.68}, "dimensionless-share"),
             REFERENCE_MEDIA["album"],
         )
-        mail = MailSpec(
-            1,
-            series({1998: 0.52, 1999: 0.48}, "real-dollars"),
-            series({1998: 0.37, 1999: 0.32}, "real-dollars"),
-        )
-        perf_t = mail_distribution_perf(mail)
+        perf_t = mail_distribution_perf(1, postage({1998: 0.52, 1999: 0.48}), postage({1998: 0.37, 1999: 0.32}))
         assert crossover_empirical(perf_r, perf_t).year == 1998
 
 

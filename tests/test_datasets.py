@@ -162,7 +162,9 @@ class TestChecksums:
         (b'{"coverage": 5}', "manifest coverage is not a JSON object"),
         (b"{not json", "manifest .* is not UTF-8 JSON"),
         (b"\xff\xfe{}", "manifest .* is not UTF-8 JSON"),
-    ], ids=["array", "coverage", "not JSON", "not UTF-8"])
+        (b'{"coverage": {"rows": "3"}}', "manifest coverage rows '3' is not an integer"),
+        (b'{"coverage": {"rows": true}}', "manifest coverage rows True is not an integer"),
+    ], ids=["array", "coverage", "not JSON", "not UTF-8", "rows string", "rows bool"])
     def test_malformed_manifest_is_named(self, tmp_path, manifest, message):
         for dataset_id in DATASET_IDS:
             target = self.copy(tmp_path, dataset_id)

@@ -9,14 +9,13 @@ from datetime import date
 import pytest
 
 from techknee.adoption import AnalogStorage, DigitalStorage, DomainUsage, PhysicalMediaSpec, UsageMetric
-from techknee.costs import MailSpec, MediaSpec
+from techknee.costs import MediaSpec
 from techknee.datasets import load_all
 from techknee.fitting import CrossoverResult, ExpFit, KneeResult
 from techknee.series import AnnualSeries, RateSchedule
 from techknee.sweep import (
     Cell,
     Detection,
-    FeasibilityRange,
     RangeCheck,
     ReproductionReport,
     Scenario,
@@ -48,13 +47,11 @@ RECORDS = [
     PhysicalMediaSpec("cd", CD, SALES),
     MINUTES,
     MediaSpec("audio", 60.0),
-    MailSpec(1, POSTAGE, POSTAGE),
     load_all(),
     EMPIRICAL,
     SCENARIO,
     SweepResult(SCENARIO, CROSSOVER, KNEE),
     SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, None, (KNEE,)),
-    FeasibilityRange("all", 1, 1998, 1998, 0, 1999, 1999, 0),
     SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
     CELL,
     RANGE,
@@ -94,11 +91,10 @@ class TestEveryRecord:
     lambda: PhysicalMediaSpec("cd", CD, POSTAGE),
     lambda: UsageMetric("units"),
     lambda: MediaSpec("video", 0.0),
-    lambda: MailSpec(weight_ounces=0, postage_first=POSTAGE, postage_additional=POSTAGE),
     lambda: Detection("empirical", window_from=1995),
     lambda: Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, knee_threshold=1.5),
 ], ids=["AnnualSeries", "RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
-        "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "MailSpec", "Detection", "Scenario"])
+        "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection", "Scenario"])
 def test_validated_record_refuses_a_bad_value(build):
     with pytest.raises(ValueError):
         build()

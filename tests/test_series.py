@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from techknee.adoption import DigitalStorage, DomainUsage, PhysicalMediaSpec, adoption_share, \
     digital_media_minutes, internet_media_minutes, internet_media_raw_bits, protocol_mix
-from techknee.costs import REFERENCE_MEDIA, MailSpec, internet_distribution_perf, \
-    mail_distribution_perf, one_minute_size_bits
+from techknee.costs import REFERENCE_MEDIA, internet_distribution_perf, mail_distribution_perf, \
+    one_minute_size_bits
 from techknee.errors import MissingYearError
 from techknee.fitting import crossover_empirical
 from techknee.series import AnnualSeries, RateSchedule, align, annualize
@@ -100,7 +100,7 @@ COMBINATORS = {
         lambda cost, ratio: internet_distribution_perf(cost, ratio, REFERENCE_MEDIA["album"]),
         "real-dollars-per-megabit-month", "dimensionless-share"),
     "mail_distribution_perf": (
-        lambda first, additional: mail_distribution_perf(MailSpec(2, first, additional)),
+        lambda first, additional: mail_distribution_perf(2, first, additional),
         "real-dollars", "real-dollars"),
     "digital_media_minutes": (
         lambda sales, ratio: digital_media_minutes(

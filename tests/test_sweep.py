@@ -12,7 +12,6 @@ from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, knee
 from techknee.sweep import (
     Detection,
-    FeasibilityRange,
     Scenario,
     ScenarioError,
     SweepConfig,
@@ -550,11 +549,12 @@ def ranges_per_result(results, group_by=None):
     for label, group in sorted(groups.items()):
         crossovers = [r.crossover.year for r in group if r.crossover.year is not None]
         knees = [r.knee.year for r in group if r.knee.year is not None]
-        ranges.append(FeasibilityRange(
-            label, len(group),
-            min(crossovers, default=None), max(crossovers, default=None), len(group) - len(crossovers),
-            min(knees, default=None), max(knees, default=None), len(group) - len(knees),
-        ))
+        ranges.append({
+            "label": label, "n_scenarios": len(group),
+            "crossover": [min(crossovers, default=None), max(crossovers, default=None)],
+            "crossover_absent": len(group) - len(crossovers),
+            "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": len(group) - len(knees),
+        })
     return ranges
 
 
@@ -570,20 +570,20 @@ class TestFeasibilityRange:
     def test_audio_reference_axis_range(self, datasets):
         # Album and song references: crossover range spans 1992-1998.
         (fr,) = self.ranges(config(reference_media=["album", "song"]), datasets)
-        assert fr.label == "all"
-        assert (fr.crossover_min, fr.crossover_max) == (1992, 1998)
-        assert fr.crossover_absent == 0
+        assert fr["label"] == "all"
+        assert fr["crossover"] == [1992, 1998]
+        assert fr["crossover_absent"] == 0
 
     def test_single_scenario_degenerate_range(self, datasets):
         (fr,) = self.ranges(config(), datasets)
-        assert fr.crossover_min == fr.crossover_max == 1998
-        assert fr.knee_min == fr.knee_max == 1999
+        assert fr == {"label": "all", "n_scenarios": 1, "crossover": [1998, 1998], "crossover_absent": 0,
+                      "knee": [1999, 1999], "knee_absent": 0}
 
     def test_group_by_target(self, datasets):
         ranges = self.ranges(config(targets=["mail_cd", "mail_cassette"]), datasets, group_by="target")
-        ranges = {fr.label: fr for fr in ranges}
-        assert ranges["mail_cd"].crossover_min == 1998
-        assert ranges["mail_cassette"].crossover_min == 1997
+        ranges = {fr["label"]: fr for fr in ranges}
+        assert ranges["mail_cd"]["crossover"][0] == 1998
+        assert ranges["mail_cassette"]["crossover"][0] == 1997
 
     def test_all_absent_group(self, datasets):
         from techknee.series import AnnualSeries
@@ -593,9 +593,9 @@ class TestFeasibilityRange:
         )
         with_custom = datasets._replace(targets={**datasets.targets, "unbeatable": unbeatable})
         (fr,) = self.ranges(config(targets=["unbeatable"], knee_thresholds=[0.01, 0.999]), with_custom)
-        assert fr.crossover_min is None and fr.crossover_max is None
-        assert fr.crossover_absent == 2
-        assert (fr.knee_min, fr.knee_max, fr.knee_absent) == (1999, 1999, 1)
+        assert fr["crossover"] == [None, None]
+        assert fr["crossover_absent"] == 2
+        assert (fr["knee"], fr["knee_absent"]) == ([1999, 1999], 1)
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
