@@ -16,15 +16,8 @@ from collections import namedtuple
 from .errors import UnitMismatchError
 from .series import AnnualSeries, align
 
-BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
-BITS_PER_MEGABYTE = 8e6  # decimal megabytes
-
-
-class DomainUsage(namedtuple("DomainUsage", "domain_name series")):
-    """A distribution domain's yearly usage in a common metric (minutes,
-    or raw bits)."""
-
-    __slots__ = ()
+_BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
+_BITS_PER_MEGABYTE = 8e6  # decimal megabytes
 
 
 class AnalogStorage(namedtuple("AnalogStorage", "minutes_per_unit raw_bits_per_minute")):
@@ -135,7 +128,7 @@ def internet_media_minutes(
     """
     if one_min_uncompressed_bits <= 0:
         raise ValueError("one-minute size must be positive")
-    pairs = [(year, gigabytes * BITS_PER_GIGABYTE * share / (one_min_uncompressed_bits / ratio))
+    pairs = [(year, gigabytes * _BITS_PER_GIGABYTE * share / (one_min_uncompressed_bits / ratio))
              for year, gigabytes, share, ratio in align(traffic, media_share, compression)]
     return AnnualSeries(tuple(pairs), "minutes-per-year")
 
@@ -160,7 +153,7 @@ def digital_media_minutes(
     """
     if not isinstance(spec.storage, DigitalStorage):
         raise ValueError(f"{spec.name} is not a digital medium")
-    storage_bits = spec.storage.unit_storage_megabytes * BITS_PER_MEGABYTE
+    storage_bits = spec.storage.unit_storage_megabytes * _BITS_PER_MEGABYTE
     pairs = [(year, sales * storage_bits * ratio / one_min_uncompressed_bits)
              for year, sales, ratio in align(spec.yearly_sales, compression)]
     return AnnualSeries(tuple(pairs), "minutes-per-year")
@@ -169,7 +162,7 @@ def digital_media_minutes(
 def internet_media_raw_bits(traffic: AnnualSeries, media_share: AnnualSeries) -> AnnualSeries:
     """Raw bits carried for a media type: traffic * share, no compression
     adjustment, over the years both series have (`series.align`)."""
-    pairs = [(year, gigabytes * BITS_PER_GIGABYTE * share)
+    pairs = [(year, gigabytes * _BITS_PER_GIGABYTE * share)
              for year, gigabytes, share in align(traffic, media_share)]
     return AnnualSeries(tuple(pairs), "count-per-year")
 
@@ -181,7 +174,7 @@ def physical_media_raw_bits(spec: PhysicalMediaSpec) -> AnnualSeries:
     digital equivalent of their native-quality content.
     """
     if isinstance(spec.storage, DigitalStorage):
-        per_unit = spec.storage.unit_storage_megabytes * BITS_PER_MEGABYTE
+        per_unit = spec.storage.unit_storage_megabytes * _BITS_PER_MEGABYTE
     else:
         per_unit = spec.storage.minutes_per_unit * spec.storage.raw_bits_per_minute
     scaled = spec.yearly_sales.scale(per_unit)
@@ -189,14 +182,16 @@ def physical_media_raw_bits(spec: PhysicalMediaSpec) -> AnnualSeries:
 
 
 def adoption_share(
-    internet: DomainUsage,
-    physical: list[DomainUsage],
+    internet: AnnualSeries,
+    physical: list[tuple[str, AnnualSeries]],
     metric: UsageMetric | None = None,
 ) -> AnnualSeries:
     """Internet share of total usage (internet included), per year, over the
     years every domain has (`series.align`); shares lie in [0, 1].
 
-    All usages must carry the same unit tag. The units metric divides every
+    Usage is yearly, in minutes or raw bits: the internet's, and each
+    physical medium's as a (name, series) pair, all with the internet's
+    unit tag; a name only labels a mismatch. The units metric divides every
     domain by the same unit length, so its shares equal the minutes
     metric's up to rounding (on the bundled data, 2,600 of 5,400 shares
     for lengths 1-180 differ, by up to 4 ULPs); it exists so unit counts
@@ -205,14 +200,10 @@ def adoption_share(
     threshold could flip otherwise.
     """
     metric = metric or UsageMetric.minutes()
-    usages = [internet] + list(physical)
-    unit = internet.series.unit
-    for usage in usages:
-        if usage.series.unit != unit:
-            raise UnitMismatchError(
-                f"{usage.domain_name} is {usage.series.unit!r}, expected {unit!r}"
-            )
-    series = [u.series for u in usages]
+    for name, usage in physical:
+        if usage.unit != internet.unit:
+            raise UnitMismatchError(f"{name} is {usage.unit!r}, expected {internet.unit!r}")
+    series = [internet] + [usage for _, usage in physical]
     if metric.kind == "units":
         series = [s.scale(1.0 / metric.unit_length_minutes) for s in series]
     rows = align(*series)

@@ -22,7 +22,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import TechkneeError
+from .errors import FitError, TechkneeError
 from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
 from .series import UNIT_TAGS, parse_series_csv
 
@@ -73,10 +73,28 @@ def _load_series(path: str, unit: str):
         raise ValueError(f"no such file: {path} (pass an existing CSV with header year,value)")
 
 
+def _window(args) -> tuple:
+    """The --from/--to fit window, a reversed one refused before any file
+    is read."""
+    if args.from_year is not None and args.to_year is not None and args.from_year > args.to_year:
+        raise ValueError(f"window start {args.from_year} exceeds window end {args.to_year}")
+    return args.from_year, args.to_year
+
+
+def _of_file(path: str, compute, *args):
+    """`compute(*args)` on the series read from `path`; a FitError names
+    the file."""
+    try:
+        return compute(*args)
+    except FitError as exc:
+        raise FitError(f"{path}: {exc}") from None
+
+
 def _cmd_fit(args) -> int:
+    window = _window(args)
     series = _load_series(args.input, args.unit)
-    fit = fit_exponential(series, (args.from_year, args.to_year))
-    rate = tir(fit)
+    fit = _of_file(args.input, fit_exponential, series, window)
+    rate = _of_file(args.input, tir, fit)
     if args.json:
         import json
 
@@ -107,12 +125,13 @@ def _cmd_fit(args) -> int:
 def _cmd_crossover(args) -> int:
     if not args.fitted and (args.from_year, args.to_year) != (None, None):
         raise ValueError(f"--{'to' if args.from_year is None else 'from'} applies only with --fitted")
+    window = _window(args)
     replacement = _load_series(args.replacement, args.unit)
     target = _load_series(args.target, args.unit)
     if args.fitted:
-        window = (args.from_year, args.to_year)
         result = crossover_fitted(
-            fit_exponential(replacement, window), fit_exponential(target, window)
+            _of_file(args.replacement, fit_exponential, replacement, window),
+            _of_file(args.target, fit_exponential, target, window),
         )
     else:
         result = crossover_empirical(replacement, target)
@@ -290,13 +309,21 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
 def _cmd_sweep(args) -> int:
     import json
 
+    def integer(digits: str) -> int:
+        # int() refuses more digits than sys.get_int_max_str_digits() allows.
+        try:
+            return int(digits)
+        except ValueError:
+            raise ValueError(f"{args.config}: an integer of {len(digits.lstrip('-'))} digits "
+                             "is too long to read") from None
+
     try:
         with open(args.config, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_int=integer)
     except FileNotFoundError:
         raise ValueError(f"no such config file: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config}: invalid JSON ({exc})")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{args.config}: not UTF-8 JSON ({exc})")
     if not isinstance(doc, dict):
         raise ValueError(f"{args.config}: a sweep config is a JSON object")
 

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .series import AnnualSeries, align
 
-SECONDS_IN_MONTH = 2_592_000  # 30-day month
+_SECONDS_IN_MONTH = 2_592_000  # 30-day month
 
 # Uncompressed reference bit rates per media kind (bits per second): CD-quality
 # audio, and SD video (640x480 pixels, 24-bit colour, 30 fps) with its audio track.
@@ -67,7 +67,7 @@ def internet_distribution_perf(
 ) -> AnnualSeries:
     """Media units transmittable per real dollar, per year.
 
-    value(t) = (SECONDS_IN_MONTH / speed_cost(t)) * compression(t) / size_megabits
+    value(t) = (_SECONDS_IN_MONTH / speed_cost(t)) * compression(t) / size_megabits
 
     `speed_cost` is monthly bandwidth pricing: real dollars per Mbps of
     speed per month. Covers the years both inputs have (`series.align`).
@@ -81,7 +81,7 @@ def internet_distribution_perf(
     for year, cost, ratio in align(speed_cost, compression):
         if ratio <= 0:
             raise ValueError(f"compression ratio must be positive at {year}")
-        pairs.append((year, SECONDS_IN_MONTH / cost * ratio / size_megabits))
+        pairs.append((year, _SECONDS_IN_MONTH / cost * ratio / size_megabits))
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MAIL_TARGETS, REFERENCE_BIT_RATES, REFERENCE_MEDIA, one_minute_size_bits
 from .errors import DataIntegrityError
-from .series import AnnualSeries, RateSchedule, date_class
+from .series import AnnualSeries, RateSchedule, _date_class
 
 DATASET_IDS = (
     "a1_bandwidth_cost",
@@ -31,17 +31,17 @@ DATASET_IDS = (
     "a8_unit_storage",
 )
 
-ENV_DATA_DIR = "TECHKNEE_DATA"
+_ENV_DATA_DIR = "TECHKNEE_DATA"
 
 # Digital equivalent of one minute of VHS-quality content (320x240 at SD
 # color depth and frame rate, plus the audio track). Used only by the
 # raw-bits usage metric; analog audio media use the reference audio rate.
-VHS_RAW_BITS_PER_MINUTE = (320 * 240 * 24 * 30 + REFERENCE_BIT_RATES["audio"]) * 60.0
+_VHS_RAW_BITS_PER_MINUTE = (320 * 240 * 24 * 30 + REFERENCE_BIT_RATES["audio"]) * 60.0
 
 
 def data_dir() -> Path:
     """Bundled data directory, overridable via the TECHKNEE_DATA env var."""
-    override = os.environ.get(ENV_DATA_DIR)
+    override = os.environ.get(_ENV_DATA_DIR)
     if override:
         return Path(override)
     return Path(__file__).parent / "data"
@@ -134,14 +134,14 @@ def load_all(directory: Path | None = None) -> Datasets:
     bundle. The nominal-dollar columns of a1 and a3 and the text and image
     compression columns of a2 stay in the CSVs for auditing."""
     directory = directory or data_dir()
-    date = date_class()
+    date = _date_class()
     audio_raw = one_minute_size_bits("audio")
 
     def analog(rows: list[dict]) -> dict:
         minutes = {r["media"]: float(r["minutes_per_unit"]) for r in rows}
         return {"cassette": AnalogStorage(minutes["Cassette"], audio_raw),
                 "vinyl": AnalogStorage(minutes["Vinyl"], audio_raw),
-                "vhs": AnalogStorage(minutes["VHS"], VHS_RAW_BITS_PER_MINUTE)}
+                "vhs": AnalogStorage(minutes["VHS"], _VHS_RAW_BITS_PER_MINUTE)}
 
     def digital(rows: list[dict]) -> dict:
         megabytes = {r["media"]: float(r["megabytes_per_unit"]) for r in rows}

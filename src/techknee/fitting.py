@@ -9,10 +9,13 @@ fitted variants intersect two fitted curves in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DegenerateFitError, FitError, UnitMismatchError
 from .series import AnnualSeries, align
+
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows a float above it
 
 class ExpFit(namedtuple("ExpFit", "a k t0 window n_points r_squared")):
     """Fitted curve value(t) = a * exp(k * (t - t0)).
@@ -59,6 +62,9 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
             an error (their log is undefined).
         window: optional (from_year, to_year) bounds, inclusive; None on
             either side leaves that side open.
+
+    A year beyond ±2^53 or a fitted level beyond e^±709.78, which floats
+    cannot hold, raises FitError.
     """
     from_year, to_year = window if window is not None else (None, None)
     if from_year is not None and to_year is not None and from_year > to_year:
@@ -75,6 +81,8 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
         raise FitError(f"non-positive values at years {bad}; log-space fit undefined")
 
     t0 = pairs[0][0]
+    if max(-t0, pairs[-1][0]) > 2 ** 53:  # not printed: it may run to thousands of digits
+        raise FitError("the window holds a year beyond ±2^53, past the integers a float holds exactly")
     xs = [y - t0 for y, _ in pairs]
     zs = [math.log(v) for _, v in pairs]
     n = len(pairs)
@@ -94,6 +102,8 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
         r_squared = 1.0
     else:
         r_squared = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    if abs(intercept) > _LN_FLOAT_MAX:
+        raise FitError(f"fitted level at {t0} is e^{intercept:.1f}, beyond a float's range")
 
     return ExpFit(
         a=math.exp(intercept),
@@ -106,8 +116,12 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
 
 
 def tir(fit: ExpFit) -> float:
-    """Technological improvement rate: percent improvement per year."""
-    return (math.exp(fit.k) - 1.0) * 100.0
+    """Technological improvement rate: percent improvement per year. A rate
+    whose percentage a float cannot hold raises FitError."""
+    rate = (math.exp(min(fit.k, _LN_FLOAT_MAX)) - 1.0) * 100.0  # capped, it overflows to inf
+    if rate == math.inf:
+        raise FitError(f"rate {fit.k:.6g} per year: its TIR, (e^k - 1) x 100%, is beyond a float's range")
+    return rate
 
 
 def crossover_empirical(replacement: AnnualSeries, target: AnnualSeries) -> CrossoverResult:

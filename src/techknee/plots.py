@@ -16,21 +16,15 @@ from collections.abc import Mapping
 from .series import AnnualSeries
 
 
-def tidy_rows(curves: Mapping[str, AnnualSeries]) -> list[dict]:
-    rows = []
-    for name in sorted(curves):
-        series = curves[name]
-        for year, value in series:
-            rows.append({"year": year, "series": name, "value": value, "unit": series.unit})
-    return rows
-
-
 def write_tidy_csv(path: str | Path, curves: Mapping[str, AnnualSeries]) -> None:
+    """Tidy CSV: a `year,series,value,unit` row per year of each curve, in
+    name order; `repr` values read back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=["year", "series", "value", "unit"])
-        writer.writeheader()
-        for row in tidy_rows(curves):
-            writer.writerow({**row, "value": repr(row["value"])})
+        writer = csv.writer(f)
+        writer.writerow(("year", "series", "value", "unit"))
+        for name in sorted(curves):
+            series = curves[name]
+            writer.writerows((year, name, repr(value), series.unit) for year, value in series)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -59,7 +53,7 @@ def _text(x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> 
     )
 
 
-def case_svg(
+def _case_svg(
     performance: Mapping[str, AnnualSeries],
     adoption: AnnualSeries | None,
     title: str,
@@ -145,4 +139,4 @@ def write_case_svg(
     adoption: AnnualSeries | None,
     title: str,
 ) -> None:
-    Path(path).write_text(case_svg(performance, adoption, title), encoding="utf-8")
+    Path(path).write_text(_case_svg(performance, adoption, title), encoding="utf-8")

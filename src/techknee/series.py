@@ -153,7 +153,7 @@ class RateSchedule(namedtuple("RateSchedule", "changes unit")):
         return current
 
 
-def date_class() -> type[date]:
+def _date_class() -> type[date]:
     """`datetime.date`, taken from the C module `_datetime` that `datetime`
     re-exports, so that the pure-Python `datetime` module (loaded by
     `import datetime` up to Python 3.11) is not; `datetime` is the
@@ -174,7 +174,7 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     (2002-06-30 for 2002), one in the second half from the next year
     (1981-11-01 from 1982).
     """
-    date = date_class()
+    date = _date_class()
     pairs = []
     for year in sorted(set(int(y) for y in years)):
         value = schedule.rate_on(date(year, 7, 1))

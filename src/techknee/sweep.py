@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 
-from .adoption import DomainUsage, UsageMetric, adoption_share, analog_media_minutes, \
+from .adoption import UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
     internet_media_raw_bits, physical_media_raw_bits, protocol_mix, \
     AnalogStorage, DigitalStorage, PhysicalMediaSpec
@@ -169,7 +169,7 @@ def _named(where: str, parse):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def parse_usage_metric(raw) -> UsageMetric:
+def _parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
     if isinstance(raw, str):
         if raw.startswith("units:"):
@@ -181,7 +181,7 @@ def parse_usage_metric(raw) -> UsageMetric:
     raise ValueError(f"cannot parse usage metric from {raw!r}")
 
 
-def parse_detection(raw) -> Detection:
+def _parse_detection(raw) -> Detection:
     """Accepts 'empirical', 'fitted', 'fitted:<from>-<to>', or a JSON object."""
     if isinstance(raw, str):
         if raw == "empirical":
@@ -215,7 +215,7 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
             raise ValueError(f"scenario id {raw!r} carries threshold {carried[0]}, so threshold "
                              f"{threshold!r} cannot be given too")
         threshold = float(carried[0])
-    return Scenario(case, target, media, parse_usage_metric(metric), parse_detection(detection),
+    return Scenario(case, target, media, _parse_usage_metric(metric), _parse_detection(detection),
                     0.01 if threshold is None else threshold)
 
 
@@ -248,8 +248,8 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
             case=_named("case", lambda: name(doc["case"])),
             targets=each("targets", name),
             reference_media=each("reference_media", name),
-            usage_metrics=each("usage_metrics", parse_usage_metric),
-            detection=each("detection", parse_detection),
+            usage_metrics=each("usage_metrics", _parse_usage_metric),
+            detection=each("detection", _parse_detection),
             knee_thresholds=each("knee_thresholds", lambda raw: _check_threshold(_expect(raw, float))),
         )
 
@@ -446,34 +446,20 @@ def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
     return mail_distribution_perf(weight_or_series, first, additional)
 
 
-def domain_usages(case: str, metric: UsageMetric, datasets: Datasets) -> tuple[DomainUsage, list[DomainUsage]]:
-    """Internet and physical-media usage series in the chosen metric."""
+def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> AnnualSeries:
     compression = extend_compression(
         datasets.compression[case], datasets.traffic.years[0], datasets.traffic.years[-1]
     )
     share = datasets.media_share[case]
     one_min = one_minute_size_bits(case)
     media = datasets.physical_media[case]
-
     if metric.kind == "raw_bits":
-        internet = DomainUsage("internet", internet_media_raw_bits(datasets.traffic, share))
-        physical = [DomainUsage(m.name, physical_media_raw_bits(m)) for m in media]
-        return internet, physical
-
-    internet = DomainUsage(
-        "internet", internet_media_minutes(datasets.traffic, share, compression, one_min)
-    )
-    physical = []
-    for m in media:
-        if isinstance(m.storage, AnalogStorage):
-            physical.append(DomainUsage(m.name, analog_media_minutes(m)))
-        else:
-            physical.append(DomainUsage(m.name, digital_media_minutes(m, compression, one_min)))
-    return internet, physical
-
-
-def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> AnnualSeries:
-    internet, physical = domain_usages(case, metric, datasets)
+        internet = internet_media_raw_bits(datasets.traffic, share)
+        physical = [(m.name, physical_media_raw_bits(m)) for m in media]
+    else:
+        internet = internet_media_minutes(datasets.traffic, share, compression, one_min)
+        physical = [(m.name, analog_media_minutes(m) if isinstance(m.storage, AnalogStorage)
+                     else digital_media_minutes(m, compression, one_min)) for m in media]
     return adoption_share(internet, physical, metric)
 
 

@@ -289,17 +289,27 @@ def test_criterion_9_property_suites(datasets, tmp_path):
     if down is not None and down < base:
         failures.append(f"scaling down advanced crossover: {base} -> {down}")
 
-    # adoption shares sum to 1 per year to 1e-12
-    from techknee.adoption import adoption_share
-    from techknee.sweep import domain_usages
+    # adoption shares sum to 1 per year to 1e-12, over each case's minutes
+    # usages built from the usage builders; the internet's share of them is
+    # `adoption_series`
+    from techknee.adoption import DigitalStorage, adoption_share, analog_media_minutes, \
+        digital_media_minutes, extend_compression, internet_media_minutes
+    from techknee.costs import one_minute_size_bits
 
+    years = datasets.traffic.years
     for case in ("audio", "video"):
-        internet, physical = domain_usages(case, UsageMetric.minutes(), datasets)
-        everyone = [internet] + physical
+        compression = extend_compression(datasets.compression[case], years[0], years[-1])
+        one_min = one_minute_size_bits(case)
+        everyone = [("internet", internet_media_minutes(datasets.traffic, datasets.media_share[case],
+                                                        compression, one_min))]
+        everyone += [(m.name, digital_media_minutes(m, compression, one_min)
+                      if isinstance(m.storage, DigitalStorage) else analog_media_minutes(m))
+                     for m in datasets.physical_media[case]]
+        if adoption_share(everyone[0][1], everyone[1:]) != adoption_series(case, UsageMetric.minutes(), datasets):
+            failures.append(f"{case} adoption series is not the internet's share of its usages")
         totals: dict[int, float] = {}
-        for i, domain in enumerate(everyone):
-            others = everyone[:i] + everyone[i + 1:]
-            for year, value in adoption_share(domain, others):
+        for i, (_, usage) in enumerate(everyone):
+            for year, value in adoption_share(usage, everyone[:i] + everyone[i + 1:]):
                 totals[year] = totals.get(year, 0.0) + value
         bad = {y: t for y, t in totals.items() if abs(t - 1.0) > 1e-12}
         if bad:

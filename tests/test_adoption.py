@@ -7,7 +7,6 @@ import pytest
 from techknee.adoption import (
     AnalogStorage,
     DigitalStorage,
-    DomainUsage,
     PhysicalMediaSpec,
     UsageMetric,
     adoption_share,
@@ -161,57 +160,56 @@ class TestRawBits:
 
 
 class TestAdoptionShare:
-    def usage(self, name, mapping, unit="minutes-per-year"):
-        return DomainUsage(name, series(mapping, unit))
+    def usage(self, mapping, unit="minutes-per-year"):
+        return series(mapping, unit)
 
     def test_single_domain_share_is_one(self):
-        share = adoption_share(self.usage("net", {1990: 5.0, 1991: 7.0}), [])
+        share = adoption_share(self.usage({1990: 5.0, 1991: 7.0}), [])
         assert share.values == (1.0, 1.0)
         assert share.unit == "dimensionless-share"
 
     def test_share_of_market_semantics(self):
-        share = adoption_share(
-            self.usage("net", {1990: 1.0}), [self.usage("cd", {1990: 3.0})]
-        )
+        share = adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1990: 3.0}))])
         assert share.to_mapping()[1990] == pytest.approx(0.25, rel=1e-12)
 
     def test_units_metric_is_share_invariant(self):
-        internet = self.usage("net", {1990: 30.0, 1991: 60.0})
-        physical = [self.usage("cd", {1990: 90.0, 1991: 120.0})]
+        internet = self.usage({1990: 30.0, 1991: 60.0})
+        physical = [("cd", self.usage({1990: 90.0, 1991: 120.0}))]
         by_minutes = adoption_share(internet, physical, UsageMetric.minutes())
         by_songs = adoption_share(internet, physical, UsageMetric.units(3.0))
         assert by_minutes.entries == by_songs.entries
 
     def test_unit_mismatch_rejected(self):
-        with pytest.raises(UnitMismatchError):
-            adoption_share(
-                self.usage("net", {1990: 1.0}),
-                [self.usage("cd", {1990: 1.0}, unit="count-per-year")],
-            )
+        with pytest.raises(UnitMismatchError, match="^cd is 'count-per-year', expected 'minutes-per-year'$"):
+            adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1990: 1.0}, unit="count-per-year"))])
+
+    def test_media_with_the_same_name_each_count(self):
+        # Names only label errors: two media that share one are both usage.
+        share = adoption_share(self.usage({1990: 1.0}),
+                               [("cd", self.usage({1990: 1.0})), ("cd", self.usage({1990: 2.0}))])
+        assert share.to_mapping()[1990] == pytest.approx(0.25, rel=1e-12)
 
     def test_zero_total_year_omitted_with_warning(self):
-        internet = self.usage("net", {1990: 0.0, 1991: 1.0})
-        physical = [self.usage("cd", {1990: 0.0, 1991: 1.0})]
+        internet = self.usage({1990: 0.0, 1991: 1.0})
+        physical = [("cd", self.usage({1990: 0.0, 1991: 1.0}))]
         with pytest.warns(UserWarning, match="1990"):
             share = adoption_share(internet, physical)
         assert share.years == (1991,)
 
     def test_no_common_years_is_error(self):
         with pytest.raises(ValueError, match="no years"):
-            adoption_share(self.usage("net", {1990: 1.0}), [self.usage("cd", {1991: 1.0})])
+            adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1991: 1.0}))])
 
     def test_shares_sum_to_one_across_domains(self):
-        domains = {
-            "net": {1990: 1.0, 1991: 2.0},
-            "cd": {1990: 3.0, 1991: 5.0},
-            "tape": {1990: 7.0, 1991: 11.0},
+        usages = {
+            "net": self.usage({1990: 1.0, 1991: 2.0}),
+            "cd": self.usage({1990: 3.0, 1991: 5.0}),
+            "tape": self.usage({1990: 7.0, 1991: 11.0}),
         }
-        usages = {n: self.usage(n, m) for n, m in domains.items()}
         total_share = {}
-        for name, u in usages.items():
-            others = [v for k, v in usages.items() if k != name]
-            s = adoption_share(u, others)
-            for y, v in s:
+        for name, usage in usages.items():
+            others = [(k, v) for k, v in usages.items() if k != name]
+            for y, v in adoption_share(usage, others):
                 total_share[y] = total_share.get(y, 0.0) + v
         for y, v in total_share.items():
             assert v == pytest.approx(1.0, abs=1e-12)

@@ -517,6 +517,14 @@ class TestErrorContract:
     def test_sweep_config_not_an_object(self, capsys, tmp_path):
         self.assert_usage_error(self.sweep(capsys, tmp_path, ["audio"]))
 
+    @pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe{}"], ids=["syntax", "bytes"])
+    def test_sweep_config_that_is_not_json_is_named(self, capsys, tmp_path, data):
+        path = tmp_path / "sweep.json"
+        path.write_bytes(data)
+        result = run(capsys, "sweep", "--config", str(path), "--out", str(tmp_path / "out"))
+        self.assert_usage_error(result)
+        assert result[2].startswith(f"error: {path}: not UTF-8 JSON (")
+
     SWEEP = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
              "usage_metrics": ["minutes"], "detection": ["empirical"], "knee_thresholds": [0.01]}
     HD_CLIP = {"kind": "video", "length_seconds": 300, "pixel_height": 1080, "pixel_width": 1920,
@@ -731,6 +739,48 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert "scenario audio|mail_cd|album|minutes|fitted:2030-2040|0.01: " in result[2]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    # Finite CSV values whose fit a float cannot hold: a fitted level, a TIR
+    # and a year span beyond it.
+    LEVEL_ROWS = "year,value\n2000,1e308\n2001,1e308\n2002,1e-308\n"
+    LEVEL = "fitted level at 2000 is e^945.6, beyond a float's range"
+
+    @pytest.mark.parametrize("rows, message", [
+        (LEVEL_ROWS, LEVEL),
+        ("year,value\n2000,1e-300\n2001,1e300\n",
+         "rate 1381.55 per year: its TIR, (e^k - 1) x 100%, is beyond a float's range"),
+        ("year,value\n1,1.0\n1" + "0" * 400 + ",2.0\n",
+         "the window holds a year beyond ±2^53, past the integers a float holds exactly"),
+    ], ids=["level", "tir", "year"])
+    def test_fit_beyond_a_float_names_the_file(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "extreme.csv"
+        path.write_text(rows)
+        assert run(capsys, "fit", "--input", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+    def test_fitted_crossover_beyond_a_float_names_the_file(self, capsys, tmp_path, rising_csv):
+        path = tmp_path / "extreme.csv"
+        path.write_text(self.LEVEL_ROWS)
+        result = run(capsys, "crossover", "--fitted", "--replacement", rising_csv, "--target", str(path),
+                     "--unit", "count-per-year")
+        assert result == (2, "", f"error: {path}: {self.LEVEL}\n")
+
+    def test_fitted_sweep_beyond_a_float_names_the_scenario(self, capsys, tmp_path):
+        (tmp_path / "extreme.csv").write_text(self.LEVEL_ROWS)
+        config = dict(self.SWEEP, targets=["extreme"], detection=["fitted"], custom_series={
+            "extreme": {"path": "extreme.csv", "unit": "media-units-per-real-dollar"}})
+        result = self.sweep(capsys, tmp_path, config)
+        assert result == (2, "", f"error: scenario audio|extreme|album|minutes|fitted|0.01: {self.LEVEL}\n")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() reads an integer of any length")
+    def test_sweep_config_integer_too_long_to_read_names_the_file(self, capsys, tmp_path):
+        digits = sys.get_int_max_str_digits() + 700
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.SWEEP).replace("0.01", "-1" + "0" * (digits - 1)))
+        result = run(capsys, "sweep", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert result == (2, "", f"error: {path}: an integer of {digits} digits is too long to read\n")
+        assert not (tmp_path / "out").exists()
 
 
 # A valid one-scenario sweep config that uses all five declarations, and

@@ -6,7 +6,7 @@ from techknee.costs import (
     MediaSpec,
     REFERENCE_BIT_RATES,
     REFERENCE_MEDIA,
-    SECONDS_IN_MONTH,
+    _SECONDS_IN_MONTH,
     internet_distribution_perf,
     mail_distribution_perf,
     one_minute_size_bits,
@@ -145,7 +145,7 @@ class TestInternetPerformance:
             assert v2 == pytest.approx(v1 / 2.0, rel=1e-12)
 
     def test_seconds_in_month_is_pinned(self):
-        assert SECONDS_IN_MONTH == 2_592_000
+        assert _SECONDS_IN_MONTH == 2_592_000
 
 
 class TestMailPerformance:

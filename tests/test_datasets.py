@@ -268,6 +268,16 @@ class TestParseSeriesCsv:
         with pytest.raises(ValueError, match=":3"):
             parse_series_csv(path, "count-per-year")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1990,1.0\nabc,2.0\n", ":3: bad year 'abc'"),
+        ("1990,1.0\n1991,x\n", ":3: bad value 'x'"),
+    ], ids=["year", "value"])
+    def test_bad_number_names_line_and_text(self, tmp_path, rows, message):
+        path = self.write(tmp_path, "year,value\n" + rows)
+        with pytest.raises(ValueError) as err:
+            parse_series_csv(path, "count-per-year")
+        assert str(err.value) == f"{path}{message}"
+
     def test_unknown_unit_rejected(self, tmp_path):
         path = self.write(tmp_path, "year,value\n1990,1.0\n")
         with pytest.raises(ValueError, match="unit"):

@@ -1,6 +1,7 @@
 """Curve fitting, TIR, crossover and knee detection."""
 
 import math
+import statistics
 
 import pytest
 from hypothesis import example, given, assume, strategies as st
@@ -16,6 +17,7 @@ from techknee.fitting import (
     tir,
 )
 from techknee.series import AnnualSeries
+from techknee.sweep import replacement_performance, target_performance
 
 
 def series(mapping, unit="count-per-year"):
@@ -75,6 +77,23 @@ class TestFitExponential:
         with pytest.raises(FitError, match="non-positive"):
             fit_exponential(series({1990: 1.0, 1991: 0.0, 1992: 2.0}))
 
+    # Finite values whose fit a float cannot hold are refused where the
+    # number would be made.
+    @pytest.mark.parametrize("mapping, message", [
+        ({2000: 1e308, 2001: 1e308, 2002: 1e-308}, "fitted level at 2000 is e^945.6, beyond a float's range"),
+        ({2000: 1e-308, 2001: 1e-308, 2002: 1e308}, "fitted level at 2000 is e^-945.6, beyond a float's range"),
+        ({1: 1.0, 10 ** 400: 2.0}, "the window holds a year beyond ±2^53, past the integers a float holds exactly"),
+        ({-2 ** 53 - 1: 1.0, 0: 2.0}, "the window holds a year beyond ±2^53, past the integers a float holds exactly"),
+    ], ids=["level above", "level below", "year above", "year below"])
+    def test_fit_a_float_cannot_hold_is_refused(self, mapping, message):
+        with pytest.raises(FitError) as err:
+            fit_exponential(series(mapping))
+        assert str(err.value) == message
+
+    def test_years_a_float_holds_fit(self):
+        fit = fit_exponential(series({-2 ** 53: 1.0, 2 ** 53: 2.0}))
+        assert fit.k == pytest.approx(math.log(2.0) / 2 ** 54, rel=1e-12)
+
     def test_non_positive_outside_window_is_fine(self):
         s = series({1990: 0.0, 1991: 1.0, 1992: 2.0})
         fit = fit_exponential(s, (1991, None))
@@ -125,6 +144,39 @@ class TestTir:
     def test_small_continuous_rate_to_percent(self):
         fit = ExpFit(a=1.0, k=0.0305, t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0)
         assert tir(fit) == pytest.approx(3.097, abs=5e-4)
+
+    def test_rate_a_float_cannot_hold_is_refused(self):
+        fit = fit_exponential(series({2000: 1e-300, 2001: 1e300}))
+        with pytest.raises(FitError, match=r"^rate 1381\.55 per year: its TIR, \(e\^k - 1\) x 100%, is beyond"):
+            tir(fit)
+        assert tir(fit._replace(k=705.0)) == pytest.approx((math.exp(705.0) - 1.0) * 100.0, rel=1e-12)
+        with pytest.raises(FitError):
+            tir(fit._replace(k=706.0))
+
+
+class TestRSquared:
+    """r² is the squared correlation of year and log value, for an OLS
+    line with an intercept; `statistics.correlation` is the oracle."""
+
+    @staticmethod
+    def oracle(s, window=(None, None)):
+        lo, hi = window
+        pairs = [(y, v) for y, v in s if (lo is None or y >= lo) and (hi is None or y <= hi)]
+        return statistics.correlation([y for y, _ in pairs], [math.log(v) for _, v in pairs]) ** 2
+
+    def test_noisy_series(self):
+        noise = (0.9, -0.7, 0.4, 1.1, -1.2, 0.3, -0.8, 1.0, -0.2, -0.9, 0.6, -0.5)
+        s = series({2000 + i: math.exp(0.2 * i + e) for i, e in enumerate(noise)})
+        fit = fit_exponential(s)
+        assert 0.3 < fit.r_squared < 0.35
+        assert fit.r_squared == pytest.approx(self.oracle(s), rel=1e-12)
+
+    @pytest.mark.parametrize("case, media, target", [("audio", "album", "mail_cd"), ("video", "clip", "mail_dvd")])
+    @pytest.mark.parametrize("window", [(None, None), (1995, None)], ids=["all", "from1995"])
+    def test_bundled_series(self, case, media, target, window):
+        datasets = load_all()
+        for s in (replacement_performance(case, media, datasets), target_performance(target, datasets)):
+            assert fit_exponential(s, window).r_squared == pytest.approx(self.oracle(s, window), rel=1e-12)
 
 
 class TestCrossoverEmpirical:

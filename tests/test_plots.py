@@ -2,7 +2,7 @@
 
 import pytest
 
-from techknee.plots import case_svg, tidy_rows, write_tidy_csv
+from techknee.plots import _case_svg, write_tidy_csv
 from techknee.series import AnnualSeries
 
 
@@ -10,14 +10,15 @@ def series(mapping, unit):
     return AnnualSeries.from_mapping(mapping, unit)
 
 
-def test_tidy_rows_sorted_by_series_then_year():
+def test_tidy_rows_sorted_by_series_then_year(tmp_path):
     curves = {
         "b": series({1991: 2.0, 1990: 1.0}, "count-per-year"),
         "a": series({1990: 3.0}, "minutes-per-year"),
     }
-    rows = tidy_rows(curves)
-    assert [(r["series"], r["year"]) for r in rows] == [("a", 1990), ("b", 1990), ("b", 1991)]
-    assert rows[0]["unit"] == "minutes-per-year"
+    path = tmp_path / "tidy.csv"
+    write_tidy_csv(path, curves)
+    assert path.read_bytes() == (b"year,series,value,unit\r\n1990,a,3.0,minutes-per-year\r\n"
+                                 b"1990,b,1.0,count-per-year\r\n1991,b,2.0,count-per-year\r\n")
 
 
 def test_write_tidy_csv_round_trips_values(tmp_path):
@@ -35,7 +36,7 @@ def test_case_svg_structure():
         "target": series({1990: 2.0, 2000: 2.0}, "media-units-per-real-dollar"),
     }
     adoption = series({1990: 0.0, 2000: 0.5}, "dimensionless-share")
-    svg = case_svg(perf, adoption, "demo")
+    svg = _case_svg(perf, adoption, "demo")
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 3  # two performance curves + adoption
@@ -45,9 +46,9 @@ def test_case_svg_structure():
 
 def test_case_svg_is_deterministic():
     perf = {"r": series({1990: 1.0, 1991: 2.0}, "count-per-year")}
-    assert case_svg(perf, None, "t") == case_svg(perf, None, "t")
+    assert _case_svg(perf, None, "t") == _case_svg(perf, None, "t")
 
 
 def test_empty_plot_rejected():
     with pytest.raises(ValueError):
-        case_svg({}, None, "empty")
+        _case_svg({}, None, "empty")

@@ -8,7 +8,7 @@ from datetime import date
 
 import pytest
 
-from techknee.adoption import AnalogStorage, DigitalStorage, DomainUsage, PhysicalMediaSpec, UsageMetric
+from techknee.adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec, UsageMetric
 from techknee.costs import MediaSpec
 from techknee.datasets import load_all
 from techknee.fitting import CrossoverResult, ExpFit, KneeResult
@@ -41,7 +41,6 @@ RECORDS = [
     ExpFit(1.0, 0.5, 2000, (2000, 2001), 2, 1.0),
     CROSSOVER,
     KNEE,
-    DomainUsage("internet", SALES),
     AnalogStorage(60.0, 1e6),
     CD,
     PhysicalMediaSpec("cd", CD, SALES),

@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from techknee.adoption import DigitalStorage, DomainUsage, PhysicalMediaSpec, adoption_share, \
+from techknee.adoption import DigitalStorage, PhysicalMediaSpec, adoption_share, \
     digital_media_minutes, internet_media_minutes, internet_media_raw_bits, protocol_mix
 from techknee.costs import REFERENCE_MEDIA, internet_distribution_perf, mail_distribution_perf, \
     one_minute_size_bits
@@ -87,8 +87,7 @@ def share_of(internet, *physical):
     """`adoption_share` over the given usages; a refusal for want of common
     years reads as an empty series."""
     try:
-        return adoption_share(DomainUsage("internet", internet),
-                              [DomainUsage(f"m{i}", s) for i, s in enumerate(physical)])
+        return adoption_share(internet, [(f"m{i}", s) for i, s in enumerate(physical)])
     except ValueError as exc:
         assert str(exc) == "domains share no years"
         return AnnualSeries((), "dimensionless-share")
@@ -207,6 +206,12 @@ class TestAnnualize:
         once = annualize(sched, range(1990, 1995))
         again = annualize(sched, once.years)
         assert once == again
+
+    def test_change_on_july_1_counts_that_year_and_on_july_2_the_next(self):
+        sched = RateSchedule(((date(1999, 1, 1), 1.0), (date(2000, 7, 1), 2.0), (date(2001, 7, 2), 3.0)),
+                             "real-dollars")
+        s = annualize(sched, range(1999, 2003))
+        assert s.to_mapping() == {1999: 1.0, 2000: 2.0, 2001: 2.0, 2002: 3.0}
 
     def test_dates_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):

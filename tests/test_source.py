@@ -40,3 +40,54 @@ def test_every_module_level_import_is_used(path):
     used = used_names(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in module_imports(tree) if name not in used]
     assert unused == []
+
+
+# Each module's public names, the ones its callers may import: module-level
+# `def`s, classes and assignments whose names do not start with "_". A type
+# stays public when a public function takes or returns it. Adding or
+# removing a public name means updating this table.
+PUBLIC_NAMES = {
+    "__init__.py": set(),
+    "adoption.py": {"AnalogStorage", "DigitalStorage", "PhysicalMediaSpec", "UsageMetric", "adoption_share",
+                    "analog_media_minutes", "digital_media_minutes", "extend_compression",
+                    "internet_media_minutes", "internet_media_raw_bits", "physical_media_raw_bits",
+                    "protocol_mix"},
+    "cli.py": {"app", "main"},
+    "costs.py": {"MAIL_TARGETS", "MediaSpec", "REFERENCE_BIT_RATES", "REFERENCE_MEDIA",
+                 "internet_distribution_perf", "mail_distribution_perf", "one_minute_size_bits"},
+    "datasets.py": {"DATASET_IDS", "Datasets", "data_dir", "export_bundled", "load_all"},
+    "errors.py": {"DataIntegrityError", "DegenerateFitError", "FitError", "MissingYearError", "TechkneeError",
+                  "UnitMismatchError"},
+    "fitting.py": {"CrossoverResult", "ExpFit", "KneeResult", "crossover_empirical", "crossover_fitted",
+                   "fit_exponential", "knee", "tir"},
+    "plots.py": {"write_case_svg", "write_tidy_csv"},
+    "series.py": {"AnnualSeries", "RateSchedule", "UNIT_TAGS", "align", "annualize", "parse_series_csv"},
+    "sweep.py": {"Cell", "Detection", "FitDiagnostics", "RangeCheck", "ReproductionReport", "Scenario",
+                 "ScenarioError", "SweepBlock", "SweepConfig", "SweepResult", "adoption_series",
+                 "enumerate_scenarios", "extend_datasets", "feasibility_range", "parse_scenario_id",
+                 "replacement_performance", "reproduce_case_studies", "run_scenario", "run_sweep",
+                 "sweep_blocks", "target_performance"},
+}
+
+
+def public_names(tree: ast.Module) -> set[str]:
+    """The module's public names. `TYPE_CHECKING`, the flag type checkers
+    set, is not one."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return {name for name in names if not name.startswith("_") and name != "TYPE_CHECKING"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_public_names_are_the_pinned_ones(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert public_names(tree) == PUBLIC_NAMES.get(path.name)
+
+
+def test_every_module_is_pinned():
+    assert sorted(path.name for path in PACKAGE.glob("*.py")) == sorted(PUBLIC_NAMES)

@@ -17,10 +17,10 @@ from techknee.sweep import (
     SweepConfig,
     adoption_series,
     enumerate_scenarios,
+    _parse_detection,
+    _parse_usage_metric,
     feasibility_range,
-    parse_detection,
     parse_scenario_id,
-    parse_usage_metric,
     replacement_performance,
     reproduce_case_studies,
     run_scenario,
@@ -108,40 +108,40 @@ class TestEnumeration:
 
 class TestParsers:
     def test_metric_strings(self):
-        assert parse_usage_metric("minutes") == UsageMetric.minutes()
-        assert parse_usage_metric("raw_bits") == UsageMetric.raw_bits()
-        assert parse_usage_metric("units:90") == UsageMetric.units(90.0)
+        assert _parse_usage_metric("minutes") == UsageMetric.minutes()
+        assert _parse_usage_metric("raw_bits") == UsageMetric.raw_bits()
+        assert _parse_usage_metric("units:90") == UsageMetric.units(90.0)
 
     def test_metric_object(self):
-        assert parse_usage_metric({"kind": "units", "unit_length_minutes": 3}) == UsageMetric.units(3.0)
+        assert _parse_usage_metric({"kind": "units", "unit_length_minutes": 3}) == UsageMetric.units(3.0)
 
     def test_detection_strings(self):
-        assert parse_detection("empirical") == Detection("empirical")
-        assert parse_detection("fitted") == Detection("fitted")
-        assert parse_detection("fitted:1995-") == Detection("fitted", 1995, None)
+        assert _parse_detection("empirical") == Detection("empirical")
+        assert _parse_detection("fitted") == Detection("fitted")
+        assert _parse_detection("fitted:1995-") == Detection("fitted", 1995, None)
 
     def test_detection_object(self):
-        assert parse_detection({"mode": "fitted", "from": 1995}) == Detection("fitted", 1995)
+        assert _parse_detection({"mode": "fitted", "from": 1995}) == Detection("fitted", 1995)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            parse_usage_metric(42)
+            _parse_usage_metric(42)
         with pytest.raises(ValueError):
-            parse_detection("sometimes")
+            _parse_detection("sometimes")
 
     def test_window_is_tested_for_presence_not_truth(self):
         assert Detection("fitted", 0).label() == "fitted:0-"
         assert Detection("fitted", None, 0).label() == "fitted:-0"
         with pytest.raises(ValueError, match="takes no window"):
-            parse_detection({"mode": "empirical", "from": 0})
+            _parse_detection({"mode": "empirical", "from": 0})
         with pytest.raises(ValueError, match="window year True is not an integer"):
-            parse_detection({"mode": "fitted", "from": True})
+            _parse_detection({"mode": "fitted", "from": True})
 
     def test_negative_window_year_is_refused(self):
         # The label's "-" separator cannot tell a negative year from an
         # open side, so 'fitted:-5-' could not be parsed back.
         with pytest.raises(ValueError, match="window year -5 is negative"):
-            parse_detection({"mode": "fitted", "from": -5})
+            _parse_detection({"mode": "fitted", "from": -5})
         with pytest.raises(ValueError, match="window year -1 is negative"):
             Detection("fitted", 1990, -1)
 
@@ -154,7 +154,7 @@ class TestParsers:
             detection = Detection(mode, window_from, window_to)
         except ValueError:
             return
-        assert parse_detection(detection.label()) == detection
+        assert _parse_detection(detection.label()) == detection
 
     @given(st.one_of(
         st.sampled_from([UsageMetric.minutes(), UsageMetric.raw_bits()]),
@@ -162,7 +162,7 @@ class TestParsers:
                   | st.integers(1, 10**6)),
     ))
     def test_usage_metric_label_round_trips(self, metric):
-        assert parse_usage_metric(metric.label()) == metric
+        assert _parse_usage_metric(metric.label()) == metric
 
     # Any name without the '|' separator, as `extend_datasets` accepts.
     NAMES = st.text(st.characters(exclude_characters="|"))
