@@ -249,61 +249,45 @@ _SWEEP_COLUMNS = ("scenario_id", "case", "target", "reference_media", "usage_met
                   "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year")
 
 
-class _CsvCells(dict):
-    """Each field as csv.writer writes it inside a row, computed once per
-    distinct field."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._writer = csv.writer(self)
-
-    def write(self, line: str) -> None:
-        self._line = line
-
-    def __missing__(self, field: str) -> str:
-        # A second, empty field keeps a lone empty field from being quoted;
-        # the row ends ",\r\n".
-        self._writer.writerow((field, ""))
-        cell = self[field] = self._line[:-3]
-        return cell
-
-
 def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
-    """results.csv, one string per block, byte-identical to csv.writer
+    """results.csv, one join per block, byte-identical to csv.writer
     writing one row per scenario."""
-    from .sweep import _threshold_label
+    from .sweep import _id_prefix, _threshold_label
 
-    cells = _CsvCells()
-    case = cells[config.case]
+    lines: list[str] = []
+    to_lines = csv.writer(SimpleNamespace(write=lines.append))
+    cells: dict[str, str] = {}
+
+    def cell(field: str) -> str:
+        """`field` as csv.writer writes it inside a row."""
+        if field not in cells:
+            # A second, empty field keeps a lone empty field from being quoted.
+            to_lines.writerow((field, ""))
+            cells[field] = lines.pop()[:-3]  # less ',\r\n'
+        return cells[field]
+
     thresholds = [_threshold_label(t) for t in config.knee_thresholds]
-    threshold_cells = [cells[t] for t in thresholds]
-    # csv quotes a field for the characters in it, so an id whose prefix
-    # and threshold need no quoting needs none either.
-    plain_thresholds = threshold_cells == thresholds
-    metric_labels = {m: m.label() for m in config.usage_metrics}
-    detection_labels = {d: d.label() for d in config.detection}
-    knee_cells: dict = {}
+    n = len(thresholds)
+    metric_slots: dict = {}  # usage metric -> six slots per row of its blocks
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(_SWEEP_COLUMNS)
         for b in blocks:
-            metric, detection = metric_labels[b.usage_metric], detection_labels[b.detection]
-            prefix = f"{config.case}|{b.target}|{b.reference_media}|{metric}|{detection}|"
-            if plain_thresholds and cells[prefix] == prefix:
-                ids = [prefix + t for t in thresholds]
-            else:
-                ids = [cells[prefix + t] for t in thresholds]
-            middle = ",".join((case, cells[b.target], cells[b.reference_media], cells[metric], cells[detection]))
+            slots = metric_slots.get(b.usage_metric)
+            if slots is None:
+                slots = metric_slots[b.usage_metric] = [""] * (6 * n)
+                slots[1::6] = slots[3::6] = thresholds
+                slots[5::6] = [cell("" if k.year is None else str(k.year)) + "\r\n" for k in b.knees]
+            axes = (config.case, b.target, b.reference_media, b.usage_metric.label(), b.detection.label())
+            # A repr threshold needs no quoting: it goes before a closing quote.
+            prefix = _id_prefix(*axes)
+            quoted = cell(prefix)
+            end = len(quoted) - (quoted != prefix)
             x = b.crossover
-            crossover = (cells["" if x.year is None else str(x.year)] + "," +
-                         cells["" if x.fractional_year is None else f"{x.fractional_year:.4f}"])
-            knees = knee_cells.get(b.usage_metric)
-            if knees is None:
-                knees = knee_cells[b.usage_metric] = [
-                    cells["" if k.year is None else str(k.year)] for k in b.knees
-                ]
-            f.write("".join([
-                f"{i},{middle},{t},{crossover},{k}\r\n" for i, t, k in zip(ids, threshold_cells, knees)
-            ]))
+            fractional = "" if x.fractional_year is None else f"{x.fractional_year:.4f}"
+            slots[0::6] = [quoted[:end]] * n
+            slots[2::6] = [f"{quoted[end:]},{','.join(map(cell, axes))},"] * n
+            slots[4::6] = [f",{cell('' if x.year is None else str(x.year))},{cell(fractional)},"] * n
+            f.write("".join(slots))
 
 
 def _cmd_sweep(args) -> int:

@@ -182,6 +182,14 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     return AnnualSeries(tuple(pairs), schedule.unit)
 
 
+def _plain_number(cell: str) -> str:
+    """`cell`, unless it holds what int() and float() accept beyond CSV
+    numbers: Python's `_` digit separators and non-ASCII digits."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return cell
+
+
 def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
     """Read a `year,value` CSV into a validated series.
 
@@ -210,11 +218,11 @@ def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
         if len(row) < 2:
             raise ValueError(f"{path}:{lineno}: expected two columns")
         try:
-            year = int(row[0])
+            year = int(_plain_number(row[0]))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
         try:
-            value = float(row[1])
+            value = float(_plain_number(row[1]))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
         if year in seen:

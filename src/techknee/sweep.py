@@ -89,10 +89,15 @@ def _check_threshold(knee_threshold: float) -> float:
     return knee_threshold
 
 
+def _id_prefix(case: str, target: str, reference_media: str, metric_label: str, detection_label: str) -> str:
+    """A scenario id up to its threshold: the id of every threshold of a block."""
+    return "|".join((case, target, reference_media, metric_label, detection_label, ""))
+
+
 def _scenario_id(case: str, target: str, reference_media: str, usage_metric: UsageMetric,
                  detection: Detection, knee_threshold: float) -> str:
-    return "|".join([case, target, reference_media, usage_metric.label(), detection.label(),
-                     _threshold_label(knee_threshold)])
+    return (_id_prefix(case, target, reference_media, usage_metric.label(), detection.label())
+            + _threshold_label(knee_threshold))
 
 
 def _threshold_label(knee_threshold: float) -> str:
@@ -447,16 +452,16 @@ def target_performance(target: str, datasets: Datasets) -> AnnualSeries:
 
 
 def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> AnnualSeries:
-    compression = extend_compression(
-        datasets.compression[case], datasets.traffic.years[0], datasets.traffic.years[-1]
-    )
     share = datasets.media_share[case]
-    one_min = one_minute_size_bits(case)
     media = datasets.physical_media[case]
     if metric.kind == "raw_bits":
         internet = internet_media_raw_bits(datasets.traffic, share)
         physical = [(m.name, physical_media_raw_bits(m)) for m in media]
     else:
+        compression = extend_compression(
+            datasets.compression[case], datasets.traffic.years[0], datasets.traffic.years[-1]
+        )
+        one_min = one_minute_size_bits(case)
         internet = internet_media_minutes(datasets.traffic, share, compression, one_min)
         physical = [(m.name, analog_media_minutes(m) if isinstance(m.storage, AnalogStorage)
                      else digital_media_minutes(m, compression, one_min)) for m in media]

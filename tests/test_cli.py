@@ -73,6 +73,18 @@ class TestFit:
         assert code == 2
         assert "no such file" in err
 
+    @pytest.mark.parametrize("rows, refused", [
+        ("2_000,1_0\n2_001,2_0\n", "bad year '2_000'"),
+        ("2000,1_0\n2001,2_0\n", "bad value '1_0'"),
+        ("\u0662\u0660\u0660\u0660,1.0\n2001,2.0\n", "bad year '\u0662\u0660\u0660\u0660'"),
+    ], ids=["underscore-year", "underscore-value", "arabic-indic-year"])
+    def test_python_number_literals_are_usage_errors(self, capsys, tmp_path, rows, refused):
+        path = tmp_path / "s.csv"
+        path.write_text("year,value\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: {refused}\n"
+
 
 class TestCrossover:
     def test_empirical(self, capsys, tmp_path, flat_csv, rising_csv):
@@ -282,6 +294,18 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--config", str(config_path), "--out", str(tmp_path / "out"))
         assert code == 0
 
+    def test_custom_series_refuses_python_number_literals(self, capsys, tmp_path):
+        drive = tmp_path / "drive.csv"
+        drive.write_text("year,value\n" + "".join(f"{y},0.9\n" for y in range(1983, 2015)) + "2_015,0.9\n")
+        config = dict(TestErrorContract.SWEEP, targets=["drive"], custom_series={
+            "drive": {"path": str(drive), "unit": "media-units-per-real-dollar"}})
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ") and f"{drive}:34: bad year '2_015'" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert code == 2
@@ -337,6 +361,41 @@ class TestSweep:
         buf = io.StringIO()
         csv.writer(buf).writerows(expected)
         assert path.read_bytes() == buf.getvalue().encode()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.text(',"\r\n éab', min_size=1, max_size=5), min_size=2, max_size=4, unique=True),
+           st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=3, unique=True))
+    def test_results_csv_is_csv_writer_over_run_sweep(self, names, thresholds):
+        """Any target and media names, as csv.writer quotes them."""
+        from techknee.datasets import load_all
+        from techknee.sweep import SweepConfig, extend_datasets, run_sweep
+
+        targets, media = names[::2], names[1::2]
+        config = {
+            "case": "audio", "targets": targets, "reference_media": media,
+            "usage_metrics": ["minutes", "raw_bits"], "detection": ["empirical", "fitted"],
+            "knee_thresholds": thresholds,
+            "custom_targets": {name: {"weight_ounces": 1 + i} for i, name in enumerate(targets)},
+            "custom_media": {name: {"kind": "audio", "length_seconds": 60 * (1 + i)}
+                             for i, name in enumerate(media)},
+        }
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()):
+            (Path(work) / "c.json").write_text(json.dumps(config))
+            assert main(["sweep", "--config", str(Path(work) / "c.json"), "--out", work]) == 0
+            written = (Path(work) / "results.csv").read_bytes()
+
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
+                         "knee_threshold", "crossover_year", "crossover_fractional", "knee_year"])
+        for r in run_sweep(SweepConfig.from_json(config), extend_datasets(load_all(), config)):
+            s, x = r.scenario, r.crossover
+            writer.writerow([
+                s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
+                s.detection.label(), repr(s.knee_threshold), x.year,
+                None if x.fractional_year is None else f"{x.fractional_year:.4f}", r.knee.year,
+            ])
+        assert written == expected.getvalue().encode()
 
     def test_ids_and_thresholds_parse_back(self, capsys, tmp_path):
         from techknee.sweep import parse_scenario_id

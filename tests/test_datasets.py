@@ -271,12 +271,23 @@ class TestParseSeriesCsv:
     @pytest.mark.parametrize("rows, message", [
         ("1990,1.0\nabc,2.0\n", ":3: bad year 'abc'"),
         ("1990,1.0\n1991,x\n", ":3: bad value 'x'"),
-    ], ids=["year", "value"])
+        # int() and float() read Python literals, which a CSV number is not.
+        ("1_990,1.0\n", ":2: bad year '1_990'"),
+        ("1990,1_0\n", ":2: bad value '1_0'"),
+        ("\u0661\u0669\u0669\u0660,1.0\n", ":2: bad year '\u0661\u0669\u0669\u0660'"),
+        ("1990,\u0661.5\n", ":2: bad value '\u0661.5'"),
+        ("\u00a01990,1.0\n", ":2: bad year '\\xa01990'"),
+    ], ids=["year", "value", "year-underscore", "value-underscore", "year-arabic-indic",
+            "value-arabic-indic", "year-no-break-space"])
     def test_bad_number_names_line_and_text(self, tmp_path, rows, message):
         path = self.write(tmp_path, "year,value\n" + rows)
         with pytest.raises(ValueError) as err:
             parse_series_csv(path, "count-per-year")
         assert str(err.value) == f"{path}{message}"
+
+    def test_spaces_signs_and_exponents_are_numbers(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n 1990 , 1.5e3 \n+1991,+2E-1\n1992,.5\n")
+        assert parse_series_csv(path, "count-per-year").entries == ((1990, 1500.0), (1991, 0.2), (1992, 0.5))
 
     def test_unknown_unit_rejected(self, tmp_path):
         path = self.write(tmp_path, "year,value\n1990,1.0\n")

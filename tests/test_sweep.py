@@ -7,10 +7,12 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from techknee.adoption import UsageMetric
+from techknee.adoption import PhysicalMediaSpec, UsageMetric
 from techknee.datasets import Datasets, load_all
-from techknee.fitting import crossover_empirical, knee
+from techknee.fitting import crossover_empirical, crossover_fitted, fit_exponential, knee
+from techknee.series import AnnualSeries
 from techknee.sweep import (
+    _BASELINE,
     Detection,
     Scenario,
     ScenarioError,
@@ -417,6 +419,45 @@ class TestDeterminism:
         reduced = run_sweep(config(reference_media=["song"]), datasets)
         for r in reduced:
             assert full[r.scenario.scenario_id] == r
+
+
+class TestMetamorphic:
+    """Relations the maths keeps on the bundled baselines: a crossover
+    compares two performance series, and a share divides by total usage."""
+
+    @staticmethod
+    def baseline(case, datasets):
+        s = parse_scenario_id(case, _BASELINE[case])
+        return replacement_performance(case, s.reference_media, datasets), target_performance(s.target, datasets)
+
+    @given(st.sampled_from(["audio", "video"]), st.integers(-30, 30))
+    def test_power_of_two_scale_leaves_empirical_crossover_exact(self, datasets, case, exponent):
+        replacement, target = self.baseline(case, datasets)
+        factor = 2.0 ** exponent
+        assert (crossover_empirical(replacement.scale(factor), target.scale(factor))
+                == crossover_empirical(replacement, target))
+
+    @given(st.sampled_from(["audio", "video"]), st.sampled_from([None, (1995, None), (None, 2005)]),
+           st.floats(1e-3, 1e3))
+    def test_scale_leaves_fitted_crossover(self, datasets, case, window, factor):
+        replacement, target = self.baseline(case, datasets)
+        base = crossover_fitted(fit_exponential(replacement, window), fit_exponential(target, window))
+        scaled = crossover_fitted(fit_exponential(replacement.scale(factor), window),
+                                  fit_exponential(target.scale(factor), window))
+        assert scaled.year == base.year is not None
+        assert scaled.fractional_year == pytest.approx(base.fractional_year, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", ["minutes", "raw_bits", "units:3"])
+    @pytest.mark.parametrize("case", ["audio", "video"])
+    def test_zero_sales_competitor_leaves_shares_exact(self, datasets, case, metric):
+        metric = _parse_usage_metric(metric)
+        media = datasets.physical_media[case]
+        for template in media:
+            zero = PhysicalMediaSpec("unsold", template.storage, AnnualSeries(
+                tuple((year, 0.0) for year in template.yearly_sales.years), "count-per-year"))
+            for competitors in ((zero, *media), (*media, zero)):
+                extended = datasets._replace(physical_media={**datasets.physical_media, case: competitors})
+                assert adoption_series(case, metric, extended) == adoption_series(case, metric, datasets)
 
 
 class TestJoin:
