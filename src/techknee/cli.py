@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import FitError, TechkneeError
 from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
-from .series import UNIT_TAGS, parse_series_csv
+from .series import UNIT_TAGS, _read_number, _read_year, parse_series_csv
 
 TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
 if TYPE_CHECKING:
@@ -66,13 +66,6 @@ def __getattr__(name: str):
     return _bind(name)[0]
 
 
-def _load_series(path: str, unit: str):
-    try:
-        return parse_series_csv(path, unit)
-    except FileNotFoundError:
-        raise ValueError(f"no such file: {path} (pass an existing CSV with header year,value)")
-
-
 def _window(args) -> tuple:
     """The --from/--to fit window, a reversed one refused before any file
     is read."""
@@ -92,7 +85,7 @@ def _of_file(path: str, compute, *args):
 
 def _cmd_fit(args) -> int:
     window = _window(args)
-    series = _load_series(args.input, args.unit)
+    series = parse_series_csv(args.input, args.unit)
     fit = _of_file(args.input, fit_exponential, series, window)
     rate = _of_file(args.input, tir, fit)
     if args.json:
@@ -126,8 +119,8 @@ def _cmd_crossover(args) -> int:
     if not args.fitted and (args.from_year, args.to_year) != (None, None):
         raise ValueError(f"--{'to' if args.from_year is None else 'from'} applies only with --fitted")
     window = _window(args)
-    replacement = _load_series(args.replacement, args.unit)
-    target = _load_series(args.target, args.unit)
+    replacement = parse_series_csv(args.replacement, args.unit)
+    target = parse_series_csv(args.target, args.unit)
     if args.fitted:
         result = crossover_fitted(
             _of_file(args.replacement, fit_exponential, replacement, window),
@@ -175,7 +168,7 @@ def _percent(share: float) -> str:
 
 
 def _cmd_knee(args) -> int:
-    series = _load_series(args.input, "dimensionless-share")
+    series = parse_series_csv(args.input, "dimensionless-share")
     result = knee(series, args.threshold)
     if args.json:
         import json
@@ -245,6 +238,7 @@ def _cmd_case(args) -> int:
     return 0
 
 
+_SWEEP_BUFFER = 256 * 1024  # under the default 8 KiB, each ~6 KB block string is its own write call
 _SWEEP_COLUMNS = ("scenario_id", "case", "target", "reference_media", "usage_metric",
                   "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year")
 
@@ -269,7 +263,7 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
     thresholds = [_threshold_label(t) for t in config.knee_thresholds]
     n = len(thresholds)
     metric_slots: dict = {}  # usage metric -> six slots per row of its blocks
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open(path, "w", newline="", encoding="utf-8", buffering=_SWEEP_BUFFER) as f:
         csv.writer(f).writerow(_SWEEP_COLUMNS)
         for b in blocks:
             slots = metric_slots.get(b.usage_metric)
@@ -337,12 +331,13 @@ def _cmd_reproduce(args) -> int:
     load_all, reproduce_case_studies = _bind("load_all", "reproduce_case_studies")
     datasets = load_all()
     report = reproduce_case_studies(datasets)
+    report_json = report.to_json() if args.json or args.out else None
     if args.out:
         # Before any output, so an unusable --out prints nothing.
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     if args.json:
-        print(report.to_json())
+        print(report_json)
     else:
         for cell in report.cells:
             expected = cell.expected if cell.expected is not None else "-"
@@ -367,7 +362,7 @@ def _cmd_reproduce(args) -> int:
             writer = csv.writer(f)  # writes None as an empty field
             writer.writerow(Cell._fields)
             writer.writerows(report.cells)
-        (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        (out / "report.json").write_text(report_json + "\n", encoding="utf-8")
         write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
         for case, curves in report.curves.items():
             write_tidy_csv(out / f"fig3_{case}.csv", curves)
@@ -398,8 +393,8 @@ _COMMANDS = {
     "fit": (_cmd_fit, "fit an exponential improvement curve to a CSV series", (
         ("--input", dict(required=True, help="CSV file with header year,value")),
         ("--unit", dict(default="count-per-year", choices=sorted(UNIT_TAGS))),
-        ("--from", dict(dest="from_year", type=int, default=None)),
-        ("--to", dict(dest="to_year", type=int, default=None)),
+        ("--from", dict(dest="from_year", type=_read_year, default=None)),
+        ("--to", dict(dest="to_year", type=_read_year, default=None)),
         ("--json", dict(action="store_true")),
     )),
     "crossover": (_cmd_crossover, "detect the performance crossover of two series", (
@@ -407,14 +402,14 @@ _COMMANDS = {
         ("--target", dict(required=True, help="CSV for the incumbent technology")),
         ("--unit", dict(default="media-units-per-real-dollar", choices=sorted(UNIT_TAGS))),
         ("--fitted", dict(action="store_true", help="intersect fitted curves instead of raw data")),
-        ("--from", dict(dest="from_year", type=int, default=None, help="fit window start (fitted mode)")),
-        ("--to", dict(dest="to_year", type=int, default=None, help="fit window end (fitted mode)")),
+        ("--from", dict(dest="from_year", type=_read_year, default=None, help="fit window start (fitted mode)")),
+        ("--to", dict(dest="to_year", type=_read_year, default=None, help="fit window end (fitted mode)")),
         ("--require-crossover", dict(action="store_true", help="exit 1 if no crossover is found")),
         ("--json", dict(action="store_true")),
     )),
     "knee": (_cmd_knee, "detect the adoption-curve knee of a share series", (
         ("--input", dict(required=True, help="CSV file with header year,value (shares in [0,1])")),
-        ("--threshold", dict(type=float, required=True)),
+        ("--threshold", dict(type=_read_number, required=True)),
         ("--json", dict(action="store_true")),
     )),
     "case": (_cmd_case, "run a bundled case study end to end", (
@@ -422,7 +417,7 @@ _COMMANDS = {
         ("--scenario", dict(default=None, help="override the baseline axes with a scenario id, e.g. "
                             "'mail_cassette|song|raw_bits|fitted:1995-|0.1' "
                             "(target|reference|metric|detection|threshold)")),
-        ("--threshold", dict(type=float, default=None,
+        ("--threshold", dict(type=_read_number, default=None,
                              help="knee threshold, for a scenario id without one (default 1%%)")),
         ("--out", dict(default=None, help="directory for tidy curve CSV and SVG chart")),
         ("--json", dict(action="store_true")),

@@ -18,7 +18,7 @@ from pathlib import Path
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MAIL_TARGETS, REFERENCE_BIT_RATES, REFERENCE_MEDIA, one_minute_size_bits
 from .errors import DataIntegrityError
-from .series import AnnualSeries, RateSchedule, _date_class
+from .series import AnnualSeries, RateSchedule, _read_date, _read_number, _read_year
 
 DATASET_IDS = (
     "a1_bandwidth_cost",
@@ -66,7 +66,7 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
     manifest: the manifest must be a JSON object that names the table's
     CSV and carries its sha256, and a row count it declares must be an
     integer that matches. Rows that `parse` cannot read (a missing column,
-    a cell that is not a number) make the table malformed."""
+    an empty or missing cell, a cell not a number) make the table malformed."""
     manifest_path = directory / f"{dataset_id}.manifest.json"
     if not manifest_path.exists():
         raise DataIntegrityError(f"missing manifest {manifest_path}")
@@ -97,7 +97,7 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
             f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest.get('sha256')})"
         )
     try:
-        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""), restval=""))
         if "rows" in coverage and len(rows) != coverage["rows"]:
             raise DataIntegrityError(f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}")
         return parse(rows)
@@ -107,8 +107,7 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
 
 
 def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> AnnualSeries:
-    pairs = tuple((int(r["year"]), float(r[column]) * scale) for r in rows)
-    return AnnualSeries(pairs, unit)
+    return AnnualSeries(tuple((_read_year(r["year"]), _read_number(r[column]) * scale) for r in rows), unit)
 
 
 class Datasets(namedtuple("Datasets", "bandwidth_real compression postage traffic media_share "
@@ -134,17 +133,16 @@ def load_all(directory: Path | None = None) -> Datasets:
     bundle. The nominal-dollar columns of a1 and a3 and the text and image
     compression columns of a2 stay in the CSVs for auditing."""
     directory = directory or data_dir()
-    date = _date_class()
     audio_raw = one_minute_size_bits("audio")
 
     def analog(rows: list[dict]) -> dict:
-        minutes = {r["media"]: float(r["minutes_per_unit"]) for r in rows}
+        minutes = {r["media"]: _read_number(r["minutes_per_unit"]) for r in rows}
         return {"cassette": AnalogStorage(minutes["Cassette"], audio_raw),
                 "vinyl": AnalogStorage(minutes["Vinyl"], audio_raw),
                 "vhs": AnalogStorage(minutes["VHS"], _VHS_RAW_BITS_PER_MINUTE)}
 
     def digital(rows: list[dict]) -> dict:
-        megabytes = {r["media"]: float(r["megabytes_per_unit"]) for r in rows}
+        megabytes = {r["media"]: _read_number(r["megabytes_per_unit"]) for r in rows}
         return {"cd": DigitalStorage(megabytes["CD"]), "dvd": DigitalStorage(megabytes["DVD"])}
 
     # Each table's part of the bundle, in DATASET_IDS order; the first five
@@ -152,7 +150,7 @@ def load_all(directory: Path | None = None) -> Datasets:
     parsers = (
         lambda rows: _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month"),
         lambda rows: {media: _annual(rows, media, "dimensionless-share") for media in ("audio", "video")},
-        lambda rows: {rate: RateSchedule(tuple((date.fromisoformat(r["effective_date"]), float(r[f"{rate}_usd2016"]))
+        lambda rows: {rate: RateSchedule(tuple((_read_date(r["effective_date"]), _read_number(r[f"{rate}_usd2016"]))
                                                for r in rows), "real-dollars")
                       for rate in ("first_ounce", "additional_ounce")},
         lambda rows: _annual(rows, "gigabytes_per_year", "count-per-year"),

@@ -182,12 +182,27 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     return AnnualSeries(tuple(pairs), schedule.unit)
 
 
-def _plain_number(cell: str) -> str:
-    """`cell`, unless it holds what int() and float() accept beyond CSV
-    numbers: Python's `_` digit separators and non-ASCII digits."""
-    if "_" in cell or not cell.isascii():
-        raise ValueError(cell)
-    return cell
+def _reader(convert: type, refusal: str):
+    def read(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"{refusal}: {text!r}")
+        return convert(text)
+    read.__name__ = convert.__name__  # as argparse's usage error names it: "invalid float value"
+    return read
+
+
+# Readers of each year, number and date in input text: int() and float() of
+# ASCII without `_` (no digit separators or non-ASCII digits), and a date as
+# `isoformat` writes it; from 3.11 `fromisoformat` alone reads `19850217` too.
+_read_year = _reader(int, "invalid literal for int() with base 10")
+_read_number = _reader(float, "could not convert string to float")
+
+
+def _read_date(text: str) -> date:
+    day = _date_class().fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
 
 
 def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
@@ -200,12 +215,12 @@ def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
     path = Path(path)
     if declared_unit not in UNIT_TAGS:
         raise ValueError(f"unknown unit tag {declared_unit!r}")
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
     pairs: list[tuple[int, float]] = []
     seen: dict[int, int] = {}
     try:
         text = path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -218,11 +233,11 @@ def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
         if len(row) < 2:
             raise ValueError(f"{path}:{lineno}: expected two columns")
         try:
-            year = int(_plain_number(row[0]))
+            year = _read_year(row[0])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad year {row[0]!r}") from None
         try:
-            value = float(_plain_number(row[1]))
+            value = _read_number(row[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value {row[1]!r}") from None
         if year in seen:

@@ -25,7 +25,7 @@ from .datasets import Datasets
 from .errors import TechkneeError
 from .fitting import CrossoverResult, KneeResult, crossover_empirical, \
     crossover_fitted, fit_exponential, knee
-from .series import AnnualSeries, annualize, parse_series_csv
+from .series import AnnualSeries, _read_number, _read_year, annualize, parse_series_csv
 
 
 class ScenarioError(TechkneeError):
@@ -141,7 +141,7 @@ def _expect(raw, kind: type):
     if kind is float and isinstance(raw, (int, str)) and not isinstance(raw, bool):
         # Through the text, so that an integer beyond a float's range reads
         # as infinite, as "1e400" does, where float(10**400) would raise.
-        return float(str(raw))
+        return _read_number(str(raw))
     if not isinstance(raw, kind):
         raise ValueError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(raw, default=repr)}")
     return raw
@@ -178,7 +178,7 @@ def _parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
     if isinstance(raw, str):
         if raw.startswith("units:"):
-            return UsageMetric.units(float(raw.split(":", 1)[1]))
+            return UsageMetric.units(_read_number(raw.split(":", 1)[1]))
         return UsageMetric(raw)
     if isinstance(raw, dict):
         _known(raw, "kind", "unit_length_minutes")
@@ -189,13 +189,11 @@ def _parse_usage_metric(raw) -> UsageMetric:
 def _parse_detection(raw) -> Detection:
     """Accepts 'empirical', 'fitted', 'fitted:<from>-<to>', or a JSON object."""
     if isinstance(raw, str):
-        if raw == "empirical":
-            return Detection("empirical")
-        if raw == "fitted":
-            return Detection("fitted")
+        if raw in ("empirical", "fitted"):
+            return Detection(raw)
         if raw.startswith("fitted:"):
             lo, _, hi = raw.split(":", 1)[1].partition("-")
-            return Detection("fitted", int(lo) if lo else None, int(hi) if hi else None)
+            return Detection("fitted", _read_year(lo) if lo else None, _read_year(hi) if hi else None)
     if isinstance(raw, dict):
         _known(raw, "mode", "from", "to")
         return Detection(raw.get("mode", "fitted"), raw.get("from"), raw.get("to"))
@@ -219,7 +217,7 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
         if threshold is not None:
             raise ValueError(f"scenario id {raw!r} carries threshold {carried[0]}, so threshold "
                              f"{threshold!r} cannot be given too")
-        threshold = float(carried[0])
+        threshold = _read_number(carried[0])
     return Scenario(case, target, media, _parse_usage_metric(metric), _parse_detection(detection),
                     0.01 if threshold is None else threshold)
 
@@ -372,13 +370,7 @@ def extend_datasets(datasets: Datasets, doc: Mapping, base_dir=None) -> Datasets
     from pathlib import Path
 
     def resolve(path: str, unit: str) -> AnnualSeries:
-        p = Path(path)
-        if base_dir is not None and not p.is_absolute():
-            p = Path(base_dir) / p
-        try:
-            return parse_series_csv(p, unit)
-        except FileNotFoundError:
-            raise ValueError(f"no such file: {p}") from None
+        return parse_series_csv(Path(path) if base_dir is None else Path(base_dir) / path, unit)
 
     def objects(key: str) -> dict:
         return _named(key, lambda: _expect(doc[key], dict)) if doc.get(key) else {}

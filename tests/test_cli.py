@@ -531,6 +531,12 @@ class TestErrorContract:
          "cannot be given too"),
         (["case", "video", "--scenario", "audio|mail_cd|album|minutes|empirical|0.1"],
          "scenario id 'audio|mail_cd|album|minutes|empirical|0.1' is for case 'audio', not 'video'"),
+        (["case", "audio", "--scenario", "mail_cd|album|units:\u0663|empirical"],
+         "could not convert string to float: '\u0663'"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:\u0661\u0669\u0669\u0665-"],
+         "invalid literal for int() with base 10: '\u0661\u0669\u0669\u0665'"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|0.0_1"],
+         "could not convert string to float: '0.0_1'"),
     ])
     def test_case_scenario_id_refused(self, capsys, argv, message):
         result = run(capsys, *argv)
@@ -690,6 +696,12 @@ class TestErrorContract:
          "custom_media['v']: length_seconds: expected a finite number, got Infinity"),
         ({"custom_media": {"v": dict(HD_CLIP, pixel_height=1e300, pixel_width=1e300)}},
          "custom_media['v']: size must be finite"),
+        # A number or year in a string is read as a CSV cell is: no `_`, ASCII digits only.
+        ({"knee_thresholds": ["0.0_1"]}, "knee_thresholds[0]: could not convert string to float: '0.0_1'"),
+        ({"usage_metrics": ["units:1_0"]}, "usage_metrics[0]: could not convert string to float: '1_0'"),
+        ({"detection": ["fitted:1_995-"]}, "detection[0]: invalid literal for int() with base 10: '1_995'"),
+        ({"custom_targets": {"m": {"weight_ounces": "1_5"}}},
+         "custom_targets['m']: weight_ounces: could not convert string to float: '1_5'"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         (tmp_path / "s.csv").write_text("year,value\n1990,0.5\n1991,0.5\n")
@@ -941,11 +953,42 @@ class TestSweepConfigFuzz:
             assert code == 2 and f": {key}: expected " in err, err
 
 
-# Values for argv, and stray tokens that argparse reads in its own way
-# (help, abbreviations, `=`, negative numbers, `--`).
-_VALUES = {int: ["1990", "2005", "0"], float: ["0.1", "1e-9", "nan", "1"], str: ["s.csv", "c.json", "x y", ""]}
+# CSV cells: runs of digits (ASCII and not), `_`, spaces, signs, exponents,
+# infinities and NaN, and the repr of floats from the least subnormal up.
+_CELL_PIECES = ["0", "1", "9", "\u0661", "\u0969", "\uff19", "_", " ", "+", "-", ".", "e", "E", "inf", "nan"]
+_CELLS = (st.lists(st.sampled_from(_CELL_PIECES), max_size=5).map("".join)
+          | st.floats(5e-324, 1.7e308).map(repr) | st.floats(0, 1).map(repr) | st.integers(1980, 2010).map(str))
+_CSV_ARGVS = [["fit", "--input", "a.csv"], ["crossover", "--replacement", "a.csv", "--target", "b.csv"],
+              ["crossover", "--replacement", "a.csv", "--target", "b.csv", "--fitted", "--require-crossover"],
+              ["knee", "--input", "a.csv", "--threshold", "0.1"]]
+
+
+class TestSeriesCsvFuzz:
+    """`fit`, `crossover` and `knee` on CSVs whose cells hold any such text
+    exit 0, or 2 with one error line (1 when --require-crossover finds no
+    crossover), never with a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_CSV_ARGVS), st.lists(st.tuples(_CELLS, _CELLS), max_size=5),
+           st.lists(st.tuples(_CELLS, _CELLS), max_size=5))
+    def test_any_cells_exit_0_1_or_2_with_at_most_one_error_line(self, argv, a_rows, b_rows):
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            for name, rows in (("a.csv", a_rows), ("b.csv", b_rows)):
+                (Path(work) / name).write_text("year,value\n" + "".join(f"{y},{v}\n" for y, v in rows),
+                                               encoding="utf-8")
+            code = main([arg if not arg.endswith(".csv") else str(Path(work) / arg) for arg in argv])
+        assert code in ((0, 1, 2) if "--require-crossover" in argv else (0, 2)), err.getvalue()
+        assert err.getvalue().count("error:") == (code != 0)
+        assert "Traceback" not in err.getvalue()
+
+
+# Values for argv by the name of their argument's type, and stray tokens
+# that argparse reads in its own way (help, abbreviations, `=`, negative
+# numbers, `--`) or that its number types refuse (`_`, non-ASCII digits).
+_VALUES = {"int": ["1990", "2005", "0"], "float": ["0.1", "1e-9", "nan", "1"], "str": ["s.csv", "c.json", "x y", ""]}
 _STRAYS = ["abc", "-5", "-", "--", "-h", "--help", "--version", "--thr", "--threshold=0.1", "--from=1990",
-           "--json"]
+           "--json", "1_990", "0.0_1", "\u0661\u0669\u0669\u0660"]
 
 
 @st.composite
@@ -959,7 +1002,7 @@ def argvs(draw) -> list:
         if draw(st.integers(0, 3)):  # each argument is given three times in four
             item = [name] if name.startswith("-") else []
             if not keywords.get("action"):
-                good = st.sampled_from(keywords.get("choices") or _VALUES[keywords.get("type", str)])
+                good = st.sampled_from(keywords.get("choices") or _VALUES[keywords.get("type", str).__name__])
                 item.append(draw(good if draw(st.integers(0, 3)) else token))
             items.append(item)
     return [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
@@ -1015,6 +1058,23 @@ class TestArgv:
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(argv)
         assert (code, out, err) == (exc.value.code or 0, *capsys.readouterr())
+
+    # A number flag reads its value as a CSV cell is read, and argparse
+    # names the flag and the type its reader is named after.
+    @pytest.mark.parametrize("argv, line", [
+        (["knee", "--input", "s.csv", "--threshold", "0.0_1"],
+         "techknee knee: error: argument --threshold: invalid float value: '0.0_1'"),
+        (["case", "audio", "--threshold", "0.0_1"],
+         "techknee case: error: argument --threshold: invalid float value: '0.0_1'"),
+        (["fit", "--input", "s.csv", "--from", "1_990"],
+         "techknee fit: error: argument --from: invalid int value: '1_990'"),
+        (["crossover", "--replacement", "s.csv", "--target", "s.csv", "--fitted", "--to", "\u0662\u0660\u0660\u0665"],
+         "techknee crossover: error: argument --to: invalid int value: '\u0662\u0660\u0660\u0665'"),
+    ], ids=["knee --threshold", "case --threshold", "fit --from", "crossover --to"])
+    def test_number_flags_refuse_python_literals(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert [text for text in err.splitlines() if "error:" in text] == [line]
 
     @settings(max_examples=150, deadline=None)
     @given(argvs())

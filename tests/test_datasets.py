@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from techknee.cli import main
 from techknee.datasets import (
     DATASET_IDS,
     _sha256,
@@ -199,11 +200,28 @@ class TestChecksums:
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [row[:-1] for row in rows], "missing '"),
         (lambda rows: rows[:-1] + [rows[-1][:-1] + ["abc"]], "could not convert string to float: 'abc'"),
-    ], ids=["missing column", "non-numeric cell"])
+        (lambda rows: rows[:-1] + [rows[-1][:-1]], "could not convert string to float: ''"),
+    ], ids=["missing column", "non-numeric cell", "short row"])
     def test_malformed_resealed_csv_is_named(self, tmp_path, edit, message):
         for dataset_id in DATASET_IDS:
             with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: malformed table: {message}"):
                 load_all(self.resealed_copy(tmp_path, dataset_id, edit))
+
+    # A table cell is read as a CSV cell of `fit` is, and a date only as
+    # YYYY-MM-DD, which Python 3.10's `date.fromisoformat` alone enforces.
+    @pytest.mark.parametrize("dataset_id, cell, edited, message", [
+        ("a4_traffic", "1985", "1_985", "invalid literal for int() with base 10: '1_985'"),
+        ("a3_postage", "1985-02-17", "19850217", "Invalid isoformat string: '19850217'"),
+        ("a3_postage", "1985-02-17", "1985-W07-7", "Invalid isoformat string: '1985-W07-7'"),
+    ], ids=["a4 year", "a3 basic date", "a3 week date"])
+    def test_python_literal_in_resealed_csv_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                              dataset_id, cell, edited, message):
+        def edit(rows):
+            return [[edited if text == cell else text for text in row] for row in rows]
+
+        monkeypatch.setenv("TECHKNEE_DATA", str(self.resealed_copy(tmp_path, dataset_id, edit)))
+        assert main(["case", "audio"]) == 2
+        assert capsys.readouterr() == ("", f"error: {dataset_id}: malformed table: {message}\n")
 
     def test_env_override_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TECHKNEE_DATA", str(self.corrupted_copy(tmp_path)))
