@@ -372,7 +372,7 @@ def _cmd_reproduce(args) -> int:
                 curves["adoption"],
                 f"internet {case}: performance and adoption",
             )
-    if args.strict and not report.ok:
+    if args.strict and report.deviations:
         print(f"error: {len(report.deviations)} cell(s) deviate beyond tolerance", file=sys.stderr)
         return 1
     return 0

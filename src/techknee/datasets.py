@@ -65,8 +65,8 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
     """`parse` of the rows of one bundled table, checked against its
     manifest: the manifest must be a JSON object that names the table's
     CSV and carries its sha256, and a row count it declares must be an
-    integer that matches. Rows that `parse` cannot read (a missing column,
-    an empty or missing cell, a cell not a number) make the table malformed."""
+    integer that matches. `parse` is given `(line, row)` pairs; rows it
+    cannot read (a missing column, a bad cell) make the table malformed."""
     manifest_path = directory / f"{dataset_id}.manifest.json"
     if not manifest_path.exists():
         raise DataIntegrityError(f"missing manifest {manifest_path}")
@@ -97,7 +97,8 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
             f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest.get('sha256')})"
         )
     try:
-        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""), restval=""))
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""), restval="")
+        rows = [(reader.line_num, row) for row in reader]
         if "rows" in coverage and len(rows) != coverage["rows"]:
             raise DataIntegrityError(f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}")
         return parse(rows)
@@ -106,26 +107,36 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
         raise DataIntegrityError(f"{dataset_id}: malformed table: {reason}") from None
 
 
-def _annual(rows: list[dict], column: str, unit: str, scale: float = 1.0) -> AnnualSeries:
-    return AnnualSeries(tuple((_read_year(r["year"]), _read_number(r[column]) * scale) for r in rows), unit)
+def _pairs(rows: list[tuple[int, dict]], key: str, read_key, column: str, scale: float = 1.0) -> tuple:
+    """(`read_key` of the `key` cell, the `column` number x `scale`) of each
+    row; a cell that cannot be read is refused naming its line."""
+    pairs = []
+    for line, row in rows:
+        try:
+            pairs.append((read_key(row[key]), _read_number(row[column]) * scale))
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
+    return tuple(pairs)
 
 
-class Datasets(namedtuple("Datasets", "bandwidth_real compression postage traffic media_share "
-                           "physical_media reference_media targets")):
-    """What scenarios resolve against: the bundled tables, with one table
-    per scenario axis.
+def _annual(rows: list[tuple[int, dict]], column: str, unit: str, scale: float = 1.0) -> AnnualSeries:
+    return AnnualSeries(_pairs(rows, "year", _read_year, column, scale), unit)
 
-    Money is in 2016 dollars and sales in absolute counts. `postage` maps
-    "first_ounce" and "additional_ounce" to rate schedules; `targets` maps
-    a target name to a mail weight in ounces or to a performance series;
-    `reference_media` maps a name to its media unit; `compression`,
-    `media_share` and `physical_media` (the competitor set) are keyed by
-    case. `load_all` fills them from the bundled tables, and
-    `sweep.extend_datasets` merges a scenario config's declarations into a
-    new bundle. Bundled data is never mutated.
-    """
 
-    __slots__ = ()
+Datasets = namedtuple("Datasets", "bandwidth_real compression postage traffic media_share "
+                      "physical_media reference_media targets")
+Datasets.__doc__ = """What scenarios resolve against: the bundled tables, with one table
+per scenario axis.
+
+Money is in 2016 dollars and sales in absolute counts. `postage` maps
+"first_ounce" and "additional_ounce" to rate schedules; `targets` maps
+a target name to a mail weight in ounces or to a performance series;
+`reference_media` maps a name to its media unit; `compression`,
+`media_share` and `physical_media` (the competitor set) are keyed by
+case. `load_all` fills them from the bundled tables, and
+`sweep.extend_datasets` merges a scenario config's declarations into a
+new bundle. Bundled data is never mutated.
+"""
 
 
 def load_all(directory: Path | None = None) -> Datasets:
@@ -135,14 +146,14 @@ def load_all(directory: Path | None = None) -> Datasets:
     directory = directory or data_dir()
     audio_raw = one_minute_size_bits("audio")
 
-    def analog(rows: list[dict]) -> dict:
-        minutes = {r["media"]: _read_number(r["minutes_per_unit"]) for r in rows}
+    def analog(rows: list[tuple[int, dict]]) -> dict:
+        minutes = dict(_pairs(rows, "media", str, "minutes_per_unit"))
         return {"cassette": AnalogStorage(minutes["Cassette"], audio_raw),
                 "vinyl": AnalogStorage(minutes["Vinyl"], audio_raw),
                 "vhs": AnalogStorage(minutes["VHS"], _VHS_RAW_BITS_PER_MINUTE)}
 
-    def digital(rows: list[dict]) -> dict:
-        megabytes = {r["media"]: _read_number(r["megabytes_per_unit"]) for r in rows}
+    def digital(rows: list[tuple[int, dict]]) -> dict:
+        megabytes = dict(_pairs(rows, "media", str, "megabytes_per_unit"))
         return {"cd": DigitalStorage(megabytes["CD"]), "dvd": DigitalStorage(megabytes["DVD"])}
 
     # Each table's part of the bundle, in DATASET_IDS order; the first five
@@ -150,8 +161,7 @@ def load_all(directory: Path | None = None) -> Datasets:
     parsers = (
         lambda rows: _annual(rows, "usd2016_per_mbps_month", "real-dollars-per-megabit-month"),
         lambda rows: {media: _annual(rows, media, "dimensionless-share") for media in ("audio", "video")},
-        lambda rows: {rate: RateSchedule(tuple((_read_date(r["effective_date"]), _read_number(r[f"{rate}_usd2016"]))
-                                               for r in rows), "real-dollars")
+        lambda rows: {rate: RateSchedule(_pairs(rows, "effective_date", _read_date, f"{rate}_usd2016"), "real-dollars")
                       for rate in ("first_ounce", "additional_ounce")},
         lambda rows: _annual(rows, "gigabytes_per_year", "count-per-year"),
         lambda rows: {media: _annual(rows, f"{media}_percent", "dimensionless-share", scale=0.01)

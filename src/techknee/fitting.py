@@ -38,20 +38,15 @@ class ExpFit(namedtuple("ExpFit", "a k t0 window n_points r_squared")):
         return super().__new__(cls, a, k, t0, window, n_points, r_squared)
 
 
-class CrossoverResult(namedtuple("CrossoverResult", "year mode fractional_year", defaults=(None,))):
-    """First year the replacement's performance reaches the target's.
+CrossoverResult = namedtuple("CrossoverResult", "year mode fractional_year", defaults=(None,))
+CrossoverResult.__doc__ = """First year the replacement's performance reaches the target's.
 
-    `fractional_year` is set in fitted mode only. Absent events carry
-    year=None.
-    """
+`fractional_year` is set in fitted mode only. Absent events carry
+year=None.
+"""
 
-    __slots__ = ()
-
-
-class KneeResult(namedtuple("KneeResult", "year threshold")):
-    """First year an adoption share reaches `threshold`."""
-
-    __slots__ = ()
+KneeResult = namedtuple("KneeResult", "year")
+KneeResult.__doc__ = "First year an adoption share reaches the threshold given to `knee`, or None."
 
 
 def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] | None = None) -> ExpFit:
@@ -192,5 +187,5 @@ def knee(adoption: AnnualSeries, threshold: float) -> KneeResult:
         raise ValueError(f"adoption values above 1 at {out_of_range[:3]}")
     for y, v in adoption:
         if v >= threshold:
-            return KneeResult(year=y, threshold=threshold)
-    return KneeResult(year=None, threshold=threshold)
+            return KneeResult(y)
+    return KneeResult(None)

@@ -175,11 +175,8 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     (1981-11-01 from 1982).
     """
     date = _date_class()
-    pairs = []
-    for year in sorted(set(int(y) for y in years)):
-        value = schedule.rate_on(date(year, 7, 1))
-        pairs.append((year, value))
-    return AnnualSeries(tuple(pairs), schedule.unit)
+    pairs = tuple((year, schedule.rate_on(date(year, 7, 1))) for year in sorted(set(int(y) for y in years)))
+    return AnnualSeries(pairs, schedule.unit)
 
 
 def _reader(convert: type, refusal: str):

@@ -74,8 +74,7 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
 
     @property
     def scenario_id(self) -> str:
-        return _scenario_id(self.case, self.target, self.reference_media, self.usage_metric,
-                            self.detection, self.knee_threshold)
+        return _scenario_id(*self)
 
 
 def _check_case(case: str) -> None:
@@ -105,29 +104,21 @@ def _threshold_label(knee_threshold: float) -> str:
     return repr(float(knee_threshold))
 
 
-class FitDiagnostics(namedtuple("FitDiagnostics", "replacement_a replacement_k replacement_r_squared "
-                                 "target_a target_k target_r_squared crossover_extrapolated")):
-    """The two fits behind a fitted crossover; empirical detection has none.
-    `crossover_extrapolated` says whether the intersection lies outside the
-    span of both fit windows, and is None when the curves never intersect."""
+FitDiagnostics = namedtuple("FitDiagnostics", "replacement target crossover_extrapolated")
+FitDiagnostics.__doc__ = """The two `ExpFit`s behind a fitted crossover; empirical detection has
+none. `crossover_extrapolated` says whether the intersection lies outside
+the span of both fit windows, and is None when the curves never intersect."""
 
-    __slots__ = ()
+SweepResult = namedtuple("SweepResult", "scenario crossover knee diagnostics", defaults=(None,))
 
+SweepBlock = namedtuple("SweepBlock", "target reference_media usage_metric detection crossover "
+                        "diagnostics knees")
+SweepBlock.__doc__ = """The scenarios of a sweep that differ only in their knee threshold.
 
-class SweepResult(namedtuple("SweepResult", "scenario crossover knee diagnostics", defaults=(None,))):
-    __slots__ = ()
-
-
-class SweepBlock(namedtuple("SweepBlock", "target reference_media usage_metric detection crossover "
-                            "diagnostics knees")):
-    """The scenarios of a sweep that differ only in their knee threshold.
-
-    They share one crossover and its diagnostics; `knees` follows the
-    config's thresholds in order and is shared by every block with the
-    same usage metric.
-    """
-
-    __slots__ = ()
+They share one crossover and its diagnostics; `knees` follows the
+config's thresholds in order and is shared by every block with the
+same usage metric.
+"""
 
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
@@ -204,7 +195,8 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
     """The scenario of a `scenario_id`,
     'case|target|reference|metric|detection|threshold'. The case may be
     left out. The knee threshold is the id's, or else `threshold`, or else
-    1%; an id that carries one refuses a `threshold`."""
+    1%; an id that carries one refuses a `threshold`. Fields are read left
+    to right, and a refusal names the field it could not read."""
     parts = raw.split("|")
     if len(parts) == 6 and parts[0] != case:
         raise ValueError(f"scenario id {raw!r} is for case {parts[0]!r}, not {case!r}")
@@ -212,14 +204,15 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
         parts = parts[1:]
     if len(parts) not in (4, 5):
         raise ValueError(f"scenario id {raw!r} needs target|reference|metric|detection[|threshold]")
-    target, media, metric, detection, *carried = parts
+    target, media, metric_text, detection_text, *carried = parts
+    metric = _named("metric", lambda: _parse_usage_metric(metric_text))
+    detection = _named("detection", lambda: _parse_detection(detection_text))
     if carried:
         if threshold is not None:
             raise ValueError(f"scenario id {raw!r} carries threshold {carried[0]}, so threshold "
                              f"{threshold!r} cannot be given too")
-        threshold = _read_number(carried[0])
-    return Scenario(case, target, media, _parse_usage_metric(metric), _parse_detection(detection),
-                    0.01 if threshold is None else threshold)
+        threshold = _named("threshold", lambda: _check_threshold(_read_number(carried[0])))
+    return Scenario(case, target, media, metric, detection, 0.01 if threshold is None else threshold)
 
 
 class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_metrics detection "
@@ -515,8 +508,7 @@ class _Stages:
             lo = min(fit_r.window[0], fit_t.window[0])
             hi = max(fit_r.window[1], fit_t.window[1])
             extrapolated = not lo <= crossover.fractional_year <= hi
-        return crossover, FitDiagnostics(fit_r.a, fit_r.k, fit_r.r_squared,
-                                         fit_t.a, fit_t.k, fit_t.r_squared, extrapolated)
+        return crossover, FitDiagnostics(fit_r, fit_t, extrapolated)
 
     def knee(self, case: str, metric: UsageMetric, threshold: float) -> KneeResult:
         return self._once(("knee", case, metric, threshold), knee, self.adoption(case, metric), threshold)
@@ -630,18 +622,12 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
 # reproduction of the published tables
 
 
-class Cell(namedtuple("Cell", "cell_id table case label expected tolerance computed status note",
-                      defaults=("",))):
-    """One published table cell checked against the pipeline; `status` is
-    exact, within_tolerance, deviation or unsupported."""
+Cell = namedtuple("Cell", "cell_id table case label expected tolerance computed status note", defaults=("",))
+Cell.__doc__ = """One published table cell checked against the pipeline; `status` is
+exact, within_tolerance, deviation or unsupported."""
 
-    __slots__ = ()
-
-
-class RangeCheck(namedtuple("RangeCheck", "range_id case expected computed status")):
-    """A published feasibility range checked against computed cells."""
-
-    __slots__ = ()
+RangeCheck = namedtuple("RangeCheck", "range_id case expected computed status")
+RangeCheck.__doc__ = "A published feasibility range checked against computed cells."
 
 
 class ReproductionReport(namedtuple("ReproductionReport", "cells ranges curves")):
@@ -652,10 +638,6 @@ class ReproductionReport(namedtuple("ReproductionReport", "cells ranges curves")
         ids = [c.cell_id for c in self.cells if c.status == "deviation"]
         ids += [r.range_id for r in self.ranges if r.status == "deviation"]
         return ids
-
-    @property
-    def ok(self) -> bool:
-        return not self.deviations
 
     def to_json(self) -> str:
         """Cells and ranges keyed by field name, the first field as "id"."""

@@ -523,7 +523,7 @@ class TestErrorContract:
     def test_scenario_unit_length_must_be_finite_and_positive(self, capsys, metric):
         result = run(capsys, "case", "audio", "--scenario", f"mail_cd|album|{metric}|empirical|0.01")
         self.assert_usage_error(result)
-        assert result[2] == "error: bad scenario id: units metric needs a finite positive unit length\n"
+        assert result[2] == "error: bad scenario id: metric: units metric needs a finite positive unit length\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|0.1", "--threshold", "0.05"],
@@ -532,17 +532,32 @@ class TestErrorContract:
         (["case", "video", "--scenario", "audio|mail_cd|album|minutes|empirical|0.1"],
          "scenario id 'audio|mail_cd|album|minutes|empirical|0.1' is for case 'audio', not 'video'"),
         (["case", "audio", "--scenario", "mail_cd|album|units:\u0663|empirical"],
-         "could not convert string to float: '\u0663'"),
+         "metric: could not convert string to float: '\u0663'"),
         (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:\u0661\u0669\u0669\u0665-"],
-         "invalid literal for int() with base 10: '\u0661\u0669\u0669\u0665'"),
+         "detection: invalid literal for int() with base 10: '\u0661\u0669\u0669\u0665'"),
         (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|0.0_1"],
-         "could not convert string to float: '0.0_1'"),
+         "threshold: could not convert string to float: '0.0_1'"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|1.5"],
+         "threshold: knee threshold must be in (0, 1)"),
     ])
     def test_case_scenario_id_refused(self, capsys, argv, message):
         result = run(capsys, *argv)
         self.assert_usage_error(result)
         assert result[2] == f"error: bad scenario id: {message}\n"
         assert result[1] == ""
+
+    # The fields are read left to right, so the first bad one is named,
+    # whatever follows it.
+    @pytest.mark.parametrize("scenario_id, message", [
+        ("mail_cd|album|units:\u0663|fitted:\u0661\u0669\u0669\u0665-|0.0_1",
+         "metric: could not convert string to float: '\u0663'"),
+        ("mail_cd|album|units:x|fitted:1995-|0.1", "metric: could not convert string to float: 'x'"),
+        ("mail_cd|album|minutes|fitted:abc-|0.1", "detection: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["every field bad", "metric", "detection"])
+    def test_scenario_id_refusal_names_the_first_bad_field(self, capsys, scenario_id, message):
+        result = run(capsys, "case", "audio", "--scenario", scenario_id)
+        self.assert_usage_error(result)
+        assert result[1:] == ("", f"error: bad scenario id: {message}\n")
 
     @pytest.mark.parametrize("argv", [["case", "audio", "--json"], ["reproduce"], ["export-data", "--out", "out"]])
     def test_manifest_must_name_its_own_csv(self, capsys, tmp_path, monkeypatch, argv):

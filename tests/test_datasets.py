@@ -197,22 +197,25 @@ class TestChecksums:
         return target
 
     # The last column of every table is one load_all reads, and a number.
+    # A cell that cannot be read is named by its line, here the last one.
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [row[:-1] for row in rows], "missing '"),
-        (lambda rows: rows[:-1] + [rows[-1][:-1] + ["abc"]], "could not convert string to float: 'abc'"),
-        (lambda rows: rows[:-1] + [rows[-1][:-1]], "could not convert string to float: ''"),
+        (lambda rows: rows[:-1] + [rows[-1][:-1] + ["abc"]], "line {last}: could not convert string to float: 'abc'"),
+        (lambda rows: rows[:-1] + [rows[-1][:-1]], "line {last}: could not convert string to float: ''"),
     ], ids=["missing column", "non-numeric cell", "short row"])
     def test_malformed_resealed_csv_is_named(self, tmp_path, edit, message):
         for dataset_id in DATASET_IDS:
-            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: malformed table: {message}"):
+            last = len((data_dir() / f"{dataset_id}.csv").read_text().splitlines())
+            with pytest.raises(DataIntegrityError,
+                               match=f"^{dataset_id}: malformed table: {message.format(last=last)}"):
                 load_all(self.resealed_copy(tmp_path, dataset_id, edit))
 
     # A table cell is read as a CSV cell of `fit` is, and a date only as
     # YYYY-MM-DD, which Python 3.10's `date.fromisoformat` alone enforces.
     @pytest.mark.parametrize("dataset_id, cell, edited, message", [
-        ("a4_traffic", "1985", "1_985", "invalid literal for int() with base 10: '1_985'"),
-        ("a3_postage", "1985-02-17", "19850217", "Invalid isoformat string: '19850217'"),
-        ("a3_postage", "1985-02-17", "1985-W07-7", "Invalid isoformat string: '1985-W07-7'"),
+        ("a4_traffic", "1985", "1_985", "line 3: invalid literal for int() with base 10: '1_985'"),
+        ("a3_postage", "1985-02-17", "19850217", "line 3: Invalid isoformat string: '19850217'"),
+        ("a3_postage", "1985-02-17", "1985-W07-7", "line 3: Invalid isoformat string: '1985-W07-7'"),
     ], ids=["a4 year", "a3 basic date", "a3 week date"])
     def test_python_literal_in_resealed_csv_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                                               dataset_id, cell, edited, message):
@@ -260,6 +263,10 @@ class TestParseSeriesCsv:
         s = parse_series_csv(path, "count-per-year")
         assert s.entries == ((1990, 1.5), (1991, 2.5))
         assert s.unit == "count-per-year"
+
+    def test_blank_and_space_only_lines_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n1990,1.5\n\n  \n1991,2.5\n")
+        assert parse_series_csv(path, "count-per-year").entries == ((1990, 1.5), (1991, 2.5))
 
     def test_duplicate_year_names_line(self, tmp_path):
         path = self.write(tmp_path, "year,value\n1990,1.5\n1990,2.5\n")

@@ -171,6 +171,11 @@ class TestRSquared:
         assert 0.3 < fit.r_squared < 0.35
         assert fit.r_squared == pytest.approx(self.oracle(s), rel=1e-12)
 
+    def test_uncorrelated_series_is_zero(self):
+        # Log values 0, ln 2, 0: the fitted rate is 0 and explains nothing.
+        fit = fit_exponential(series({2000: 1.0, 2001: 2.0, 2002: 1.0}))
+        assert (fit.k, fit.r_squared) == (0.0, 0.0)
+
     @pytest.mark.parametrize("case, media, target", [("audio", "album", "mail_cd"), ("video", "clip", "mail_dvd")])
     @pytest.mark.parametrize("window", [(None, None), (1995, None)], ids=["all", "from1995"])
     def test_bundled_series(self, case, media, target, window):

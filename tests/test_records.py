@@ -31,7 +31,7 @@ MINUTES = UsageMetric("minutes")
 EMPIRICAL = Detection("empirical")
 SCENARIO = Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, 0.01)
 CROSSOVER = CrossoverResult(1998, "empirical")
-KNEE = KneeResult(1999, 0.01)
+KNEE = KneeResult(1999)
 CELL = Cell("t2_audio_mail_cd", "table2", "audio", "mail CD", 1998, 0, 1998, "exact")
 RANGE = RangeCheck("fig4_audio_crossover_range", "audio", (1992, 2001), (1992, 1998), "deviation")
 

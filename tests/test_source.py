@@ -91,3 +91,24 @@ def test_public_names_are_the_pinned_ones(path):
 
 def test_every_module_is_pinned():
     assert sorted(path.name for path in PACKAGE.glob("*.py")) == sorted(PUBLIC_NAMES)
+
+
+def is_bare_namedtuple_subclass(node: ast.ClassDef) -> bool:
+    """A class whose only base is a `namedtuple(...)` call and whose body is
+    only a docstring and `__slots__ = ()`: the named tuple itself, with a
+    second class around it."""
+    base = node.bases[0] if len(node.bases) == 1 else None
+    if not (isinstance(base, ast.Call) and ast.unparse(base.func) == "namedtuple"):
+        return False
+    return all((isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant))
+               or ast.unparse(statement) == "__slots__ = ()" for statement in node.body)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_a_record_without_behaviour_is_its_namedtuple(path):
+    # A named tuple's class already has empty slots; its docstring is set
+    # as `Record.__doc__ = ...`.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    wrapped = [f"{path.name}:{node.lineno}: {node.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and is_bare_namedtuple_subclass(node)]
+    assert wrapped == []

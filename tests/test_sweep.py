@@ -10,9 +10,11 @@ from hypothesis import given, strategies as st
 from techknee.adoption import PhysicalMediaSpec, UsageMetric
 from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, crossover_fitted, fit_exponential, knee
-from techknee.series import AnnualSeries
+from techknee.series import AnnualSeries, RateSchedule
 from techknee.sweep import (
     _BASELINE,
+    _CELL_SPECS,
+    _Stages,
     Detection,
     Scenario,
     ScenarioError,
@@ -220,8 +222,8 @@ class TestRunScenario:
         result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.mode == "fitted"
         assert result.crossover.year == 1996
-        assert 0.9 < result.diagnostics.replacement_r_squared <= 1.0
-        assert result.diagnostics.replacement_k > 0.4
+        assert 0.9 < result.diagnostics.replacement.r_squared <= 1.0
+        assert result.diagnostics.replacement.k > 0.4
         assert result.diagnostics.crossover_extrapolated is False
 
     def test_baseline_consistency_with_standalone_ops(self, datasets):
@@ -459,6 +461,44 @@ class TestMetamorphic:
                 extended = datasets._replace(physical_media={**datasets.physical_media, case: competitors})
                 assert adoption_series(case, metric, extended) == adoption_series(case, metric, datasets)
 
+    @pytest.mark.parametrize("delta", [-7, 3, 100])
+    def test_year_shift_shifts_every_cell_result(self, datasets, delta):
+        # Every series year and postage date moves by `delta` years (no
+        # bundled date is 29 February), and so does each fit window.
+        def move(year):
+            return None if year is None else year + delta
+
+        def moved(series):
+            return AnnualSeries(tuple((year + delta, value) for year, value in series), series.unit)
+
+        shifted = datasets._replace(
+            bandwidth_real=moved(datasets.bandwidth_real),
+            compression={case: moved(series) for case, series in datasets.compression.items()},
+            postage={rate: RateSchedule(tuple((day.replace(year=day.year + delta), value)
+                                              for day, value in schedule.changes), schedule.unit)
+                     for rate, schedule in datasets.postage.items()},
+            traffic=moved(datasets.traffic),
+            media_share={case: moved(series) for case, series in datasets.media_share.items()},
+            physical_media={case: tuple(PhysicalMediaSpec(m.name, m.storage, moved(m.yearly_sales)) for m in media)
+                            for case, media in datasets.physical_media.items()},
+            targets={name: moved(target) if isinstance(target, AnnualSeries) else target
+                     for name, target in datasets.targets.items()},
+        )
+        base, shifted = _Stages(datasets), _Stages(shifted)
+        for cell_id, _, case, _, scenario_id, *_ in _CELL_SPECS:
+            if scenario_id is None:
+                continue
+            scenario = parse_scenario_id(case, scenario_id)
+            d = scenario.detection
+            expected = base.run(scenario)
+            got = shifted.run(scenario._replace(detection=Detection(d.mode, move(d.window_from), move(d.window_to))))
+            assert expected.crossover.year is not None and expected.knee.year is not None, cell_id
+            assert (got.crossover.year, got.knee.year) == (move(expected.crossover.year),
+                                                          move(expected.knee.year)), cell_id
+            if d.mode == "fitted":
+                assert got.crossover.fractional_year == pytest.approx(
+                    expected.crossover.fractional_year + delta, rel=0, abs=1e-9), cell_id
+
 
 class TestJoin:
     """run_sweep computes each distinct crossover and knee once and joins
@@ -566,8 +606,8 @@ class TestJoin:
         first, second = results
         assert first.diagnostics is second.diagnostics
         with pytest.raises(AttributeError):
-            first.diagnostics.replacement_k = 0.0
-        assert second.diagnostics.replacement_k > 0.4
+            first.diagnostics.replacement = None
+        assert second.diagnostics.replacement.k > 0.4
         (empirical,) = run_sweep(config(), datasets)
         assert empirical.diagnostics is None
 
