@@ -77,18 +77,6 @@ class UsageMetric(namedtuple("UsageMetric", "kind unit_length_minutes")):
             raise ValueError(f"{kind} metric takes no unit length")
         return super().__new__(cls, kind, unit_length_minutes)
 
-    @classmethod
-    def minutes(cls) -> "UsageMetric":
-        return cls("minutes")
-
-    @classmethod
-    def raw_bits(cls) -> "UsageMetric":
-        return cls("raw_bits")
-
-    @classmethod
-    def units(cls, unit_length_minutes: float) -> "UsageMetric":
-        return cls("units", unit_length_minutes)
-
     def label(self) -> str:
         if self.kind == "units":
             length = self.unit_length_minutes
@@ -199,7 +187,7 @@ def adoption_share(
     usage rather than copied from `minutes`, since a knee exactly at a
     threshold could flip otherwise.
     """
-    metric = metric or UsageMetric.minutes()
+    metric = metric or UsageMetric("minutes")
     for name, usage in physical:
         if usage.unit != internet.unit:
             raise UnitMismatchError(f"{name} is {usage.unit!r}, expected {internet.unit!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import atexit
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import FitError, TechkneeError
-from .fitting import crossover_empirical, crossover_fitted, fit_exponential, knee, tir
+from .fitting import _LN_FLOAT_MAX, crossover_empirical, crossover_fitted, fit_exponential, knee, tir
 from .series import UNIT_TAGS, _read_number, _read_year, parse_series_csv
 
 TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
@@ -87,6 +88,9 @@ def _cmd_fit(args) -> int:
     window = _window(args)
     series = parse_series_csv(args.input, args.unit)
     fit = _of_file(args.input, fit_exponential, series, window)
+    if abs(fit.log_a) > _LN_FLOAT_MAX:  # the one level techknee prints
+        raise FitError(f"{args.input}: fitted level at {fit.window[0]} is e^{fit.log_a:.1f}, beyond a float's range")
+    level = math.exp(fit.log_a)
     rate = _of_file(args.input, tir, fit)
     if args.json:
         import json
@@ -98,7 +102,7 @@ def _cmd_fit(args) -> int:
                     "unit": args.unit,
                     "window": list(fit.window),
                     "n_points": fit.n_points,
-                    "level_at_t0": fit.a,
+                    "level_at_t0": level,
                     "rate_per_year": fit.k,
                     "tir_percent": rate,
                     "r_squared": fit.r_squared,
@@ -108,7 +112,7 @@ def _cmd_fit(args) -> int:
     else:
         print(f"input: {args.input} ({args.unit})")
         print(f"window: {fit.window[0]}-{fit.window[1]} ({fit.n_points} points)")
-        print(f"level at {fit.t0}: {fit.a:.6g} {args.unit}")
+        print(f"level at {fit.window[0]}: {level:.6g} {args.unit}")
         print(f"continuous rate: {fit.k:.6f} per year")
         print(f"TIR: {rate:.1f}% per year")
         print(f"r-squared (log space): {fit.r_squared:.4f}")
@@ -137,14 +141,14 @@ def _cmd_crossover(args) -> int:
                     "replacement": args.replacement,
                     "target": args.target,
                     "unit": args.unit,
-                    "mode": result.mode,
+                    "mode": "fitted" if args.fitted else "empirical",
                     "year": result.year,
                     "fractional_year": result.fractional_year,
                 }
             )
         )
     else:
-        provenance = f"{args.replacement} vs {args.target} ({args.unit}, {result.mode})"
+        provenance = f"{args.replacement} vs {args.target} ({args.unit}, {'fitted' if args.fitted else 'empirical'})"
         if result.year is None:
             print(f"{provenance}: no crossover")
         elif result.fractional_year is not None:

@@ -17,31 +17,30 @@ from .series import AnnualSeries, align
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows a float above it
 
-class ExpFit(namedtuple("ExpFit", "a k t0 window n_points r_squared")):
-    """Fitted curve value(t) = a * exp(k * (t - t0)).
+class ExpFit(namedtuple("ExpFit", "log_a k window n_points r_squared")):
+    """Fitted curve ln value(t) = log_a + k * (t - window[0]).
 
-    `a` is the fitted level at the reference year t0 (the first window
-    year), `k` the continuous per-year rate, `r_squared` the log-space
-    coefficient of determination.
+    `log_a` is the natural log of the fitted level at the first window
+    year, `k` the continuous per-year rate, `r_squared` the log-space
+    coefficient of determination. The level itself, e^log_a, may lie
+    beyond a float's range.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: float, k: float, t0: int, window: tuple[int, int], n_points: int,
+    def __new__(cls, log_a: float, k: float, window: tuple[int, int], n_points: int,
                 r_squared: float) -> ExpFit:
-        if a <= 0:
-            raise ValueError("fitted level must be positive")
         if n_points < 2:
             raise ValueError("a fit needs at least two points")
         if window[0] > window[1]:
             raise ValueError("window start exceeds window end")
-        return super().__new__(cls, a, k, t0, window, n_points, r_squared)
+        return super().__new__(cls, log_a, k, window, n_points, r_squared)
 
 
-CrossoverResult = namedtuple("CrossoverResult", "year mode fractional_year", defaults=(None,))
+CrossoverResult = namedtuple("CrossoverResult", "year fractional_year", defaults=(None,))
 CrossoverResult.__doc__ = """First year the replacement's performance reaches the target's.
 
-`fractional_year` is set in fitted mode only. Absent events carry
+`fractional_year` is set by `crossover_fitted` only. Absent events carry
 year=None.
 """
 
@@ -58,8 +57,8 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
         window: optional (from_year, to_year) bounds, inclusive; None on
             either side leaves that side open.
 
-    A year beyond ±2^53 or a fitted level beyond e^±709.78, which floats
-    cannot hold, raises FitError.
+    A year beyond ±2^53, past the integers a float holds exactly, raises
+    FitError.
     """
     from_year, to_year = window if window is not None else (None, None)
     if from_year is not None and to_year is not None and from_year > to_year:
@@ -97,14 +96,11 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
         r_squared = 1.0
     else:
         r_squared = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    if abs(intercept) > _LN_FLOAT_MAX:
-        raise FitError(f"fitted level at {t0} is e^{intercept:.1f}, beyond a float's range")
 
     return ExpFit(
-        a=math.exp(intercept),
+        log_a=intercept,
         k=k,
-        t0=t0,
-        window=(pairs[0][0], pairs[-1][0]),
+        window=(t0, pairs[-1][0]),
         n_points=n,
         r_squared=r_squared,
     )
@@ -141,31 +137,32 @@ def crossover_empirical(replacement: AnnualSeries, target: AnnualSeries) -> Cros
                 year = y
         else:
             year = None
-    return CrossoverResult(year=year, mode="empirical")
+    return CrossoverResult(year)
 
 
 def crossover_fitted(fit_replacement: ExpFit, fit_target: ExpFit) -> CrossoverResult:
     """Closed-form intersection of two fitted exponentials.
 
-    The fractional year solves aR*e^{kR(t-t0R)} = aT*e^{kT(t-t0T)}. The
-    integer year is the ceiling of the fractional solution when the
-    replacement starts below the target (first whole year of superiority);
+    The fractional year solves log_aR + kR(t - t0R) = log_aT + kT(t - t0T),
+    each t0 the first year of its fit's window. The integer year is the
+    ceiling of the fractional solution when the replacement starts below
+    the target (first whole year of superiority);
     when the replacement never transitions from below to above, no integer
     year is reported. Rates with |kR - kT| <= 1e-9 * max(1, |kR|, |kT|) are
     parallel, as fits of parallel data differ by rounding (t* would be ~1e16):
-    no crossover, or DegenerateFitError if log-levels ln a - k*t0 are as close.
+    no crossover, or DegenerateFitError if log-levels log_a - k*t0 are as close.
     """
     fr, ft = fit_replacement, fit_target
-    log_level_r = math.log(fr.a) - fr.k * fr.t0
-    log_level_t = math.log(ft.a) - ft.k * ft.t0
+    log_level_r = fr.log_a - fr.k * fr.window[0]
+    log_level_t = ft.log_a - ft.k * ft.window[0]
     if _close(fr.k, ft.k):
         if _close(log_level_r, log_level_t):
             raise DegenerateFitError("fitted curves are identical")
-        return CrossoverResult(year=None, mode="fitted", fractional_year=None)
+        return CrossoverResult(None)
     t_star = (log_level_t - log_level_r) / (fr.k - ft.k)
     rising = fr.k > ft.k  # replacement below target before t_star
     year = math.ceil(t_star) if rising else None
-    return CrossoverResult(year=year, mode="fitted", fractional_year=t_star)
+    return CrossoverResult(year, t_star)
 
 
 def _close(x: float, y: float) -> bool:

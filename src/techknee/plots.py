@@ -55,11 +55,11 @@ def _text(x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> 
 
 def _case_svg(
     performance: Mapping[str, AnnualSeries],
-    adoption: AnnualSeries | None,
+    adoption: AnnualSeries,
     title: str,
 ) -> str:
     """Two stacked panels: log-scale performance curves, linear adoption share."""
-    years = sorted({y for s in performance.values() for y, _ in s} | ({y for y, _ in adoption} if adoption else set()))
+    years = sorted({y for s in performance.values() for y, _ in s} | {y for y, _ in adoption})
     if not years:
         raise ValueError("nothing to plot")
     y_min, y_max = years[0], years[-1]
@@ -112,17 +112,16 @@ def _case_svg(
     parts.append(_text(_MARGIN_LEFT, _MARGIN_TOP - 8, "performance (media units per real dollar, log scale)", size=11))
 
     # adoption panel
-    if adoption is not None:
-        for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-            gy = y_share(tick)
-            parts.append(
-                f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(gy)}" x2="{_WIDTH - _MARGIN_RIGHT}" '
-                f'y2="{_fmt(gy)}" stroke="#dddddd"/>'
-            )
-            parts.append(_text(_MARGIN_LEFT - 6, gy + 4, f"{int(tick * 100)}%", anchor="end", size=10))
-        pts = [(x_of(y), y_share(v)) for y, v in adoption]
-        parts.append(_polyline(pts, "#2ca02c"))
-        parts.append(_text(_MARGIN_LEFT, adoption_top - 8, "adoption share of total usage", size=11))
+    for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
+        gy = y_share(tick)
+        parts.append(
+            f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(gy)}" x2="{_WIDTH - _MARGIN_RIGHT}" '
+            f'y2="{_fmt(gy)}" stroke="#dddddd"/>'
+        )
+        parts.append(_text(_MARGIN_LEFT - 6, gy + 4, f"{int(tick * 100)}%", anchor="end", size=10))
+    pts = [(x_of(y), y_share(v)) for y, v in adoption]
+    parts.append(_polyline(pts, "#2ca02c"))
+    parts.append(_text(_MARGIN_LEFT, adoption_top - 8, "adoption share of total usage", size=11))
 
     # shared year axis labels
     step = max(1, span // 8)
@@ -136,7 +135,7 @@ def _case_svg(
 def write_case_svg(
     path: str | Path,
     performance: Mapping[str, AnnualSeries],
-    adoption: AnnualSeries | None,
+    adoption: AnnualSeries,
     title: str,
 ) -> None:
     Path(path).write_text(_case_svg(performance, adoption, title), encoding="utf-8")

@@ -203,7 +203,8 @@ def _read_date(text: str) -> date:
 
 
 def parse_series_csv(path: str | Path, declared_unit: str) -> AnnualSeries:
-    """Read a `year,value` CSV into a validated series.
+    """Read a `year,value` CSV into a validated series; columns after
+    the second, such as a `note`, are ignored.
 
     The unit is supplied by the caller (manifest or CLI flag), never
     inferred. Malformed rows are reported with their line number, and

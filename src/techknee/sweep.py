@@ -169,7 +169,7 @@ def _parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
     if isinstance(raw, str):
         if raw.startswith("units:"):
-            return UsageMetric.units(_read_number(raw.split(":", 1)[1]))
+            return UsageMetric("units", _read_number(raw.split(":", 1)[1]))
         return UsageMetric(raw)
     if isinstance(raw, dict):
         _known(raw, "kind", "unit_length_minutes")

@@ -89,7 +89,7 @@ def test_criterion_2_video_baseline_crossover(datasets):
 
 
 def test_criterion_3_audio_knees_exact(datasets):
-    adoption = adoption_series("audio", UsageMetric.minutes(), datasets)
+    adoption = adoption_series("audio", UsageMetric("minutes"), datasets)
     k1 = knee(adoption, 0.01).year
     k10 = knee(adoption, 0.10).year
     check("3", (k1, k10) == (1999, 2001), f"audio knees 1%={k1} (exp 1999), 10%={k10} (exp 2001)")
@@ -274,7 +274,7 @@ def test_criterion_9_property_suites(datasets, tmp_path):
             {2000 + i: a * math.exp(k * i) for i in range(12)}, "count-per-year"
         )
         fit = fit_exponential(s)
-        if abs(fit.a - a) > 1e-9 * a or abs(fit.k - k) > 1e-9 * abs(k):
+        if abs(math.exp(fit.log_a) - a) > 1e-9 * a or abs(fit.k - k) > 1e-9 * abs(k):
             failures.append(f"fit recovery a={a} k={k}")
 
     # crossover monotonicity under pointwise scaling
@@ -305,7 +305,7 @@ def test_criterion_9_property_suites(datasets, tmp_path):
         everyone += [(m.name, digital_media_minutes(m, compression, one_min)
                       if isinstance(m.storage, DigitalStorage) else analog_media_minutes(m))
                      for m in datasets.physical_media[case]]
-        if adoption_share(everyone[0][1], everyone[1:]) != adoption_series(case, UsageMetric.minutes(), datasets):
+        if adoption_share(everyone[0][1], everyone[1:]) != adoption_series(case, UsageMetric("minutes"), datasets):
             failures.append(f"{case} adoption series is not the internet's share of its usages")
         totals: dict[int, float] = {}
         for i, (_, usage) in enumerate(everyone):
@@ -317,7 +317,7 @@ def test_criterion_9_property_suites(datasets, tmp_path):
 
     # knee threshold monotonicity on the bundled adoption curves
     for case in ("audio", "video"):
-        adoption = adoption_series(case, UsageMetric.minutes(), datasets)
+        adoption = adoption_series(case, UsageMetric("minutes"), datasets)
         knees = [knee(adoption, t).year for t in (0.01, 0.05, 0.10, 0.25)]
         present = [k for k in knees if k is not None]
         if present != sorted(present):

@@ -175,8 +175,8 @@ class TestAdoptionShare:
     def test_units_metric_is_share_invariant(self):
         internet = self.usage({1990: 30.0, 1991: 60.0})
         physical = [("cd", self.usage({1990: 90.0, 1991: 120.0}))]
-        by_minutes = adoption_share(internet, physical, UsageMetric.minutes())
-        by_songs = adoption_share(internet, physical, UsageMetric.units(3.0))
+        by_minutes = adoption_share(internet, physical, UsageMetric("minutes"))
+        by_songs = adoption_share(internet, physical, UsageMetric("units", 3.0))
         assert by_minutes.entries == by_songs.entries
 
     def test_unit_mismatch_rejected(self):
@@ -252,9 +252,9 @@ class TestExtendCompression:
 
 class TestUsageMetric:
     def test_labels(self):
-        assert UsageMetric.minutes().label() == "minutes"
-        assert UsageMetric.raw_bits().label() == "raw_bits"
-        assert UsageMetric.units(3.0).label() == "units:3"
+        assert UsageMetric("minutes").label() == "minutes"
+        assert UsageMetric("raw_bits").label() == "raw_bits"
+        assert UsageMetric("units", 3.0).label() == "units:3"
 
     def test_units_needs_length(self):
         with pytest.raises(ValueError, match="unit length"):
@@ -263,7 +263,7 @@ class TestUsageMetric:
     @pytest.mark.parametrize("length", [0.0, -3.0, math.inf, -math.inf, math.nan])
     def test_units_length_is_finite_and_positive(self, length):
         with pytest.raises(ValueError, match="finite positive unit length"):
-            UsageMetric.units(length)
+            UsageMetric("units", length)
 
     def test_minutes_takes_no_length(self):
         with pytest.raises(ValueError, match="no unit length"):

@@ -48,8 +48,8 @@ BOUNDARIES = {
                            r"media fraction 1.005 outside \[0, 1\]"),
     "media fraction zero": (lambda: protocol_mix([(share(0.5), 0.0)]), lambda: protocol_mix([(share(0.5), -0.005)]),
                             r"media fraction -0.005 outside \[0, 1\]"),
-    "fit window": (lambda: ExpFit(1.0, 0.5, 2000, (2000, 2001), 2, 1.0),
-                   lambda: ExpFit(1.0, 0.5, 2001, (2001, 2000), 2, 1.0), "window start exceeds window end"),
+    "fit window": (lambda: ExpFit(0.0, 0.5, (2000, 2001), 2, 1.0),
+                   lambda: ExpFit(0.0, 0.5, (2001, 2000), 2, 1.0), "window start exceeds window end"),
     "knee share": (lambda: knee(share(1.0), 0.5), lambda: knee(share(1.005), 0.5), "adoption values above 1"),
     "scale factor": (lambda: share(0.5).scale(0), lambda: share(0.5).scale(-0.5),
                      "scale factor must be non-negative"),

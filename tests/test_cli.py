@@ -12,10 +12,11 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from techknee.cli import _COMMANDS, _build_parser, _parse_plain, main
 from techknee.sweep import _CELL_SPECS
@@ -25,6 +26,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Finite CSV values whose fitted level at 2000, e^945.6, a float cannot hold.
+LEVEL_ROWS = "year,value\n2000,1e308\n2001,1e308\n2002,1e-308\n"
+
+
+def exact_fitted_crossover(*paths) -> Fraction:
+    """The fractional year at which the lines fitted to two `year,value`
+    CSVs cross, by an exact OLS of the same float logs."""
+    lines = []
+    for path in paths:
+        with open(path, newline="") as f:
+            rows = [(Fraction(int(y)), Fraction(math.log(float(v)))) for y, v in list(csv.reader(f))[1:]]
+        x_mean, z_mean = (sum(column) / len(rows) for column in zip(*rows))
+        k = sum((x - x_mean) * (z - z_mean) for x, z in rows) / sum((x - x_mean) ** 2 for x, _ in rows)
+        lines.append((z_mean - k * x_mean, k))  # log-level at year 0, rate
+    (level_r, k_r), (level_t, k_t) = lines
+    return (level_t - level_r) / (k_r - k_t)
 
 
 @pytest.fixture
@@ -826,13 +845,10 @@ class TestErrorContract:
         assert "scenario audio|mail_cd|album|minutes|fitted:2030-2040|0.01: " in result[2]
         assert not (tmp_path / "out" / "results.csv").exists()
 
-    # Finite CSV values whose fit a float cannot hold: a fitted level, a TIR
-    # and a year span beyond it.
-    LEVEL_ROWS = "year,value\n2000,1e308\n2001,1e308\n2002,1e-308\n"
-    LEVEL = "fitted level at 2000 is e^945.6, beyond a float's range"
-
+    # Finite CSV values whose fit `fit` cannot print: a fitted level, a TIR
+    # and a year span beyond a float.
     @pytest.mark.parametrize("rows, message", [
-        (LEVEL_ROWS, LEVEL),
+        (LEVEL_ROWS, "fitted level at 2000 is e^945.6, beyond a float's range"),
         ("year,value\n2000,1e-300\n2001,1e300\n",
          "rate 1381.55 per year: its TIR, (e^k - 1) x 100%, is beyond a float's range"),
         ("year,value\n1,1.0\n1" + "0" * 400 + ",2.0\n",
@@ -843,20 +859,37 @@ class TestErrorContract:
         path.write_text(rows)
         assert run(capsys, "fit", "--input", str(path)) == (2, "", f"error: {path}: {message}\n")
 
-    def test_fitted_crossover_beyond_a_float_names_the_file(self, capsys, tmp_path, rising_csv):
+    # `crossover --fitted` and a fitted sweep print no level, so they
+    # answer for the same rows: the lines cross at the exact OLS's year.
+    def test_fitted_crossover_beyond_a_float_level_is_the_exact_ols(self, capsys, tmp_path, rising_csv):
         path = tmp_path / "extreme.csv"
-        path.write_text(self.LEVEL_ROWS)
-        result = run(capsys, "crossover", "--fitted", "--replacement", rising_csv, "--target", str(path),
-                     "--unit", "count-per-year")
-        assert result == (2, "", f"error: {path}: {self.LEVEL}\n")
+        path.write_text(LEVEL_ROWS)
+        argv = ["crossover", "--fitted", "--replacement", rising_csv, "--target", str(path), "--unit", "count-per-year"]
+        code, out, err = run(capsys, *argv, "--json")
+        t_star = exact_fitted_crossover(rising_csv, path)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["fractional_year"] - t_star) <= 1e-9
+        assert json.loads(out)["year"] == math.ceil(t_star) == 2002
+        assert run(capsys, *argv)[1].endswith(": crossover 2002 (fractional 2001.32)\n")
 
-    def test_fitted_sweep_beyond_a_float_names_the_scenario(self, capsys, tmp_path):
-        (tmp_path / "extreme.csv").write_text(self.LEVEL_ROWS)
+    def test_fitted_sweep_beyond_a_float_level_is_the_exact_ols(self, capsys, tmp_path):
+        from techknee.datasets import load_all
+        from techknee.sweep import SweepConfig, extend_datasets, replacement_performance, sweep_blocks
+
+        (tmp_path / "extreme.csv").write_text(LEVEL_ROWS)
+        album = tmp_path / "album.csv"
+        album.write_text("year,value\n" + "".join(f"{y},{v!r}\n" for y, v in
+                                                  replacement_performance("audio", "album", load_all())))
         config = dict(self.SWEEP, targets=["extreme"], detection=["fitted"], custom_series={
             "extreme": {"path": "extreme.csv", "unit": "media-units-per-real-dollar"}})
-        result = self.sweep(capsys, tmp_path, config)
-        assert result == (2, "", f"error: scenario audio|extreme|album|minutes|fitted|0.01: {self.LEVEL}\n")
-        assert not (tmp_path / "out" / "results.csv").exists()
+        t_star = exact_fitted_crossover(album, tmp_path / "extreme.csv")
+        block, = sweep_blocks(SweepConfig.from_json(config), extend_datasets(load_all(), config, base_dir=tmp_path))
+        assert abs(block.crossover.fractional_year - t_star) <= 1e-9
+        assert block.crossover.year == math.ceil(t_star)
+        assert self.sweep(capsys, tmp_path, config)[0] == 0
+        with open(tmp_path / "out" / "results.csv", newline="") as f:
+            row, = csv.DictReader(f)
+        assert (row["crossover_year"], row["crossover_fractional"]) == (str(math.ceil(t_star)), f"{float(t_star):.4f}")
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="int() reads an integer of any length")
@@ -979,9 +1012,10 @@ _CSV_ARGVS = [["fit", "--input", "a.csv"], ["crossover", "--replacement", "a.csv
 
 
 class TestSeriesCsvFuzz:
-    """`fit`, `crossover` and `knee` on CSVs whose cells hold any such text
-    exit 0, or 2 with one error line (1 when --require-crossover finds no
-    crossover), never with a traceback."""
+    """`fit`, `crossover` and `knee` on CSVs whose cells hold any such text,
+    and a fitted sweep whose custom target series does, exit 0, or 2 with
+    one error line (1 when --require-crossover finds no crossover), never
+    with a traceback."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(_CSV_ARGVS), st.lists(st.tuples(_CELLS, _CELLS), max_size=5),
@@ -994,6 +1028,22 @@ class TestSeriesCsvFuzz:
                                                encoding="utf-8")
             code = main([arg if not arg.endswith(".csv") else str(Path(work) / arg) for arg in argv])
         assert code in ((0, 1, 2) if "--require-crossover" in argv else (0, 2)), err.getvalue()
+        assert err.getvalue().count("error:") == (code != 0)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_CELLS, _CELLS), max_size=5))
+    @example([tuple(line.split(",")) for line in LEVEL_ROWS.splitlines()[1:]])
+    def test_fitted_sweep_over_any_cells_exits_0_or_2_with_at_most_one_error_line(self, rows):
+        config = dict(TestErrorContract.SWEEP, targets=["drawn"], detection=["fitted"], custom_series={
+            "drawn": {"path": "drawn.csv", "unit": "media-units-per-real-dollar"}})
+        with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            (Path(work) / "drawn.csv").write_text("year,value\n" + "".join(f"{y},{v}\n" for y, v in rows),
+                                                  encoding="utf-8")
+            (Path(work) / "c.json").write_text(json.dumps(config))
+            code = main(["sweep", "--config", str(Path(work) / "c.json"), "--out", str(Path(work) / "out")])
+        assert code in (0, 2), err.getvalue()
         assert err.getvalue().count("error:") == (code != 0)
         assert "Traceback" not in err.getvalue()
 

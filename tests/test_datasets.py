@@ -314,6 +314,10 @@ class TestParseSeriesCsv:
         path = self.write(tmp_path, "year,value\n 1990 , 1.5e3 \n+1991,+2E-1\n1992,.5\n")
         assert parse_series_csv(path, "count-per-year").entries == ((1990, 1500.0), (1991, 0.2), (1992, 0.5))
 
+    def test_columns_after_the_second_are_ignored(self, tmp_path):
+        path = self.write(tmp_path, 'year,value,note\n1990,1.5,estimate\n1991,2.5,"a, b",x\n1992,3.5\n')
+        assert parse_series_csv(path, "count-per-year").entries == ((1990, 1.5), (1991, 2.5), (1992, 3.5))
+
     def test_unknown_unit_rejected(self, tmp_path):
         path = self.write(tmp_path, "year,value\n1990,1.0\n")
         with pytest.raises(ValueError, match="unit"):

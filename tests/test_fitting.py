@@ -57,7 +57,6 @@ class TestFitExponential:
         fit = fit_exponential(s, (1992, 1995))
         assert fit.window == (1992, 1995)
         assert fit.n_points == 4
-        assert fit.t0 == 1992
 
     def test_too_few_points(self):
         with pytest.raises(FitError, match="at least 2"):
@@ -77,18 +76,23 @@ class TestFitExponential:
         with pytest.raises(FitError, match="non-positive"):
             fit_exponential(series({1990: 1.0, 1991: 0.0, 1992: 2.0}))
 
-    # Finite values whose fit a float cannot hold are refused where the
-    # number would be made.
-    @pytest.mark.parametrize("mapping, message", [
-        ({2000: 1e308, 2001: 1e308, 2002: 1e-308}, "fitted level at 2000 is e^945.6, beyond a float's range"),
-        ({2000: 1e-308, 2001: 1e-308, 2002: 1e308}, "fitted level at 2000 is e^-945.6, beyond a float's range"),
-        ({1: 1.0, 10 ** 400: 2.0}, "the window holds a year beyond ±2^53, past the integers a float holds exactly"),
-        ({-2 ** 53 - 1: 1.0, 0: 2.0}, "the window holds a year beyond ±2^53, past the integers a float holds exactly"),
-    ], ids=["level above", "level below", "year above", "year below"])
-    def test_fit_a_float_cannot_hold_is_refused(self, mapping, message):
+    # Finite values whose window a float cannot hold are refused.
+    @pytest.mark.parametrize("mapping", [{1: 1.0, 10 ** 400: 2.0}, {-2 ** 53 - 1: 1.0, 0: 2.0}],
+                             ids=["year above", "year below"])
+    def test_fit_a_float_cannot_hold_is_refused(self, mapping):
         with pytest.raises(FitError) as err:
             fit_exponential(series(mapping))
-        assert str(err.value) == message
+        assert str(err.value) == "the window holds a year beyond ±2^53, past the integers a float holds exactly"
+
+    # A level beyond a float's range, e^945.6 or e^-945.6, is held as its
+    # log: ln values (u, u, v) at years 0-2 fit log_a = (7u - v) / 6 and
+    # k = (v - u) / 2.
+    @pytest.mark.parametrize("u, v", [(1e308, 1e-308), (1e-308, 1e308)], ids=["level above", "level below"])
+    def test_level_a_float_cannot_hold_is_kept_as_its_log(self, u, v):
+        fit = fit_exponential(series({2000: u, 2001: u, 2002: v}))
+        assert round(fit.log_a, 1) == (945.6 if u > v else -945.6)
+        assert fit.log_a == pytest.approx((7 * math.log(u) - math.log(v)) / 6, rel=1e-12)
+        assert fit.k == pytest.approx((math.log(v) - math.log(u)) / 2, rel=1e-12)
 
     def test_years_a_float_holds_fit(self):
         fit = fit_exponential(series({-2 ** 53: 1.0, 2 ** 53: 2.0}))
@@ -114,7 +118,7 @@ class TestFitExponential:
     )
     def test_exact_recovery(self, a, k, t0, n):
         fit = fit_exponential(exponential_series(a, k, t0, n))
-        assert fit.a == pytest.approx(a, rel=1e-9)
+        assert fit.log_a == pytest.approx(math.log(a), abs=1e-9)
         assert fit.k == pytest.approx(k, rel=1e-9, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
@@ -129,20 +133,20 @@ class TestFitExponential:
         fit_base = fit_exponential(base)
         fit_scaled = fit_exponential(scaled)
         assert fit_scaled.k == pytest.approx(fit_base.k, rel=1e-9, abs=1e-9)
-        assert fit_scaled.a == pytest.approx(fit_base.a * c, rel=1e-9)
+        assert fit_scaled.log_a == pytest.approx(fit_base.log_a + math.log(c), abs=1e-9)
 
 
 class TestTir:
     def test_zero(self):
-        fit = ExpFit(a=1.0, k=0.0, t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0)
+        fit = ExpFit(log_a=0.0, k=0.0, window=(2000, 2001), n_points=2, r_squared=1.0)
         assert tir(fit) == 0.0
 
     def test_ln2_is_100_percent(self):
-        fit = ExpFit(a=1.0, k=math.log(2), t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0)
+        fit = ExpFit(log_a=0.0, k=math.log(2), window=(2000, 2001), n_points=2, r_squared=1.0)
         assert tir(fit) == pytest.approx(100.0, rel=1e-12)
 
     def test_small_continuous_rate_to_percent(self):
-        fit = ExpFit(a=1.0, k=0.0305, t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0)
+        fit = ExpFit(log_a=0.0, k=0.0305, window=(2000, 2001), n_points=2, r_squared=1.0)
         assert tir(fit) == pytest.approx(3.097, abs=5e-4)
 
     def test_rate_a_float_cannot_hold_is_refused(self):
@@ -207,8 +211,7 @@ class TestCrossoverEmpirical:
         rep = series({1989: 1.0, 1990: 3.5, 1991: 2.0, 1992: 4.0, 1993: 5.0}, self.UNIT)
         tgt = series({y: 3.0 for y in range(1989, 1994)}, self.UNIT)
         result = crossover_empirical(rep, tgt)
-        assert result.year == 1992
-        assert result.mode == "empirical"
+        assert result == (1992, None)
 
     def test_unit_mismatch(self):
         rep = series({1990: 1.0}, self.UNIT)
@@ -249,13 +252,12 @@ class TestCrossoverEmpirical:
 
 class TestCrossoverFitted:
     def fit(self, a, k, t0=0):
-        return ExpFit(a=a, k=k, t0=t0, window=(t0, t0 + 10), n_points=11, r_squared=1.0)
+        return ExpFit(log_a=math.log(a), k=k, window=(t0, t0 + 10), n_points=11, r_squared=1.0)
 
     def test_closed_form_solution(self):
         result = crossover_fitted(self.fit(1.0, 0.5), self.fit(math.e, 0.0))
         assert result.fractional_year == pytest.approx(2.0, rel=1e-12)
         assert result.year == 2
-        assert result.mode == "fitted"
 
     def test_identical_fits_are_degenerate(self):
         with pytest.raises(DegenerateFitError):
@@ -286,7 +288,24 @@ class TestCrossoverFitted:
     def test_near_identical_fits_are_degenerate(self):
         fit = self.fit(2.0, 0.3, t0=1990)
         with pytest.raises(DegenerateFitError):
-            crossover_fitted(fit, fit._replace(a=2.0 * (1 + 1e-15), k=0.3 * (1 + 1e-15)))
+            crossover_fitted(fit, fit._replace(log_a=math.log(2.0) + 1e-15, k=0.3 * (1 + 1e-15)))
+
+    # Any fit of finite positive values, a level beyond a float's range
+    # included, crosses another at a finite year, or never, or is degenerate.
+    POSITIVE = st.dictionaries(st.integers(1900, 2100), st.floats(5e-324, 1.7e308), min_size=2, max_size=12)
+
+    @given(POSITIVE, POSITIVE)
+    @example({y: 2.0 ** (y - 1990) for y in range(1990, 2000)}, {2000: 1e308, 2001: 1e308, 2002: 1e-308})
+    @example({2000: 1e-308, 2001: 1e-308, 2002: 1e308}, {2000: 1e308, 2001: 1e308, 2002: 1e-308})
+    def test_fits_of_finite_values_cross_at_a_finite_year_or_never(self, rep, tgt):
+        fits = fit_exponential(series(rep)), fit_exponential(series(tgt))
+        try:
+            result = crossover_fitted(*fits)
+        except DegenerateFitError:
+            return
+        t_star = result.fractional_year
+        assert t_star is None or math.isfinite(t_star)
+        assert result.year is None or result.year == math.ceil(t_star)
 
     def test_declining_advantage_has_no_integer_year(self):
         # Replacement starts above and grows slower: no below-to-above transition.
@@ -336,6 +355,12 @@ class TestKnee:
     def test_values_above_one_rejected(self):
         with pytest.raises(ValueError, match="above 1"):
             knee(self.share({1990: 1.5}), 0.01)
+
+    def test_values_above_one_message_lists_the_first_three(self):
+        s = self.share({1990: 1.5, 1991: 0.5, 1992: 2.0, 1993: 3.0, 1994: 4.0})
+        with pytest.raises(ValueError) as err:
+            knee(s, 0.01)
+        assert str(err.value) == "adoption values above 1 at [(1990, 1.5), (1992, 2.0), (1993, 3.0)]"
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.1])
     def test_threshold_domain(self, threshold):

@@ -46,9 +46,10 @@ def test_case_svg_structure():
 
 def test_case_svg_is_deterministic():
     perf = {"r": series({1990: 1.0, 1991: 2.0}, "count-per-year")}
-    assert _case_svg(perf, None, "t") == _case_svg(perf, None, "t")
+    adoption = series({1990: 0.1, 1991: 0.2}, "dimensionless-share")
+    assert _case_svg(perf, adoption, "t") == _case_svg(perf, adoption, "t")
 
 
 def test_empty_plot_rejected():
-    with pytest.raises(ValueError):
-        _case_svg({}, None, "empty")
+    with pytest.raises(ValueError, match="nothing to plot"):
+        _case_svg({}, AnnualSeries((), "dimensionless-share"), "empty")

@@ -30,7 +30,7 @@ CD = DigitalStorage(700.0)
 MINUTES = UsageMetric("minutes")
 EMPIRICAL = Detection("empirical")
 SCENARIO = Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, 0.01)
-CROSSOVER = CrossoverResult(1998, "empirical")
+CROSSOVER = CrossoverResult(1998)
 KNEE = KneeResult(1999)
 CELL = Cell("t2_audio_mail_cd", "table2", "audio", "mail CD", 1998, 0, 1998, "exact")
 RANGE = RangeCheck("fig4_audio_crossover_range", "audio", (1992, 2001), (1992, 1998), "deviation")
@@ -38,7 +38,7 @@ RANGE = RangeCheck("fig4_audio_crossover_range", "audio", (1992, 2001), (1992, 1
 RECORDS = [
     SALES,
     RateSchedule(((date(1999, 1, 10), 0.4), (date(2001, 1, 7), 0.5)), "real-dollars"),
-    ExpFit(1.0, 0.5, 2000, (2000, 2001), 2, 1.0),
+    ExpFit(0.0, 0.5, (2000, 2001), 2, 1.0),
     CROSSOVER,
     KNEE,
     AnalogStorage(60.0, 1e6),
@@ -81,10 +81,15 @@ class TestEveryRecord:
         assert all(f"{name}=" in text for name in _fields(record))
 
 
+def test_fit_is_its_log_space_line_and_a_crossover_its_years():
+    assert ExpFit._fields == ("log_a", "k", "window", "n_points", "r_squared")
+    assert CrossoverResult._fields == ("year", "fractional_year")
+
+
 @pytest.mark.parametrize("build", [
     lambda: AnnualSeries(((2000, -1.0),), "count-per-year"),
     lambda: RateSchedule(((date(2001, 1, 1), 0.5), (date(2000, 1, 1), 0.4)), "real-dollars"),
-    lambda: ExpFit(a=0.0, k=0.5, t0=2000, window=(2000, 2001), n_points=2, r_squared=1.0),
+    lambda: ExpFit(log_a=0.0, k=0.5, window=(2000, 2001), n_points=1, r_squared=1.0),
     lambda: AnalogStorage(minutes_per_unit=0.0, raw_bits_per_minute=1e6),
     lambda: DigitalStorage(-1.0),
     lambda: PhysicalMediaSpec("cd", CD, POSTAGE),
@@ -100,7 +105,7 @@ def test_validated_record_refuses_a_bad_value(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: UsageMetric.units(3),
+    lambda: UsageMetric("units", 3),
     lambda: Detection("fitted", 1995),
     lambda: AnnualSeries.from_mapping({2001: 2.0, 2000: 1.0}, "count-per-year"),
 ], ids=["UsageMetric", "Detection", "AnnualSeries"])
