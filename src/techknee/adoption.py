@@ -200,6 +200,8 @@ def adoption_share(
     pairs = []
     for year, net, *others in rows:
         total = net + sum(others)
+        if math.isinf(total):
+            raise ValueError(f"total usage in {year} is beyond a float's range")
         if total == 0:
             warnings.warn(f"zero total usage in {year}; year omitted", stacklevel=2)
             continue

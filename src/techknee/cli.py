@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 # command binds these names into this module on first use and keeps a
 # binding already there, so a caller that replaced one (bench/tracer.py
 # wraps `cli.load_all`) keeps its replacement. `__getattr__` resolves
-# them for readers from outside before any command has run; no command
-# calls `run_sweep`, which is here for them.
+# them for readers from outside before any command has run. No command
+# calls `run_scenario` or `run_sweep`; they are here only for those readers.
 _LAZY = {
     "load_all": "datasets",
     "feasibility_range": "sweep",
@@ -185,14 +185,20 @@ def _cmd_knee(args) -> int:
     return 0
 
 
+def _write_curves(csv_path: Path, svg_path: Path, curves: dict, title: str) -> None:
+    """`curves`, performance series and an "adoption" share, as tidy CSV and the SVG chart."""
+    write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
+    write_tidy_csv(csv_path, curves)
+    write_case_svg(svg_path, {k: v for k, v in curves.items() if k != "adoption"}, curves["adoption"], title)
+
+
 def _cmd_case(args) -> int:
     import json
 
     from .datasets import DATASET_IDS
-    from .sweep import _BASELINE, parse_scenario_id
+    from .sweep import _BASELINE, _Stages, parse_scenario_id
 
-    load_all, run_scenario = _bind("load_all", "run_scenario")
-    datasets = load_all()
+    stages = _Stages(_bind("load_all")[0]())
     if args.scenario:
         try:
             scenario = parse_scenario_id(args.case, args.scenario, args.threshold)
@@ -200,7 +206,7 @@ def _cmd_case(args) -> int:
             raise ValueError(f"bad scenario id: {exc}")
     else:
         scenario = parse_scenario_id(args.case, _BASELINE[args.case], args.threshold)
-    result = run_scenario(scenario, datasets)
+    block = stages.block(*scenario[:5], (scenario.knee_threshold,))
     if args.out:
         # Before any output, so an unusable --out prints nothing.
         out = Path(args.out)
@@ -212,9 +218,9 @@ def _cmd_case(args) -> int:
                     "case": args.case,
                     "scenario": scenario.scenario_id,
                     "data": [f"{dataset_id}.csv" for dataset_id in DATASET_IDS],
-                    "crossover": result.crossover.year,
+                    "crossover": block.crossover.year,
                     "knee_threshold": scenario.knee_threshold,
-                    "knee": result.knee.year,
+                    "knee": block.knees[0].year,
                 }
             )
         )
@@ -224,21 +230,18 @@ def _cmd_case(args) -> int:
               f"[a1_bandwidth_cost, a2_compression]")
         print(f"target: {scenario.target} [a3_postage]")
         print(f"adoption: {scenario.usage_metric.label()} metric [a2, a4_traffic, a5_media_share, a6_sales, a7, a8]")
-        print(f"crossover: {result.crossover.year}, knee({_percent(scenario.knee_threshold)}): {result.knee.year}")
+        print(f"crossover: {block.crossover.year}, knee({_percent(scenario.knee_threshold)}): {block.knees[0].year}")
     if args.out:
-        from .sweep import adoption_series, replacement_performance, target_performance
-
-        write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
+        paths = out / f"{args.case}_curves.csv", out / f"{args.case}.svg"
         curves = {
-            f"internet_{args.case}": replacement_performance(args.case, scenario.reference_media, datasets),
-            scenario.target: target_performance(scenario.target, datasets),
+            f"internet_{args.case}": stages.replacement(args.case, scenario.reference_media),
+            scenario.target: stages.target(scenario.target),
+            "adoption": stages.adoption(args.case, scenario.usage_metric),
         }
-        adoption = adoption_series(args.case, scenario.usage_metric, datasets)
-        write_tidy_csv(out / f"{args.case}_curves.csv", {**curves, "adoption": adoption})
-        write_case_svg(out / f"{args.case}.svg", curves, adoption, f"internet {args.case} vs {scenario.target}")
+        _write_curves(*paths, curves, f"internet {args.case} vs {scenario.target}")
         if not args.json:
-            print(f"wrote: {out / f'{args.case}_curves.csv'}")
-            print(f"wrote: {out / f'{args.case}.svg'}")
+            for path in paths:
+                print(f"wrote: {path}")
     return 0
 
 
@@ -367,15 +370,9 @@ def _cmd_reproduce(args) -> int:
             writer.writerow(Cell._fields)
             writer.writerows(report.cells)
         (out / "report.json").write_text(report_json + "\n", encoding="utf-8")
-        write_tidy_csv, write_case_svg = _bind("write_tidy_csv", "write_case_svg")
         for case, curves in report.curves.items():
-            write_tidy_csv(out / f"fig3_{case}.csv", curves)
-            write_case_svg(
-                out / f"fig3_{case}.svg",
-                {k: v for k, v in curves.items() if k != "adoption"},
-                curves["adoption"],
-                f"internet {case}: performance and adoption",
-            )
+            _write_curves(out / f"fig3_{case}.csv", out / f"fig3_{case}.svg", curves,
+                          f"internet {case}: performance and adoption")
     if args.strict and report.deviations:
         print(f"error: {len(report.deviations)} cell(s) deviate beyond tolerance", file=sys.stderr)
         return 1

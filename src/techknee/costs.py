@@ -81,7 +81,11 @@ def internet_distribution_perf(
     for year, cost, ratio in align(speed_cost, compression):
         if ratio <= 0:
             raise ValueError(f"compression ratio must be positive at {year}")
-        pairs.append((year, _SECONDS_IN_MONTH / cost * ratio / size_megabits))
+        value = _SECONDS_IN_MONTH / cost * ratio / size_megabits
+        if value == math.inf:
+            raise ValueError(f"internet distribution performance at {year} is beyond a float's range: "
+                             f"speed cost {cost!r}, compression ratio {ratio!r}")
+        pairs.append((year, value))
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")
 
 
@@ -102,6 +106,11 @@ def mail_distribution_perf(weight_ounces: int, first_ounce: AnnualSeries,
         if any(v <= 0 for _, v in s):
             raise ValueError("postage must be positive")
     extra = weight_ounces - 1
-    pairs = [(year, 1.0 / (first + extra * additional))
-             for year, first, additional in align(first_ounce, additional_ounce)]
+    pairs = []
+    for year, first, additional in align(first_ounce, additional_ounce):
+        value = 1.0 / (first + extra * additional)
+        if value == math.inf:
+            raise ValueError(f"mail distribution performance at {year} is beyond a float's range: "
+                             f"first-ounce postage {first!r}, additional-ounce postage {additional!r}")
+        pairs.append((year, value))
     return AnnualSeries(tuple(pairs), "media-units-per-real-dollar")

@@ -70,6 +70,8 @@ def _case_svg(
         return _MARGIN_LEFT + (year - y_min) / span * plot_width
 
     values = [v for s in performance.values() for _, v in s if v > 0]
+    if not values:
+        raise ValueError("no positive performance value to plot on a log scale")
     log_lo = math.floor(math.log10(min(values)))
     log_hi = math.ceil(math.log10(max(values)))
     log_span = max(1, log_hi - log_lo)

@@ -23,8 +23,7 @@ from .costs import REFERENCE_BIT_RATES, MediaSpec, internet_distribution_perf, m
     one_minute_size_bits
 from .datasets import Datasets
 from .errors import TechkneeError
-from .fitting import CrossoverResult, KneeResult, crossover_empirical, \
-    crossover_fitted, fit_exponential, knee
+from .fitting import CrossoverResult, crossover_empirical, crossover_fitted, fit_exponential, knee
 from .series import AnnualSeries, _read_number, _read_year, annualize, parse_series_csv
 
 
@@ -454,15 +453,16 @@ def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> Annua
 
 
 class _Stages:
-    """The pipeline stages over one datasets bundle, each distinct input
-    computed once.
+    """The one evaluator: the pipeline stages over one datasets bundle,
+    each distinct input computed once.
 
     A crossover depends only on (case, target, reference media, detection)
-    and a knee only on (case, usage metric, threshold), so scenarios that
-    share those keys share one result. Stages are looked up by their
-    module names at call time, so patching `techknee.sweep.<stage>` sees
-    every call. An instance lives for one call of `run_scenario`,
-    `sweep_blocks` or `reproduce_case_studies`.
+    and a knee only on (case, usage metric, threshold), so blocks share
+    their crossover and their row of knees. `block` evaluates. `sweep_blocks`,
+    `run_scenario` and `reproduce_case_studies` each hold an instance for
+    one call, and the `case` command one whose curves `--out` draws. Stages
+    are looked up by their module names at call time, so patching
+    `techknee.sweep.<stage>` sees every call.
     """
 
     def __init__(self, datasets: Datasets) -> None:
@@ -485,13 +485,6 @@ class _Stages:
     def adoption(self, case: str, metric: UsageMetric) -> AnnualSeries:
         return self._once(("adoption", case, metric), adoption_series, case, metric, self.datasets)
 
-    def crossover(self, case: str, target: str, reference_media: str,
-                  detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
-        """The crossover and its diagnostics, shared by every scenario with
-        the same crossover key."""
-        return self._once(("crossover", case, target, reference_media, detection),
-                          self._detect_crossover, case, target, reference_media, detection)
-
     def _detect_crossover(self, case: str, target_name: str, reference_media: str,
                           detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
         replacement = self.replacement(case, reference_media)
@@ -510,22 +503,32 @@ class _Stages:
             extrapolated = not lo <= crossover.fractional_year <= hi
         return crossover, FitDiagnostics(fit_r, fit_t, extrapolated)
 
-    def knee(self, case: str, metric: UsageMetric, threshold: float) -> KneeResult:
-        return self._once(("knee", case, metric, threshold), knee, self.adoption(case, metric), threshold)
-
-    def run(self, scenario: Scenario) -> SweepResult:
-        s = scenario
+    def block(self, case: str, target: str, reference_media: str, metric: UsageMetric,
+              detection: Detection, thresholds: tuple[float, ...]) -> SweepBlock:
+        """The scenarios that differ only in their knee threshold, one per
+        threshold in order. A failure raises ScenarioError naming the first
+        failing one."""
+        threshold = thresholds[0]  # names the failing scenario below
         try:
-            crossover, diagnostics = self.crossover(s.case, s.target, s.reference_media, s.detection)
-            knee_result = self.knee(s.case, s.usage_metric, s.knee_threshold)
+            crossover, diagnostics = self._once(("crossover", case, target, reference_media, detection),
+                                                self._detect_crossover, case, target, reference_media, detection)
+            key = ("knees", case, metric, thresholds)
+            knees = self._memo.get(key)
+            if knees is None:
+                adoption, row = self.adoption(case, metric), []
+                for threshold in thresholds:
+                    row.append(knee(adoption, threshold))
+                knees = self._memo[key] = tuple(row)
         except (TechkneeError, ValueError, KeyError) as exc:
-            raise ScenarioError(f"scenario {scenario.scenario_id}: {exc}") from exc
-        return SweepResult(scenario, crossover, knee_result, diagnostics)
+            scenario_id = _scenario_id(case, target, reference_media, metric, detection, threshold)
+            raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
+        return SweepBlock(target, reference_media, metric, detection, crossover, diagnostics, knees)
 
 
 def run_scenario(scenario: Scenario, datasets: Datasets) -> SweepResult:
-    """Full pipeline for one scenario; deterministic, errors annotated."""
-    return _Stages(datasets).run(scenario)
+    """Full pipeline for one scenario: a block of one threshold."""
+    b = _Stages(datasets).block(*scenario[:5], (scenario.knee_threshold,))
+    return SweepResult(scenario, b.crossover, b.knees[0], b.diagnostics)
 
 
 def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
@@ -537,23 +540,7 @@ def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
     failing scenario in enumeration order.
     """
     stages = _Stages(datasets)
-    case, thresholds = config.case, config.knee_thresholds
-    knees: dict[UsageMetric, tuple[KneeResult, ...]] = {}
-    blocks = []
-    for target, media, metric, detection in _blocks(config, datasets):
-        threshold = thresholds[0]  # names the failing scenario below
-        try:
-            crossover, diagnostics = stages.crossover(case, target, media, detection)
-            if metric not in knees:
-                row = []
-                for threshold in thresholds:
-                    row.append(stages.knee(case, metric, threshold))
-                knees[metric] = tuple(row)
-        except (TechkneeError, ValueError, KeyError) as exc:
-            scenario_id = _scenario_id(case, target, media, metric, detection, threshold)
-            raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
-        blocks.append(SweepBlock(target, media, metric, detection, crossover, diagnostics, knees[metric]))
-    return blocks
+    return [stages.block(config.case, *axes, config.knee_thresholds) for axes in _blocks(config, datasets)]
 
 
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
@@ -725,9 +712,11 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     cells = []
     crossover_years: dict[str, list[int]] = {"audio": [], "video": []}
     for cell_id, table, case, label, scenario_id, event, expected, tolerance, *note in _CELL_SPECS:
-        # `event` names the SweepResult field holding the cell's year.
-        computed = None if scenario_id is None else \
-            getattr(stages.run(parse_scenario_id(case, scenario_id)), event).year
+        computed = None
+        if scenario_id is not None:
+            s = parse_scenario_id(case, scenario_id)
+            b = stages.block(*s[:5], (s.knee_threshold,))
+            computed = (b.crossover if event == "crossover" else b.knees[0]).year
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
         cells.append(

@@ -196,6 +196,11 @@ class TestAdoptionShare:
             share = adoption_share(internet, physical)
         assert share.years == (1991,)
 
+    def test_total_beyond_a_float_is_refused(self):
+        # 1e308 + 1e308 overflows to inf, which would make the 0.5 share 0.0.
+        with pytest.raises(ValueError, match="^total usage in 1991 is beyond a float's range$"):
+            adoption_share(self.usage({1990: 1.0, 1991: 1e308}), [("cd", self.usage({1990: 1.0, 1991: 1e308}))])
+
     def test_no_common_years_is_error(self):
         with pytest.raises(ValueError, match="no years"):
             adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1991: 1.0}))])

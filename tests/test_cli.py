@@ -558,6 +558,14 @@ class TestErrorContract:
          "threshold: could not convert string to float: '0.0_1'"),
         (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|1.5"],
          "threshold: knee threshold must be in (0, 1)"),
+        # The unit length is all of the text after the first colon, and the
+        # window's end all of the text after the first dash.
+        (["case", "audio", "--scenario", "mail_cd|album|units:3:4|empirical"],
+         "metric: could not convert string to float: '3:4'"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:1995-:x"],
+         "detection: invalid literal for int() with base 10: ':x'"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|1"],
+         "threshold: knee threshold must be in (0, 1)"),
     ])
     def test_case_scenario_id_refused(self, capsys, argv, message):
         result = run(capsys, *argv)

@@ -144,6 +144,12 @@ class TestInternetPerformance:
             assert y1 == y2
             assert v2 == pytest.approx(v1 / 2.0, rel=1e-12)
 
+    def test_performance_beyond_a_float_names_year_and_input(self):
+        comp = series({1999: 1.0, 2000: 1.0}, "dimensionless-share")
+        with pytest.raises(ValueError, match=r"^internet distribution performance at 2000 is beyond a "
+                                             r"float's range: speed cost 5e-324, compression ratio 1\.0$"):
+            internet_distribution_perf(pricing({1999: 1.0, 2000: 5e-324}), comp, REFERENCE_MEDIA["album"])
+
     def test_seconds_in_month_is_pinned(self):
         assert _SECONDS_IN_MONTH == 2_592_000
 
@@ -169,6 +175,12 @@ class TestMailPerformance:
     def test_missing_additional_year_omitted(self):
         perf = mail_distribution_perf(1, postage({2000: 0.5, 2001: 0.5}), postage({2000: 0.3}))
         assert perf.years == (2000,)
+
+    @pytest.mark.parametrize("weight, first, additional", [(1, 5e-324, 0.3), (2, 5e-324, 5e-324)])
+    def test_performance_beyond_a_float_names_year_and_input(self, weight, first, additional):
+        with pytest.raises(ValueError, match=rf"^mail distribution performance at 2000 is beyond a float's range: "
+                                             rf"first-ounce postage {first!r}, additional-ounce postage {additional!r}$"):
+            mail_distribution_perf(weight, postage({1999: 0.3, 2000: first}), postage({1999: 0.3, 2000: additional}))
 
     def test_size_invariance_at_one_ounce(self):
         # Mail performance depends on weight, not on the media unit's bits.

@@ -116,6 +116,15 @@ class TestBundledGoldenValues:
         assert [m.storage.minutes_per_unit for m in (vhs, cassette, vinyl)] == [180.0, 60.0, 90.0]
         assert [m.storage.unit_storage_megabytes for m in (cd, dvd)] == [700.0, 4700.0]
 
+    def test_vhs_raw_bits_set_the_2004_video_raw_share(self, bundle):
+        # VHS counts 320x240 pixels, 24-bit, 30 fps plus the reference audio
+        # track per minute; the video raw-bits 10% knee rests on this share.
+        from techknee.adoption import UsageMetric
+        from techknee.sweep import adoption_series
+
+        share = adoption_series("video", UsageMetric("raw_bits"), bundle).to_mapping()[2004]
+        assert share == pytest.approx(0.10103248480270435, rel=1e-12)
+
     def test_load_all_assembles_everything(self, bundle):
         assert bundle.bandwidth_real.to_mapping()[2002] == 269.85
         (dvd, vhs) = bundle.physical_media["video"]

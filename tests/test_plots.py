@@ -51,5 +51,9 @@ def test_case_svg_is_deterministic():
 
 
 def test_empty_plot_rejected():
-    with pytest.raises(ValueError, match="nothing to plot"):
+    share = series({1990: 0.5}, "dimensionless-share")
+    with pytest.raises(ValueError, match="^nothing to plot$"):
         _case_svg({}, AnnualSeries((), "dimensionless-share"), "empty")
+    for performance in ({}, {"r": series({1990: 0.0, 1991: 0.0}, "media-units-per-real-dollar")}):
+        with pytest.raises(ValueError, match="^no positive performance value to plot on a log scale$"):
+            _case_svg(performance, share, "empty")

@@ -1,13 +1,20 @@
 """Scenario sweep engine: enumeration, determinism, aggregation, reproduction."""
 
+import contextlib
 import copy
+import csv
+import io
+import itertools
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from techknee.adoption import PhysicalMediaSpec, UsageMetric
+from techknee.cli import main
 from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, crossover_fitted, fit_exponential, knee
 from techknee.series import AnnualSeries, RateSchedule
@@ -490,11 +497,12 @@ class TestMetamorphic:
                 continue
             scenario = parse_scenario_id(case, scenario_id)
             d = scenario.detection
-            expected = base.run(scenario)
-            got = shifted.run(scenario._replace(detection=Detection(d.mode, move(d.window_from), move(d.window_to))))
-            assert expected.crossover.year is not None and expected.knee.year is not None, cell_id
-            assert (got.crossover.year, got.knee.year) == (move(expected.crossover.year),
-                                                          move(expected.knee.year)), cell_id
+            thresholds = (scenario.knee_threshold,)
+            expected = base.block(*scenario[:5], thresholds)
+            got = shifted.block(*scenario[:4], Detection(d.mode, move(d.window_from), move(d.window_to)), thresholds)
+            assert expected.crossover.year is not None and expected.knees[0].year is not None, cell_id
+            assert (got.crossover.year, got.knees[0].year) == (move(expected.crossover.year),
+                                                              move(expected.knees[0].year)), cell_id
             if d.mode == "fitted":
                 assert got.crossover.fractional_year == pytest.approx(
                     expected.crossover.fractional_year + delta, rel=0, abs=1e-9), cell_id
@@ -637,6 +645,62 @@ def ranges_per_result(results, group_by=None):
             "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": len(group) - len(knees),
         })
     return ranges
+
+
+AXES = ("targets", "reference_media", "usage_metrics", "detection", "knee_thresholds")
+BENCH_SWEEP = json.loads((Path(__file__).parents[1] / "bench" / "sweep_13k.json").read_text())
+
+
+class TestDifferentialOracle:
+    """`techknee sweep` over sub-configs of the 13k bench sweep, row by row
+    against an oracle that computes each scenario on its own, with no memo."""
+
+    @staticmethod
+    def oracle(doc, datasets):
+        """results.csv's rows as text, each scenario computed from the stages."""
+        case, rows = doc["case"], []
+        for target, media, metric, detection, threshold in itertools.product(*(doc[axis] for axis in AXES)):
+            replacement = replacement_performance(case, media, datasets)
+            mail = target_performance(target, datasets)
+            mode = _parse_detection(detection)
+            if mode.mode == "empirical":
+                crossover = crossover_empirical(replacement, mail)
+            else:
+                window = (mode.window_from, mode.window_to)
+                crossover = crossover_fitted(fit_exponential(replacement, window), fit_exponential(mail, window))
+            knee_year = knee(adoption_series(case, _parse_usage_metric(metric), datasets), threshold).year
+            fractional = crossover.fractional_year
+            rows.append([f"{case}|{target}|{media}|{metric}|{detection}|{threshold!r}", case, target, media,
+                         metric, detection, repr(threshold), "" if crossover.year is None else str(crossover.year),
+                         "" if fractional is None else f"{fractional:.4f}",
+                         "" if knee_year is None else str(knee_year)])
+        return rows
+
+    @staticmethod
+    def ranges(label, rows):
+        """The feasibility.json entry of `rows`, from their year columns."""
+        crossings, knees = [int(r[7]) for r in rows if r[7]], [int(r[9]) for r in rows if r[9]]
+        return {"label": label, "n_scenarios": len(rows),
+                "crossover": [min(crossings, default=None), max(crossings, default=None)],
+                "crossover_absent": len(rows) - len(crossings),
+                "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": len(rows) - len(knees)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries({axis: st.lists(st.sampled_from(BENCH_SWEEP[axis]), min_size=1, max_size=3,
+                                                 unique=True) for axis in AXES}))
+    def test_sweep_equals_the_per_scenario_oracle(self, datasets, axes):
+        doc = {"case": BENCH_SWEEP["case"], **axes}
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "sweep.json").write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--config", f"{tmp}/sweep.json", "--out", tmp]) == 0
+            with open(Path(tmp) / "results.csv", newline="", encoding="utf-8") as f:
+                _, *rows = csv.reader(f)
+            summary = json.loads((Path(tmp) / "feasibility.json").read_text())
+        expected = self.oracle(doc, datasets)
+        assert rows == expected
+        by_target = [self.ranges(t, [r for r in expected if r[2] == t]) for t in sorted(doc["targets"])]
+        assert summary == {"n_scenarios": len(expected), "ranges": [self.ranges("all", expected), *by_target]}
 
 
 class TestFeasibilityRange:
