@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -257,15 +258,13 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
 
     lines: list[str] = []
     to_lines = csv.writer(SimpleNamespace(write=lines.append))
-    cells: dict[str, str] = {}
 
+    @cache
     def cell(field: str) -> str:
         """`field` as csv.writer writes it inside a row."""
-        if field not in cells:
-            # A second, empty field keeps a lone empty field from being quoted.
-            to_lines.writerow((field, ""))
-            cells[field] = lines.pop()[:-3]  # less ',\r\n'
-        return cells[field]
+        # A second, empty field keeps a lone empty field from being quoted.
+        to_lines.writerow((field, ""))
+        return lines.pop()[:-3]  # less ',\r\n'
 
     thresholds = [_threshold_label(t) for t in config.knee_thresholds]
     n = len(thresholds)

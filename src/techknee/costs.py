@@ -108,7 +108,11 @@ def mail_distribution_perf(weight_ounces: int, first_ounce: AnnualSeries,
     extra = weight_ounces - 1
     pairs = []
     for year, first, additional in align(first_ounce, additional_ounce):
-        value = 1.0 / (first + extra * additional)
+        total = first + extra * additional
+        if total == math.inf:
+            raise ValueError(f"postage of {weight_ounces} ounces at {year} is beyond a float's range: "
+                             f"first-ounce postage {first!r}, additional-ounce postage {additional!r}")
+        value = 1.0 / total
         if value == math.inf:
             raise ValueError(f"mail distribution performance at {year} is beyond a float's range: "
                              f"first-ounce postage {first!r}, additional-ounce postage {additional!r}")

@@ -14,6 +14,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
+from functools import cache
 
 from .adoption import UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
@@ -454,7 +455,7 @@ def adoption_series(case: str, metric: UsageMetric, datasets: Datasets) -> Annua
 
 class _Stages:
     """The one evaluator: the pipeline stages over one datasets bundle,
-    each distinct input computed once.
+    each memoised with `functools.cache` on its own arguments.
 
     A crossover depends only on (case, target, reference media, detection)
     and a knee only on (case, usage metric, threshold), so blocks share
@@ -462,64 +463,57 @@ class _Stages:
     `run_scenario` and `reproduce_case_studies` each hold an instance for
     one call, and the `case` command one whose curves `--out` draws. Stages
     are looked up by their module names at call time, so patching
-    `techknee.sweep.<stage>` sees every call.
+    `techknee.sweep.<stage>` sees every call. The memos close over each
+    other, not over the instance, which therefore holds no reference cycle.
     """
 
     def __init__(self, datasets: Datasets) -> None:
-        self.datasets = datasets
-        self._memo: dict[tuple, object] = {}
+        replacement = cache(lambda case, media: replacement_performance(case, media, datasets))
+        target = cache(lambda name: target_performance(name, datasets))
+        adoption = cache(lambda case, metric: adoption_series(case, metric, datasets))
+        replacement_fit = cache(lambda case, media, window: fit_exponential(replacement(case, media), window))
+        target_fit = cache(lambda name, window: fit_exponential(target(name), window))
 
-    def _once(self, key: tuple, compute, *args):
-        """`compute(*args)`, computed once per key; keys start with their stage."""
-        if key not in self._memo:
-            self._memo[key] = compute(*args)
-        return self._memo[key]
+        @cache
+        def crossover(case: str, target_name: str, media: str,
+                      detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
+            replacement_perf, target_perf = replacement(case, media), target(target_name)
+            if detection.mode == "empirical":
+                return crossover_empirical(replacement_perf, target_perf), None
+            window = (detection.window_from, detection.window_to)
+            fit_r, fit_t = replacement_fit(case, media, window), target_fit(target_name, window)
+            result = crossover_fitted(fit_r, fit_t)
+            extrapolated = None
+            if result.fractional_year is not None:
+                lo = min(fit_r.window[0], fit_t.window[0])
+                hi = max(fit_r.window[1], fit_t.window[1])
+                extrapolated = not lo <= result.fractional_year <= hi
+            return result, FitDiagnostics(fit_r, fit_t, extrapolated)
 
-    def replacement(self, case: str, reference_media: str) -> AnnualSeries:
-        return self._once(("replacement", case, reference_media), replacement_performance,
-                          case, reference_media, self.datasets)
+        @cache
+        def knees(case: str, metric: UsageMetric, thresholds: tuple[float, ...]) -> tuple:
+            curve, row = adoption(case, metric), []
+            for threshold in thresholds:
+                try:
+                    row.append(knee(curve, threshold))
+                except (TechkneeError, ValueError, KeyError) as exc:
+                    exc.threshold = threshold  # for `block` to name the failing scenario
+                    raise
+            return tuple(row)
 
-    def target(self, target: str) -> AnnualSeries:
-        return self._once(("target", target), target_performance, target, self.datasets)
-
-    def adoption(self, case: str, metric: UsageMetric) -> AnnualSeries:
-        return self._once(("adoption", case, metric), adoption_series, case, metric, self.datasets)
-
-    def _detect_crossover(self, case: str, target_name: str, reference_media: str,
-                          detection: Detection) -> tuple[CrossoverResult, FitDiagnostics | None]:
-        replacement = self.replacement(case, reference_media)
-        target = self.target(target_name)
-        if detection.mode == "empirical":
-            return crossover_empirical(replacement, target), None
-        window = (detection.window_from, detection.window_to)
-        fit_r = self._once(("fit", "replacement", case, reference_media, window),
-                           fit_exponential, replacement, window)
-        fit_t = self._once(("fit", "target", target_name, window), fit_exponential, target, window)
-        crossover = crossover_fitted(fit_r, fit_t)
-        extrapolated = None
-        if crossover.fractional_year is not None:
-            lo = min(fit_r.window[0], fit_t.window[0])
-            hi = max(fit_r.window[1], fit_t.window[1])
-            extrapolated = not lo <= crossover.fractional_year <= hi
-        return crossover, FitDiagnostics(fit_r, fit_t, extrapolated)
+        self.replacement, self.target, self.adoption = replacement, target, adoption
+        self._crossover, self._knees = crossover, knees
 
     def block(self, case: str, target: str, reference_media: str, metric: UsageMetric,
               detection: Detection, thresholds: tuple[float, ...]) -> SweepBlock:
         """The scenarios that differ only in their knee threshold, one per
         threshold in order. A failure raises ScenarioError naming the first
         failing one."""
-        threshold = thresholds[0]  # names the failing scenario below
         try:
-            crossover, diagnostics = self._once(("crossover", case, target, reference_media, detection),
-                                                self._detect_crossover, case, target, reference_media, detection)
-            key = ("knees", case, metric, thresholds)
-            knees = self._memo.get(key)
-            if knees is None:
-                adoption, row = self.adoption(case, metric), []
-                for threshold in thresholds:
-                    row.append(knee(adoption, threshold))
-                knees = self._memo[key] = tuple(row)
+            crossover, diagnostics = self._crossover(case, target, reference_media, detection)
+            knees = self._knees(case, metric, thresholds)
         except (TechkneeError, ValueError, KeyError) as exc:
+            threshold = getattr(exc, "threshold", thresholds[0])
             scenario_id = _scenario_id(case, target, reference_media, metric, detection, threshold)
             raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
         return SweepBlock(target, reference_media, metric, detection, crossover, diagnostics, knees)

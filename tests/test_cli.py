@@ -74,6 +74,7 @@ class TestFit:
         assert code == 0
         assert "TIR: 0.0% per year" in out
         assert flat_csv in out  # provenance
+        assert "\nwindow: 1990-1999 (10 points)\nlevel at 1990: 42 count-per-year\n" in out
 
     def test_json_mode(self, capsys, rising_csv):
         code, out, _ = run(capsys, "fit", "--input", rising_csv, "--json")
@@ -86,6 +87,9 @@ class TestFit:
         code, out, _ = run(capsys, "fit", "--input", rising_csv, "--from", "1995", "--to", "1998", "--json")
         assert code == 0
         assert json.loads(out)["n_points"] == 4
+        # A one-year window is not reversed; the fit refuses its one point.
+        assert run(capsys, "fit", "--input", rising_csv, "--from", "1995", "--to", "1995") == (
+            2, "", f"error: {rising_csv}: need at least 2 points in window, got 1\n")
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fit", "--input", "/nonexistent.csv")
@@ -867,6 +871,13 @@ class TestErrorContract:
         path.write_text(rows)
         assert run(capsys, "fit", "--input", str(path)) == (2, "", f"error: {path}: {message}\n")
 
+    def test_fit_prints_the_largest_float_level(self, capsys, tmp_path):
+        # Its log, the bound itself, is the fitted log-level: e^bound is finite.
+        path = tmp_path / "largest.csv"
+        path.write_text("year,value\n2000,1.7976931348623157e308\n2001,1.7976931348623157e308\n")
+        code, out, _ = run(capsys, "fit", "--input", str(path))
+        assert (code, out.splitlines()[2]) == (0, "level at 2000: 1.79769e+308 count-per-year")
+
     # `crossover --fitted` and a fitted sweep print no level, so they
     # answer for the same rows: the lines cross at the exact OLS's year.
     def test_fitted_crossover_beyond_a_float_level_is_the_exact_ols(self, capsys, tmp_path, rising_csv):
@@ -1192,6 +1203,10 @@ class TestColdStart:
         new = self.loaded("import techknee.cli")
         assert not new & {"dataclasses", "inspect", "hashlib", "datetime", "json", "argparse", "techknee.sweep",
                           "techknee.adoption", "techknee.costs", "techknee.datasets", "techknee.plots"}
+
+    def test_lazy_name_resolves_before_any_command(self):
+        # As bench/tracer.py reads it, from outside, before any command has run.
+        self.loaded("from techknee import cli, sweep; assert cli.run_sweep is sweep.run_sweep")
 
     @pytest.mark.parametrize("argv", [
         ("fit", "--input", "{rising}"), ("case", "audio"), ("reproduce",),

@@ -54,11 +54,18 @@ class TestFileSizes:
         assert one_minute_size_bits("audio") == pytest.approx(38.016e6, rel=1e-12)
         assert one_minute_size_bits("video") == pytest.approx(13309.056e6, rel=1e-12)
 
-    def test_strict_video_spec_needs_pixels(self):
-        with pytest.raises(ValueError, match="^video needs positive pixel dimensions$"):
-            _parse_custom_media({"kind": "video", "length_seconds": 10, "audio_bit_rate_kbps": 1,
-                                 "pixel_height": 0, "pixel_width": 640, "bits_per_pixel": 24,
-                                 "frames_per_second": 30})
+    @pytest.mark.parametrize("key", ["audio_bit_rate_kbps", "pixel_height", "pixel_width", "bits_per_pixel",
+                                     "frames_per_second"])
+    def test_strict_video_spec_needs_positive_fields(self, key):
+        # Each field is accepted at 1 (the audio rate at 1 bit/s) and refused at 0.
+        spec = {"kind": "video", "length_seconds": 10, "audio_bit_rate_kbps": 1e-3, "pixel_height": 1,
+                "pixel_width": 1, "bits_per_pixel": 1, "frames_per_second": 1}
+        assert _parse_custom_media(spec).size_bits == (1 + 1) * 10
+        refusal = ("audio bit rate must be positive" if key.startswith("audio")
+                   else "video needs positive pixel dimensions" if key.startswith("pixel")
+                   else "video needs positive depth and frame rate")
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            _parse_custom_media(dict(spec, **{key: 0}))
 
     def test_reference_rates(self):
         assert REFERENCE_BIT_RATES == {"audio": 633_600.0, "video": 633_600.0 + 480 * 640 * 24 * 30.0}
@@ -181,6 +188,14 @@ class TestMailPerformance:
         with pytest.raises(ValueError, match=rf"^mail distribution performance at 2000 is beyond a float's range: "
                                              rf"first-ounce postage {first!r}, additional-ounce postage {additional!r}$"):
             mail_distribution_perf(weight, postage({1999: 0.3, 2000: first}), postage({1999: 0.3, 2000: additional}))
+
+    @pytest.mark.parametrize("weight, first, additional", [(2, 1e308, 1e308), (3, 1.0, 1e308)])
+    def test_postage_total_beyond_a_float_names_year_and_input(self, weight, first, additional):
+        # The true performance, ~5e-309, is finite; an overflowed total would read it as 0.0.
+        with pytest.raises(ValueError) as exc:
+            mail_distribution_perf(weight, postage({1999: 0.3, 2000: first}), postage({1999: 0.3, 2000: additional}))
+        assert str(exc.value) == (f"postage of {weight} ounces at 2000 is beyond a float's range: "
+                                  f"first-ounce postage {first!r}, additional-ounce postage {additional!r}")
 
     def test_size_invariance_at_one_ounce(self):
         # Mail performance depends on weight, not on the media unit's bits.

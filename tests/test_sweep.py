@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import pickle
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from techknee.adoption import PhysicalMediaSpec, UsageMetric
+from techknee.adoption import DigitalStorage, PhysicalMediaSpec, UsageMetric
 from techknee.cli import main
 from techknee.datasets import Datasets, load_all
 from techknee.fitting import crossover_empirical, crossover_fitted, fit_exponential, knee
@@ -233,6 +234,33 @@ class TestRunScenario:
         assert result.diagnostics.replacement.k > 0.4
         assert result.diagnostics.crossover_extrapolated is False
 
+    @pytest.mark.parametrize("target_years, crossing, extrapolated", [
+        ((2020, 2030), 2000, False),  # inside the replacement's window, 1983-2015, only
+        ((2020, 2030), 2017, False),  # between the two windows
+        ((1960, 1970), 1965, False),  # inside the target's window only
+        ((1960, 1970), 2000, False),  # inside the replacement's, after the target's
+        ((1960, 1970), 1950, True),  # before the union of the windows
+        ((2020, 2030), 2040, True),  # after it
+        ((2020, 2030), 1983, False),  # on its first year, exactly
+        ((2020, 2030), 2030, False),  # on its last year, exactly
+    ])
+    def test_crossover_extrapolated_outside_the_union_of_fit_windows(self, datasets, target_years, crossing,
+                                                                      extrapolated):
+        # A target constant over two years is fitted exactly (k = 0), here at
+        # the level the replacement's fit reaches in the crossing year.
+        fit = fit_exponential(replacement_performance("audio", "album", datasets))
+        level = math.exp(fit.log_a + fit.k * (crossing - fit.window[0]))
+        flat = AnnualSeries.from_mapping(dict.fromkeys(target_years, level), "media-units-per-real-dollar")
+        with_flat = datasets._replace(targets={**datasets.targets, "flat": flat})
+        scenario = Scenario("audio", "flat", "album", UsageMetric("minutes"), Detection("fitted"), 0.01)
+        result = run_scenario(scenario, with_flat)
+        assert (result.diagnostics.replacement.window, result.diagnostics.target.window) == ((1983, 2015),
+                                                                                             target_years)
+        assert result.crossover.fractional_year == pytest.approx(crossing, rel=0, abs=1e-9)
+        if crossing in (1983, 2030):  # a float series puts the crossing on the edge itself
+            assert result.crossover.fractional_year == crossing
+        assert result.diagnostics.crossover_extrapolated is extrapolated
+
     def test_baseline_consistency_with_standalone_ops(self, datasets):
         # The sweep path must agree with calling the pipeline pieces directly.
         result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
@@ -400,6 +428,18 @@ class TestRunScenario:
         assert adoption.to_mapping()[1998] == pytest.approx(0.0074610946726007075, rel=1e-12)
         assert adoption.to_mapping()[1999] == pytest.approx(0.02752441015074011, rel=1e-12)
         assert adoption.years == tuple(range(1993, 2008))
+
+    def test_minutes_cover_every_traffic_year_of_declared_tables(self, datasets):
+        # The bundled shares and sales end in 2007. A declared protocol mix
+        # and competitor set may cover every traffic year, 1984-2014, each
+        # of which then needs its compression ratio.
+        years = datasets.traffic.years
+        share = AnnualSeries(tuple((year, 0.5) for year in years), "dimensionless-share")
+        sales = AnnualSeries(tuple((year, 1e6) for year in years), "count-per-year")
+        declared = datasets._replace(media_share={**datasets.media_share, "audio": share},
+                                     physical_media={**datasets.physical_media,
+                                                     "audio": (PhysicalMediaSpec("cd", DigitalStorage(700.0), sales),)})
+        assert adoption_series("audio", UsageMetric("minutes"), declared).years == years == tuple(range(1984, 2015))
 
 
 class TestDeterminism:
@@ -601,6 +641,15 @@ class TestJoin:
                 failing.append(scenario.scenario_id)
         assert failing[0] == first
 
+    def test_failing_knee_names_its_threshold(self, datasets):
+        # Built directly, the config skips from_json's threshold check, and
+        # the knee of the second threshold is the first to fail.
+        cfg = SweepConfig("audio", ("mail_cd",), ("album",), (UsageMetric("minutes"),), (Detection("empirical"),),
+                          (0.01, 1.5))
+        with pytest.raises(ScenarioError, match=r"^scenario audio\|mail_cd\|album\|minutes\|empirical\|1\.5: "
+                                                r"threshold must be in \(0, 1\), got 1\.5$"):
+            sweep_blocks(cfg, datasets)
+
     def test_block_ranges_equal_per_result_ranges(self, datasets):
         cfg = config(**dict(self.JOIN_CONFIG, knee_thresholds=[0.01, 0.10, 0.999]))
         blocks = sweep_blocks(cfg, datasets)
@@ -685,22 +734,75 @@ class TestDifferentialOracle:
                 "crossover_absent": len(rows) - len(crossings),
                 "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": len(rows) - len(knees)}
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.fixed_dictionaries({axis: st.lists(st.sampled_from(BENCH_SWEEP[axis]), min_size=1, max_size=3,
-                                                 unique=True) for axis in AXES}))
-    def test_sweep_equals_the_per_scenario_oracle(self, datasets, axes):
-        doc = {"case": BENCH_SWEEP["case"], **axes}
+    @staticmethod
+    def sweep(axes):
+        """`techknee sweep` over the bench sweep's case and `axes`: results.csv's
+        rows and feasibility.json's text."""
         with tempfile.TemporaryDirectory() as tmp:
-            (Path(tmp) / "sweep.json").write_text(json.dumps(doc))
+            (Path(tmp) / "sweep.json").write_text(json.dumps({"case": BENCH_SWEEP["case"], **axes}))
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["sweep", "--config", f"{tmp}/sweep.json", "--out", tmp]) == 0
             with open(Path(tmp) / "results.csv", newline="", encoding="utf-8") as f:
                 _, *rows = csv.reader(f)
-            summary = json.loads((Path(tmp) / "feasibility.json").read_text())
-        expected = self.oracle(doc, datasets)
+            return rows, (Path(tmp) / "feasibility.json").read_text()
+
+    @staticmethod
+    def joined(first, second):
+        """The feasibility.json document of two sweeps' scenarios together,
+        from each sweep's own document."""
+        def span(a, b):
+            lows, highs = [x[0] for x in (a, b) if x[0] is not None], [x[1] for x in (a, b) if x[1] is not None]
+            return [min(lows, default=None), max(highs, default=None)]
+
+        entries = {}
+        for entry in first["ranges"] + second["ranges"]:
+            seen = entries.setdefault(entry["label"], entry)
+            if seen is not entry:
+                entries[entry["label"]] = {
+                    "label": entry["label"], "n_scenarios": seen["n_scenarios"] + entry["n_scenarios"],
+                    "crossover": span(seen["crossover"], entry["crossover"]),
+                    "crossover_absent": seen["crossover_absent"] + entry["crossover_absent"],
+                    "knee": span(seen["knee"], entry["knee"]), "knee_absent": seen["knee_absent"] + entry["knee_absent"]}
+        pooled = entries.pop("all")
+        return {"n_scenarios": first["n_scenarios"] + second["n_scenarios"],
+                "ranges": [pooled, *(entries[label] for label in sorted(entries))]}
+
+    SUB_CONFIGS = st.fixed_dictionaries({axis: st.lists(st.sampled_from(BENCH_SWEEP[axis]), min_size=1, max_size=3,
+                                                        unique=True) for axis in AXES})
+
+    @settings(max_examples=40, deadline=None)
+    @given(SUB_CONFIGS)
+    def test_sweep_equals_the_per_scenario_oracle(self, datasets, axes):
+        rows, summary = self.sweep(axes)
+        expected = self.oracle({"case": BENCH_SWEEP["case"], **axes}, datasets)
         assert rows == expected
-        by_target = [self.ranges(t, [r for r in expected if r[2] == t]) for t in sorted(doc["targets"])]
-        assert summary == {"n_scenarios": len(expected), "ranges": [self.ranges("all", expected), *by_target]}
+        by_target = [self.ranges(t, [r for r in expected if r[2] == t]) for t in sorted(axes["targets"])]
+        assert json.loads(summary) == {"n_scenarios": len(expected),
+                                       "ranges": [self.ranges("all", expected), *by_target]}
+
+    @settings(max_examples=15, deadline=None)
+    @given(SUB_CONFIGS, st.data())
+    def test_permuting_an_axis_permutes_the_rows(self, axes, data):
+        axis = data.draw(st.sampled_from(AXES))
+        permuted = dict(axes, **{axis: data.draw(st.permutations(axes[axis]))})
+        rows, summary = self.sweep(axes)
+        permuted_rows, permuted_summary = self.sweep(permuted)
+        assert sorted(permuted_rows) == sorted(rows)
+        ids = ["|".join(map(str, (BENCH_SWEEP["case"], *values))) for values in itertools.product(
+            *(permuted[a] for a in AXES))]
+        assert [row[0] for row in permuted_rows] == ids
+        assert permuted_summary == summary
+
+    @settings(max_examples=15, deadline=None)
+    @given(SUB_CONFIGS.filter(lambda axes: any(len(values) > 1 for values in axes.values())), st.data())
+    def test_splitting_an_axis_splits_the_rows_and_ranges(self, axes, data):
+        axis = data.draw(st.sampled_from([a for a in AXES if len(axes[a]) > 1]))
+        cut = data.draw(st.integers(1, len(axes[axis]) - 1))
+        rows, summary = self.sweep(axes)
+        (head_rows, head), (tail_rows, tail) = (self.sweep(dict(axes, **{axis: part}))
+                                                for part in (axes[axis][:cut], axes[axis][cut:]))
+        assert sorted(head_rows + tail_rows) == sorted(rows)
+        assert self.joined(json.loads(head), json.loads(tail)) == json.loads(summary)
 
 
 class TestFeasibilityRange:
