@@ -174,15 +174,15 @@ def _percent(share: float) -> str:
 
 def _cmd_knee(args) -> int:
     series = parse_series_csv(args.input, "dimensionless-share")
-    result = knee(series, args.threshold)
+    year = knee(series, args.threshold)
     if args.json:
         import json
 
-        print(json.dumps({"input": args.input, "threshold": args.threshold, "year": result.year}))
-    elif result.year is None:
+        print(json.dumps({"input": args.input, "threshold": args.threshold, "year": year}))
+    elif year is None:
         print(f"{args.input}: share never reaches {_percent(args.threshold)}")
     else:
-        print(f"{args.input}: knee({_percent(args.threshold)}) = {result.year}")
+        print(f"{args.input}: knee({_percent(args.threshold)}) = {year}")
     return 0
 
 
@@ -221,7 +221,7 @@ def _cmd_case(args) -> int:
                     "data": [f"{dataset_id}.csv" for dataset_id in DATASET_IDS],
                     "crossover": block.crossover.year,
                     "knee_threshold": scenario.knee_threshold,
-                    "knee": block.knees[0].year,
+                    "knee": block.knees[0],
                 }
             )
         )
@@ -231,7 +231,7 @@ def _cmd_case(args) -> int:
               f"[a1_bandwidth_cost, a2_compression]")
         print(f"target: {scenario.target} [a3_postage]")
         print(f"adoption: {scenario.usage_metric.label()} metric [a2, a4_traffic, a5_media_share, a6_sales, a7, a8]")
-        print(f"crossover: {block.crossover.year}, knee({_percent(scenario.knee_threshold)}): {block.knees[0].year}")
+        print(f"crossover: {block.crossover.year}, knee({_percent(scenario.knee_threshold)}): {block.knees[0]}")
     if args.out:
         paths = out / f"{args.case}_curves.csv", out / f"{args.case}.svg"
         curves = {
@@ -276,7 +276,7 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
             if slots is None:
                 slots = metric_slots[b.usage_metric] = [""] * (6 * n)
                 slots[1::6] = slots[3::6] = thresholds
-                slots[5::6] = [cell("" if k.year is None else str(k.year)) + "\r\n" for k in b.knees]
+                slots[5::6] = [cell("" if k is None else str(k)) + "\r\n" for k in b.knees]
             axes = (config.case, b.target, b.reference_media, b.usage_metric.label(), b.detection.label())
             # A repr threshold needs no quoting: it goes before a closing quote.
             prefix = _id_prefix(*axes)

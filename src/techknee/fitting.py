@@ -44,9 +44,6 @@ CrossoverResult.__doc__ = """First year the replacement's performance reaches th
 year=None.
 """
 
-KneeResult = namedtuple("KneeResult", "year")
-KneeResult.__doc__ = "First year an adoption share reaches the threshold given to `knee`, or None."
-
 
 def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] | None = None) -> ExpFit:
     """Log-space OLS fit of an annual series.
@@ -95,7 +92,7 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
     if ss_tot <= variance_floor:
         r_squared = 1.0
     else:
-        r_squared = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+        r_squared = max(0.0, 1.0 - ss_res / ss_tot)
 
     return ExpFit(
         log_a=intercept,
@@ -169,8 +166,8 @@ def _close(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
-def knee(adoption: AnnualSeries, threshold: float) -> KneeResult:
-    """First year the adoption share reaches `threshold`.
+def knee(adoption: AnnualSeries, threshold: float) -> int | None:
+    """First year the adoption share reaches `threshold`, or None.
 
     The series must be a dimensionless share with values in [0, 1] and the
     threshold strictly inside (0, 1).
@@ -184,5 +181,5 @@ def knee(adoption: AnnualSeries, threshold: float) -> KneeResult:
         raise ValueError(f"adoption values above 1 at {out_of_range[:3]}")
     for y, v in adoption:
         if v >= threshold:
-            return KneeResult(y)
-    return KneeResult(None)
+            return y
+    return None

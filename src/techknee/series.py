@@ -55,7 +55,7 @@ class AnnualSeries:
             raise ValueError(f"unknown unit tag {self.unit!r}")
         prev = None
         for year, value in self.entries:
-            if not isinstance(year, int):
+            if isinstance(year, bool) or not isinstance(year, int):  # `True` is an int, not a year
                 raise ValueError(f"year {year!r} is not an integer")
             if prev is not None and year <= prev:
                 raise ValueError(f"years not strictly increasing at {year}")

@@ -115,9 +115,9 @@ SweepBlock = namedtuple("SweepBlock", "target reference_media usage_metric detec
                         "diagnostics knees")
 SweepBlock.__doc__ = """The scenarios of a sweep that differ only in their knee threshold.
 
-They share one crossover and its diagnostics; `knees` follows the
-config's thresholds in order and is shared by every block with the
-same usage metric.
+They share one crossover and its diagnostics; `knees`, a knee year or
+None per threshold, follows the config's thresholds in order and is
+shared by every block with the same usage metric.
 """
 
 
@@ -573,7 +573,7 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
     for b in blocks:
         span = knee_spans.get(b.usage_metric)
         if span is None:
-            years = [k.year for k in b.knees if k.year is not None]
+            years = [k for k in b.knees if k is not None]
             span = knee_spans[b.usage_metric] = (
                 [min(years), max(years)] if years else [], len(b.knees) - len(years)
             )
@@ -710,7 +710,7 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
         if scenario_id is not None:
             s = parse_scenario_id(case, scenario_id)
             b = stages.block(*s[:5], (s.knee_threshold,))
-            computed = (b.crossover if event == "crossover" else b.knees[0]).year
+            computed = b.crossover.year if event == "crossover" else b.knees[0]
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
         cells.append(

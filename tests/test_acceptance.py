@@ -90,8 +90,8 @@ def test_criterion_2_video_baseline_crossover(datasets):
 
 def test_criterion_3_audio_knees_exact(datasets):
     adoption = adoption_series("audio", UsageMetric("minutes"), datasets)
-    k1 = knee(adoption, 0.01).year
-    k10 = knee(adoption, 0.10).year
+    k1 = knee(adoption, 0.01)
+    k10 = knee(adoption, 0.10)
     check("3", (k1, k10) == (1999, 2001), f"audio knees 1%={k1} (exp 1999), 10%={k10} (exp 2001)")
 
 
@@ -318,7 +318,7 @@ def test_criterion_9_property_suites(datasets, tmp_path):
     # knee threshold monotonicity on the bundled adoption curves
     for case in ("audio", "video"):
         adoption = adoption_series(case, UsageMetric("minutes"), datasets)
-        knees = [knee(adoption, t).year for t in (0.01, 0.05, 0.10, 0.25)]
+        knees = [knee(adoption, t) for t in (0.01, 0.05, 0.10, 0.25)]
         present = [k for k in knees if k is not None]
         if present != sorted(present):
             failures.append(f"{case} knee thresholds not monotone: {knees}")

@@ -373,7 +373,7 @@ class TestSweep:
                 s.detection.label(), repr(s.knee_threshold),
                 "" if x.year is None else str(x.year),
                 "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
-                "" if r.knee.year is None else str(r.knee.year),
+                "" if r.knee is None else str(r.knee),
             ])
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
@@ -416,7 +416,7 @@ class TestSweep:
             writer.writerow([
                 s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
                 s.detection.label(), repr(s.knee_threshold), x.year,
-                None if x.fractional_year is None else f"{x.fractional_year:.4f}", r.knee.year,
+                None if x.fractional_year is None else f"{x.fractional_year:.4f}", r.knee,
             ])
         assert written == expected.getvalue().encode()
 

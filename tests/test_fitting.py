@@ -180,6 +180,19 @@ class TestRSquared:
         fit = fit_exponential(series({2000: 1.0, 2001: 2.0, 2002: 1.0}))
         assert (fit.k, fit.r_squared) == (0.0, 0.0)
 
+    def test_a_variation_far_above_rounding_is_not_constant(self):
+        # Log values 0, ~1e-8, 0: a log-variance of ~7e-17, far above the
+        # floor at rounding scale (~3e-28), so the series is not flat.
+        fit = fit_exponential(series({2000: 1.0, 2001: 1.0 + 1e-8, 2002: 1.0}))
+        assert (fit.k, fit.r_squared) == (0.0, 0.0)
+
+    def test_flat_series_whose_mean_log_rounds_is_flat(self):
+        # ln 2.7 ~ 0.993: the mean of three equal logs rounds, leaving a
+        # log-variance of ~4e-32, below the floor, which grows with 1 + |mean|.
+        z = math.log(2.7)
+        assert (z + z + z) / 3 != z
+        assert fit_exponential(series({2000: 2.7, 2001: 2.7, 2002: 2.7})).r_squared == 1.0
+
     @pytest.mark.parametrize("case, media, target", [("audio", "album", "mail_cd"), ("video", "clip", "mail_dvd")])
     @pytest.mark.parametrize("window", [(None, None), (1995, None)], ids=["all", "from1995"])
     def test_bundled_series(self, case, media, target, window):
@@ -250,6 +263,32 @@ class TestCrossoverEmpirical:
             assert before is not None and before <= after
 
 
+    # Any finite value, zero or from the smallest subnormal to near a
+    # float's maximum, at years far from the bundled ones. Ties are drawn
+    # on purpose.
+    FINITE = st.just(0.0) | st.floats(5e-324, 1.7e308)
+    PAIR = st.tuples(FINITE, FINITE) | FINITE.map(lambda v: (v, v))
+
+    @given(
+        start=st.integers(-10**15, 10**15),
+        aligned=st.dictionaries(st.integers(0, 60), PAIR, min_size=1, max_size=12),
+        replacement_only=st.dictionaries(st.integers(0, 60), FINITE, max_size=4),
+    )
+    @example(start=-10**15, aligned={0: (1.7e308, 1.7e308), 1: (5e-324, 0.0)}, replacement_only={})
+    def test_equals_the_sustained_crossover_oracle(self, start, aligned, replacement_only):
+        rep = {start + y: v for y, v in replacement_only.items() if y not in aligned}
+        rep.update((start + y, r) for y, (r, _) in aligned.items())
+        tgt = {start + y: t for y, (_, t) in aligned.items()}
+        rows = sorted((start + y, r, t) for y, (r, t) in aligned.items())
+        # Brute force: the first aligned year from which no later aligned
+        # year has the replacement below the target.
+        expected = next((year for i, (year, _, _) in enumerate(rows)
+                         if all(r >= t for _, r, t in rows[i:])), None)
+        result = crossover_empirical(series(rep, self.UNIT), series(tgt, self.UNIT))
+        assert result == (expected, None)
+        assert expected is None or type(result.year) is int
+
+
 class TestCrossoverFitted:
     def fit(self, a, k, t0=0):
         return ExpFit(log_a=math.log(a), k=k, window=(t0, t0 + 10), n_points=11, r_squared=1.0)
@@ -284,6 +323,22 @@ class TestCrossoverFitted:
         result = crossover_fitted(fit_exponential(rep), fit_exponential(tgt))
         assert result.year is None
         assert result.fractional_year is None
+
+    def test_rates_and_levels_exactly_at_the_tolerance_count_as_equal(self):
+        # The tolerance is inclusive: rates exactly 1e-9 apart are parallel,
+        # and parallel fits whose log-levels are exactly 1e-9 apart are identical.
+        fit = ExpFit(log_a=0.0, k=1e-9, window=(0, 10), n_points=11, r_squared=1.0)
+        assert crossover_fitted(fit, fit._replace(log_a=1.0, k=0.0)) == (None, None)
+        with pytest.raises(DegenerateFitError):
+            crossover_fitted(fit, fit._replace(log_a=1e-9))
+
+    def test_tolerance_scales_with_the_larger_magnitude(self):
+        # Rates of 1000 per year 5e-7 apart are parallel, and parallel fits
+        # whose log-levels near 1e6 are 5e-4 apart are identical.
+        fit = ExpFit(log_a=0.0, k=1000.0, window=(0, 10), n_points=11, r_squared=1.0)
+        assert crossover_fitted(fit, fit._replace(log_a=1.0, k=1000.0 + 5e-7)) == (None, None)
+        with pytest.raises(DegenerateFitError):
+            crossover_fitted(fit._replace(log_a=1e6), fit._replace(log_a=1e6 + 5e-4))
 
     def test_near_identical_fits_are_degenerate(self):
         fit = self.fit(2.0, 0.3, t0=1990)
@@ -339,14 +394,14 @@ class TestKnee:
 
     def test_threshold_crossing(self):
         s = self.share({1998: 0.007, 1999: 0.027, 2000: 0.08, 2001: 0.15})
-        assert knee(s, 0.01).year == 1999
-        assert knee(s, 0.10).year == 2001
+        assert knee(s, 0.01) == 1999
+        assert knee(s, 0.10) == 2001
 
     def test_all_zero_is_absent(self):
-        assert knee(self.share({1990: 0.0, 1991: 0.0}), 0.01).year is None
+        assert knee(self.share({1990: 0.0, 1991: 0.0}), 0.01) is None
 
     def test_exact_threshold_counts(self):
-        assert knee(self.share({1990: 0.01}), 0.01).year == 1990
+        assert knee(self.share({1990: 0.01}), 0.01) == 1990
 
     def test_requires_share_unit(self):
         with pytest.raises(UnitMismatchError):
@@ -367,6 +422,30 @@ class TestKnee:
         with pytest.raises(ValueError):
             knee(self.share({1990: 0.5}), threshold)
 
+    # Any share from 0 through the smallest subnormal to 1, at years far
+    # from the bundled ones.
+    YEARS = st.integers(-10**15, 10**15)
+    SHARES = st.dictionaries(YEARS, st.floats(0.0, 1.0), min_size=1, max_size=12)
+    THRESHOLD = st.floats(5e-324, 1.0, exclude_max=True)
+
+    @given(SHARES, THRESHOLD)
+    @example({-10**15: 5e-324, 10**15: 1.0}, 5e-324)
+    @example({2000: 0.5 - 2 ** -54}, 0.5)
+    def test_first_year_reaching_the_threshold_or_none(self, shares, threshold):
+        expected = min((y for y, v in shares.items() if v >= threshold), default=None)
+        result = knee(self.share(shares), threshold)
+        assert result == expected
+        assert result is None or type(result) is int
+
+    @given(SHARES, st.dictionaries(YEARS, st.floats(1.0, 1.7e308, exclude_min=True), min_size=1, max_size=3),
+           THRESHOLD)
+    @example({2000: 0.5}, {2001: 1.0000000000000002}, 0.5)
+    def test_a_share_above_one_is_refused_naming_it(self, shares, above, threshold):
+        year = min(above)  # the first share above 1, since `shares` holds none
+        with pytest.raises(ValueError, match="above 1") as err:
+            knee(self.share({**shares, **above}), threshold)
+        assert f"({year}, {above[year]!r})" in str(err.value)
+
     @given(
         data=st.dictionaries(st.integers(1980, 2020), st.floats(0.0, 1.0), min_size=1),
         thresholds=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=8),
@@ -375,6 +454,6 @@ class TestKnee:
         # Metamorphic: raising the threshold never makes the knee earlier;
         # a threshold never reached counts as later than any year.
         s = self.share(data)
-        years = [knee(s, t).year for t in sorted(thresholds)]
+        years = [knee(s, t) for t in sorted(thresholds)]
         ranked = [math.inf if y is None else y for y in years]
         assert ranked == sorted(ranked)

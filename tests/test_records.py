@@ -11,7 +11,7 @@ import pytest
 from techknee.adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec, UsageMetric
 from techknee.costs import MediaSpec
 from techknee.datasets import load_all
-from techknee.fitting import CrossoverResult, ExpFit, KneeResult
+from techknee.fitting import CrossoverResult, ExpFit
 from techknee.series import AnnualSeries, RateSchedule
 from techknee.sweep import (
     Cell,
@@ -31,7 +31,6 @@ MINUTES = UsageMetric("minutes")
 EMPIRICAL = Detection("empirical")
 SCENARIO = Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, 0.01)
 CROSSOVER = CrossoverResult(1998)
-KNEE = KneeResult(1999)
 CELL = Cell("t2_audio_mail_cd", "table2", "audio", "mail CD", 1998, 0, 1998, "exact")
 RANGE = RangeCheck("fig4_audio_crossover_range", "audio", (1992, 2001), (1992, 1998), "deviation")
 
@@ -40,7 +39,6 @@ RECORDS = [
     RateSchedule(((date(1999, 1, 10), 0.4), (date(2001, 1, 7), 0.5)), "real-dollars"),
     ExpFit(0.0, 0.5, (2000, 2001), 2, 1.0),
     CROSSOVER,
-    KNEE,
     AnalogStorage(60.0, 1e6),
     CD,
     PhysicalMediaSpec("cd", CD, SALES),
@@ -49,8 +47,8 @@ RECORDS = [
     load_all(),
     EMPIRICAL,
     SCENARIO,
-    SweepResult(SCENARIO, CROSSOVER, KNEE),
-    SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, None, (KNEE,)),
+    SweepResult(SCENARIO, CROSSOVER, 1999),
+    SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, None, (1999,)),
     SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
     CELL,
     RANGE,

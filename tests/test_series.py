@@ -37,6 +37,11 @@ class TestAnnualSeries:
         with pytest.raises(ValueError, match="non-finite"):
             series({1990: math.nan})
 
+    @pytest.mark.parametrize("year", [True, 1990.0, "1990"])
+    def test_year_that_is_not_an_int_rejected(self, year):
+        with pytest.raises(ValueError, match="is not an integer"):
+            AnnualSeries(((year, 0.5),), "dimensionless-share")
+
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError, match="unit tag"):
             series({1990: 1.0}, unit="furlongs")

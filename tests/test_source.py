@@ -58,7 +58,7 @@ PUBLIC_NAMES = {
     "datasets.py": {"DATASET_IDS", "Datasets", "data_dir", "export_bundled", "load_all"},
     "errors.py": {"DataIntegrityError", "DegenerateFitError", "FitError", "MissingYearError", "TechkneeError",
                   "UnitMismatchError"},
-    "fitting.py": {"CrossoverResult", "ExpFit", "KneeResult", "crossover_empirical", "crossover_fitted",
+    "fitting.py": {"CrossoverResult", "ExpFit", "crossover_empirical", "crossover_fitted",
                    "fit_exponential", "knee", "tir"},
     "plots.py": {"write_case_svg", "write_tidy_csv"},
     "series.py": {"AnnualSeries", "RateSchedule", "UNIT_TAGS", "align", "annualize", "parse_series_csv"},

@@ -29,6 +29,7 @@ from techknee.sweep import (
     SweepConfig,
     adoption_series,
     enumerate_scenarios,
+    extend_datasets,
     _parse_detection,
     _parse_usage_metric,
     feasibility_range,
@@ -212,13 +213,13 @@ class TestRunScenario:
     def test_audio_baseline(self, datasets):
         result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
         assert result.crossover.year == 1998
-        assert result.knee.year == 1999
+        assert result.knee == 1999
 
     def test_video_baseline(self, datasets):
         cfg = config(case="video", targets=["mail_dvd"], reference_media=["clip"])
         result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
         assert result.crossover.year == 2002
-        assert result.knee.year == 2001
+        assert result.knee == 2001
 
     def test_audio_song_reference(self, datasets):
         cfg = config(reference_media=["song"])
@@ -370,7 +371,7 @@ class TestRunScenario:
         doc = {"protocol_mix": {"audio": [{"path": str(path), "media_fraction": 1.0}]}}
         extended = extend_datasets(datasets, doc)
         result = run_scenario(enumerate_scenarios(config(), extended)[0], extended)
-        assert result.knee.year == 1999
+        assert result.knee == 1999
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
         from techknee.sweep import extend_datasets
@@ -393,7 +394,7 @@ class TestRunScenario:
         }
         extended = extend_datasets(datasets, doc, base_dir=tmp_path)
         result = run_scenario(enumerate_scenarios(config(), extended)[0], extended)
-        assert result.knee.year == 1999
+        assert result.knee == 1999
 
     def test_bad_custom_media_is_named(self, datasets):
         from techknee.sweep import extend_datasets
@@ -540,9 +541,9 @@ class TestMetamorphic:
             thresholds = (scenario.knee_threshold,)
             expected = base.block(*scenario[:5], thresholds)
             got = shifted.block(*scenario[:4], Detection(d.mode, move(d.window_from), move(d.window_to)), thresholds)
-            assert expected.crossover.year is not None and expected.knees[0].year is not None, cell_id
-            assert (got.crossover.year, got.knees[0].year) == (move(expected.crossover.year),
-                                                              move(expected.knees[0].year)), cell_id
+            assert expected.crossover.year is not None and expected.knees[0] is not None, cell_id
+            assert (got.crossover.year, got.knees[0]) == (move(expected.crossover.year),
+                                                         move(expected.knees[0])), cell_id
             if d.mode == "fitted":
                 assert got.crossover.fractional_year == pytest.approx(
                     expected.crossover.fractional_year + delta, rel=0, abs=1e-9), cell_id
@@ -686,7 +687,7 @@ def ranges_per_result(results, group_by=None):
     ranges = []
     for label, group in sorted(groups.items()):
         crossovers = [r.crossover.year for r in group if r.crossover.year is not None]
-        knees = [r.knee.year for r in group if r.knee.year is not None]
+        knees = [r.knee for r in group if r.knee is not None]
         ranges.append({
             "label": label, "n_scenarios": len(group),
             "crossover": [min(crossovers, default=None), max(crossovers, default=None)],
@@ -701,13 +702,15 @@ BENCH_SWEEP = json.loads((Path(__file__).parents[1] / "bench" / "sweep_13k.json"
 
 
 class TestDifferentialOracle:
-    """`techknee sweep` over sub-configs of the 13k bench sweep, row by row
-    against an oracle that computes each scenario on its own, with no memo."""
+    """`techknee sweep` over sub-configs of the 13k bench sweep, some with
+    declared targets, media or series, row by row against an oracle that
+    computes each scenario on its own, with no memo."""
 
     @staticmethod
     def oracle(doc, datasets):
-        """results.csv's rows as text, each scenario computed from the stages."""
-        case, rows = doc["case"], []
+        """results.csv's rows as text, each scenario computed from the stages
+        over the bundle with `doc`'s declarations."""
+        case, rows, datasets = doc["case"], [], extend_datasets(datasets, doc)
         for target, media, metric, detection, threshold in itertools.product(*(doc[axis] for axis in AXES)):
             replacement = replacement_performance(case, media, datasets)
             mail = target_performance(target, datasets)
@@ -717,7 +720,7 @@ class TestDifferentialOracle:
             else:
                 window = (mode.window_from, mode.window_to)
                 crossover = crossover_fitted(fit_exponential(replacement, window), fit_exponential(mail, window))
-            knee_year = knee(adoption_series(case, _parse_usage_metric(metric), datasets), threshold).year
+            knee_year = knee(adoption_series(case, _parse_usage_metric(metric), datasets), threshold)
             fractional = crossover.fractional_year
             rows.append([f"{case}|{target}|{media}|{metric}|{detection}|{threshold!r}", case, target, media,
                          metric, detection, repr(threshold), "" if crossover.year is None else str(crossover.year),
@@ -736,8 +739,8 @@ class TestDifferentialOracle:
 
     @staticmethod
     def sweep(axes):
-        """`techknee sweep` over the bench sweep's case and `axes`: results.csv's
-        rows and feasibility.json's text."""
+        """`techknee sweep` over the bench sweep's case and `axes`, with any
+        declarations: results.csv's rows and feasibility.json's text."""
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "sweep.json").write_text(json.dumps({"case": BENCH_SWEEP["case"], **axes}))
             with contextlib.redirect_stdout(io.StringIO()):
@@ -770,11 +773,34 @@ class TestDifferentialOracle:
     SUB_CONFIGS = st.fixed_dictionaries({axis: st.lists(st.sampled_from(BENCH_SWEEP[axis]), min_size=1, max_size=3,
                                                         unique=True) for axis in AXES})
 
+    # Declarations a sub-config may add, each name joining its axis: a
+    # target by weight, an audio media unit, and a target series over
+    # 1980-2020 whose CSV the test writes.
+    DECLARED = st.fixed_dictionaries({}, optional={
+        "custom_targets": st.fixed_dictionaries({"parcel": st.fixed_dictionaries(
+            {"weight_ounces": st.floats(0.01, 70.0)})}),
+        "custom_media": st.fixed_dictionaries({"long": st.fixed_dictionaries(
+            {"kind": st.just("audio"), "length_seconds": st.floats(1.0, 36000.0)},
+            optional={"audio_bit_rate_kbps": st.floats(8.0, 1411.2)})}),
+        "custom_series": st.lists(st.floats(1e-2, 1e6), min_size=41, max_size=41),
+    })
+
     @settings(max_examples=40, deadline=None)
-    @given(SUB_CONFIGS)
-    def test_sweep_equals_the_per_scenario_oracle(self, datasets, axes):
-        rows, summary = self.sweep(axes)
-        expected = self.oracle({"case": BENCH_SWEEP["case"], **axes}, datasets)
+    @given(SUB_CONFIGS, DECLARED, st.data())
+    def test_sweep_equals_the_per_scenario_oracle(self, datasets, axes, declared, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            if "custom_series" in declared:
+                path = Path(tmp) / "drive.csv"
+                path.write_text("year,value\n" + "".join(
+                    f"{year},{value!r}\n" for year, value in enumerate(declared["custom_series"], 1980)))
+                declared["custom_series"] = {"drive": {"path": str(path), "unit": "media-units-per-real-dollar"}}
+            for key, axis in (("custom_targets", "targets"), ("custom_series", "targets"),
+                              ("custom_media", "reference_media")):
+                for name in declared.get(key, ()):
+                    axes[axis].insert(data.draw(st.integers(0, len(axes[axis]))), name)
+            axes.update(declared)
+            rows, summary = self.sweep(axes)
+            expected = self.oracle({"case": BENCH_SWEEP["case"], **axes}, datasets)
         assert rows == expected
         by_target = [self.ranges(t, [r for r in expected if r[2] == t]) for t in sorted(axes["targets"])]
         assert json.loads(summary) == {"n_scenarios": len(expected),
