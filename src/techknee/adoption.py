@@ -10,6 +10,7 @@ of the total.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 
@@ -193,7 +194,13 @@ def adoption_share(
             raise UnitMismatchError(f"{name} is {usage.unit!r}, expected {internet.unit!r}")
     series = [internet] + [usage for _, usage in physical]
     if metric.kind == "units":
-        series = [s.scale(1.0 / metric.unit_length_minutes) for s in series]
+        factor = 1.0 / metric.unit_length_minutes
+        for year, value in (entry for s in series for entry in s):
+            # Below the normal range a count loses precision; above it, it is inf.
+            if not (value == 0 < factor < math.inf or sys.float_info.min <= value * factor < math.inf):
+                raise ValueError(f"usage {value!r} in {year} in units of {metric.unit_length_minutes!r} minutes "
+                                 "is beyond a float's range")
+        series = [s.scale(factor) for s in series]
     rows = align(*series)
     if not rows:
         raise ValueError("domains share no years")
@@ -221,5 +228,11 @@ def protocol_mix(protocol_shares: list[tuple[AnnualSeries, float]]) -> AnnualSer
     if not protocol_shares:
         return AnnualSeries((), "dimensionless-share")
     shares, fractions = zip(*protocol_shares)
-    pairs = [(row[0], sum(share * f for share, f in zip(row[1:], fractions))) for row in align(*shares)]
+    pairs = []
+    for year, *values in align(*shares):
+        mixed = sum(share * f for share, f in zip(values, fractions))
+        if mixed == math.inf:
+            raise ValueError(f"media share at {year} is beyond a float's range: protocol shares {values}, "
+                             f"media fractions {list(fractions)}")
+        pairs.append((year, mixed))
     return AnnualSeries(tuple(pairs), "dimensionless-share")

@@ -12,6 +12,7 @@ megabits/gigabits throughout, matching the source arithmetic
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .series import AnnualSeries, align
@@ -76,13 +77,17 @@ def internet_distribution_perf(
         raise ValueError(f"speed cost series tagged {speed_cost.unit!r}")
     if any(v <= 0 for _, v in speed_cost):
         raise ValueError("speed cost must be positive")
+    # Below a float's normal range a number loses precision; above it, it is inf.
     size_megabits = spec.size_bits / 1e6
+    if size_megabits < sys.float_info.min:
+        raise ValueError(f"media size {spec.size_bits!r} bits is below a float's normal range in megabits")
     pairs = []
     for year, cost, ratio in align(speed_cost, compression):
         if ratio <= 0:
             raise ValueError(f"compression ratio must be positive at {year}")
-        value = _SECONDS_IN_MONTH / cost * ratio / size_megabits
-        if value == math.inf:
+        per_dollar = _SECONDS_IN_MONTH / cost * ratio
+        value = per_dollar / size_megabits
+        if per_dollar < sys.float_info.min or not sys.float_info.min <= value < math.inf:
             raise ValueError(f"internet distribution performance at {year} is beyond a float's range: "
                              f"speed cost {cost!r}, compression ratio {ratio!r}")
         pairs.append((year, value))

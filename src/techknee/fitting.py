@@ -106,7 +106,7 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
 def tir(fit: ExpFit) -> float:
     """Technological improvement rate: percent improvement per year. A rate
     whose percentage a float cannot hold raises FitError."""
-    rate = (math.exp(min(fit.k, _LN_FLOAT_MAX)) - 1.0) * 100.0  # capped, it overflows to inf
+    rate = math.expm1(min(fit.k, _LN_FLOAT_MAX)) * 100.0  # capped, it overflows to inf
     if rate == math.inf:
         raise FitError(f"rate {fit.k:.6g} per year: its TIR, (e^k - 1) x 100%, is beyond a float's range")
     return rate

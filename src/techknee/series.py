@@ -175,7 +175,10 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
     (1981-11-01 from 1982).
     """
     date = _date_class()
-    pairs = tuple((year, schedule.rate_on(date(year, 7, 1))) for year in sorted(set(int(y) for y in years)))
+    years = sorted(set(int(y) for y in years))
+    if years and not date.min.year <= years[0] <= years[-1] <= date.max.year:
+        raise ValueError(f"years {years[0]} to {years[-1]} reach beyond the calendar of dated rates, 1-9999")
+    pairs = tuple((year, schedule.rate_on(date(year, 7, 1))) for year in years)
     return AnnualSeries(pairs, schedule.unit)
 
 

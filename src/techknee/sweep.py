@@ -45,7 +45,7 @@ class Detection(namedtuple("Detection", "mode window_from window_to")):
         for year in (window_from, window_to):
             if year is None:
                 continue
-            # A JSON `true` is a Python int; it is not a year.
+            # `True` is an int, but no year.
             if isinstance(year, bool) or not isinstance(year, int):
                 raise ValueError(f"window year {year!r} is not an integer")
             # `label` writes 'fitted:<from>-<to>', which a negative year
@@ -166,28 +166,19 @@ def _named(where: str, parse):
 
 
 def _parse_usage_metric(raw) -> UsageMetric:
-    """Accepts 'minutes', 'raw_bits', 'units:<minutes>', or a JSON object."""
-    if isinstance(raw, str):
-        if raw.startswith("units:"):
-            return UsageMetric("units", _read_number(raw.split(":", 1)[1]))
-        return UsageMetric(raw)
-    if isinstance(raw, dict):
-        _known(raw, "kind", "unit_length_minutes")
-        return UsageMetric(_field(raw, "kind"), _field(raw, "unit_length_minutes", float, None))
-    raise ValueError(f"cannot parse usage metric from {raw!r}")
+    """Accepts 'minutes', 'raw_bits' or 'units:<minutes>', as a label writes it."""
+    if _expect(raw, str).startswith("units:"):
+        return UsageMetric("units", _read_number(raw.split(":", 1)[1]))
+    return UsageMetric(raw)
 
 
 def _parse_detection(raw) -> Detection:
-    """Accepts 'empirical', 'fitted', 'fitted:<from>-<to>', or a JSON object."""
-    if isinstance(raw, str):
-        if raw in ("empirical", "fitted"):
-            return Detection(raw)
-        if raw.startswith("fitted:"):
-            lo, _, hi = raw.split(":", 1)[1].partition("-")
-            return Detection("fitted", _read_year(lo) if lo else None, _read_year(hi) if hi else None)
-    if isinstance(raw, dict):
-        _known(raw, "mode", "from", "to")
-        return Detection(raw.get("mode", "fitted"), raw.get("from"), raw.get("to"))
+    """Accepts 'empirical', 'fitted' or 'fitted:<from>-<to>', as a label writes it."""
+    if _expect(raw, str) in ("empirical", "fitted"):
+        return Detection(raw)
+    if raw.startswith("fitted:"):
+        lo, _, hi = raw.split(":", 1)[1].partition("-")
+        return Detection("fitted", _read_year(lo) if lo else None, _read_year(hi) if hi else None)
     raise ValueError(f"cannot parse detection from {raw!r}")
 
 
@@ -227,7 +218,7 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
             if key not in doc or (key != "case" and not doc[key]):
                 raise ValueError(f"config needs at least one value for {key!r}")
 
-        def each(key: str, parse) -> tuple:
+        def each(key: str, parse=lambda raw: _expect(raw, str)) -> tuple:
             # A value equal to an earlier one would repeat its scenario ids.
             first: dict = {}
             for i, raw in enumerate(_named(key, lambda: _expect(doc[key], list))):
@@ -237,13 +228,10 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
                 first[value] = i
             return tuple(first)
 
-        def name(raw) -> str:
-            return _expect(raw, str)
-
         return cls(
-            case=_named("case", lambda: name(doc["case"])),
-            targets=each("targets", name),
-            reference_media=each("reference_media", name),
+            case=_named("case", lambda: _expect(doc["case"], str)),
+            targets=each("targets"),
+            reference_media=each("reference_media"),
             usage_metrics=each("usage_metrics", _parse_usage_metric),
             detection=each("detection", _parse_detection),
             knee_thresholds=each("knee_thresholds", lambda raw: _check_threshold(_expect(raw, float))),
@@ -538,24 +526,13 @@ def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
 
 
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
-    """Evaluate every scenario; output order follows the enumeration.
-
-    The results expand `sweep_blocks`: each distinct crossover and knee is
-    computed once and joined onto every scenario that shares its key, and
-    a failure names the first failing scenario in enumeration order.
-    """
+    """`sweep_blocks` expanded into one result per scenario, in enumeration order."""
     return [
         SweepResult(Scenario(config.case, b.target, b.reference_media, b.usage_metric, b.detection,
                              threshold), b.crossover, k, b.diagnostics)
         for b in sweep_blocks(config, datasets)
         for threshold, k in zip(config.knee_thresholds, b.knees)
     ]
-
-
-def _label(value) -> str:
-    if isinstance(value, (UsageMetric, Detection)):
-        return value.label()
-    return str(value)
 
 
 def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[dict]:
@@ -578,7 +555,8 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
                 [min(years), max(years)] if years else [], len(b.knees) - len(years)
             )
         knee_extremes, knees_absent = span
-        label = "all" if group_by is None else _label(getattr(b, group_by))
+        label = "all" if group_by is None else getattr(b, group_by)
+        label = label if isinstance(label, str) else label.label()
         counts, crossings, knees = groups.setdefault(label, ([0, 0, 0], [], []))
         n = len(b.knees)
         counts[0] += n

@@ -21,11 +21,9 @@ from techknee.series import AnnualSeries
 from techknee.sweep import (
     SweepConfig,
     adoption_series,
-    enumerate_scenarios,
     replacement_performance,
     reproduce_case_studies,
-    run_scenario,
-    run_sweep,
+    sweep_blocks,
     target_performance,
 )
 
@@ -323,7 +321,8 @@ def test_criterion_9_property_suites(datasets, tmp_path):
         if present != sorted(present):
             failures.append(f"{case} knee thresholds not monotone: {knees}")
 
-    # sweep determinism under forced out-of-order evaluation
+    # sweep determinism under forced out-of-order evaluation: each block
+    # swept on its own, the last first
     config = SweepConfig.from_json(
         {
             "case": "audio",
@@ -334,11 +333,13 @@ def test_criterion_9_property_suites(datasets, tmp_path):
             "knee_thresholds": [0.01, 0.10],
         }
     )
-    ordered = run_sweep(config, datasets)
-    scenarios = enumerate_scenarios(config, datasets)
-    reversed_eval = {s.scenario_id: run_scenario(s, datasets) for s in reversed(scenarios)}
-    shuffled = [reversed_eval[s.scenario_id] for s in scenarios]
-    if shuffled != ordered:
+    ordered = sweep_blocks(config, datasets)
+    alone = {}
+    for b in reversed(ordered):
+        target, media, metric, detection = axes = b[:4]
+        alone[axes] = sweep_blocks(config._replace(targets=(target,), reference_media=(media,),
+                                                   usage_metrics=(metric,), detection=(detection,)), datasets)[0]
+    if [alone[b[:4]] for b in ordered] != ordered:
         failures.append("out-of-order evaluation changed the sweep report")
 
     # CSV round-trip identity on all eight bundled tables

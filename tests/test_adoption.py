@@ -201,6 +201,14 @@ class TestAdoptionShare:
         with pytest.raises(ValueError, match="^total usage in 1991 is beyond a float's range$"):
             adoption_share(self.usage({1990: 1.0, 1991: 1e308}), [("cd", self.usage({1990: 1.0, 1991: 1e308}))])
 
+    # Counted in units, a usage is multiplied by 1 / length, which must
+    # keep it within a float's normal range.
+    @pytest.mark.parametrize("usage, length", [(1.0, 1e-310), (1e-10, 1e300), (1e300, 1e-10)])
+    def test_usage_in_units_beyond_a_float_is_refused(self, usage, length):
+        with pytest.raises(ValueError) as exc:
+            adoption_share(self.usage({1990: usage}), [("cd", self.usage({1990: 1.0}))], UsageMetric("units", length))
+        assert str(exc.value) == f"usage {usage!r} in 1990 in units of {length!r} minutes is beyond a float's range"
+
     def test_no_common_years_is_error(self):
         with pytest.raises(ValueError, match="no years"):
             adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1991: 1.0}))])
@@ -239,6 +247,16 @@ class TestProtocolMix:
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             protocol_mix([(self.share({1990: 0.5}), 1.5)])
+
+    def test_no_protocols_is_an_empty_share(self):
+        assert protocol_mix([]) == AnnualSeries((), "dimensionless-share")
+
+    def test_sum_beyond_a_float_names_year_and_inputs(self):
+        shares = self.share({1999: 0.5, 2000: 1e308})
+        with pytest.raises(ValueError) as exc:
+            protocol_mix([(shares, 1.0), (shares, 1.0)])
+        assert str(exc.value) == ("media share at 2000 is beyond a float's range: protocol shares [1e+308, 1e+308], "
+                                  "media fractions [1.0, 1.0]")
 
 
 class TestExtendCompression:

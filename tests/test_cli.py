@@ -267,7 +267,7 @@ class TestCase:
 class TestSweep:
     def test_year_zero_window_has_its_own_label(self, capsys, tmp_path):
         config = {"case": "audio", "targets": ["mail_cd"], "reference_media": ["album"],
-                  "usage_metrics": ["minutes"], "detection": ["fitted", {"mode": "fitted", "from": 0}],
+                  "usage_metrics": ["minutes"], "detection": ["fitted", "fitted:0-"],
                   "knee_thresholds": [0.01]}
         config_path = tmp_path / "sweep.json"
         config_path.write_text(json.dumps(config))
@@ -342,9 +342,31 @@ class TestSweep:
         assert code == 0, err
         return tmp_path / "out" / "results.csv"
 
+    @staticmethod
+    def rows_over_blocks(config, datasets):
+        """results.csv's rows, header first, from `sweep_blocks`: each block
+        expanded over the config's thresholds, its cells as csv.writer
+        would write them."""
+        from techknee.sweep import Scenario, SweepConfig, sweep_blocks
+
+        cfg = SweepConfig.from_json(config)
+        rows = [["scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
+                 "knee_threshold", "crossover_year", "crossover_fractional", "knee_year"]]
+        for b in sweep_blocks(cfg, datasets):
+            x = b.crossover
+            for threshold, k in zip(cfg.knee_thresholds, b.knees):
+                rows.append([
+                    Scenario(cfg.case, *b[:4], threshold).scenario_id, cfg.case, b.target, b.reference_media,
+                    b.usage_metric.label(), b.detection.label(), repr(threshold),
+                    "" if x.year is None else str(x.year),
+                    "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
+                    "" if k is None else str(k),
+                ])
+        return rows
+
     def test_names_needing_quotes(self, capsys, tmp_path):
         from techknee.datasets import load_all
-        from techknee.sweep import SweepConfig, extend_datasets, run_sweep
+        from techknee.sweep import extend_datasets
 
         drive = tmp_path / "drive.csv"
         drive.write_text("year,value\n" + "".join(f"{y},{0.5 + 0.01 * (y - 1983)}\n" for y in range(1983, 2016)))
@@ -361,20 +383,7 @@ class TestSweep:
         }
         path = self.sweep(capsys, tmp_path, config)
 
-        datasets = extend_datasets(load_all(), config)
-        expected = [[
-            "scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
-            "knee_threshold", "crossover_year", "crossover_fractional", "knee_year",
-        ]]
-        for r in run_sweep(SweepConfig.from_json(config), datasets):
-            s, x = r.scenario, r.crossover
-            expected.append([
-                s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
-                s.detection.label(), repr(s.knee_threshold),
-                "" if x.year is None else str(x.year),
-                "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
-                "" if r.knee is None else str(r.knee),
-            ])
+        expected = self.rows_over_blocks(config, extend_datasets(load_all(), config))
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
         assert rows == expected
@@ -388,10 +397,10 @@ class TestSweep:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.text(',"\r\n éab', min_size=1, max_size=5), min_size=2, max_size=4, unique=True),
            st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=3, unique=True))
-    def test_results_csv_is_csv_writer_over_run_sweep(self, names, thresholds):
+    def test_results_csv_is_csv_writer_over_the_blocks(self, names, thresholds):
         """Any target and media names, as csv.writer quotes them."""
         from techknee.datasets import load_all
-        from techknee.sweep import SweepConfig, extend_datasets, run_sweep
+        from techknee.sweep import extend_datasets
 
         targets, media = names[::2], names[1::2]
         config = {
@@ -408,16 +417,7 @@ class TestSweep:
             written = (Path(work) / "results.csv").read_bytes()
 
         expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
-                         "knee_threshold", "crossover_year", "crossover_fractional", "knee_year"])
-        for r in run_sweep(SweepConfig.from_json(config), extend_datasets(load_all(), config)):
-            s, x = r.scenario, r.crossover
-            writer.writerow([
-                s.scenario_id, s.case, s.target, s.reference_media, s.usage_metric.label(),
-                s.detection.label(), repr(s.knee_threshold), x.year,
-                None if x.fractional_year is None else f"{x.fractional_year:.4f}", r.knee,
-            ])
+        csv.writer(expected).writerows(self.rows_over_blocks(config, extend_datasets(load_all(), config)))
         assert written == expected.getvalue().encode()
 
     def test_ids_and_thresholds_parse_back(self, capsys, tmp_path):
@@ -590,6 +590,15 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert result[1:] == ("", f"error: bad scenario id: {message}\n")
 
+    @pytest.mark.parametrize("scenario_id, message", [
+        ("mail_cd|betamax|minutes|empirical", "unresolvable reference media 'betamax'"),
+        ("mail_pigeon|album|minutes|empirical", "unresolvable target 'mail_pigeon'"),
+    ], ids=["reference", "target"])
+    def test_case_scenario_naming_no_such_axis_value(self, capsys, scenario_id, message):
+        result = run(capsys, "case", "audio", "--scenario", scenario_id)
+        self.assert_usage_error(result)
+        assert result[1:] == ("", f"error: scenario audio|{scenario_id}|0.01: {message}\n")
+
     @pytest.mark.parametrize("argv", [["case", "audio", "--json"], ["reproduce"], ["export-data", "--out", "out"]])
     def test_manifest_must_name_its_own_csv(self, capsys, tmp_path, monkeypatch, argv):
         # A table read under another name would be neither exported nor
@@ -641,12 +650,6 @@ class TestErrorContract:
     HD_CLIP = {"kind": "video", "length_seconds": 300, "pixel_height": 1080, "pixel_width": 1920,
                "bits_per_pixel": 24, "frames_per_second": 30}
 
-    def test_sweep_metric_object_without_kind(self, capsys, tmp_path):
-        config = dict(self.SWEEP, usage_metrics=["minutes", {"unit_length_minutes": 3}])
-        result = self.sweep(capsys, tmp_path, config)
-        self.assert_usage_error(result)
-        assert result[2] == "error: usage_metrics[1]: missing field 'kind'\n"
-
     def test_sweep_custom_series_without_unit(self, capsys, tmp_path):
         config = dict(self.SWEEP, custom_series={"drive": {"path": "drive.csv"}})
         result = self.sweep(capsys, tmp_path, config)
@@ -665,6 +668,15 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert result[2].startswith(f"error: custom_series['drive']: {path}: not UTF-8 text (")
 
+    def test_sweep_custom_target_of_another_unit(self, capsys, tmp_path):
+        (tmp_path / "d.csv").write_text("year,value\n1990,1\n1991,2\n")
+        config = dict(self.SWEEP, targets=["d"], custom_series={"d": {"path": "d.csv", "unit": "count-per-year"}})
+        result = self.sweep(capsys, tmp_path, config)
+        self.assert_usage_error(result)
+        assert result[2] == ("error: scenario audio|d|album|minutes|empirical|0.01: custom target 'd' tagged "
+                             "'count-per-year'\n")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_sweep_custom_series_file_missing(self, capsys, tmp_path):
         config = dict(self.SWEEP, custom_series={
             "drive": {"path": "nope.csv", "unit": "media-units-per-real-dollar"}})
@@ -679,10 +691,12 @@ class TestErrorContract:
         ({"custom_series": {"x": "a.csv"}}, 'custom_series[\'x\']: expected an object, got "a.csv"'),
         ({"custom_series": {"x": {"path": 5, "unit": "bits"}}},
          "custom_series['x']: path: expected a string, got 5"),
-        ({"detection": [{"mode": "fitted", "from": "1995"}]},
-         "detection[0]: window year '1995' is not an integer"),
-        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": None}]},
-         "usage_metrics[0]: unit_length_minutes: expected a number, got null"),
+        # An axis value is written only as in a scenario id, so an object is
+        # refused, as is any value that is not a string.
+        ({"detection": ["empirical", {"mode": "fitted", "from": 1995}]},
+         'detection[1]: expected a string, got {"mode": "fitted", "from": 1995}'),
+        ({"usage_metrics": ["minutes", {"kind": "units", "unit_length_minutes": 3}]},
+         'usage_metrics[1]: expected a string, got {"kind": "units", "unit_length_minutes": 3}'),
         ({"protocol_mix": {"audio": 5}}, "protocol_mix['audio']: expected an array, got 5"),
         ({"custom_targets": {"m": {"weight_ounces": float("inf")}}},
          "custom_targets['m']: weight_ounces: expected a finite number, got Infinity"),
@@ -692,22 +706,19 @@ class TestErrorContract:
          "custom_media['v']: pixel_width: expected an integer, got 1920.25"),
         ({"custom_media": {"v": dict(HD_CLIP, bits_per_pixel=float("inf"))}},
          "custom_media['v']: bits_per_pixel: expected an integer, got Infinity"),
-        ({"detection": [{"mode": "fitted", "from": True}]},
-         "detection[0]: window year True is not an integer"),
-        ({"detection": [{"mode": "empirical", "from": 0}]},
-         "detection[0]: empirical detection takes no window"),
-        ({"detection": [{"mode": "fitted", "from": -5}]}, "detection[0]: window year -5 is negative"),
+        ({"detection": [True]}, "detection[0]: expected a string, got true"),
+        ({"detection": ["empirical:0-"]}, "detection[0]: cannot parse detection from 'empirical:0-'"),
+        ({"detection": [1995]}, "detection[0]: expected a string, got 1995"),
         ({"usage_metrics": ["units:inf"]},
          "usage_metrics[0]: units metric needs a finite positive unit length"),
-        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": float("nan")}]},
+        ({"usage_metrics": ["units:nan"]},
          "usage_metrics[0]: units metric needs a finite positive unit length"),
         ({"knee_thresholds": [1.5]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
         ({"knee_thresholds": [0.01, 0]}, "knee_thresholds[1]: knee threshold must be in (0, 1)"),
         ({"knee_thresholds": ["nan"]}, "knee_thresholds[0]: knee threshold must be in (0, 1)"),
         ({"custom_targets": {"m2": {"weight_ounces": True}}},
          "custom_targets['m2']: weight_ounces: expected a number, got true"),
-        ({"usage_metrics": [{"kind": "units", "unit_length_minutes": True}]},
-         "usage_metrics[0]: unit_length_minutes: expected a number, got true"),
+        ({"usage_metrics": [3]}, "usage_metrics[0]: expected a string, got 3"),
         ({"knee_thresholds": [True]}, "knee_thresholds[0]: expected a number, got true"),
         ({"custom_media": {"v": dict(HD_CLIP, pixel_height=True)}},
          "custom_media['v']: pixel_height: expected a number, got true"),
@@ -781,12 +792,11 @@ class TestErrorContract:
         ({"custom_physical_media": {"custom": []}},
          "custom_physical_media['custom']: unknown case (expected 'audio' or 'video')"),
         ({"case": "custom"}, "unknown case 'custom'"),
-        ({"detection": [{"mode": "fitted", "form": 1995}]}, "detection[0]: form: unknown config key"),
+        ({"detection": ["fited:1995-"]}, "detection[0]: cannot parse detection from 'fited:1995-'"),
         ({"custom_targets": {"x": {"weight_ounces": 2, "wieght": 5}}},
          "custom_targets['x']: wieght: unknown config key"),
-        ({"usage_metrics": [{"kind": "minutes", "unit_length_minutes": 3}]},
-         "usage_metrics[0]: minutes metric takes no unit length"),
-        ({"usage_metrics": [{"kind": "units", "length": 3}]}, "usage_metrics[0]: length: unknown config key"),
+        ({"usage_metrics": ["minutes:3"]}, "usage_metrics[0]: unknown usage metric 'minutes:3'"),
+        ({"usage_metrics": ["unit:3"]}, "usage_metrics[0]: unknown usage metric 'unit:3'"),
         ({"custom_series": {"x": {"path": "a.csv", "unit": "bits", "scale": 2}}},
          "custom_series['x']: scale: unknown config key"),
         ({"custom_media": {"v": {"kind": "audio", "length_seconds": 60, "pixel_height": 1080}}},
@@ -815,11 +825,11 @@ class TestErrorContract:
         assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("override, message", [
-        ({"usage_metrics": ["units:3", {"kind": "units", "unit_length_minutes": 3.0}]},
+        ({"usage_metrics": ["units:3", "units:3.0"]},
          "usage_metrics[1]: duplicate of usage_metrics[0]"),
         ({"knee_thresholds": [0.1, 0.1]}, "knee_thresholds[1]: duplicate of knee_thresholds[0]"),
         ({"targets": ["mail_cd", "mail_cassette", "mail_cd"]}, "targets[2]: duplicate of targets[0]"),
-        ({"detection": ["fitted:1995-", {"mode": "fitted", "from": 1995}]},
+        ({"detection": ["fitted:1995-", "fitted:01995-"]},
          "detection[1]: duplicate of detection[0]"),
         ({"custom_targets": {"a|b": {"weight_ounces": 2}}},
          "custom_targets['a|b']: '|' separates scenario id fields, so no name may hold it"),

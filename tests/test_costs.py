@@ -157,6 +157,12 @@ class TestInternetPerformance:
                                              r"float's range: speed cost 5e-324, compression ratio 1\.0$"):
             internet_distribution_perf(pricing({1999: 1.0, 2000: 5e-324}), comp, REFERENCE_MEDIA["album"])
 
+    def test_size_below_a_float_in_megabits_is_refused(self):
+        # 1e-303 bits is 1e-309 megabits, below a float's normal range.
+        comp = series({2000: 1.0}, "dimensionless-share")
+        with pytest.raises(ValueError, match=r"^media size 1e-303 bits is below a float's normal range in megabits$"):
+            internet_distribution_perf(pricing({2000: 1.0}), comp, MediaSpec("audio", 1e-303))
+
     def test_seconds_in_month_is_pinned(self):
         assert _SECONDS_IN_MONTH == 2_592_000
 
@@ -178,6 +184,13 @@ class TestMailPerformance:
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError, match="ounce"):
             mail_distribution_perf(0, postage({2001: 0.47}), postage({2001: 0.29}))
+
+    @pytest.mark.parametrize("tagged", ["first", "additional"])
+    def test_postage_of_another_unit_is_refused(self, tagged):
+        rates = {"first": postage({2000: 0.5}), "additional": postage({2000: 0.3})}
+        rates[tagged] = series({2000: 0.5}, "count-per-year")
+        with pytest.raises(ValueError, match="^postage series tagged 'count-per-year'$"):
+            mail_distribution_perf(2, rates["first"], rates["additional"])
 
     def test_missing_additional_year_omitted(self):
         perf = mail_distribution_perf(1, postage({2000: 0.5, 2001: 0.5}), postage({2000: 0.3}))

@@ -167,6 +167,13 @@ class TestChecksums:
             with pytest.raises(DataIntegrityError, match=f"^missing manifest .*{dataset_id}.manifest.json$"):
                 load_all(target)
 
+    def test_missing_csv(self, tmp_path):
+        for dataset_id in DATASET_IDS:
+            target = self.copy(tmp_path, dataset_id)
+            (target / f"{dataset_id}.csv").unlink()
+            with pytest.raises(DataIntegrityError, match=f"^missing data file .*{dataset_id}\\.csv$"):
+                load_all(target)
+
     @pytest.mark.parametrize("manifest, message", [
         (b"[]", "manifest is not a JSON object"),
         (b'{"coverage": 5}', "manifest coverage is not a JSON object"),
@@ -204,6 +211,14 @@ class TestChecksums:
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps(dict(manifest, sha256=hashlib.sha256(data).hexdigest())))
         return target
+
+    def test_row_count_other_than_the_manifest_declares(self, tmp_path):
+        # Resealed without its last row, each table still matches its checksum.
+        for dataset_id in DATASET_IDS:
+            declared = len((data_dir() / f"{dataset_id}.csv").read_text().splitlines()) - 1
+            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: {declared - 1} rows, manifest declares "
+                                                         f"{declared}$"):
+                load_all(self.resealed_copy(tmp_path, dataset_id, lambda rows: rows[:-1]))
 
     # The last column of every table is one load_all reads, and a number.
     # A cell that cannot be read is named by its line, here the last one.

@@ -201,6 +201,15 @@ class TestAnnualize:
         with pytest.raises(MissingYearError):
             annualize(postage_schedule(), [1980])
 
+    # `date` holds years 1-9999; beyond a C integer it would raise OverflowError.
+    @pytest.mark.parametrize("years, message", [
+        ([0, 1998], "years 0 to 1998"), ([1998, 10000], "years 1998 to 10000"),
+        ([10 ** 20], f"years {10 ** 20} to {10 ** 20}"),
+    ], ids=["0", "10000", "10^20"])
+    def test_year_outside_the_calendar_is_refused(self, years, message):
+        with pytest.raises(ValueError, match=f"^{message} reach beyond the calendar of dated rates, 1-9999$"):
+            annualize(postage_schedule(), years)
+
     def test_probe_before_first_change_within_year(self):
         # Nov 1, 1981 change is after July 1, 1981
         with pytest.raises(MissingYearError):

@@ -23,12 +23,14 @@ from techknee.sweep import (
     _BASELINE,
     _CELL_SPECS,
     _Stages,
+    _blocks,
+    _score,
     Detection,
     Scenario,
     ScenarioError,
     SweepConfig,
+    SweepResult,
     adoption_series,
-    enumerate_scenarios,
     extend_datasets,
     _parse_detection,
     _parse_usage_metric,
@@ -36,8 +38,6 @@ from techknee.sweep import (
     parse_scenario_id,
     replacement_performance,
     reproduce_case_studies,
-    run_scenario,
-    run_sweep,
     sweep_blocks,
     target_performance,
 )
@@ -61,34 +61,37 @@ def config(**overrides):
     return SweepConfig.from_json(doc)
 
 
+def scenarios(cfg, datasets):
+    """(scenario, crossover, knee year) of each scenario of a sweep, in
+    enumeration order: `sweep_blocks`' blocks, each over the thresholds."""
+    return [(Scenario(cfg.case, *b[:4], threshold), b.crossover, k)
+            for b in sweep_blocks(cfg, datasets) for threshold, k in zip(cfg.knee_thresholds, b.knees)]
+
+
 def write_series(series, path):
     """`series` as a `year,value` CSV whose values parse back exactly."""
     path.write_text("year,value\n" + "".join(f"{year},{value!r}\n" for year, value in series))
 
 
 class TestEnumeration:
+    @staticmethod
+    def ids(cfg, datasets):
+        return [s.scenario_id for s, _, _ in scenarios(cfg, datasets)]
+
     def test_counts_are_products(self, datasets):
-        scenarios = enumerate_scenarios(
-            config(targets=["mail_cd", "mail_cassette"], reference_media=["album", "song"],
-                   usage_metrics=["minutes", "raw_bits", "units:3"]),
-            datasets,
-        )
-        assert len(scenarios) == 2 * 3 * 2
+        cfg = config(targets=["mail_cd", "mail_cassette"], reference_media=["album", "song"],
+                     usage_metrics=["minutes", "raw_bits", "units:3"], knee_thresholds=[0.01, 0.1])
+        assert len(sweep_blocks(cfg, datasets)) == 2 * 2 * 3
+        assert len(self.ids(cfg, datasets)) == 2 * 2 * 3 * 2
 
     def test_single_value_per_axis_is_baseline(self, datasets):
-        scenarios = enumerate_scenarios(config(), datasets)
-        assert len(scenarios) == 1
-        assert scenarios[0].scenario_id == "audio|mail_cd|album|minutes|empirical|0.01"
+        assert self.ids(config(), datasets) == ["audio|mail_cd|album|minutes|empirical|0.01"]
 
     def test_table4_audio_config_size(self, datasets):
-        scenarios = enumerate_scenarios(config(reference_media=["album", "song"]), datasets)
-        assert len(scenarios) == 2
+        assert len(self.ids(config(reference_media=["album", "song"]), datasets)) == 2
 
     def test_ordering_is_axis_major(self, datasets):
-        scenarios = enumerate_scenarios(
-            config(targets=["mail_cd", "mail_cassette"], knee_thresholds=[0.01, 0.10]), datasets
-        )
-        ids = [s.scenario_id for s in scenarios]
+        ids = self.ids(config(targets=["mail_cd", "mail_cassette"], knee_thresholds=[0.01, 0.10]), datasets)
         # targets are the outer axis, thresholds the innermost
         assert ids == [
             "audio|mail_cd|album|minutes|empirical|0.01",
@@ -98,12 +101,12 @@ class TestEnumeration:
         ]
 
     def test_unresolvable_target(self, datasets):
-        with pytest.raises(ValueError, match="unresolvable target"):
-            enumerate_scenarios(config(targets=["mail_pigeon"]), datasets)
+        with pytest.raises(ValueError, match="^unresolvable target 'mail_pigeon'$"):
+            sweep_blocks(config(targets=["mail_pigeon"]), datasets)
 
     def test_unresolvable_media(self, datasets):
-        with pytest.raises(ValueError, match="unresolvable reference"):
-            enumerate_scenarios(config(reference_media=["betamax"]), datasets)
+        with pytest.raises(ValueError, match="^unresolvable reference media 'betamax'$"):
+            sweep_blocks(config(reference_media=["betamax"]), datasets)
 
     def test_config_requires_every_axis(self):
         with pytest.raises(ValueError, match="knee_thresholds"):
@@ -125,36 +128,32 @@ class TestParsers:
         assert _parse_usage_metric("raw_bits") == UsageMetric("raw_bits")
         assert _parse_usage_metric("units:90") == UsageMetric("units", 90.0)
 
-    def test_metric_object(self):
-        assert _parse_usage_metric({"kind": "units", "unit_length_minutes": 3}) == UsageMetric("units", 3.0)
-
     def test_detection_strings(self):
         assert _parse_detection("empirical") == Detection("empirical")
         assert _parse_detection("fitted") == Detection("fitted")
         assert _parse_detection("fitted:1995-") == Detection("fitted", 1995, None)
 
-    def test_detection_object(self):
-        assert _parse_detection({"mode": "fitted", "from": 1995}) == Detection("fitted", 1995)
-
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected a string, got 42$"):
             _parse_usage_metric(42)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot parse detection from 'sometimes'$"):
             _parse_detection("sometimes")
 
     def test_window_is_tested_for_presence_not_truth(self):
         assert Detection("fitted", 0).label() == "fitted:0-"
         assert Detection("fitted", None, 0).label() == "fitted:-0"
-        with pytest.raises(ValueError, match="takes no window"):
-            _parse_detection({"mode": "empirical", "from": 0})
-        with pytest.raises(ValueError, match="window year True is not an integer"):
-            _parse_detection({"mode": "fitted", "from": True})
+        assert _parse_detection("fitted:0-") == Detection("fitted", 0)
+        # A library caller can build what no label writes; it is refused.
+        with pytest.raises(ValueError, match="^empirical detection takes no window$"):
+            Detection("empirical", 0)
+        with pytest.raises(ValueError, match="^window year True is not an integer$"):
+            Detection("fitted", True)
 
     def test_negative_window_year_is_refused(self):
         # The label's "-" separator cannot tell a negative year from an
         # open side, so 'fitted:-5-' could not be parsed back.
-        with pytest.raises(ValueError, match="window year -5 is negative"):
-            _parse_detection({"mode": "fitted", "from": -5})
+        with pytest.raises(ValueError, match="^window year -5 is negative$"):
+            Detection("fitted", -5)
         with pytest.raises(ValueError, match="window year -1 is negative"):
             Detection("fitted", 1990, -1)
 
@@ -211,29 +210,26 @@ class TestParsers:
 
 class TestRunScenario:
     def test_audio_baseline(self, datasets):
-        result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
-        assert result.crossover.year == 1998
-        assert result.knee == 1999
+        (block,) = sweep_blocks(config(), datasets)
+        assert block.crossover.year == 1998
+        assert block.knees == (1999,)
 
     def test_video_baseline(self, datasets):
-        cfg = config(case="video", targets=["mail_dvd"], reference_media=["clip"])
-        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
-        assert result.crossover.year == 2002
-        assert result.knee == 2001
+        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["clip"]), datasets)
+        assert block.crossover.year == 2002
+        assert block.knees == (2001,)
 
     def test_audio_song_reference(self, datasets):
-        cfg = config(reference_media=["song"])
-        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
-        assert result.crossover.year == 1992
+        (block,) = sweep_blocks(config(reference_media=["song"]), datasets)
+        assert block.crossover.year == 1992
 
     def test_fitted_detection_reports_diagnostics(self, datasets):
-        cfg = config(detection=["fitted"])
-        result = run_scenario(enumerate_scenarios(cfg, datasets)[0], datasets)
-        assert result.crossover.fractional_year is not None
-        assert result.crossover.year == 1996
-        assert 0.9 < result.diagnostics.replacement.r_squared <= 1.0
-        assert result.diagnostics.replacement.k > 0.4
-        assert result.diagnostics.crossover_extrapolated is False
+        (block,) = sweep_blocks(config(detection=["fitted"]), datasets)
+        assert block.crossover.fractional_year is not None
+        assert block.crossover.year == 1996
+        assert 0.9 < block.diagnostics.replacement.r_squared <= 1.0
+        assert block.diagnostics.replacement.k > 0.4
+        assert block.diagnostics.crossover_extrapolated is False
 
     @pytest.mark.parametrize("target_years, crossing, extrapolated", [
         ((2020, 2030), 2000, False),  # inside the replacement's window, 1983-2015, only
@@ -253,29 +249,26 @@ class TestRunScenario:
         level = math.exp(fit.log_a + fit.k * (crossing - fit.window[0]))
         flat = AnnualSeries.from_mapping(dict.fromkeys(target_years, level), "media-units-per-real-dollar")
         with_flat = datasets._replace(targets={**datasets.targets, "flat": flat})
-        scenario = Scenario("audio", "flat", "album", UsageMetric("minutes"), Detection("fitted"), 0.01)
-        result = run_scenario(scenario, with_flat)
-        assert (result.diagnostics.replacement.window, result.diagnostics.target.window) == ((1983, 2015),
-                                                                                             target_years)
-        assert result.crossover.fractional_year == pytest.approx(crossing, rel=0, abs=1e-9)
+        (block,) = sweep_blocks(config(targets=["flat"], detection=["fitted"]), with_flat)
+        assert (block.diagnostics.replacement.window, block.diagnostics.target.window) == ((1983, 2015),
+                                                                                           target_years)
+        assert block.crossover.fractional_year == pytest.approx(crossing, rel=0, abs=1e-9)
         if crossing in (1983, 2030):  # a float series puts the crossing on the edge itself
-            assert result.crossover.fractional_year == crossing
-        assert result.diagnostics.crossover_extrapolated is extrapolated
+            assert block.crossover.fractional_year == crossing
+        assert block.diagnostics.crossover_extrapolated is extrapolated
 
     def test_baseline_consistency_with_standalone_ops(self, datasets):
         # The sweep path must agree with calling the pipeline pieces directly.
-        result = run_scenario(enumerate_scenarios(config(), datasets)[0], datasets)
+        (block,) = sweep_blocks(config(), datasets)
         replacement = replacement_performance("audio", "album", datasets)
         target = target_performance("mail_cd", datasets)
         adoption = adoption_series("audio", UsageMetric("minutes"), datasets)
-        assert result.crossover == crossover_empirical(replacement, target)
-        assert result.knee == knee(adoption, 0.01)
+        assert block.crossover == crossover_empirical(replacement, target)
+        assert block.knees == (knee(adoption, 0.01),)
 
     def test_case_media_kind_mismatch_is_annotated(self, datasets):
-        scenario = Scenario("audio", "mail_cd", "clip", UsageMetric("minutes"),
-                            Detection("empirical"), 0.01)
         with pytest.raises(ScenarioError, match="audio\\|mail_cd\\|clip"):
-            run_scenario(scenario, datasets)
+            sweep_blocks(config(reference_media=["clip"]), datasets)
 
     def test_custom_target_series(self, datasets):
         from techknee.series import AnnualSeries
@@ -284,9 +277,8 @@ class TestRunScenario:
             {y: 0.5 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
         with_custom = datasets._replace(targets={**datasets.targets, "drive": drive})
-        cfg = config(targets=["drive"])
-        result = run_scenario(enumerate_scenarios(cfg, with_custom)[0], with_custom)
-        assert result.crossover.year is not None
+        (block,) = sweep_blocks(config(targets=["drive"]), with_custom)
+        assert block.crossover.year is not None
 
     def test_custom_media_from_config(self, datasets, tmp_path):
         from techknee.sweep import extend_datasets
@@ -298,9 +290,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc)
-        cfg = config(reference_media=["single"])
-        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
-        assert result.crossover.year == 1992
+        (block,) = sweep_blocks(config(reference_media=["single"]), extended)
+        assert block.crossover.year == 1992
 
     def test_custom_media_with_override_size(self, datasets):
         from techknee.sweep import extend_datasets
@@ -311,9 +302,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc)
-        cfg = config(case="video", targets=["mail_dvd"], reference_media=["hd"])
-        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
-        assert result.crossover.year == 2008
+        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["hd"]), extended)
+        assert block.crossover.year == 2008
 
     def test_custom_mail_target_weight(self, datasets):
         from techknee.sweep import extend_datasets
@@ -321,9 +311,8 @@ class TestRunScenario:
         # A two-ounce mail target declared in config equals mail_cassette.
         doc = {"custom_targets": {"mail_heavy": {"weight_ounces": 2}}}
         extended = extend_datasets(datasets, doc)
-        cfg = config(targets=["mail_heavy"])
-        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
-        assert result.crossover.year == 1997
+        (block,) = sweep_blocks(config(targets=["mail_heavy"]), extended)
+        assert block.crossover.year == 1997
 
     def test_fractional_mail_weight_rounds_up(self, datasets):
         from techknee.sweep import extend_datasets
@@ -333,9 +322,8 @@ class TestRunScenario:
         doc = {"custom_targets": {"mail_1_5": {"weight_ounces": 1.5}}}
         extended = extend_datasets(datasets, doc)
         assert extended.targets["mail_1_5"] == 2
-        cfg = config(targets=["mail_1_5"])
-        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
-        assert result.crossover.year == 1997
+        (block,) = sweep_blocks(config(targets=["mail_1_5"]), extended)
+        assert block.crossover.year == 1997
 
     def test_whole_float_pixel_fields_accepted(self, datasets):
         from techknee.sweep import extend_datasets
@@ -348,9 +336,8 @@ class TestRunScenario:
         }}}
         extended = extend_datasets(datasets, doc)
         assert extended.reference_media["sd_clip"] == extended.reference_media["clip"]
-        cfg = config(case="video", targets=["mail_dvd"], reference_media=["sd_clip"])
-        result = run_scenario(enumerate_scenarios(cfg, extended)[0], extended)
-        assert result.crossover.year == 2002
+        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["sd_clip"]), extended)
+        assert block.crossover.year == 2002
 
     def test_extension_leaves_bundle_unchanged(self, datasets):
         from techknee.sweep import extend_datasets
@@ -370,8 +357,8 @@ class TestRunScenario:
         write_series(datasets.media_share["audio"], path)
         doc = {"protocol_mix": {"audio": [{"path": str(path), "media_fraction": 1.0}]}}
         extended = extend_datasets(datasets, doc)
-        result = run_scenario(enumerate_scenarios(config(), extended)[0], extended)
-        assert result.knee == 1999
+        (block,) = sweep_blocks(config(), extended)
+        assert block.knees == (1999,)
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
         from techknee.sweep import extend_datasets
@@ -393,8 +380,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc, base_dir=tmp_path)
-        result = run_scenario(enumerate_scenarios(config(), extended)[0], extended)
-        assert result.knee == 1999
+        (block,) = sweep_blocks(config(), extended)
+        assert block.knees == (1999,)
 
     def test_bad_custom_media_is_named(self, datasets):
         from techknee.sweep import extend_datasets
@@ -441,34 +428,6 @@ class TestRunScenario:
                                      physical_media={**datasets.physical_media,
                                                      "audio": (PhysicalMediaSpec("cd", DigitalStorage(700.0), sales),)})
         assert adoption_series("audio", UsageMetric("minutes"), declared).years == years == tuple(range(1984, 2015))
-
-
-class TestDeterminism:
-    def test_out_of_order_evaluation_changes_nothing(self, datasets):
-        cfg = config(
-            targets=["mail_cd", "mail_cassette"],
-            reference_media=["album", "song"],
-            knee_thresholds=[0.01, 0.10],
-        )
-        ordered = run_sweep(cfg, datasets)
-        # Simulate a parallel executor finishing in reverse order.
-        scenarios = enumerate_scenarios(cfg, datasets)
-        by_id = {}
-        for scenario in reversed(scenarios):
-            by_id[scenario.scenario_id] = run_scenario(scenario, datasets)
-        shuffled = [by_id[s.scenario_id] for s in scenarios]
-        assert shuffled == ordered
-
-    def test_repeated_runs_are_identical(self, datasets):
-        cfg = config(reference_media=["album", "song"])
-        assert run_sweep(cfg, datasets) == run_sweep(cfg, datasets)
-
-    def test_scenario_independence(self, datasets):
-        cfg = config(reference_media=["album", "song"])
-        full = {r.scenario.scenario_id: r for r in run_sweep(cfg, datasets)}
-        reduced = run_sweep(config(reference_media=["song"]), datasets)
-        for r in reduced:
-            assert full[r.scenario.scenario_id] == r
 
 
 class TestMetamorphic:
@@ -550,8 +509,8 @@ class TestMetamorphic:
 
 
 class TestJoin:
-    """run_sweep computes each distinct crossover and knee once and joins
-    them onto the scenarios that share their keys."""
+    """`sweep_blocks` computes each distinct crossover and knee once and
+    joins them onto the blocks that share their keys."""
 
     JOIN_CONFIG = dict(
         targets=["mail_cd", "mail_cassette"],
@@ -560,14 +519,6 @@ class TestJoin:
         detection=["empirical", "fitted", "fitted:1995-2010"],
         knee_thresholds=[0.01, 0.10],
     )
-
-    def test_equals_per_scenario_pipeline(self, datasets):
-        cfg = config(**self.JOIN_CONFIG)
-        joined = run_sweep(cfg, datasets)
-        alone = [run_scenario(s, datasets) for s in enumerate_scenarios(cfg, datasets)]
-        assert len(joined) == 2 * 2 * 3 * 3 * 2
-        assert joined == alone
-        assert [r.diagnostics for r in joined] == [r.diagnostics for r in alone]
 
     @staticmethod
     def count_stage_calls(monkeypatch, names):
@@ -592,7 +543,7 @@ class TestJoin:
             "replacement_performance", "target_performance", "adoption_series",
             "fit_exponential", "crossover_empirical", "crossover_fitted", "knee",
         ))
-        run_sweep(config(**self.JOIN_CONFIG), datasets)
+        sweep_blocks(config(**self.JOIN_CONFIG), datasets)
 
         counts = {name: len(args) for name, args in calls.items()}
         assert counts == {
@@ -630,17 +581,19 @@ class TestJoin:
             knee_thresholds=[0.01, 0.10],
         )
         with pytest.raises(ScenarioError) as excinfo:
-            run_sweep(cfg, datasets)
+            sweep_blocks(cfg, datasets)
         first = "audio|mail_cd|album|minutes|fitted:2030-2040|0.01"
         assert str(excinfo.value).startswith(f"scenario {first}: ")
         assert isinstance(excinfo.value.__cause__, FitError)
+        # Swept alone, in enumeration order, the same scenario fails first.
         failing = []
-        for scenario in enumerate_scenarios(cfg, datasets):
+        for target, detection, threshold in itertools.product(cfg.targets, cfg.detection, cfg.knee_thresholds):
             try:
-                run_scenario(scenario, datasets)
-            except ScenarioError:
-                failing.append(scenario.scenario_id)
-        assert failing[0] == first
+                sweep_blocks(cfg._replace(targets=(target,), detection=(detection,), knee_thresholds=(threshold,)),
+                             datasets)
+            except ScenarioError as exc:
+                failing.append(str(exc).split(": ", 1)[0])
+        assert failing[0] == f"scenario {first}"
 
     def test_failing_knee_names_its_threshold(self, datasets):
         # Built directly, the config skips from_json's threshold check, and
@@ -654,40 +607,71 @@ class TestJoin:
     def test_block_ranges_equal_per_result_ranges(self, datasets):
         cfg = config(**dict(self.JOIN_CONFIG, knee_thresholds=[0.01, 0.10, 0.999]))
         blocks = sweep_blocks(cfg, datasets)
-        results = run_sweep(cfg, datasets)
-        assert len(blocks) * 3 == len(results)
+        assert len(blocks) == 2 * 2 * 3 * 3
         for group_by in (None, "target", "reference_media", "usage_metric", "detection"):
-            assert feasibility_range(blocks, group_by) == ranges_per_result(results, group_by)
+            assert feasibility_range(blocks, group_by) == ranges_per_result(cfg, datasets, group_by)
 
     def test_shared_diagnostics_are_read_only(self, datasets):
-        results = run_sweep(config(detection=["fitted"], knee_thresholds=[0.01, 0.10]), datasets)
-        first, second = results
+        # Two blocks that differ only in their metric share one crossover.
+        first, second = sweep_blocks(config(usage_metrics=["minutes", "raw_bits"], detection=["fitted"]), datasets)
         assert first.diagnostics is second.diagnostics
         with pytest.raises(AttributeError):
             first.diagnostics.replacement = None
         assert second.diagnostics.replacement.k > 0.4
-        (empirical,) = run_sweep(config(), datasets)
+        (empirical,) = sweep_blocks(config(), datasets)
         assert empirical.diagnostics is None
 
     def test_results_pickle_and_deepcopy(self, datasets):
-        results = run_sweep(config(**self.JOIN_CONFIG), datasets)
-        for copied in (pickle.loads(pickle.dumps(results)), copy.deepcopy(results)):
-            assert copied == results
-            # The two thresholds of one fitted block still share one record.
-            assert copied[2].scenario.detection == Detection("fitted")
-            assert copied[2].diagnostics is copied[3].diagnostics is not None
+        blocks = sweep_blocks(config(**self.JOIN_CONFIG), datasets)
+        for copied in (pickle.loads(pickle.dumps(blocks)), copy.deepcopy(blocks)):
+            assert copied == blocks
+            # The minutes and raw-bits blocks of one fitted crossover still
+            # share one record.
+            assert (copied[1].usage_metric, copied[4].usage_metric) == (UsageMetric("minutes"),
+                                                                        UsageMetric("raw_bits"))
+            assert copied[1].detection == copied[4].detection == Detection("fitted")
+            assert copied[1].diagnostics is copied[4].diagnostics is not None
 
 
-def ranges_per_result(results, group_by=None):
-    """Min/max crossover and knee years per label, one result at a time."""
+class TestWrappers:
+    """`run_scenario`, `run_sweep` and `enumerate_scenarios` are
+    `sweep_blocks` and its block order reshaped, kept for the benchmark
+    harness, which calls and traces them by name."""
+
+    def test_run_scenario_is_a_block_of_one_threshold(self, datasets):
+        from techknee.sweep import run_scenario
+
+        (block,) = sweep_blocks(config(detection=["fitted"], knee_thresholds=[0.1]), datasets)
+        scenario = Scenario("audio", "mail_cd", "album", UsageMetric("minutes"), Detection("fitted"), 0.1)
+        assert run_scenario(scenario, datasets) == SweepResult(scenario, block.crossover, block.knees[0],
+                                                               block.diagnostics)
+
+    def test_run_sweep_is_the_blocks_over_the_thresholds(self, datasets):
+        from techknee.sweep import run_sweep
+
+        cfg = config(**TestJoin.JOIN_CONFIG)
+        assert run_sweep(cfg, datasets) == [
+            SweepResult(Scenario(cfg.case, *b[:4], threshold), b.crossover, k, b.diagnostics)
+            for b in sweep_blocks(cfg, datasets) for threshold, k in zip(cfg.knee_thresholds, b.knees)]
+
+    def test_enumerate_scenarios_is_the_block_order_over_the_thresholds(self, datasets):
+        from techknee.sweep import enumerate_scenarios
+
+        cfg = config(**TestJoin.JOIN_CONFIG)
+        assert enumerate_scenarios(cfg, datasets) == [
+            Scenario(cfg.case, *axes, threshold) for axes in _blocks(cfg, datasets) for threshold in cfg.knee_thresholds]
+
+
+def ranges_per_result(cfg, datasets, group_by=None):
+    """Min/max crossover and knee years per label, one scenario at a time."""
     groups = {}
-    for r in results:
-        value = "all" if group_by is None else getattr(r.scenario, group_by)
-        groups.setdefault(value if isinstance(value, str) else value.label(), []).append(r)
+    for scenario, crossover, knee_year in scenarios(cfg, datasets):
+        value = "all" if group_by is None else getattr(scenario, group_by)
+        groups.setdefault(value if isinstance(value, str) else value.label(), []).append((crossover, knee_year))
     ranges = []
     for label, group in sorted(groups.items()):
-        crossovers = [r.crossover.year for r in group if r.crossover.year is not None]
-        knees = [r.knee for r in group if r.knee is not None]
+        crossovers = [crossover.year for crossover, _ in group if crossover.year is not None]
+        knees = [knee_year for _, knee_year in group if knee_year is not None]
         ranges.append({
             "label": label, "n_scenarios": len(group),
             "crossover": [min(crossovers, default=None), max(crossovers, default=None)],
@@ -837,7 +821,7 @@ class TestFeasibilityRange:
         """`feasibility_range` of a sweep, checked against the ranges of its
         results one by one."""
         ranges = feasibility_range(sweep_blocks(cfg, datasets), group_by)
-        assert ranges == ranges_per_result(run_sweep(cfg, datasets), group_by)
+        assert ranges == ranges_per_result(cfg, datasets, group_by)
         return ranges
 
     def test_audio_reference_axis_range(self, datasets):
@@ -900,6 +884,9 @@ class TestReproduction:
         assert cells["t5_video_empirical"].computed == 2002
         assert cells["t5_video_fit_all"].computed == 2001
         assert cells["t5_video_fit_from1995"].computed == 2001  # within +/-1 of 2002
+
+    def test_a_published_year_not_computed_is_a_deviation(self):
+        assert _score(2001, 1, None) == "deviation"
 
     def test_known_deviations_are_exactly_the_documented_ones(self, report):
         # One irreproducible published cell (audio from-1995 regression) and
