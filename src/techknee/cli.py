@@ -513,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         return _COMMANDS[args.command][0](args)
-    except (TechkneeError, ValueError, KeyError) as exc:
+    except (TechkneeError, ValueError) as exc:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.
         message = exc

@@ -110,7 +110,11 @@ def mail_distribution_perf(weight_ounces: int, first_ounce: AnnualSeries,
             raise ValueError(f"postage series tagged {s.unit!r}")
         if any(v <= 0 for _, v in s):
             raise ValueError("postage must be positive")
-    extra = weight_ounces - 1
+    try:
+        extra = float(weight_ounces - 1)
+    except OverflowError:
+        # No text of the weight: `str` of an int above 4,300 digits raises too.
+        raise ValueError("weight in ounces is beyond a float's range") from None
     pairs = []
     for year, first, additional in align(first_ounce, additional_ounce):
         total = first + extra * additional

@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from functools import cache
+from itertools import product
 
 from .adoption import UsageMetric, adoption_share, analog_media_minutes, \
     digital_media_minutes, extend_compression, internet_media_minutes, \
@@ -178,6 +179,9 @@ def _parse_detection(raw) -> Detection:
         return Detection(raw)
     if raw.startswith("fitted:"):
         lo, _, hi = raw.split(":", 1)[1].partition("-")
+        if not lo and hi[:1].isdigit() and "-" in hi:  # '-5-', '-5-2000': a from-year's sign
+            lo, _, hi = hi.partition("-")
+            lo = "-" + lo
         return Detection("fitted", _read_year(lo) if lo else None, _read_year(hi) if hi else None)
     raise ValueError(f"cannot parse detection from {raw!r}")
 
@@ -238,29 +242,18 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
         )
 
 
-def _blocks(config: SweepConfig, datasets: Datasets) -> Iterator[tuple]:
+def _blocks(config: SweepConfig) -> Iterator[tuple]:
     """(target, reference media, usage metric, detection) of each block in
-    enumeration order, raising the error of the first invalid scenario. The
-    case is checked first; `SweepConfig.from_json` checked the thresholds."""
+    enumeration order: the product of the axes, once the case is checked.
+    The stages resolve the names, so a refusal names its scenario."""
     _check_case(config.case)
-    for target in config.targets:
-        if target not in datasets.targets:
-            raise ValueError(f"unresolvable target {target!r}")
-        for media in config.reference_media:
-            if media not in datasets.reference_media:
-                raise ValueError(f"unresolvable reference media {media!r}")
-            for metric in config.usage_metrics:
-                for detection in config.detection:
-                    yield target, media, metric, detection
+    return product(config.targets, config.reference_media, config.usage_metrics, config.detection)
 
 
 def enumerate_scenarios(config: SweepConfig, datasets: Datasets) -> list[Scenario]:
     """Cartesian product over the axes, in axis declaration order."""
-    return [
-        Scenario(config.case, target, media, metric, detection, threshold)
-        for target, media, metric, detection in _blocks(config, datasets)
-        for threshold in config.knee_thresholds
-    ]
+    return [Scenario(config.case, *axes, threshold)
+            for axes in _blocks(config) for threshold in config.knee_thresholds]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +477,7 @@ class _Stages:
             for threshold in thresholds:
                 try:
                     row.append(knee(curve, threshold))
-                except (TechkneeError, ValueError, KeyError) as exc:
+                except (TechkneeError, ValueError) as exc:
                     exc.threshold = threshold  # for `block` to name the failing scenario
                     raise
             return tuple(row)
@@ -500,7 +493,7 @@ class _Stages:
         try:
             crossover, diagnostics = self._crossover(case, target, reference_media, detection)
             knees = self._knees(case, metric, thresholds)
-        except (TechkneeError, ValueError, KeyError) as exc:
+        except (TechkneeError, ValueError) as exc:
             threshold = getattr(exc, "threshold", thresholds[0])
             scenario_id = _scenario_id(case, target, reference_media, metric, detection, threshold)
             raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
@@ -522,7 +515,7 @@ def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
     failing scenario in enumeration order.
     """
     stages = _Stages(datasets)
-    return [stages.block(config.case, *axes, config.knee_thresholds) for axes in _blocks(config, datasets)]
+    return [stages.block(config.case, *axes, config.knee_thresholds) for axes in _blocks(config)]
 
 
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
@@ -543,38 +536,29 @@ def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> 
 
     `group_by` names a block axis ("target", "reference_media",
     "usage_metric", "detection"); None pools everything under the label
-    "all". Absent events are counted, not ranged.
+    "all". A block counts once per threshold, and the row of knees that
+    the blocks of a usage metric share is ranged once. Absent events are
+    counted, not ranged.
     """
-    knee_spans: dict[UsageMetric, tuple] = {}
-    groups: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    groups: dict[str, list[SweepBlock]] = {}
     for b in blocks:
-        span = knee_spans.get(b.usage_metric)
-        if span is None:
-            years = [k for k in b.knees if k is not None]
-            span = knee_spans[b.usage_metric] = (
-                [min(years), max(years)] if years else [], len(b.knees) - len(years)
-            )
-        knee_extremes, knees_absent = span
         label = "all" if group_by is None else getattr(b, group_by)
-        label = label if isinstance(label, str) else label.label()
-        counts, crossings, knees = groups.setdefault(label, ([0, 0, 0], [], []))
-        n = len(b.knees)
-        counts[0] += n
-        if b.crossover.year is None:
-            counts[1] += n
-        else:
-            crossings.append(b.crossover.year)
-        knees += knee_extremes
-        counts[2] += knees_absent
+        groups.setdefault(label if isinstance(label, str) else label.label(), []).append(b)
     if not groups:
         raise ValueError("no results to aggregate")
-    return [
-        {"label": label, "n_scenarios": n,
-         "crossover": [min(crossings, default=None), max(crossings, default=None)],
-         "crossover_absent": crossover_absent,
-         "knee": [min(knees, default=None), max(knees, default=None)], "knee_absent": knee_absent}
-        for label, ((n, crossover_absent, knee_absent), crossings, knees) in sorted(groups.items())
-    ]
+    ranges = []
+    for label, group in sorted(groups.items()):
+        crossings = [b.crossover.year for b in group if b.crossover.year is not None]
+        rows = {b.usage_metric: b.knees for b in group}
+        knees = [k for row in rows.values() for k in row if k is not None]
+        ranges.append({
+            "label": label, "n_scenarios": sum(len(b.knees) for b in group),
+            "crossover": [min(crossings, default=None), max(crossings, default=None)],
+            "crossover_absent": sum(len(b.knees) for b in group if b.crossover.year is None),
+            "knee": [min(knees, default=None), max(knees, default=None)],
+            "knee_absent": sum(b.knees.count(None) for b in group),
+        })
+    return ranges
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,17 @@ class TestErrorContract:
         assert err.startswith("error: ")
         assert "Traceback" not in out + err
 
+    def test_a_key_error_is_a_bug_not_a_usage_error(self, monkeypatch):
+        # Input is refused where it is read, as a ValueError naming it, so a
+        # KeyError from inside a stage is a fault of the program: it must
+        # surface as a traceback, not as `error: 'x'`.
+        def lookup_fails(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr("techknee.sweep.adoption_series", lookup_fails)
+        with pytest.raises(KeyError, match="^'x'$"):
+            main(["case", "audio"])
+
     def test_crossover_without_shared_years(self, capsys, tmp_path, rising_csv):
         later = tmp_path / "later.csv"
         later.write_text("year,value\n2005,1.0\n2006,2.0\n")
@@ -570,6 +581,11 @@ class TestErrorContract:
          "detection: invalid literal for int() with base 10: ':x'"),
         (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|1"],
          "threshold: knee threshold must be in (0, 1)"),
+        # A '-' before the from-year is its sign, so the year is refused, not the text.
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:-5-"],
+         "detection: window year -5 is negative"),
+        (["case", "audio", "--scenario", "mail_cd|album|minutes|fitted:-5-2000"],
+         "detection: window year -5 is negative"),
     ])
     def test_case_scenario_id_refused(self, capsys, argv, message):
         result = run(capsys, *argv)
@@ -759,6 +775,8 @@ class TestErrorContract:
         ({"detection": ["fitted:1_995-"]}, "detection[0]: invalid literal for int() with base 10: '1_995'"),
         ({"custom_targets": {"m": {"weight_ounces": "1_5"}}},
          "custom_targets['m']: weight_ounces: could not convert string to float: '1_5'"),
+        # A '-' before the from-year is its sign.
+        ({"detection": ["fitted:-5-"]}, "detection[0]: window year -5 is negative"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         (tmp_path / "s.csv").write_text("year,value\n1990,0.5\n1991,0.5\n")

@@ -210,6 +210,12 @@ class TestMailPerformance:
         assert str(exc.value) == (f"postage of {weight} ounces at 2000 is beyond a float's range: "
                                   f"first-ounce postage {first!r}, additional-ounce postage {additional!r}")
 
+    @pytest.mark.parametrize("weight", [10 ** 400, 10 ** 5000], ids=["10**400", "10**5000"])
+    def test_weight_beyond_a_float_is_refused(self, weight):
+        # 10**5000 has more digits than `str` of an int may format.
+        with pytest.raises(ValueError, match="^weight in ounces is beyond a float's range$"):
+            mail_distribution_perf(weight, postage({2000: 0.5}), postage({2000: 0.3}))
+
     def test_size_invariance_at_one_ounce(self):
         # Mail performance depends on weight, not on the media unit's bits.
         perf = mail_distribution_perf(1, postage({2000: 0.5}), postage({2000: 0.3}))

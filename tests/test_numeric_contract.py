@@ -156,7 +156,7 @@ def test_internet_distribution_perf_is_exact_up_to_rounding_or_refused(rows, siz
         assert within(value, _SECONDS_IN_MONTH / c * r / size, 5), year
 
 
-@given(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 308),
+@given(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 400),
        st.dictionaries(YEARS, st.tuples(VALUES, VALUES), min_size=1, max_size=6))
 @example(2, {2000: (1e308, 1e308)})
 @example(1, {2000: (5e-324, 1.0)})
@@ -166,6 +166,9 @@ def test_mail_distribution_perf_is_exact_up_to_rounding_or_refused(weight, rows)
     try:
         perf = mail_distribution_perf(weight, first, additional)
     except ValueError as exc:
+        if str(exc) == "weight in ounces is beyond a float's range":
+            assert weight - 1 > MAX
+            return
         f, a = rows[refused_year(exc, rows)]
         assert f"first-ounce postage {f!r}, additional-ounce postage {a!r}" in str(exc)
         total = Fraction(f) + (weight - 1) * Fraction(a)

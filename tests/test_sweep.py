@@ -100,13 +100,26 @@ class TestEnumeration:
             "audio|mail_cassette|album|minutes|empirical|0.1",
         ]
 
+    # A name is resolved by its stage, so the refusal names the first
+    # scenario that holds it.
     def test_unresolvable_target(self, datasets):
-        with pytest.raises(ValueError, match="^unresolvable target 'mail_pigeon'$"):
+        with pytest.raises(ScenarioError) as exc:
             sweep_blocks(config(targets=["mail_pigeon"]), datasets)
+        assert str(exc.value) == ("scenario audio|mail_pigeon|album|minutes|empirical|0.01: "
+                                  "unresolvable target 'mail_pigeon'")
 
     def test_unresolvable_media(self, datasets):
-        with pytest.raises(ValueError, match="^unresolvable reference media 'betamax'$"):
+        with pytest.raises(ScenarioError) as exc:
             sweep_blocks(config(reference_media=["betamax"]), datasets)
+        assert str(exc.value) == ("scenario audio|mail_cd|betamax|minutes|empirical|0.01: "
+                                  "unresolvable reference media 'betamax'")
+
+    def test_unresolvable_media_is_named_before_target(self, datasets):
+        # The replacement stage runs before the target's.
+        with pytest.raises(ScenarioError) as exc:
+            sweep_blocks(config(targets=["mail_pigeon"], reference_media=["betamax"]), datasets)
+        assert str(exc.value) == ("scenario audio|mail_pigeon|betamax|minutes|empirical|0.01: "
+                                  "unresolvable reference media 'betamax'")
 
     def test_config_requires_every_axis(self):
         with pytest.raises(ValueError, match="knee_thresholds"):
@@ -659,7 +672,7 @@ class TestWrappers:
 
         cfg = config(**TestJoin.JOIN_CONFIG)
         assert enumerate_scenarios(cfg, datasets) == [
-            Scenario(cfg.case, *axes, threshold) for axes in _blocks(cfg, datasets) for threshold in cfg.knee_thresholds]
+            Scenario(cfg.case, *axes, threshold) for axes in _blocks(cfg) for threshold in cfg.knee_thresholds]
 
 
 def ranges_per_result(cfg, datasets, group_by=None):
@@ -841,6 +854,15 @@ class TestFeasibilityRange:
         ranges = {fr["label"]: fr for fr in ranges}
         assert ranges["mail_cd"]["crossover"][0] == 1998
         assert ranges["mail_cassette"]["crossover"][0] == 1997
+
+    @pytest.mark.parametrize("group_by", [None, "detection"])
+    def test_every_usage_metric_row_is_ranged(self, datasets, group_by):
+        # Video's 1% knee is 2001 by minutes and 2002 by raw bits: each
+        # metric's row of knees is ranged, whichever block comes last.
+        cfg = config(case="video", targets=["mail_dvd"], reference_media=["clip"],
+                     usage_metrics=["minutes", "raw_bits"], detection=["empirical", "fitted"])
+        for fr in self.ranges(cfg, datasets, group_by):
+            assert (fr["knee"], fr["knee_absent"]) == ([2001, 2002], 0)
 
     def test_all_absent_group(self, datasets):
         from techknee.series import AnnualSeries
