@@ -71,17 +71,20 @@ class UsageMetric(namedtuple("UsageMetric", "kind unit_length_minutes")):
         if kind not in ("minutes", "raw_bits", "units"):
             raise ValueError(f"unknown usage metric {kind!r}")
         if kind == "units":
-            # Also refuses NaN; an infinite length would count no units at all.
-            if unit_length_minutes is None or not 0 < unit_length_minutes < math.inf:
+            # Also refuses NaN, and an int beyond a float; an infinite length would count no units at all.
+            if unit_length_minutes is None or not 0 < unit_length_minutes <= sys.float_info.max:
                 raise ValueError("units metric needs a finite positive unit length")
+            if math.isinf(1.0 / unit_length_minutes):
+                raise ValueError(f"units metric length {unit_length_minutes!r} is too small: "
+                                 "1/length is beyond a float's range")
         elif unit_length_minutes is not None:
             raise ValueError(f"{kind} metric takes no unit length")
         return super().__new__(cls, kind, unit_length_minutes)
 
     def label(self) -> str:
         if self.kind == "units":
-            length = self.unit_length_minutes
-            return f"units:{int(length) if float(length).is_integer() else length}"
+            # The shortest text that parses back to the same length, less a trailing ".0".
+            return f"units:{repr(float(self.unit_length_minutes)).removesuffix('.0')}"
         return self.kind
 
 
@@ -197,7 +200,7 @@ def adoption_share(
         factor = 1.0 / metric.unit_length_minutes
         for year, value in (entry for s in series for entry in s):
             # Below the normal range a count loses precision; above it, it is inf.
-            if not (value == 0 < factor < math.inf or sys.float_info.min <= value * factor < math.inf):
+            if not (value == 0 or sys.float_info.min <= value * factor < math.inf):
                 raise ValueError(f"usage {value!r} in {year} in units of {metric.unit_length_minutes!r} minutes "
                                  "is beyond a float's range")
         series = [s.scale(factor) for s in series]

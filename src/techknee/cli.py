@@ -207,7 +207,7 @@ def _cmd_case(args) -> int:
             raise ValueError(f"bad scenario id: {exc}")
     else:
         scenario = parse_scenario_id(args.case, _BASELINE[args.case], args.threshold)
-    block = stages.block(*scenario[:5], (scenario.knee_threshold,))
+    result = stages.result(scenario)
     if args.out:
         # Before any output, so an unusable --out prints nothing.
         out = Path(args.out)
@@ -219,9 +219,9 @@ def _cmd_case(args) -> int:
                     "case": args.case,
                     "scenario": scenario.scenario_id,
                     "data": [f"{dataset_id}.csv" for dataset_id in DATASET_IDS],
-                    "crossover": block.crossover.year,
+                    "crossover": result.crossover.year,
                     "knee_threshold": scenario.knee_threshold,
-                    "knee": block.knees[0],
+                    "knee": result.knee,
                 }
             )
         )
@@ -231,7 +231,7 @@ def _cmd_case(args) -> int:
               f"[a1_bandwidth_cost, a2_compression]")
         print(f"target: {scenario.target} [a3_postage]")
         print(f"adoption: {scenario.usage_metric.label()} metric [a2, a4_traffic, a5_media_share, a6_sales, a7, a8]")
-        print(f"crossover: {block.crossover.year}, knee({_percent(scenario.knee_threshold)}): {block.knees[0]}")
+        print(f"crossover: {result.crossover.year}, knee({_percent(scenario.knee_threshold)}): {result.knee}")
     if args.out:
         paths = out / f"{args.case}_curves.csv", out / f"{args.case}.svg"
         curves = {
@@ -246,15 +246,16 @@ def _cmd_case(args) -> int:
     return 0
 
 
-_SWEEP_BUFFER = 256 * 1024  # under the default 8 KiB, each ~6 KB block string is its own write call
+_SWEEP_BUFFER = 256 * 1024  # under the default 8 KiB, each ~6 KB string of rows is its own write call
 _SWEEP_COLUMNS = ("scenario_id", "case", "target", "reference_media", "usage_metric",
                   "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year")
 
 
-def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
-    """results.csv, one join per block, byte-identical to csv.writer
-    writing one row per scenario."""
-    from .sweep import _id_prefix, _threshold_label
+def _write_sweep_rows(path: Path, config: SweepConfig, tables: tuple[dict, dict]) -> None:
+    """results.csv from a sweep's two tables, walking the product of its
+    axes with one join per (target, reference media, usage metric,
+    detection), byte-identical to csv.writer writing one row per scenario."""
+    from .sweep import _id_prefix, _product, _threshold_label
 
     lines: list[str] = []
     to_lines = csv.writer(SimpleNamespace(write=lines.append))
@@ -266,23 +267,24 @@ def _write_sweep_rows(path: Path, config: SweepConfig, blocks) -> None:
         to_lines.writerow((field, ""))
         return lines.pop()[:-3]  # less ',\r\n'
 
+    crossovers, knees = tables
     thresholds = [_threshold_label(t) for t in config.knee_thresholds]
     n = len(thresholds)
-    metric_slots: dict = {}  # usage metric -> six slots per row of its blocks
+    metric_slots = {}  # usage metric -> six slots per row of its knees
+    for metric, row in knees.items():
+        slots = metric_slots[metric] = [""] * (6 * n)
+        slots[1::6] = slots[3::6] = thresholds
+        slots[5::6] = [cell("" if k is None else str(k)) + "\r\n" for k in row]
     with open(path, "w", newline="", encoding="utf-8", buffering=_SWEEP_BUFFER) as f:
         csv.writer(f).writerow(_SWEEP_COLUMNS)
-        for b in blocks:
-            slots = metric_slots.get(b.usage_metric)
-            if slots is None:
-                slots = metric_slots[b.usage_metric] = [""] * (6 * n)
-                slots[1::6] = slots[3::6] = thresholds
-                slots[5::6] = [cell("" if k is None else str(k)) + "\r\n" for k in b.knees]
-            axes = (config.case, b.target, b.reference_media, b.usage_metric.label(), b.detection.label())
+        for target, media, metric, detection in _product(config):
+            slots = metric_slots[metric]
+            axes = (config.case, target, media, metric.label(), detection.label())
             # A repr threshold needs no quoting: it goes before a closing quote.
             prefix = _id_prefix(*axes)
             quoted = cell(prefix)
             end = len(quoted) - (quoted != prefix)
-            x = b.crossover
+            x, _ = crossovers[target, media, detection]
             fractional = "" if x.fractional_year is None else f"{x.fractional_year:.4f}"
             slots[0::6] = [quoted[:end]] * n
             slots[2::6] = [f"{quoted[end:]},{','.join(map(cell, axes))},"] * n
@@ -311,19 +313,19 @@ def _cmd_sweep(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError(f"{args.config}: a sweep config is a JSON object")
 
-    from .sweep import SweepConfig, extend_datasets, sweep_blocks
+    from .sweep import SweepConfig, extend_datasets, sweep_tables
 
     load_all, feasibility_range = _bind("load_all", "feasibility_range")
     datasets = extend_datasets(load_all(), doc, base_dir=Path(args.config).parent)
     config = SweepConfig.from_json(doc)
-    blocks = sweep_blocks(config, datasets)
+    tables = sweep_tables(config, datasets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows_path = out / "results.csv"
-    _write_sweep_rows(rows_path, config, blocks)
-    n_scenarios = len(blocks) * len(config.knee_thresholds)
-    ranges = feasibility_range(blocks) + feasibility_range(blocks, group_by="target")
+    _write_sweep_rows(rows_path, config, tables)
+    n_scenarios = math.prod(map(len, config[1:]))
+    ranges = feasibility_range(tables) + feasibility_range(tables, group_by="target")
     summary = {"n_scenarios": n_scenarios, "ranges": ranges}
     (out / "feasibility.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"{n_scenarios} scenarios -> {rows_path}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -109,11 +110,13 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
 
 def _pairs(rows: list[tuple[int, dict]], key: str, read_key, column: str, scale: float = 1.0) -> tuple:
     """(`read_key` of the `key` cell, the `column` number x `scale`) of each
-    row; a cell that cannot be read is refused naming its line."""
+    row; a cell that is unreadable or not finite is refused naming its line."""
     pairs = []
     for line, row in rows:
         try:
             pairs.append((read_key(row[key]), _read_number(row[column]) * scale))
+            if not math.isfinite(pairs[-1][1]):
+                raise ValueError(f"{column} {row[column]!r}{'' if scale == 1.0 else f' x {scale:g}'} is not finite")
         except ValueError as exc:
             raise ValueError(f"line {line}: {exc}") from None
     return tuple(pairs)

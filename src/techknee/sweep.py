@@ -90,7 +90,7 @@ def _check_threshold(knee_threshold: float) -> float:
 
 
 def _id_prefix(case: str, target: str, reference_media: str, metric_label: str, detection_label: str) -> str:
-    """A scenario id up to its threshold: the id of every threshold of a block."""
+    """A scenario id up to its threshold."""
     return "|".join((case, target, reference_media, metric_label, detection_label, ""))
 
 
@@ -111,15 +111,6 @@ none. `crossover_extrapolated` says whether the intersection lies outside
 the span of both fit windows, and is None when the curves never intersect."""
 
 SweepResult = namedtuple("SweepResult", "scenario crossover knee diagnostics", defaults=(None,))
-
-SweepBlock = namedtuple("SweepBlock", "target reference_media usage_metric detection crossover "
-                        "diagnostics knees")
-SweepBlock.__doc__ = """The scenarios of a sweep that differ only in their knee threshold.
-
-They share one crossover and its diagnostics; `knees`, a knee year or
-None per threshold, follows the config's thresholds in order and is
-shared by every block with the same usage metric.
-"""
 
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
@@ -242,10 +233,11 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
         )
 
 
-def _blocks(config: SweepConfig) -> Iterator[tuple]:
-    """(target, reference media, usage metric, detection) of each block in
-    enumeration order: the product of the axes, once the case is checked.
-    The stages resolve the names, so a refusal names its scenario."""
+def _product(config: SweepConfig) -> Iterator[tuple]:
+    """The (target, reference media, usage metric, detection) of a sweep's
+    scenarios, each once for all thresholds, in enumeration order: the
+    product of the axes, once the case is checked. The stages resolve the
+    names, so a refusal names its scenario."""
     _check_case(config.case)
     return product(config.targets, config.reference_media, config.usage_metrics, config.detection)
 
@@ -253,7 +245,7 @@ def _blocks(config: SweepConfig) -> Iterator[tuple]:
 def enumerate_scenarios(config: SweepConfig, datasets: Datasets) -> list[Scenario]:
     """Cartesian product over the axes, in axis declaration order."""
     return [Scenario(config.case, *axes, threshold)
-            for axes in _blocks(config) for threshold in config.knee_thresholds]
+            for axes in _product(config) for threshold in config.knee_thresholds]
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +431,14 @@ class _Stages:
     each memoised with `functools.cache` on its own arguments.
 
     A crossover depends only on (case, target, reference media, detection)
-    and a knee only on (case, usage metric, threshold), so blocks share
-    their crossover and their row of knees. `block` evaluates. `sweep_blocks`,
-    `run_scenario` and `reproduce_case_studies` each hold an instance for
-    one call, and the `case` command one whose curves `--out` draws. Stages
-    are looked up by their module names at call time, so patching
-    `techknee.sweep.<stage>` sees every call. The memos close over each
-    other, not over the instance, which therefore holds no reference cycle.
+    and a knee only on (case, usage metric, threshold), so `tables`
+    evaluates a sweep into one table of each, and `result` one scenario.
+    `sweep_tables`, `run_scenario` and `reproduce_case_studies` each hold
+    an instance for one call, and the `case` command one whose curves
+    `--out` draws. Stages are looked up by their module names at call
+    time, so patching `techknee.sweep.<stage>` sees every call. The memos
+    close over each other, not over the instance, which therefore holds
+    no reference cycle.
     """
 
     def __init__(self, datasets: Datasets) -> None:
@@ -471,94 +464,95 @@ class _Stages:
                 extrapolated = not lo <= result.fractional_year <= hi
             return result, FitDiagnostics(fit_r, fit_t, extrapolated)
 
-        @cache
-        def knees(case: str, metric: UsageMetric, thresholds: tuple[float, ...]) -> tuple:
-            curve, row = adoption(case, metric), []
-            for threshold in thresholds:
-                try:
-                    row.append(knee(curve, threshold))
-                except (TechkneeError, ValueError) as exc:
-                    exc.threshold = threshold  # for `block` to name the failing scenario
-                    raise
-            return tuple(row)
+        self.replacement, self.target, self.adoption, self.crossover = replacement, target, adoption, crossover
+        self.knee = cache(lambda case, metric, threshold: knee(adoption(case, metric), threshold))
 
-        self.replacement, self.target, self.adoption = replacement, target, adoption
-        self._crossover, self._knees = crossover, knees
+    def tables(self, config: SweepConfig) -> tuple[dict, dict]:
+        """A sweep's two tables: (target, reference media, detection) ->
+        (crossover, diagnostics), and usage metric -> its knee years, one
+        per threshold in order. Scenario (target, media, metric,
+        detection, the i-th threshold) has crossover `crossovers[target,
+        media, detection]` and knee `knees[metric][i]`. The tables are
+        filled walking the axis product in enumeration order, so a failure
+        raises ScenarioError naming the first failing scenario."""
+        case, thresholds = config.case, config.knee_thresholds
+        crossovers, knees = {}, {}
+        for target, media, metric, detection in _product(config):
+            threshold = thresholds[0]
+            try:
+                crossovers[target, media, detection] = self.crossover(case, target, media, detection)
+                if metric not in knees:
+                    row = []
+                    for threshold in thresholds:
+                        row.append(self.knee(case, metric, threshold))
+                    knees[metric] = tuple(row)
+            except (TechkneeError, ValueError) as exc:
+                scenario_id = _scenario_id(case, target, media, metric, detection, threshold)
+                raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
+        return crossovers, knees
 
-    def block(self, case: str, target: str, reference_media: str, metric: UsageMetric,
-              detection: Detection, thresholds: tuple[float, ...]) -> SweepBlock:
-        """The scenarios that differ only in their knee threshold, one per
-        threshold in order. A failure raises ScenarioError naming the first
-        failing one."""
-        try:
-            crossover, diagnostics = self._crossover(case, target, reference_media, detection)
-            knees = self._knees(case, metric, thresholds)
-        except (TechkneeError, ValueError) as exc:
-            threshold = getattr(exc, "threshold", thresholds[0])
-            scenario_id = _scenario_id(case, target, reference_media, metric, detection, threshold)
-            raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
-        return SweepBlock(target, reference_media, metric, detection, crossover, diagnostics, knees)
+    def result(self, scenario: Scenario) -> SweepResult:
+        """One scenario, read from the tables of the sweep of it alone."""
+        crossovers, knees = self.tables(SweepConfig(scenario.case, *((value,) for value in scenario[1:])))
+        ((crossover, diagnostics),), ((year,),) = crossovers.values(), knees.values()
+        return SweepResult(scenario, crossover, year, diagnostics)
 
 
 def run_scenario(scenario: Scenario, datasets: Datasets) -> SweepResult:
-    """Full pipeline for one scenario: a block of one threshold."""
-    b = _Stages(datasets).block(*scenario[:5], (scenario.knee_threshold,))
-    return SweepResult(scenario, b.crossover, b.knees[0], b.diagnostics)
+    """Full pipeline for one scenario."""
+    return _Stages(datasets).result(scenario)
 
 
-def sweep_blocks(config: SweepConfig, datasets: Datasets) -> list[SweepBlock]:
-    """Evaluate a sweep one block at a time, in enumeration order.
-
-    A block is one (target, reference media, usage metric, detection)
-    with all of the config's thresholds. Each distinct crossover and knee
-    is computed once. A failure raises ScenarioError naming the first
-    failing scenario in enumeration order.
-    """
-    stages = _Stages(datasets)
-    return [stages.block(config.case, *axes, config.knee_thresholds) for axes in _blocks(config)]
+def sweep_tables(config: SweepConfig, datasets: Datasets) -> tuple[dict, dict]:
+    """A sweep's two tables (`_Stages.tables`), each event computed once."""
+    return _Stages(datasets).tables(config)
 
 
 def run_sweep(config: SweepConfig, datasets: Datasets) -> list[SweepResult]:
-    """`sweep_blocks` expanded into one result per scenario, in enumeration order."""
-    return [
-        SweepResult(Scenario(config.case, b.target, b.reference_media, b.usage_metric, b.detection,
-                             threshold), b.crossover, k, b.diagnostics)
-        for b in sweep_blocks(config, datasets)
-        for threshold, k in zip(config.knee_thresholds, b.knees)
-    ]
+    """`sweep_tables` expanded into one result per scenario, in enumeration order."""
+    crossovers, knees = sweep_tables(config, datasets)
+    return [SweepResult(Scenario(config.case, target, media, metric, detection, threshold), crossover, k, diagnostics)
+            for target, media, metric, detection in _product(config)
+            for crossover, diagnostics in (crossovers[target, media, detection],)
+            for threshold, k in zip(config.knee_thresholds, knees[metric])]
 
 
-def feasibility_range(blocks: list[SweepBlock], group_by: str | None = None) -> list[dict]:
+def feasibility_range(tables: tuple[dict, dict], group_by: str | None = None) -> list[dict]:
     """Min/max crossover and knee years per group of a sweep's scenarios,
     in label order, as the entries of `feasibility.json`: `label`,
     `n_scenarios`, `crossover` [min, max], `crossover_absent`, `knee`
     [min, max] and `knee_absent`, with null for a range that has no year.
 
-    `group_by` names a block axis ("target", "reference_media",
-    "usage_metric", "detection"); None pools everything under the label
-    "all". A block counts once per threshold, and the row of knees that
-    the blocks of a usage metric share is ranged once. Absent events are
-    counted, not ranged.
+    `tables` are a sweep's (`sweep_tables`). `group_by` names an axis
+    ("target", "reference_media", "usage_metric", "detection"); None
+    pools everything under the label "all". A sweep is the product of its
+    axes, so a group pairs each of its crossovers with each knee of its
+    rows: a target's `crossover_absent` is its absent crossovers times
+    the knees of all rows. Absent events are counted, not ranged.
     """
-    groups: dict[str, list[SweepBlock]] = {}
-    for b in blocks:
-        label = "all" if group_by is None else getattr(b, group_by)
-        groups.setdefault(label if isinstance(label, str) else label.label(), []).append(b)
-    if not groups:
+    crossovers, knees = tables
+    if not crossovers or not knees:
         raise ValueError("no results to aggregate")
+    position = {None: None, "target": 0, "reference_media": 1, "detection": 2, "usage_metric": None}[group_by]
+    # Group value (None: all of them) -> the crossover years, and the knee years of its rows; None where absent.
+    crossings, knee_years = {}, {}
+    for key, (crossover, _) in crossovers.items():
+        crossings.setdefault(None if position is None else key[position], []).append(crossover.year)
+    for metric, row in knees.items():
+        knee_years.setdefault(metric if group_by == "usage_metric" else None, []).extend(row)
     ranges = []
-    for label, group in sorted(groups.items()):
-        crossings = [b.crossover.year for b in group if b.crossover.year is not None]
-        rows = {b.usage_metric: b.knees for b in group}
-        knees = [k for row in rows.values() for k in row if k is not None]
+    for (x_value, xs), (k_value, ks) in product(crossings.items(), knee_years.items()):
+        value = k_value if x_value is None else x_value
+        present_x, present_k = [x for x in xs if x is not None], [k for k in ks if k is not None]
         ranges.append({
-            "label": label, "n_scenarios": sum(len(b.knees) for b in group),
-            "crossover": [min(crossings, default=None), max(crossings, default=None)],
-            "crossover_absent": sum(len(b.knees) for b in group if b.crossover.year is None),
-            "knee": [min(knees, default=None), max(knees, default=None)],
-            "knee_absent": sum(b.knees.count(None) for b in group),
+            "label": "all" if value is None else value if isinstance(value, str) else value.label(),
+            "n_scenarios": len(xs) * len(ks),
+            "crossover": [min(present_x, default=None), max(present_x, default=None)],
+            "crossover_absent": (len(xs) - len(present_x)) * len(ks),
+            "knee": [min(present_k, default=None), max(present_k, default=None)],
+            "knee_absent": (len(ks) - len(present_k)) * len(xs),
         })
-    return ranges
+    return sorted(ranges, key=lambda entry: entry["label"])
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +664,12 @@ def reproduce_case_studies(datasets: Datasets) -> ReproductionReport:
     for cell_id, table, case, label, scenario_id, event, expected, tolerance, *note in _CELL_SPECS:
         computed = None
         if scenario_id is not None:
-            s = parse_scenario_id(case, scenario_id)
-            b = stages.block(*s[:5], (s.knee_threshold,))
-            computed = b.crossover.year if event == "crossover" else b.knees[0]
+            result = stages.result(parse_scenario_id(case, scenario_id))
+            computed = result.crossover.year if event == "crossover" else result.knee
         if event == "crossover" and computed is not None:
             crossover_years[case].append(computed)
-        cells.append(
-            Cell(cell_id, table, case, label, expected, tolerance, computed,
-                 _score(expected, tolerance, computed), *note)
-        )
+        cells.append(Cell(cell_id, table, case, label, expected, tolerance, computed,
+                          _score(expected, tolerance, computed), *note))
 
     ranges = []
     for range_id, case, expected in _RANGE_SPECS:

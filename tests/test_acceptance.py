@@ -9,6 +9,7 @@ analysis lives, as assertions, in
 `test_criterion_6_audio_from1995_cell_known_defect`.
 """
 
+import itertools
 import math
 import statistics
 
@@ -23,7 +24,7 @@ from techknee.sweep import (
     adoption_series,
     replacement_performance,
     reproduce_case_studies,
-    sweep_blocks,
+    sweep_tables,
     target_performance,
 )
 
@@ -321,8 +322,8 @@ def test_criterion_9_property_suites(datasets, tmp_path):
         if present != sorted(present):
             failures.append(f"{case} knee thresholds not monotone: {knees}")
 
-    # sweep determinism under forced out-of-order evaluation: each block
-    # swept on its own, the last first
+    # sweep determinism under forced out-of-order evaluation: each
+    # crossover and metric of the product swept on its own, the last first
     config = SweepConfig.from_json(
         {
             "case": "audio",
@@ -333,14 +334,12 @@ def test_criterion_9_property_suites(datasets, tmp_path):
             "knee_thresholds": [0.01, 0.10],
         }
     )
-    ordered = sweep_blocks(config, datasets)
-    alone = {}
-    for b in reversed(ordered):
-        target, media, metric, detection = axes = b[:4]
-        alone[axes] = sweep_blocks(config._replace(targets=(target,), reference_media=(media,),
-                                                   usage_metrics=(metric,), detection=(detection,)), datasets)[0]
-    if [alone[b[:4]] for b in ordered] != ordered:
-        failures.append("out-of-order evaluation changed the sweep report")
+    crossovers, knees = sweep_tables(config, datasets)
+    for target, media, metric, detection in reversed(list(itertools.product(*config[1:5]))):
+        alone = sweep_tables(config._replace(targets=(target,), reference_media=(media,),
+                                             usage_metrics=(metric,), detection=(detection,)), datasets)
+        if alone != ({(target, media, detection): crossovers[target, media, detection]}, {metric: knees[metric]}):
+            failures.append("out-of-order evaluation changed the sweep report")
 
     # CSV round-trip identity on all eight bundled tables
     exported = export_bundled(tmp_path)

@@ -1,6 +1,7 @@
 """Usage builders, adoption shares, and the protocol-mix combiner."""
 
 import math
+import sys
 
 import pytest
 
@@ -203,11 +204,16 @@ class TestAdoptionShare:
 
     # Counted in units, a usage is multiplied by 1 / length, which must
     # keep it within a float's normal range.
-    @pytest.mark.parametrize("usage, length", [(1.0, 1e-310), (1e-10, 1e300), (1e300, 1e-10)])
+    @pytest.mark.parametrize("usage, length", [(1e10, 1e-300), (1e-10, 1e300), (1e300, 1e-10)])
     def test_usage_in_units_beyond_a_float_is_refused(self, usage, length):
         with pytest.raises(ValueError) as exc:
             adoption_share(self.usage({1990: usage}), [("cd", self.usage({1990: 1.0}))], UsageMetric("units", length))
         assert str(exc.value) == f"usage {usage!r} in 1990 in units of {length!r} minutes is beyond a float's range"
+
+    def test_usage_in_units_of_the_least_normal_float_is_kept(self):
+        tiny = sys.float_info.min  # the least count a units metric keeps to a float's precision
+        share = adoption_share(self.usage({1990: tiny}), [("cd", self.usage({1990: 1.0}))], UsageMetric("units", 1.0))
+        assert share.entries == ((1990, tiny / (tiny + 1.0)),)
 
     def test_no_common_years_is_error(self):
         with pytest.raises(ValueError, match="no years"):
@@ -279,6 +285,12 @@ class TestUsageMetric:
         assert UsageMetric("raw_bits").label() == "raw_bits"
         assert UsageMetric("units", 3.0).label() == "units:3"
 
+    # A length is written as the shortest text that reads back as it.
+    @pytest.mark.parametrize("length, label", [(90, "units:90"), (2.5, "units:2.5"), (1e15, "units:1000000000000000"),
+                                               (1e16, "units:1e+16"), (1e300, "units:1e+300")])
+    def test_unit_length_label_is_short(self, length, label):
+        assert UsageMetric("units", length).label() == label
+
     def test_units_needs_length(self):
         with pytest.raises(ValueError, match="unit length"):
             UsageMetric("units")
@@ -287,6 +299,19 @@ class TestUsageMetric:
     def test_units_length_is_finite_and_positive(self, length):
         with pytest.raises(ValueError, match="finite positive unit length"):
             UsageMetric("units", length)
+
+    def test_length_beyond_a_float_is_refused(self):
+        assert UsageMetric("units", sys.float_info.max).label() == "units:1.7976931348623157e+308"
+        with pytest.raises(ValueError, match="^units metric needs a finite positive unit length$"):
+            UsageMetric("units", 10 ** 400)
+
+    def test_length_whose_reciprocal_is_beyond_a_float_is_refused(self):
+        least = 5.56268464626801e-309  # the least length whose reciprocal is finite
+        assert UsageMetric("units", least).unit_length_minutes == least
+        below = math.nextafter(least, 0)
+        with pytest.raises(ValueError) as exc:
+            UsageMetric("units", below)
+        assert str(exc.value) == f"units metric length {below!r} is too small: 1/length is beyond a float's range"
 
     def test_minutes_takes_no_length(self):
         with pytest.raises(ValueError, match="no unit length"):

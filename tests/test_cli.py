@@ -344,20 +344,21 @@ class TestSweep:
 
     @staticmethod
     def rows_over_blocks(config, datasets):
-        """results.csv's rows, header first, from `sweep_blocks`: each block
-        expanded over the config's thresholds, its cells as csv.writer
-        would write them."""
-        from techknee.sweep import Scenario, SweepConfig, sweep_blocks
+        """results.csv's rows, header first, from `sweep_tables`: the product
+        of the axes, each value looked up in the two tables, its cells as
+        csv.writer would write them."""
+        from techknee.sweep import Scenario, SweepConfig, sweep_tables
 
         cfg = SweepConfig.from_json(config)
+        crossovers, knees = sweep_tables(cfg, datasets)
         rows = [["scenario_id", "case", "target", "reference_media", "usage_metric", "detection",
                  "knee_threshold", "crossover_year", "crossover_fractional", "knee_year"]]
-        for b in sweep_blocks(cfg, datasets):
-            x = b.crossover
-            for threshold, k in zip(cfg.knee_thresholds, b.knees):
+        for target, media, metric, detection in itertools.product(*cfg[1:5]):
+            x, _ = crossovers[target, media, detection]
+            for threshold, k in zip(cfg.knee_thresholds, knees[metric]):
                 rows.append([
-                    Scenario(cfg.case, *b[:4], threshold).scenario_id, cfg.case, b.target, b.reference_media,
-                    b.usage_metric.label(), b.detection.label(), repr(threshold),
+                    Scenario(cfg.case, target, media, metric, detection, threshold).scenario_id, cfg.case,
+                    target, media, metric.label(), detection.label(), repr(threshold),
                     "" if x.year is None else str(x.year),
                     "" if x.fractional_year is None else f"{x.fractional_year:.4f}",
                     "" if k is None else str(k),
@@ -558,6 +559,12 @@ class TestErrorContract:
         result = run(capsys, "case", "audio", "--scenario", f"mail_cd|album|{metric}|empirical|0.01")
         self.assert_usage_error(result)
         assert result[2] == "error: bad scenario id: metric: units metric needs a finite positive unit length\n"
+
+    def test_scenario_unit_length_whose_reciprocal_overflows_is_named(self, capsys):
+        result = run(capsys, "case", "audio", "--scenario", "mail_cd|album|units:1e-320|empirical")
+        self.assert_usage_error(result)
+        assert result[2] == ("error: bad scenario id: metric: units metric length 1e-320 is too small: "
+                             "1/length is beyond a float's range\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["case", "audio", "--scenario", "mail_cd|album|minutes|empirical|0.1", "--threshold", "0.05"],
@@ -921,7 +928,7 @@ class TestErrorContract:
 
     def test_fitted_sweep_beyond_a_float_level_is_the_exact_ols(self, capsys, tmp_path):
         from techknee.datasets import load_all
-        from techknee.sweep import SweepConfig, extend_datasets, replacement_performance, sweep_blocks
+        from techknee.sweep import SweepConfig, extend_datasets, replacement_performance, sweep_tables
 
         (tmp_path / "extreme.csv").write_text(LEVEL_ROWS)
         album = tmp_path / "album.csv"
@@ -930,9 +937,11 @@ class TestErrorContract:
         config = dict(self.SWEEP, targets=["extreme"], detection=["fitted"], custom_series={
             "extreme": {"path": "extreme.csv", "unit": "media-units-per-real-dollar"}})
         t_star = exact_fitted_crossover(album, tmp_path / "extreme.csv")
-        block, = sweep_blocks(SweepConfig.from_json(config), extend_datasets(load_all(), config, base_dir=tmp_path))
-        assert abs(block.crossover.fractional_year - t_star) <= 1e-9
-        assert block.crossover.year == math.ceil(t_star)
+        crossovers, _ = sweep_tables(SweepConfig.from_json(config), extend_datasets(load_all(), config,
+                                                                                    base_dir=tmp_path))
+        ((crossover, _),) = crossovers.values()
+        assert abs(crossover.fractional_year - t_star) <= 1e-9
+        assert crossover.year == math.ceil(t_star)
         assert self.sweep(capsys, tmp_path, config)[0] == 0
         with open(tmp_path / "out" / "results.csv", newline="") as f:
             row, = csv.DictReader(f)

@@ -250,6 +250,24 @@ class TestChecksums:
         assert main(["case", "audio"]) == 2
         assert capsys.readouterr() == ("", f"error: {dataset_id}: malformed table: {message}\n")
 
+    # A number that is not finite is refused where its table is read, also
+    # in the tables that build no series; so is one that its scale makes so.
+    @pytest.mark.parametrize("dataset_id, line, column, edited, message", [
+        ("a3_postage", 7, 3, "nan", "line 7: first_ounce_usd2016 'nan' is not finite"),
+        ("a7_minutes_per_unit", 4, 1, "nan", "line 4: minutes_per_unit 'nan' is not finite"),
+        ("a8_unit_storage", 3, 1, "inf", "line 3: megabytes_per_unit 'inf' is not finite"),
+        ("a6_sales", 2, 1, "1e303", "line 2: cd_millions '1e303' x 1e+06 is not finite"),
+    ], ids=["a3", "a7", "a8", "a6 scaled"])
+    def test_non_finite_cell_in_resealed_csv_names_its_table(self, tmp_path, monkeypatch, capsys,
+                                                              dataset_id, line, column, edited, message):
+        def edit(rows):
+            rows[line - 1][column] = edited
+            return rows
+
+        monkeypatch.setenv("TECHKNEE_DATA", str(self.resealed_copy(tmp_path, dataset_id, edit)))
+        assert main(["case", "video"]) == 2
+        assert capsys.readouterr() == ("", f"error: {dataset_id}: malformed table: {message}\n")
+
     def test_env_override_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TECHKNEE_DATA", str(self.corrupted_copy(tmp_path)))
         with pytest.raises(DataIntegrityError, match="^a4_traffic: checksum mismatch"):

@@ -81,15 +81,17 @@ def test_tir_is_exact_up_to_rounding_or_refused(k):
     assert within(rate, exact, 2)
 
 
+# A units metric refuses a length below 5.56268464626801e-309, whose reciprocal is beyond a float.
 METRICS = (st.sampled_from([UsageMetric("minutes"), UsageMetric("raw_bits")])
-           | st.builds(UsageMetric, st.just("units"), VALUES))
+           | st.builds(UsageMetric, st.just("units"), st.floats(5.56268464626801e-309, 1.7e308)))
 
 
 @given(st.integers(2, 4).flatmap(lambda n: st.dictionaries(YEARS, st.tuples(*[OR_ZERO] * n), min_size=1,
                                                            max_size=6)), METRICS)
 @example({2000: (1e308, 1e308)}, UsageMetric("minutes"))
 @example({2000: (5e-324, 5e-324)}, UsageMetric("units", 3.0))
-@example({2000: (1.0, 0.0)}, UsageMetric("units", 1e-310))
+@example({2000: (1.0, 0.0)}, UsageMetric("units", 5.56268464626801e-309))
+@example({2000: (0.0, 2.0)}, UsageMetric("units", 5.56268464626801e-309))
 def test_adoption_share_is_exact_up_to_rounding_or_refused(usage, metric):
     internet, *physical = by_year(usage, "minutes-per-year")
     try:

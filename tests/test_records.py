@@ -19,7 +19,6 @@ from techknee.sweep import (
     RangeCheck,
     ReproductionReport,
     Scenario,
-    SweepBlock,
     SweepConfig,
     SweepResult,
 )
@@ -48,7 +47,6 @@ RECORDS = [
     EMPIRICAL,
     SCENARIO,
     SweepResult(SCENARIO, CROSSOVER, 1999),
-    SweepBlock("mail_cd", "album", MINUTES, EMPIRICAL, CROSSOVER, None, (1999,)),
     SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
     CELL,
     RANGE,

@@ -63,10 +63,10 @@ PUBLIC_NAMES = {
     "plots.py": {"write_case_svg", "write_tidy_csv"},
     "series.py": {"AnnualSeries", "RateSchedule", "UNIT_TAGS", "align", "annualize", "parse_series_csv"},
     "sweep.py": {"Cell", "Detection", "FitDiagnostics", "RangeCheck", "ReproductionReport", "Scenario",
-                 "ScenarioError", "SweepBlock", "SweepConfig", "SweepResult", "adoption_series",
+                 "ScenarioError", "SweepConfig", "SweepResult", "adoption_series",
                  "enumerate_scenarios", "extend_datasets", "feasibility_range", "parse_scenario_id",
                  "replacement_performance", "reproduce_case_studies", "run_scenario", "run_sweep",
-                 "sweep_blocks", "target_performance"},
+                 "sweep_tables", "target_performance"},
 }
 
 

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from techknee.adoption import DigitalStorage, PhysicalMediaSpec, UsageMetric
 from techknee.cli import main
@@ -23,7 +23,7 @@ from techknee.sweep import (
     _BASELINE,
     _CELL_SPECS,
     _Stages,
-    _blocks,
+    _product,
     _score,
     Detection,
     Scenario,
@@ -38,7 +38,8 @@ from techknee.sweep import (
     parse_scenario_id,
     replacement_performance,
     reproduce_case_studies,
-    sweep_blocks,
+    run_sweep,
+    sweep_tables,
     target_performance,
 )
 
@@ -63,9 +64,21 @@ def config(**overrides):
 
 def scenarios(cfg, datasets):
     """(scenario, crossover, knee year) of each scenario of a sweep, in
-    enumeration order: `sweep_blocks`' blocks, each over the thresholds."""
-    return [(Scenario(cfg.case, *b[:4], threshold), b.crossover, k)
-            for b in sweep_blocks(cfg, datasets) for threshold, k in zip(cfg.knee_thresholds, b.knees)]
+    enumeration order: the product of its axes, each scenario's years
+    looked up in `sweep_tables`' two tables."""
+    crossovers, knees = sweep_tables(cfg, datasets)
+    return [(Scenario(cfg.case, target, media, metric, detection, threshold),
+             crossovers[target, media, detection][0], k)
+            for target, media, metric, detection in itertools.product(*cfg[1:5])
+            for threshold, k in zip(cfg.knee_thresholds, knees[metric])]
+
+
+def single(cfg, datasets):
+    """The crossover, its diagnostics and the knee years of a sweep of one
+    crossover and one usage metric."""
+    crossovers, knees = sweep_tables(cfg, datasets)
+    ((crossover, diagnostics),), (row,) = crossovers.values(), knees.values()
+    return crossover, diagnostics, row
 
 
 def write_series(series, path):
@@ -81,7 +94,8 @@ class TestEnumeration:
     def test_counts_are_products(self, datasets):
         cfg = config(targets=["mail_cd", "mail_cassette"], reference_media=["album", "song"],
                      usage_metrics=["minutes", "raw_bits", "units:3"], knee_thresholds=[0.01, 0.1])
-        assert len(sweep_blocks(cfg, datasets)) == 2 * 2 * 3
+        crossovers, knees = sweep_tables(cfg, datasets)
+        assert (len(crossovers), len(knees)) == (2 * 2, 3)
         assert len(self.ids(cfg, datasets)) == 2 * 2 * 3 * 2
 
     def test_single_value_per_axis_is_baseline(self, datasets):
@@ -104,20 +118,20 @@ class TestEnumeration:
     # scenario that holds it.
     def test_unresolvable_target(self, datasets):
         with pytest.raises(ScenarioError) as exc:
-            sweep_blocks(config(targets=["mail_pigeon"]), datasets)
+            sweep_tables(config(targets=["mail_pigeon"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_pigeon|album|minutes|empirical|0.01: "
                                   "unresolvable target 'mail_pigeon'")
 
     def test_unresolvable_media(self, datasets):
         with pytest.raises(ScenarioError) as exc:
-            sweep_blocks(config(reference_media=["betamax"]), datasets)
+            sweep_tables(config(reference_media=["betamax"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_cd|betamax|minutes|empirical|0.01: "
                                   "unresolvable reference media 'betamax'")
 
     def test_unresolvable_media_is_named_before_target(self, datasets):
         # The replacement stage runs before the target's.
         with pytest.raises(ScenarioError) as exc:
-            sweep_blocks(config(targets=["mail_pigeon"], reference_media=["betamax"]), datasets)
+            sweep_tables(config(targets=["mail_pigeon"], reference_media=["betamax"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_pigeon|betamax|minutes|empirical|0.01: "
                                   "unresolvable reference media 'betamax'")
 
@@ -181,11 +195,14 @@ class TestParsers:
             return
         assert _parse_detection(detection.label()) == detection
 
+    # A units metric refuses a length below 5.56268464626801e-309, whose
+    # reciprocal is beyond a float.
     @given(st.one_of(
         st.sampled_from([UsageMetric("minutes"), UsageMetric("raw_bits")]),
-        st.builds(UsageMetric, st.just("units"), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        st.builds(UsageMetric, st.just("units"), st.floats(5.56268464626801e-309, allow_infinity=False)
                   | st.integers(1, 10**6)),
     ))
+    @example(UsageMetric("units", 1e300))
     def test_usage_metric_label_round_trips(self, metric):
         assert _parse_usage_metric(metric.label()) == metric
 
@@ -198,7 +215,7 @@ class TestParsers:
         NAMES,
         st.one_of(
             st.sampled_from([UsageMetric("minutes"), UsageMetric("raw_bits")]),
-            st.builds(UsageMetric, st.just("units"), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+            st.builds(UsageMetric, st.just("units"), st.floats(5.56268464626801e-309, allow_infinity=False)),
         ),
         st.just(Detection("empirical"))
         | st.builds(Detection, st.just("fitted"), st.none() | st.integers(0, 10**6),
@@ -223,26 +240,26 @@ class TestParsers:
 
 class TestRunScenario:
     def test_audio_baseline(self, datasets):
-        (block,) = sweep_blocks(config(), datasets)
-        assert block.crossover.year == 1998
-        assert block.knees == (1999,)
+        crossover, _, knees = single(config(), datasets)
+        assert crossover.year == 1998
+        assert knees == (1999,)
 
     def test_video_baseline(self, datasets):
-        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["clip"]), datasets)
-        assert block.crossover.year == 2002
-        assert block.knees == (2001,)
+        crossover, _, knees = single(config(case="video", targets=["mail_dvd"], reference_media=["clip"]), datasets)
+        assert crossover.year == 2002
+        assert knees == (2001,)
 
     def test_audio_song_reference(self, datasets):
-        (block,) = sweep_blocks(config(reference_media=["song"]), datasets)
-        assert block.crossover.year == 1992
+        crossover, _, _ = single(config(reference_media=["song"]), datasets)
+        assert crossover.year == 1992
 
     def test_fitted_detection_reports_diagnostics(self, datasets):
-        (block,) = sweep_blocks(config(detection=["fitted"]), datasets)
-        assert block.crossover.fractional_year is not None
-        assert block.crossover.year == 1996
-        assert 0.9 < block.diagnostics.replacement.r_squared <= 1.0
-        assert block.diagnostics.replacement.k > 0.4
-        assert block.diagnostics.crossover_extrapolated is False
+        crossover, diagnostics, _ = single(config(detection=["fitted"]), datasets)
+        assert crossover.fractional_year is not None
+        assert crossover.year == 1996
+        assert 0.9 < diagnostics.replacement.r_squared <= 1.0
+        assert diagnostics.replacement.k > 0.4
+        assert diagnostics.crossover_extrapolated is False
 
     @pytest.mark.parametrize("target_years, crossing, extrapolated", [
         ((2020, 2030), 2000, False),  # inside the replacement's window, 1983-2015, only
@@ -262,26 +279,25 @@ class TestRunScenario:
         level = math.exp(fit.log_a + fit.k * (crossing - fit.window[0]))
         flat = AnnualSeries.from_mapping(dict.fromkeys(target_years, level), "media-units-per-real-dollar")
         with_flat = datasets._replace(targets={**datasets.targets, "flat": flat})
-        (block,) = sweep_blocks(config(targets=["flat"], detection=["fitted"]), with_flat)
-        assert (block.diagnostics.replacement.window, block.diagnostics.target.window) == ((1983, 2015),
-                                                                                           target_years)
-        assert block.crossover.fractional_year == pytest.approx(crossing, rel=0, abs=1e-9)
+        crossover, diagnostics, _ = single(config(targets=["flat"], detection=["fitted"]), with_flat)
+        assert (diagnostics.replacement.window, diagnostics.target.window) == ((1983, 2015), target_years)
+        assert crossover.fractional_year == pytest.approx(crossing, rel=0, abs=1e-9)
         if crossing in (1983, 2030):  # a float series puts the crossing on the edge itself
-            assert block.crossover.fractional_year == crossing
-        assert block.diagnostics.crossover_extrapolated is extrapolated
+            assert crossover.fractional_year == crossing
+        assert diagnostics.crossover_extrapolated is extrapolated
 
     def test_baseline_consistency_with_standalone_ops(self, datasets):
         # The sweep path must agree with calling the pipeline pieces directly.
-        (block,) = sweep_blocks(config(), datasets)
+        crossover, _, knees = single(config(), datasets)
         replacement = replacement_performance("audio", "album", datasets)
         target = target_performance("mail_cd", datasets)
         adoption = adoption_series("audio", UsageMetric("minutes"), datasets)
-        assert block.crossover == crossover_empirical(replacement, target)
-        assert block.knees == (knee(adoption, 0.01),)
+        assert crossover == crossover_empirical(replacement, target)
+        assert knees == (knee(adoption, 0.01),)
 
     def test_case_media_kind_mismatch_is_annotated(self, datasets):
         with pytest.raises(ScenarioError, match="audio\\|mail_cd\\|clip"):
-            sweep_blocks(config(reference_media=["clip"]), datasets)
+            sweep_tables(config(reference_media=["clip"]), datasets)
 
     def test_custom_target_series(self, datasets):
         from techknee.series import AnnualSeries
@@ -290,8 +306,8 @@ class TestRunScenario:
             {y: 0.5 for y in range(1983, 2016)}, "media-units-per-real-dollar"
         )
         with_custom = datasets._replace(targets={**datasets.targets, "drive": drive})
-        (block,) = sweep_blocks(config(targets=["drive"]), with_custom)
-        assert block.crossover.year is not None
+        crossover, _, _ = single(config(targets=["drive"]), with_custom)
+        assert crossover.year is not None
 
     def test_custom_media_from_config(self, datasets, tmp_path):
         from techknee.sweep import extend_datasets
@@ -303,8 +319,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc)
-        (block,) = sweep_blocks(config(reference_media=["single"]), extended)
-        assert block.crossover.year == 1992
+        crossover, _, _ = single(config(reference_media=["single"]), extended)
+        assert crossover.year == 1992
 
     def test_custom_media_with_override_size(self, datasets):
         from techknee.sweep import extend_datasets
@@ -315,8 +331,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc)
-        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["hd"]), extended)
-        assert block.crossover.year == 2008
+        crossover, _, _ = single(config(case="video", targets=["mail_dvd"], reference_media=["hd"]), extended)
+        assert crossover.year == 2008
 
     def test_custom_mail_target_weight(self, datasets):
         from techknee.sweep import extend_datasets
@@ -324,8 +340,8 @@ class TestRunScenario:
         # A two-ounce mail target declared in config equals mail_cassette.
         doc = {"custom_targets": {"mail_heavy": {"weight_ounces": 2}}}
         extended = extend_datasets(datasets, doc)
-        (block,) = sweep_blocks(config(targets=["mail_heavy"]), extended)
-        assert block.crossover.year == 1997
+        crossover, _, _ = single(config(targets=["mail_heavy"]), extended)
+        assert crossover.year == 1997
 
     def test_fractional_mail_weight_rounds_up(self, datasets):
         from techknee.sweep import extend_datasets
@@ -335,8 +351,8 @@ class TestRunScenario:
         doc = {"custom_targets": {"mail_1_5": {"weight_ounces": 1.5}}}
         extended = extend_datasets(datasets, doc)
         assert extended.targets["mail_1_5"] == 2
-        (block,) = sweep_blocks(config(targets=["mail_1_5"]), extended)
-        assert block.crossover.year == 1997
+        crossover, _, _ = single(config(targets=["mail_1_5"]), extended)
+        assert crossover.year == 1997
 
     def test_whole_float_pixel_fields_accepted(self, datasets):
         from techknee.sweep import extend_datasets
@@ -349,8 +365,8 @@ class TestRunScenario:
         }}}
         extended = extend_datasets(datasets, doc)
         assert extended.reference_media["sd_clip"] == extended.reference_media["clip"]
-        (block,) = sweep_blocks(config(case="video", targets=["mail_dvd"], reference_media=["sd_clip"]), extended)
-        assert block.crossover.year == 2002
+        crossover, _, _ = single(config(case="video", targets=["mail_dvd"], reference_media=["sd_clip"]), extended)
+        assert crossover.year == 2002
 
     def test_extension_leaves_bundle_unchanged(self, datasets):
         from techknee.sweep import extend_datasets
@@ -370,8 +386,8 @@ class TestRunScenario:
         write_series(datasets.media_share["audio"], path)
         doc = {"protocol_mix": {"audio": [{"path": str(path), "media_fraction": 1.0}]}}
         extended = extend_datasets(datasets, doc)
-        (block,) = sweep_blocks(config(), extended)
-        assert block.knees == (1999,)
+        _, _, knees = single(config(), extended)
+        assert knees == (1999,)
 
     def test_custom_physical_media_override(self, datasets, tmp_path):
         from techknee.sweep import extend_datasets
@@ -393,8 +409,8 @@ class TestRunScenario:
             }
         }
         extended = extend_datasets(datasets, doc, base_dir=tmp_path)
-        (block,) = sweep_blocks(config(), extended)
-        assert block.knees == (1999,)
+        _, _, knees = single(config(), extended)
+        assert knees == (1999,)
 
     def test_bad_custom_media_is_named(self, datasets):
         from techknee.sweep import extend_datasets
@@ -510,20 +526,19 @@ class TestMetamorphic:
                 continue
             scenario = parse_scenario_id(case, scenario_id)
             d = scenario.detection
-            thresholds = (scenario.knee_threshold,)
-            expected = base.block(*scenario[:5], thresholds)
-            got = shifted.block(*scenario[:4], Detection(d.mode, move(d.window_from), move(d.window_to)), thresholds)
-            assert expected.crossover.year is not None and expected.knees[0] is not None, cell_id
-            assert (got.crossover.year, got.knees[0]) == (move(expected.crossover.year),
-                                                         move(expected.knees[0])), cell_id
+            expected = base.result(scenario)
+            got = shifted.result(Scenario(*scenario[:4], Detection(d.mode, move(d.window_from), move(d.window_to)),
+                                          scenario.knee_threshold))
+            assert expected.crossover.year is not None and expected.knee is not None, cell_id
+            assert (got.crossover.year, got.knee) == (move(expected.crossover.year), move(expected.knee)), cell_id
             if d.mode == "fitted":
                 assert got.crossover.fractional_year == pytest.approx(
                     expected.crossover.fractional_year + delta, rel=0, abs=1e-9), cell_id
 
 
 class TestJoin:
-    """`sweep_blocks` computes each distinct crossover and knee once and
-    joins them onto the blocks that share their keys."""
+    """`sweep_tables` computes each distinct crossover and knee once, into
+    the two tables whose product over the axes is the sweep."""
 
     JOIN_CONFIG = dict(
         targets=["mail_cd", "mail_cassette"],
@@ -556,7 +571,7 @@ class TestJoin:
             "replacement_performance", "target_performance", "adoption_series",
             "fit_exponential", "crossover_empirical", "crossover_fitted", "knee",
         ))
-        sweep_blocks(config(**self.JOIN_CONFIG), datasets)
+        sweep_tables(config(**self.JOIN_CONFIG), datasets)
 
         counts = {name: len(args) for name, args in calls.items()}
         assert counts == {
@@ -594,7 +609,7 @@ class TestJoin:
             knee_thresholds=[0.01, 0.10],
         )
         with pytest.raises(ScenarioError) as excinfo:
-            sweep_blocks(cfg, datasets)
+            sweep_tables(cfg, datasets)
         first = "audio|mail_cd|album|minutes|fitted:2030-2040|0.01"
         assert str(excinfo.value).startswith(f"scenario {first}: ")
         assert isinstance(excinfo.value.__cause__, FitError)
@@ -602,7 +617,7 @@ class TestJoin:
         failing = []
         for target, detection, threshold in itertools.product(cfg.targets, cfg.detection, cfg.knee_thresholds):
             try:
-                sweep_blocks(cfg._replace(targets=(target,), detection=(detection,), knee_thresholds=(threshold,)),
+                sweep_tables(cfg._replace(targets=(target,), detection=(detection,), knee_thresholds=(threshold,)),
                              datasets)
             except ScenarioError as exc:
                 failing.append(str(exc).split(": ", 1)[0])
@@ -615,64 +630,63 @@ class TestJoin:
                           (0.01, 1.5))
         with pytest.raises(ScenarioError, match=r"^scenario audio\|mail_cd\|album\|minutes\|empirical\|1\.5: "
                                                 r"threshold must be in \(0, 1\), got 1\.5$"):
-            sweep_blocks(cfg, datasets)
+            sweep_tables(cfg, datasets)
 
     def test_block_ranges_equal_per_result_ranges(self, datasets):
         cfg = config(**dict(self.JOIN_CONFIG, knee_thresholds=[0.01, 0.10, 0.999]))
-        blocks = sweep_blocks(cfg, datasets)
-        assert len(blocks) == 2 * 2 * 3 * 3
+        tables = sweep_tables(cfg, datasets)
+        assert tuple(map(len, tables)) == (2 * 2 * 3, 3)
         for group_by in (None, "target", "reference_media", "usage_metric", "detection"):
-            assert feasibility_range(blocks, group_by) == ranges_per_result(cfg, datasets, group_by)
+            assert feasibility_range(tables, group_by) == ranges_per_result(cfg, datasets, group_by)
 
     def test_shared_diagnostics_are_read_only(self, datasets):
-        # Two blocks that differ only in their metric share one crossover.
-        first, second = sweep_blocks(config(usage_metrics=["minutes", "raw_bits"], detection=["fitted"]), datasets)
+        # Two scenarios that differ only in their metric share one crossover.
+        first, second = run_sweep(config(usage_metrics=["minutes", "raw_bits"], detection=["fitted"]), datasets)
         assert first.diagnostics is second.diagnostics
         with pytest.raises(AttributeError):
             first.diagnostics.replacement = None
         assert second.diagnostics.replacement.k > 0.4
-        (empirical,) = sweep_blocks(config(), datasets)
+        (empirical,) = run_sweep(config(), datasets)
         assert empirical.diagnostics is None
 
     def test_results_pickle_and_deepcopy(self, datasets):
-        blocks = sweep_blocks(config(**self.JOIN_CONFIG), datasets)
-        for copied in (pickle.loads(pickle.dumps(blocks)), copy.deepcopy(blocks)):
-            assert copied == blocks
-            # The minutes and raw-bits blocks of one fitted crossover still
-            # share one record.
-            assert (copied[1].usage_metric, copied[4].usage_metric) == (UsageMetric("minutes"),
-                                                                        UsageMetric("raw_bits"))
-            assert copied[1].detection == copied[4].detection == Detection("fitted")
-            assert copied[1].diagnostics is copied[4].diagnostics is not None
+        tables = sweep_tables(config(**self.JOIN_CONFIG), datasets)
+        for copied in (pickle.loads(pickle.dumps(tables)), copy.deepcopy(tables)):
+            assert copied == tables
+            # The fitted crossovers of both targets over one reference unit
+            # still share its one fit.
+            cd, cassette = (copied[0][target, "album", Detection("fitted")][1]
+                            for target in ("mail_cd", "mail_cassette"))
+            assert cd.replacement is cassette.replacement is not None
 
 
 class TestWrappers:
     """`run_scenario`, `run_sweep` and `enumerate_scenarios` are
-    `sweep_blocks` and its block order reshaped, kept for the benchmark
+    `sweep_tables` and its axis product reshaped, kept for the benchmark
     harness, which calls and traces them by name."""
 
     def test_run_scenario_is_a_block_of_one_threshold(self, datasets):
         from techknee.sweep import run_scenario
 
-        (block,) = sweep_blocks(config(detection=["fitted"], knee_thresholds=[0.1]), datasets)
+        crossover, diagnostics, knees = single(config(detection=["fitted"], knee_thresholds=[0.1]), datasets)
         scenario = Scenario("audio", "mail_cd", "album", UsageMetric("minutes"), Detection("fitted"), 0.1)
-        assert run_scenario(scenario, datasets) == SweepResult(scenario, block.crossover, block.knees[0],
-                                                               block.diagnostics)
+        assert run_scenario(scenario, datasets) == SweepResult(scenario, crossover, knees[0],
+                                                               diagnostics)
 
     def test_run_sweep_is_the_blocks_over_the_thresholds(self, datasets):
-        from techknee.sweep import run_sweep
-
         cfg = config(**TestJoin.JOIN_CONFIG)
+        crossovers, _ = sweep_tables(cfg, datasets)
         assert run_sweep(cfg, datasets) == [
-            SweepResult(Scenario(cfg.case, *b[:4], threshold), b.crossover, k, b.diagnostics)
-            for b in sweep_blocks(cfg, datasets) for threshold, k in zip(cfg.knee_thresholds, b.knees)]
+            SweepResult(scenario, crossover, k, crossovers[scenario.target, scenario.reference_media,
+                                                           scenario.detection][1])
+            for scenario, crossover, k in scenarios(cfg, datasets)]
 
     def test_enumerate_scenarios_is_the_block_order_over_the_thresholds(self, datasets):
         from techknee.sweep import enumerate_scenarios
 
         cfg = config(**TestJoin.JOIN_CONFIG)
         assert enumerate_scenarios(cfg, datasets) == [
-            Scenario(cfg.case, *axes, threshold) for axes in _blocks(cfg) for threshold in cfg.knee_thresholds]
+            Scenario(cfg.case, *axes, threshold) for axes in _product(cfg) for threshold in cfg.knee_thresholds]
 
 
 def ranges_per_result(cfg, datasets, group_by=None):
@@ -833,7 +847,7 @@ class TestFeasibilityRange:
     def ranges(cfg, datasets, group_by=None):
         """`feasibility_range` of a sweep, checked against the ranges of its
         results one by one."""
-        ranges = feasibility_range(sweep_blocks(cfg, datasets), group_by)
+        ranges = feasibility_range(sweep_tables(cfg, datasets), group_by)
         assert ranges == ranges_per_result(cfg, datasets, group_by)
         return ranges
 
@@ -858,7 +872,7 @@ class TestFeasibilityRange:
     @pytest.mark.parametrize("group_by", [None, "detection"])
     def test_every_usage_metric_row_is_ranged(self, datasets, group_by):
         # Video's 1% knee is 2001 by minutes and 2002 by raw bits: each
-        # metric's row of knees is ranged, whichever block comes last.
+        # metric's row of knees is ranged, in every group.
         cfg = config(case="video", targets=["mail_dvd"], reference_media=["clip"],
                      usage_metrics=["minutes", "raw_bits"], detection=["empirical", "fitted"])
         for fr in self.ranges(cfg, datasets, group_by):
@@ -878,7 +892,7 @@ class TestFeasibilityRange:
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
-            feasibility_range([])
+            feasibility_range(({}, {}))
 
 
 @pytest.fixture(scope="module")
