@@ -15,7 +15,7 @@ import warnings
 from collections import namedtuple
 
 from .errors import UnitMismatchError
-from .series import AnnualSeries, align
+from .series import AnnualSeries, _checked_make, align
 
 _BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
 _BITS_PER_MEGABYTE = 8e6  # decimal megabytes
@@ -29,6 +29,7 @@ class AnalogStorage(namedtuple("AnalogStorage", "minutes_per_unit raw_bits_per_m
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, minutes_per_unit: float, raw_bits_per_minute: float) -> AnalogStorage:
         if minutes_per_unit <= 0:
@@ -42,6 +43,7 @@ class DigitalStorage(namedtuple("DigitalStorage", "unit_storage_megabytes")):
     """Digital medium: content measured by on-disc capacity."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, unit_storage_megabytes: float) -> DigitalStorage:
         if unit_storage_megabytes <= 0:
@@ -54,6 +56,7 @@ class PhysicalMediaSpec(namedtuple("PhysicalMediaSpec", "name storage yearly_sal
     unit counts per year)."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, name: str, storage: AnalogStorage | DigitalStorage,
                 yearly_sales: AnnualSeries) -> PhysicalMediaSpec:
@@ -66,6 +69,7 @@ class UsageMetric(namedtuple("UsageMetric", "kind unit_length_minutes")):
     """How usage is counted: minutes, raw bits, or fixed-length units."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, kind: str, unit_length_minutes: float | None = None) -> UsageMetric:
         if kind not in ("minutes", "raw_bits", "units"):

@@ -19,7 +19,6 @@ import csv
 import math
 import os
 import sys
-from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -251,21 +250,20 @@ _SWEEP_COLUMNS = ("scenario_id", "case", "target", "reference_media", "usage_met
                   "detection", "knee_threshold", "crossover_year", "crossover_fractional", "knee_year")
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer's minimal quoting writes it: in `"`, each `"`
+    doubled, if it holds `,`, `"`, `\\r` or `\\n`."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_sweep_rows(path: Path, config: SweepConfig, tables: tuple[dict, dict]) -> None:
     """results.csv from a sweep's two tables, walking the product of its
     axes with one join per (target, reference media, usage metric,
-    detection), byte-identical to csv.writer writing one row per scenario."""
+    detection), as csv.writer writes it: text through `_csv_field`, and
+    the years and thresholds, which need no quoting, as they are."""
     from .sweep import _id_prefix, _product, _threshold_label
-
-    lines: list[str] = []
-    to_lines = csv.writer(SimpleNamespace(write=lines.append))
-
-    @cache
-    def cell(field: str) -> str:
-        """`field` as csv.writer writes it inside a row."""
-        # A second, empty field keeps a lone empty field from being quoted.
-        to_lines.writerow((field, ""))
-        return lines.pop()[:-3]  # less ',\r\n'
 
     crossovers, knees = tables
     thresholds = [_threshold_label(t) for t in config.knee_thresholds]
@@ -274,21 +272,21 @@ def _write_sweep_rows(path: Path, config: SweepConfig, tables: tuple[dict, dict]
     for metric, row in knees.items():
         slots = metric_slots[metric] = [""] * (6 * n)
         slots[1::6] = slots[3::6] = thresholds
-        slots[5::6] = [cell("" if k is None else str(k)) + "\r\n" for k in row]
+        slots[5::6] = ["\r\n" if k is None else f"{k}\r\n" for k in row]
     with open(path, "w", newline="", encoding="utf-8", buffering=_SWEEP_BUFFER) as f:
-        csv.writer(f).writerow(_SWEEP_COLUMNS)
+        f.write(",".join(_SWEEP_COLUMNS) + "\r\n")
         for target, media, metric, detection in _product(config):
             slots = metric_slots[metric]
             axes = (config.case, target, media, metric.label(), detection.label())
-            # A repr threshold needs no quoting: it goes before a closing quote.
+            # The threshold goes before a quoted prefix's closing quote.
             prefix = _id_prefix(*axes)
-            quoted = cell(prefix)
+            quoted = _csv_field(prefix)
             end = len(quoted) - (quoted != prefix)
             x, _ = crossovers[target, media, detection]
             fractional = "" if x.fractional_year is None else f"{x.fractional_year:.4f}"
             slots[0::6] = [quoted[:end]] * n
-            slots[2::6] = [f"{quoted[end:]},{','.join(map(cell, axes))},"] * n
-            slots[4::6] = [f",{cell('' if x.year is None else str(x.year))},{cell(fractional)},"] * n
+            slots[2::6] = [f"{quoted[end:]},{','.join(map(_csv_field, axes))},"] * n
+            slots[4::6] = [f",{'' if x.year is None else x.year},{fractional},"] * n
             f.write("".join(slots))
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .series import AnnualSeries, align
+from .series import AnnualSeries, _checked_make, align
 
 _SECONDS_IN_MONTH = 2_592_000  # 30-day month
 
@@ -31,6 +31,7 @@ class MediaSpec(namedtuple("MediaSpec", "kind size_bits")):
     bandwidth moves."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, kind: str, size_bits: float) -> MediaSpec:
         if kind not in ("audio", "video"):

@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 
 from .errors import DegenerateFitError, FitError, UnitMismatchError
-from .series import AnnualSeries, align
+from .series import AnnualSeries, _checked_make, align
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows a float above it
 
@@ -27,6 +27,7 @@ class ExpFit(namedtuple("ExpFit", "log_a k window n_points r_squared")):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, log_a: float, k: float, window: tuple[int, int], n_points: int,
                 r_squared: float) -> ExpFit:

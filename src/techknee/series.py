@@ -125,12 +125,18 @@ def align(first: AnnualSeries, *others: AnnualSeries) -> list[tuple]:
     return rows
 
 
+# The `_make` of each validated record, which its `_replace` calls: through
+# the constructor, whose checks namedtuple's own `_make` skips.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class RateSchedule(namedtuple("RateSchedule", "changes unit")):
     """Dated changes of one rate, each in force from its calendar date
     until superseded. Used for postage.
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, changes: tuple[tuple[date, float], ...], unit: str) -> RateSchedule:
         prev = None

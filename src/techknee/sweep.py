@@ -26,7 +26,7 @@ from .costs import REFERENCE_BIT_RATES, MediaSpec, internet_distribution_perf, m
 from .datasets import Datasets
 from .errors import TechkneeError
 from .fitting import CrossoverResult, crossover_empirical, crossover_fitted, fit_exponential, knee
-from .series import AnnualSeries, _read_number, _read_year, annualize, parse_series_csv
+from .series import AnnualSeries, _checked_make, _read_number, _read_year, annualize, parse_series_csv
 
 
 class ScenarioError(TechkneeError):
@@ -37,6 +37,7 @@ class Detection(namedtuple("Detection", "mode window_from window_to")):
     """Crossover detection mode: empirical series or fitted curves."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, mode: str, window_from: int | None = None, window_to: int | None = None) -> Detection:
         if mode not in ("empirical", "fitted"):
@@ -66,6 +67,7 @@ class Scenario(namedtuple("Scenario", "case target reference_media usage_metric 
     """One complete choice along the uncertainty axes."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, case: str, target: str, reference_media: str, usage_metric: UsageMetric,
                 detection: Detection, knee_threshold: float) -> Scenario:
@@ -203,9 +205,29 @@ def parse_scenario_id(case: str, raw: str, threshold: float | None = None) -> Sc
 
 class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_metrics detection "
                              "knee_thresholds")):
-    """Axis values for a cartesian sweep, in declaration order."""
+    """Axis values for a cartesian sweep, in declaration order. However it
+    is built, its case is known, each axis holds at least one value and no
+    value twice, and each threshold lies in (0, 1), so every scenario id is
+    distinct and every knee threshold valid."""
 
     __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, case: str, targets: tuple, reference_media: tuple, usage_metrics: tuple,
+                detection: tuple, knee_thresholds: tuple) -> SweepConfig:
+        _check_case(case)
+        axes = targets, reference_media, usage_metrics, detection, knee_thresholds
+        for key, values in zip(cls._fields[1:], axes):
+            if not values:
+                raise ValueError(f"config needs at least one value for {key!r}")
+            first: dict = {}
+            for i, value in enumerate(values):
+                if key == "knee_thresholds":
+                    _named(f"{key}[{i}]", lambda: _check_threshold(value))
+                if value in first:
+                    raise ValueError(f"{key}[{i}]: duplicate of {key}[{first[value]}]")
+                first[value] = i
+        return super().__new__(cls, case, *axes)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SweepConfig":
@@ -214,14 +236,8 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
                 raise ValueError(f"config needs at least one value for {key!r}")
 
         def each(key: str, parse=lambda raw: _expect(raw, str)) -> tuple:
-            # A value equal to an earlier one would repeat its scenario ids.
-            first: dict = {}
-            for i, raw in enumerate(_named(key, lambda: _expect(doc[key], list))):
-                value = _named(f"{key}[{i}]", lambda: parse(raw))
-                if value in first:
-                    raise ValueError(f"{key}[{i}]: duplicate of {key}[{first[value]}]")
-                first[value] = i
-            return tuple(first)
+            return tuple(_named(f"{key}[{i}]", lambda: parse(raw))
+                         for i, raw in enumerate(_named(key, lambda: _expect(doc[key], list))))
 
         return cls(
             case=_named("case", lambda: _expect(doc["case"], str)),
@@ -229,16 +245,15 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
             reference_media=each("reference_media"),
             usage_metrics=each("usage_metrics", _parse_usage_metric),
             detection=each("detection", _parse_detection),
-            knee_thresholds=each("knee_thresholds", lambda raw: _check_threshold(_expect(raw, float))),
+            knee_thresholds=each("knee_thresholds", lambda raw: _expect(raw, float)),
         )
 
 
 def _product(config: SweepConfig) -> Iterator[tuple]:
     """The (target, reference media, usage metric, detection) of a sweep's
     scenarios, each once for all thresholds, in enumeration order: the
-    product of the axes, once the case is checked. The stages resolve the
-    names, so a refusal names its scenario."""
-    _check_case(config.case)
+    product of the axes. The stages resolve the names, so a refusal names
+    its scenario."""
     return product(config.targets, config.reference_media, config.usage_metrics, config.detection)
 
 
@@ -478,16 +493,13 @@ class _Stages:
         case, thresholds = config.case, config.knee_thresholds
         crossovers, knees = {}, {}
         for target, media, metric, detection in _product(config):
-            threshold = thresholds[0]
             try:
                 crossovers[target, media, detection] = self.crossover(case, target, media, detection)
                 if metric not in knees:
-                    row = []
-                    for threshold in thresholds:
-                        row.append(self.knee(case, metric, threshold))
-                    knees[metric] = tuple(row)
+                    knees[metric] = tuple(self.knee(case, metric, threshold) for threshold in thresholds)
             except (TechkneeError, ValueError) as exc:
-                scenario_id = _scenario_id(case, target, media, metric, detection, threshold)
+                # Thresholds are valid, so a knee fails at the first if at all.
+                scenario_id = _scenario_id(case, target, media, metric, detection, thresholds[0])
                 raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
         return crossovers, knees
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from techknee.cli import _COMMANDS, _build_parser, _parse_plain, main
+from techknee.cli import _COMMANDS, _build_parser, _csv_field, _parse_plain, main
 from techknee.sweep import _CELL_SPECS
 
 
@@ -421,6 +421,32 @@ class TestSweep:
         csv.writer(expected).writerows(self.rows_over_blocks(config, extend_datasets(load_all(), config)))
         assert written == expected.getvalue().encode()
 
+    @settings(max_examples=300)
+    @given(st.text(',"\r\n\x00 \t|éßжλ'))
+    @example('a,"b')
+    @example("")
+    def test_csv_field_is_csv_writers_minimal_quoting(self, text):
+        buf = io.StringIO()
+        try:
+            csv.writer(buf).writerow((text, ""))
+        except csv.Error:
+            return  # no reference: before Python 3.11, csv.writer refuses a NUL
+        assert _csv_field(text) == buf.getvalue()[:-3]  # less ',\r\n'
+
+    def test_csv_field_writes_a_nul_as_it_is(self):
+        # As csv.writer does from Python 3.11; before, it raises.
+        assert _csv_field("n\x00l") == "n\x00l"
+        assert _csv_field('\x00,"') == '"\x00,"""'
+
+    def test_any_declared_name_but_a_bar_is_written(self, capsys, tmp_path):
+        config = dict(TestErrorContract.SWEEP, targets=['a,"b', "n\x00l"],
+                      custom_targets={'a,"b': {"weight_ounces": 1}, "n\x00l": {"weight_ounces": 1}})
+        assert self.sweep(capsys, tmp_path, config).read_bytes().decode("utf-8").split("\r\n")[1:] == [
+            '"audio|a,""b|album|minutes|empirical|0.01",audio,"a,""b",album,minutes,empirical,0.01,1998,,1999',
+            "audio|n\x00l|album|minutes|empirical|0.01,audio,n\x00l,album,minutes,empirical,0.01,1998,,1999",
+            "",
+        ]
+
     def test_ids_and_thresholds_parse_back(self, capsys, tmp_path):
         from techknee.sweep import parse_scenario_id
 
@@ -784,6 +810,8 @@ class TestErrorContract:
          "custom_targets['m']: weight_ounces: could not convert string to float: '1_5'"),
         # A '-' before the from-year is its sign.
         ({"detection": ["fitted:-5-"]}, "detection[0]: window year -5 is negative"),
+        # An empty string, like an empty list, gives an axis no value.
+        ({"targets": ""}, "config needs at least one value for 'targets'"),
     ])
     def test_sweep_config_value_of_wrong_type(self, capsys, tmp_path, override, message):
         (tmp_path / "s.csv").write_text("year,value\n1990,0.5\n1991,0.5\n")

@@ -1,5 +1,7 @@
 """Cost models: reference media sizes and distribution performance."""
 
+import sys
+
 import pytest
 
 from techknee.costs import (
@@ -162,6 +164,19 @@ class TestInternetPerformance:
         comp = series({2000: 1.0}, "dimensionless-share")
         with pytest.raises(ValueError, match=r"^media size 1e-303 bits is below a float's normal range in megabits$"):
             internet_distribution_perf(pricing({2000: 1.0}), comp, MediaSpec("audio", 1e-303))
+
+    # Each refusal's edge is accepted: a size of exactly the least normal
+    # float in megabits, a rate per dollar of exactly that float, and a
+    # performance of exactly that float.
+    @pytest.mark.parametrize("cost, ratio, size_bits, value", [
+        (1e6, 1.0, sys.float_info.min * 1e6, 2.592 / sys.float_info.min),
+        (2_592_000.0, sys.float_info.min, 1e6 * 2.0 ** -10, sys.float_info.min * 2.0 ** 10),
+        (2_592_000.0 * 2.0 ** 20, 1.0, 2.0 ** 1002 * 1e6, sys.float_info.min),
+    ], ids=["size", "per_dollar", "value"])
+    def test_the_least_normal_float_is_in_range(self, cost, ratio, size_bits, value):
+        comp = series({2000: ratio}, "dimensionless-share")
+        perf = internet_distribution_perf(pricing({2000: cost}), comp, MediaSpec("audio", size_bits))
+        assert perf.entries == ((2000, value),)
 
     def test_seconds_in_month_is_pinned(self):
         assert _SECONDS_IN_MONTH == 2_592_000

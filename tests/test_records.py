@@ -33,12 +33,17 @@ CROSSOVER = CrossoverResult(1998)
 CELL = Cell("t2_audio_mail_cd", "table2", "audio", "mail CD", 1998, 0, 1998, "exact")
 RANGE = RangeCheck("fig4_audio_crossover_range", "audio", (1992, 2001), (1992, 1998), "deviation")
 
+SCHEDULE = RateSchedule(((date(1999, 1, 10), 0.4), (date(2001, 1, 7), 0.5)), "real-dollars")
+FIT = ExpFit(0.0, 0.5, (2000, 2001), 2, 1.0)
+ANALOG = AnalogStorage(60.0, 1e6)
+CONFIG = SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,))
+
 RECORDS = [
     SALES,
-    RateSchedule(((date(1999, 1, 10), 0.4), (date(2001, 1, 7), 0.5)), "real-dollars"),
-    ExpFit(0.0, 0.5, (2000, 2001), 2, 1.0),
+    SCHEDULE,
+    FIT,
     CROSSOVER,
-    AnalogStorage(60.0, 1e6),
+    ANALOG,
     CD,
     PhysicalMediaSpec("cd", CD, SALES),
     MINUTES,
@@ -47,7 +52,7 @@ RECORDS = [
     EMPIRICAL,
     SCENARIO,
     SweepResult(SCENARIO, CROSSOVER, 1999),
-    SweepConfig("audio", ("mail_cd",), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
+    CONFIG,
     CELL,
     RANGE,
     ReproductionReport((CELL,), (RANGE,), {"audio": {"target": POSTAGE}}),
@@ -93,11 +98,27 @@ def test_fit_is_its_log_space_line_and_a_crossover_its_years():
     lambda: MediaSpec("video", 0.0),
     lambda: Detection("empirical", window_from=1995),
     lambda: Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, knee_threshold=1.5),
+    lambda: SweepConfig("audio", ("mail_cd", "mail_cd"), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
+    # `_replace` builds through the constructor too.
+    lambda: SCHEDULE._replace(changes=SCHEDULE.changes[::-1]),
+    lambda: FIT._replace(n_points=1),
+    lambda: ANALOG._replace(minutes_per_unit=0.0),
+    lambda: CD._replace(unit_storage_megabytes=-1.0),
+    lambda: PhysicalMediaSpec("cd", CD, SALES)._replace(yearly_sales=POSTAGE),
+    lambda: MINUTES._replace(kind="units"),
+    lambda: MediaSpec("audio", 60.0)._replace(size_bits=0.0),
+    lambda: EMPIRICAL._replace(window_from=-5),
+    lambda: SCENARIO._replace(knee_threshold=1.5),
+    lambda: CONFIG._replace(targets=("mail_cd", "mail_cd")),
 ], ids=["AnnualSeries", "RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
-        "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection", "Scenario"])
+        "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection", "Scenario", "SweepConfig",
+        *(f"{name}._replace" for name in ("RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
+                                          "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection",
+                                          "Scenario", "SweepConfig"))])
 def test_validated_record_refuses_a_bad_value(build):
     with pytest.raises(ValueError):
         build()
+
 
 
 @pytest.mark.parametrize("build", [

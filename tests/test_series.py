@@ -210,6 +210,10 @@ class TestAnnualize:
         with pytest.raises(ValueError, match=f"^{message} reach beyond the calendar of dated rates, 1-9999$"):
             annualize(postage_schedule(), years)
 
+    def test_the_calendar_ends_are_annualized(self):
+        sched = RateSchedule(((date(1, 1, 1), 2.5),), "real-dollars")
+        assert annualize(sched, [1, 9999]).to_mapping() == {1: 2.5, 9999: 2.5}
+
     def test_probe_before_first_change_within_year(self):
         # Nov 1, 1981 change is after July 1, 1981
         with pytest.raises(MissingYearError):

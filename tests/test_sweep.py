@@ -623,14 +623,12 @@ class TestJoin:
                 failing.append(str(exc).split(": ", 1)[0])
         assert failing[0] == f"scenario {first}"
 
-    def test_failing_knee_names_its_threshold(self, datasets):
-        # Built directly, the config skips from_json's threshold check, and
-        # the knee of the second threshold is the first to fail.
-        cfg = SweepConfig("audio", ("mail_cd",), ("album",), (UsageMetric("minutes"),), (Detection("empirical"),),
-                          (0.01, 1.5))
-        with pytest.raises(ScenarioError, match=r"^scenario audio\|mail_cd\|album\|minutes\|empirical\|1\.5: "
-                                                r"threshold must be in \(0, 1\), got 1\.5$"):
-            sweep_tables(cfg, datasets)
+    def test_failing_knee_names_its_threshold(self):
+        # Built directly, as from JSON, the config refuses a threshold no
+        # knee could take, naming it; so no knee fails after the first.
+        with pytest.raises(ValueError, match=r"^knee_thresholds\[1\]: knee threshold must be in \(0, 1\)$"):
+            SweepConfig("audio", ("mail_cd",), ("album",), (UsageMetric("minutes"),), (Detection("empirical"),),
+                        (0.01, 1.5))
 
     def test_block_ranges_equal_per_result_ranges(self, datasets):
         cfg = config(**dict(self.JOIN_CONFIG, knee_thresholds=[0.01, 0.10, 0.999]))
@@ -893,6 +891,28 @@ class TestFeasibilityRange:
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
             feasibility_range(({}, {}))
+
+    POOLS = (("mail_cd", "mail_cassette"), ("album", "song"), (UsageMetric("minutes"), UsageMetric("raw_bits")),
+             (Detection("empirical"), Detection("fitted")), (0.01, 0.1, 1.5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_buildable_config_counts_each_scenario_once(self, datasets, data):
+        # Built directly or by `_replace`, a config with an empty axis, a
+        # repeated value or a threshold outside (0, 1) is refused; any other
+        # is counted as run_sweep enumerates it.
+        axes = [tuple(data.draw(st.lists(st.sampled_from(pool), max_size=3), label=key))
+                for key, pool in zip(SweepConfig._fields[1:], self.POOLS)]
+        valid = all(values and len(set(values)) == len(values) for values in axes) and 1.5 not in axes[-1]
+        for build in (lambda: SweepConfig("audio", *axes),
+                      lambda: config()._replace(**dict(zip(SweepConfig._fields[1:], axes)))):
+            if not valid:
+                with pytest.raises(ValueError):
+                    build()
+                continue
+            cfg = build()
+            (pooled,) = feasibility_range(sweep_tables(cfg, datasets))
+            assert pooled["n_scenarios"] == len(run_sweep(cfg, datasets)) == math.prod(map(len, axes))
 
 
 @pytest.fixture(scope="module")
