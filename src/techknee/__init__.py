@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # Root export -> the submodule that defines it.
 _EXPORTS = {
     "AnnualSeries": "series",
-    "TechkneeError": "errors",
     "UsageMetric": "adoption",
     "adoption_series": "sweep",
     "crossover_empirical": "fitting",

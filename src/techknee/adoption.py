@@ -14,8 +14,7 @@ import sys
 import warnings
 from collections import namedtuple
 
-from .errors import UnitMismatchError
-from .series import AnnualSeries, _checked_make, align
+from .series import AnnualSeries, _checked_make, _named, _normal, align
 
 _BITS_PER_GIGABYTE = 8e9  # decimal gigabytes
 _BITS_PER_MEGABYTE = 8e6  # decimal megabytes
@@ -124,8 +123,15 @@ def internet_media_minutes(
     """
     if one_min_uncompressed_bits <= 0:
         raise ValueError("one-minute size must be positive")
-    pairs = [(year, gigabytes * _BITS_PER_GIGABYTE * share / (one_min_uncompressed_bits / ratio))
-             for year, gigabytes, share, ratio in align(traffic, media_share, compression)]
+    pairs = []
+    for year, gigabytes, share, ratio in align(traffic, media_share, compression):
+        if ratio <= 0:
+            raise ValueError(f"compression ratio must be positive at {year}")
+        bits, per_minute = _media_bits(year, gigabytes, share), one_min_uncompressed_bits / ratio
+        if not _normal(per_minute) or (bits and not _normal(bits / per_minute)):
+            raise ValueError(f"internet media minutes at {year} are beyond a float's range: traffic "
+                             f"{gigabytes!r} GB, media share {share!r}, compression ratio {ratio!r}")
+        pairs.append((year, bits / per_minute))
     return AnnualSeries(tuple(pairs), "minutes-per-year")
 
 
@@ -133,7 +139,7 @@ def analog_media_minutes(spec: PhysicalMediaSpec) -> AnnualSeries:
     """Minutes sold on an analog medium: sales * minutes per unit."""
     if not isinstance(spec.storage, AnalogStorage):
         raise ValueError(f"{spec.name} is not an analog medium")
-    scaled = spec.yearly_sales.scale(spec.storage.minutes_per_unit)
+    scaled = _named(f"{spec.name} sales", lambda: spec.yearly_sales.scale(spec.storage.minutes_per_unit))
     return AnnualSeries(scaled.entries, "minutes-per-year")
 
 
@@ -149,18 +155,33 @@ def digital_media_minutes(
     """
     if not isinstance(spec.storage, DigitalStorage):
         raise ValueError(f"{spec.name} is not a digital medium")
+    if one_min_uncompressed_bits <= 0:
+        raise ValueError("one-minute size must be positive")
     storage_bits = spec.storage.unit_storage_megabytes * _BITS_PER_MEGABYTE
-    pairs = [(year, sales * storage_bits * ratio / one_min_uncompressed_bits)
-             for year, sales, ratio in align(spec.yearly_sales, compression)]
+    pairs = []
+    for year, sales, ratio in align(spec.yearly_sales, compression):
+        minutes = sales * storage_bits * ratio / one_min_uncompressed_bits if sales and ratio else 0.0
+        if sales and ratio and not _normal(storage_bits, sales * storage_bits, sales * storage_bits * ratio, minutes):
+            raise ValueError(f"{spec.name} minutes at {year} are beyond a float's range: sales {sales!r}, "
+                             f"{spec.storage.unit_storage_megabytes!r} MB per unit, compression ratio {ratio!r}")
+        pairs.append((year, minutes))
     return AnnualSeries(tuple(pairs), "minutes-per-year")
 
 
 def internet_media_raw_bits(traffic: AnnualSeries, media_share: AnnualSeries) -> AnnualSeries:
     """Raw bits carried for a media type: traffic * share, no compression
     adjustment, over the years both series have (`series.align`)."""
-    pairs = [(year, gigabytes * _BITS_PER_GIGABYTE * share)
-             for year, gigabytes, share in align(traffic, media_share)]
+    pairs = [(year, _media_bits(year, gigabytes, share)) for year, gigabytes, share in align(traffic, media_share)]
     return AnnualSeries(tuple(pairs), "count-per-year")
+
+
+def _media_bits(year: int, gigabytes: float, share: float) -> float:
+    """Bits of one media type carried in `year`: traffic in decimal gigabytes x its media share."""
+    bits = gigabytes * _BITS_PER_GIGABYTE
+    if gigabytes and share and not _normal(bits, bits * share):
+        raise ValueError(f"internet media bits at {year} are beyond a float's range: "
+                         f"traffic {gigabytes!r} GB, media share {share!r}")
+    return bits * share if share else 0.0  # not inf x 0
 
 
 def physical_media_raw_bits(spec: PhysicalMediaSpec) -> AnnualSeries:
@@ -173,7 +194,7 @@ def physical_media_raw_bits(spec: PhysicalMediaSpec) -> AnnualSeries:
         per_unit = spec.storage.unit_storage_megabytes * _BITS_PER_MEGABYTE
     else:
         per_unit = spec.storage.minutes_per_unit * spec.storage.raw_bits_per_minute
-    scaled = spec.yearly_sales.scale(per_unit)
+    scaled = _named(f"{spec.name} sales", lambda: spec.yearly_sales.scale(per_unit))
     return AnnualSeries(scaled.entries, "count-per-year")
 
 
@@ -198,7 +219,7 @@ def adoption_share(
     metric = metric or UsageMetric("minutes")
     for name, usage in physical:
         if usage.unit != internet.unit:
-            raise UnitMismatchError(f"{name} is {usage.unit!r}, expected {internet.unit!r}")
+            raise ValueError(f"{name} is {usage.unit!r}, expected {internet.unit!r}")
     series = [internet] + [usage for _, usage in physical]
     if metric.kind == "units":
         factor = 1.0 / metric.unit_length_minutes

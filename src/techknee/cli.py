@@ -23,9 +23,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import FitError, TechkneeError
 from .fitting import _LN_FLOAT_MAX, crossover_empirical, crossover_fitted, fit_exponential, knee, tir
-from .series import UNIT_TAGS, _read_number, _read_year, parse_series_csv
+from .series import UNIT_TAGS, _named, _read_number, _read_year, parse_series_csv
 
 TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
 if TYPE_CHECKING:
@@ -75,23 +74,14 @@ def _window(args) -> tuple:
     return args.from_year, args.to_year
 
 
-def _of_file(path: str, compute, *args):
-    """`compute(*args)` on the series read from `path`; a FitError names
-    the file."""
-    try:
-        return compute(*args)
-    except FitError as exc:
-        raise FitError(f"{path}: {exc}") from None
-
-
 def _cmd_fit(args) -> int:
     window = _window(args)
     series = parse_series_csv(args.input, args.unit)
-    fit = _of_file(args.input, fit_exponential, series, window)
+    fit = _named(args.input, lambda: fit_exponential(series, window))
     if abs(fit.log_a) > _LN_FLOAT_MAX:  # the one level techknee prints
-        raise FitError(f"{args.input}: fitted level at {fit.window[0]} is e^{fit.log_a:.1f}, beyond a float's range")
+        raise ValueError(f"{args.input}: fitted level at {fit.window[0]} is e^{fit.log_a:.1f}, beyond a float's range")
     level = math.exp(fit.log_a)
-    rate = _of_file(args.input, tir, fit)
+    rate = _named(args.input, lambda: tir(fit))
     if args.json:
         import json
 
@@ -127,8 +117,8 @@ def _cmd_crossover(args) -> int:
     target = parse_series_csv(args.target, args.unit)
     if args.fitted:
         result = crossover_fitted(
-            _of_file(args.replacement, fit_exponential, replacement, window),
-            _of_file(args.target, fit_exponential, target, window),
+            _named(args.replacement, lambda: fit_exponential(replacement, window)),
+            _named(args.target, lambda: fit_exponential(target, window)),
         )
     else:
         result = crossover_empirical(replacement, target)
@@ -200,10 +190,7 @@ def _cmd_case(args) -> int:
 
     stages = _Stages(_bind("load_all")[0]())
     if args.scenario:
-        try:
-            scenario = parse_scenario_id(args.case, args.scenario, args.threshold)
-        except ValueError as exc:
-            raise ValueError(f"bad scenario id: {exc}")
+        scenario = _named("bad scenario id", lambda: parse_scenario_id(args.case, args.scenario, args.threshold))
     else:
         scenario = parse_scenario_id(args.case, _BASELINE[args.case], args.threshold)
     result = stages.result(scenario)
@@ -513,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         return _COMMANDS[args.command][0](args)
-    except (TechkneeError, ValueError) as exc:
+    except ValueError as exc:
         # Bad input reaching the library (a share above 1, a config
         # missing an axis, an unknown metric) is a usage error too.
         message = exc

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec
 from .costs import MAIL_TARGETS, REFERENCE_BIT_RATES, REFERENCE_MEDIA, one_minute_size_bits
-from .errors import DataIntegrityError
 from .series import AnnualSeries, RateSchedule, _read_date, _read_number, _read_year
 
 DATASET_IDS = (
@@ -70,42 +69,38 @@ def _read_table(dataset_id: str, directory: Path, parse=list):
     cannot read (a missing column, a bad cell) make the table malformed."""
     manifest_path = directory / f"{dataset_id}.manifest.json"
     if not manifest_path.exists():
-        raise DataIntegrityError(f"missing manifest {manifest_path}")
+        raise ValueError(f"missing manifest {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataIntegrityError(f"{dataset_id}: manifest {manifest_path} is not UTF-8 JSON ({exc})") from None
+        raise ValueError(f"{dataset_id}: manifest {manifest_path} is not UTF-8 JSON ({exc})") from None
     if not isinstance(manifest, dict):
-        raise DataIntegrityError(f"{dataset_id}: manifest is not a JSON object")
+        raise ValueError(f"{dataset_id}: manifest is not a JSON object")
     coverage = manifest.get("coverage") or {}
     if not isinstance(coverage, dict):
-        raise DataIntegrityError(f"{dataset_id}: manifest coverage is not a JSON object")
+        raise ValueError(f"{dataset_id}: manifest coverage is not a JSON object")
     if type(coverage.get("rows", 0)) is not int:  # a JSON `true` is a Python int, but no count
-        raise DataIntegrityError(f"{dataset_id}: manifest coverage rows {coverage['rows']!r} is not an integer")
+        raise ValueError(f"{dataset_id}: manifest coverage rows {coverage['rows']!r} is not an integer")
     csv_path = directory / f"{dataset_id}.csv"
     if manifest.get("file") != csv_path.name:
         # `export-data` and `case --json` name each table's CSV by its id.
-        raise DataIntegrityError(
-            f"{dataset_id}: manifest names file {manifest.get('file')!r}, not {csv_path.name!r}"
-        )
+        raise ValueError(f"{dataset_id}: manifest names file {manifest.get('file')!r}, not {csv_path.name!r}")
     if not csv_path.exists():
-        raise DataIntegrityError(f"missing data file {csv_path}")
+        raise ValueError(f"missing data file {csv_path}")
     # One read, so the rows parsed are the bytes whose checksum was verified.
     data = csv_path.read_bytes()
     digest = _sha256(data)
     if digest != manifest.get("sha256"):
-        raise DataIntegrityError(
-            f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest.get('sha256')})"
-        )
+        raise ValueError(f"{dataset_id}: checksum mismatch ({digest} != manifest {manifest.get('sha256')})")
     try:
         reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""), restval="")
         rows = [(reader.line_num, row) for row in reader]
-        if "rows" in coverage and len(rows) != coverage["rows"]:
-            raise DataIntegrityError(f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}")
-        return parse(rows)
+        if "rows" not in coverage or len(rows) == coverage["rows"]:
+            return parse(rows)
     except (ValueError, KeyError, TypeError, csv.Error) as exc:
         reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
-        raise DataIntegrityError(f"{dataset_id}: malformed table: {reason}") from None
+        raise ValueError(f"{dataset_id}: malformed table: {reason}") from None
+    raise ValueError(f"{dataset_id}: {len(rows)} rows, manifest declares {coverage['rows']}")
 
 
 def _pairs(rows: list[tuple[int, dict]], key: str, read_key, column: str, scale: float = 1.0) -> tuple:

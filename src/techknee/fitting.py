@@ -12,7 +12,6 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DegenerateFitError, FitError, UnitMismatchError
 from .series import AnnualSeries, _checked_make, align
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows a float above it
@@ -55,26 +54,26 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
         window: optional (from_year, to_year) bounds, inclusive; None on
             either side leaves that side open.
 
-    A year beyond ±2^53, past the integers a float holds exactly, raises
-    FitError.
+    A year beyond ±2^53, past the integers a float holds exactly, is
+    refused.
     """
     from_year, to_year = window if window is not None else (None, None)
     if from_year is not None and to_year is not None and from_year > to_year:
-        raise FitError(f"window start {from_year} exceeds window end {to_year}")
+        raise ValueError(f"window start {from_year} exceeds window end {to_year}")
     pairs = [
         (y, v)
         for y, v in series
         if (from_year is None or y >= from_year) and (to_year is None or y <= to_year)
     ]
     if len(pairs) < 2:
-        raise FitError(f"need at least 2 points in window, got {len(pairs)}")
+        raise ValueError(f"need at least 2 points in window, got {len(pairs)}")
     bad = [y for y, v in pairs if v <= 0]
     if bad:
-        raise FitError(f"non-positive values at years {bad}; log-space fit undefined")
+        raise ValueError(f"non-positive values at years {bad}; log-space fit undefined")
 
     t0 = pairs[0][0]
     if max(-t0, pairs[-1][0]) > 2 ** 53:  # not printed: it may run to thousands of digits
-        raise FitError("the window holds a year beyond ±2^53, past the integers a float holds exactly")
+        raise ValueError("the window holds a year beyond ±2^53, past the integers a float holds exactly")
     xs = [y - t0 for y, _ in pairs]
     zs = [math.log(v) for _, v in pairs]
     n = len(pairs)
@@ -106,10 +105,10 @@ def fit_exponential(series: AnnualSeries, window: tuple[int | None, int | None] 
 
 def tir(fit: ExpFit) -> float:
     """Technological improvement rate: percent improvement per year. A rate
-    whose percentage a float cannot hold raises FitError."""
+    whose percentage a float cannot hold is refused."""
     rate = math.expm1(min(fit.k, _LN_FLOAT_MAX)) * 100.0  # capped, it overflows to inf
     if rate == math.inf:
-        raise FitError(f"rate {fit.k:.6g} per year: its TIR, (e^k - 1) x 100%, is beyond a float's range")
+        raise ValueError(f"rate {fit.k:.6g} per year: its TIR, (e^k - 1) x 100%, is beyond a float's range")
     return rate
 
 
@@ -122,9 +121,7 @@ def crossover_empirical(replacement: AnnualSeries, target: AnnualSeries) -> Cros
     crossover years in the source material follow this rule.
     """
     if replacement.unit != target.unit:
-        raise UnitMismatchError(
-            f"replacement is {replacement.unit!r}, target is {target.unit!r}"
-        )
+        raise ValueError(f"replacement is {replacement.unit!r}, target is {target.unit!r}")
     rows = align(replacement, target)
     if not rows:
         raise ValueError("series share no years")
@@ -148,14 +145,14 @@ def crossover_fitted(fit_replacement: ExpFit, fit_target: ExpFit) -> CrossoverRe
     when the replacement never transitions from below to above, no integer
     year is reported. Rates with |kR - kT| <= 1e-9 * max(1, |kR|, |kT|) are
     parallel, as fits of parallel data differ by rounding (t* would be ~1e16):
-    no crossover, or DegenerateFitError if log-levels log_a - k*t0 are as close.
+    no crossover, or a refusal if log-levels log_a - k*t0 are as close.
     """
     fr, ft = fit_replacement, fit_target
     log_level_r = fr.log_a - fr.k * fr.window[0]
     log_level_t = ft.log_a - ft.k * ft.window[0]
     if _close(fr.k, ft.k):
         if _close(log_level_r, log_level_t):
-            raise DegenerateFitError("fitted curves are identical")
+            raise ValueError("fitted curves are identical")
         return CrossoverResult(None)
     t_star = (log_level_t - log_level_r) / (fr.k - ft.k)
     rising = fr.k > ft.k  # replacement below target before t_star
@@ -174,7 +171,7 @@ def knee(adoption: AnnualSeries, threshold: float) -> int | None:
     threshold strictly inside (0, 1).
     """
     if adoption.unit != "dimensionless-share":
-        raise UnitMismatchError(f"adoption series is {adoption.unit!r}, expected dimensionless-share")
+        raise ValueError(f"adoption series is {adoption.unit!r}, expected dimensionless-share")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     out_of_range = [(y, v) for y, v in adoption if v > 1.0]

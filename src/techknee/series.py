@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
-
-from .errors import MissingYearError
 
 TYPE_CHECKING = False  # true for type checkers; importing `typing` costs ~5 ms
 if TYPE_CHECKING:
@@ -109,9 +108,17 @@ class AnnualSeries:
 
     def scale(self, factor: float) -> "AnnualSeries":
         """Multiply every value by a non-negative scalar; the tag is preserved."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        if not 0 <= factor < math.inf:
+            raise ValueError(f"scale factor must be non-negative and finite, got {factor!r}")
+        for year, value in self.entries:
+            if value and factor and not _normal(value * factor):
+                raise ValueError(f"{value!r} x {factor!r} at {year} is beyond a float's range")
         return AnnualSeries(tuple((y, v * factor) for y, v in self.entries), self.unit)
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is in a float's normal range, where a rounding is relative."""
+    return all(sys.float_info.min <= value < math.inf for value in values)
 
 
 def align(first: AnnualSeries, *others: AnnualSeries) -> list[tuple]:
@@ -155,7 +162,7 @@ class RateSchedule(namedtuple("RateSchedule", "changes unit")):
             else:
                 break
         if current is None:
-            raise MissingYearError(f"no rate in effect on {probe.isoformat()}")
+            raise ValueError(f"no rate in effect on {probe.isoformat()}")
         return current
 
 
@@ -186,6 +193,14 @@ def annualize(schedule: RateSchedule, years: Iterable[int]) -> AnnualSeries:
         raise ValueError(f"years {years[0]} to {years[-1]} reach beyond the calendar of dated rates, 1-9999")
     pairs = tuple((year, schedule.rate_on(date(year, 7, 1))) for year in years)
     return AnnualSeries(pairs, schedule.unit)
+
+
+def _named(where: str, parse):
+    """`parse()`, its ValueError prefixed with `where`: the input it read."""
+    try:
+        return parse()
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _reader(convert: type, refusal: str):

@@ -24,13 +24,8 @@ from .adoption import UsageMetric, adoption_share, analog_media_minutes, \
 from .costs import REFERENCE_BIT_RATES, MediaSpec, internet_distribution_perf, mail_distribution_perf, \
     one_minute_size_bits
 from .datasets import Datasets
-from .errors import TechkneeError
 from .fitting import CrossoverResult, crossover_empirical, crossover_fitted, fit_exponential, knee
-from .series import AnnualSeries, _checked_make, _read_number, _read_year, annualize, parse_series_csv
-
-
-class ScenarioError(TechkneeError):
-    """A scenario failed; the message carries the scenario id."""
+from .series import AnnualSeries, _checked_make, _named, _read_number, _read_year, annualize, parse_series_csv
 
 
 class Detection(namedtuple("Detection", "mode window_from window_to")):
@@ -151,14 +146,6 @@ def _known(doc, *keys: str) -> Mapping:
     return doc
 
 
-def _named(where: str, parse):
-    """`parse()`, its ValueError prefixed with the config entry it parses."""
-    try:
-        return parse()
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _parse_usage_metric(raw) -> UsageMetric:
     """Accepts 'minutes', 'raw_bits' or 'units:<minutes>', as a label writes it."""
     if _expect(raw, str).startswith("units:"):
@@ -218,6 +205,8 @@ class SweepConfig(namedtuple("SweepConfig", "case targets reference_media usage_
         _check_case(case)
         axes = targets, reference_media, usage_metrics, detection, knee_thresholds
         for key, values in zip(cls._fields[1:], axes):
+            if isinstance(values, str):  # its characters would be swept as values
+                raise ValueError(f"{key}: {values!r} is a string, not a tuple of values")
             if not values:
                 raise ValueError(f"config needs at least one value for {key!r}")
             first: dict = {}
@@ -488,8 +477,8 @@ class _Stages:
         per threshold in order. Scenario (target, media, metric,
         detection, the i-th threshold) has crossover `crossovers[target,
         media, detection]` and knee `knees[metric][i]`. The tables are
-        filled walking the axis product in enumeration order, so a failure
-        raises ScenarioError naming the first failing scenario."""
+        filled walking the axis product in enumeration order, so a refusal
+        names the first failing scenario."""
         case, thresholds = config.case, config.knee_thresholds
         crossovers, knees = {}, {}
         for target, media, metric, detection in _product(config):
@@ -497,10 +486,10 @@ class _Stages:
                 crossovers[target, media, detection] = self.crossover(case, target, media, detection)
                 if metric not in knees:
                     knees[metric] = tuple(self.knee(case, metric, threshold) for threshold in thresholds)
-            except (TechkneeError, ValueError) as exc:
+            except ValueError as exc:
                 # Thresholds are valid, so a knee fails at the first if at all.
                 scenario_id = _scenario_id(case, target, media, metric, detection, thresholds[0])
-                raise ScenarioError(f"scenario {scenario_id}: {exc}") from exc
+                raise ValueError(f"scenario {scenario_id}: {exc}") from exc
         return crossovers, knees
 
     def result(self, scenario: Scenario) -> SweepResult:

@@ -20,7 +20,6 @@ from techknee.adoption import (
     protocol_mix,
 )
 from techknee.costs import one_minute_size_bits
-from techknee.errors import UnitMismatchError
 from techknee.series import AnnualSeries
 
 AUDIO_MIN_BITS = one_minute_size_bits("audio")   # 38.016 Mbit
@@ -181,7 +180,7 @@ class TestAdoptionShare:
         assert by_minutes.entries == by_songs.entries
 
     def test_unit_mismatch_rejected(self):
-        with pytest.raises(UnitMismatchError, match="^cd is 'count-per-year', expected 'minutes-per-year'$"):
+        with pytest.raises(ValueError, match="^cd is 'count-per-year', expected 'minutes-per-year'$"):
             adoption_share(self.usage({1990: 1.0}), [("cd", self.usage({1990: 1.0}, unit="count-per-year"))])
 
     def test_media_with_the_same_name_each_count(self):

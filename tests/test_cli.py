@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from techknee.cli import _COMMANDS, _build_parser, _csv_field, _parse_plain, main
+from techknee.datasets import data_dir
 from techknee.sweep import _CELL_SPECS
 
 
@@ -1130,6 +1133,60 @@ class TestSeriesCsvFuzz:
         assert code in (0, 2), err.getvalue()
         assert err.getvalue().count("error:") == (code != 0)
         assert "Traceback" not in err.getvalue()
+
+
+# Cell values at the edges of what the tables hold: zeros and signs, the
+# ends of a float's range and beyond, and numbers out of scale.
+_EDGE_CELLS = ["0", "-1", "0.0", "-0.0", "", "nan", "inf", "-inf", "5e-324", "1e-308", "1e300", "1e308", "2e308",
+               "101", "1e-5", "3", "1e15"]
+_BUNDLED = {path.stem: path.read_text().splitlines() for path in sorted(data_dir().glob("*.csv"))}
+_BUNDLED_EDITS = st.lists(st.tuples(st.sampled_from(sorted(_BUNDLED)), st.integers(1, 40), st.integers(0, 5),
+                                    st.sampled_from(_EDGE_CELLS) | st.floats().map(repr)), min_size=1, max_size=2)
+_BUNDLED_ARGVS = [["case", "audio"], ["case", "video"], ["reproduce", "--json"],
+                  ["case", "video", "--scenario", "video|mail_dvd|clip|raw_bits|fitted:1995-|0.1"]]
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} in JSON output")
+
+
+class TestBundledTableFuzz:
+    """Bundled tables with one or two cells edited, each edited table
+    resealed, run through `case`, `reproduce --json` and a fitted
+    scenario: each exits 0 with only finite numbers, or 2 with one error
+    line that names an edited table or what was refused, never a bare
+    non-finite value."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_BUNDLED_EDITS)
+    @example([("a4_traffic", 12, 1, "1e300")])  # 1996 traffic
+    def test_edited_tables_exit_0_or_2_naming_the_refusal(self, edits):
+        tables = {}
+        for dataset_id, row, column, value in edits:
+            rows = tables.setdefault(dataset_id, [line.split(",") for line in _BUNDLED[dataset_id]])
+            rows[1 + row % (len(rows) - 1)][column % len(rows[0])] = value
+        with tempfile.TemporaryDirectory() as work:
+            for dataset_id, lines in _BUNDLED.items():
+                data = "".join(",".join(row) + "\n" for row in tables[dataset_id]) if dataset_id in tables \
+                    else "".join(line + "\n" for line in lines)
+                (Path(work) / f"{dataset_id}.csv").write_text(data)
+                manifest = json.loads((data_dir() / f"{dataset_id}.manifest.json").read_text())
+                manifest["sha256"] = hashlib.sha256(data.encode()).hexdigest()
+                (Path(work) / f"{dataset_id}.manifest.json").write_text(json.dumps(manifest))
+            for argv in _BUNDLED_ARGVS:
+                with patch.dict(os.environ, TECHKNEE_DATA=work), redirect_stdout(io.StringIO()) as out, \
+                        redirect_stderr(io.StringIO()) as err:
+                    code = main(argv)
+                assert code in (0, 2), (argv, err.getvalue())
+                if code == 2:
+                    line = err.getvalue()
+                    assert line.startswith("error: ") and line.count("\n") == 1 and not out.getvalue(), line
+                    assert any(dataset_id in line for dataset_id in tables) or \
+                        not re.search(r": non-finite value \S+ at year -?\d+$", line), (argv, line)
+                else:
+                    assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
+                    if "--json" in argv:
+                        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 # Values for argv by the name of their argument's type, and stray tokens

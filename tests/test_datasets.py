@@ -21,7 +21,6 @@ from techknee.datasets import (
     export_bundled,
     load_all,
 )
-from techknee.errors import DataIntegrityError
 from techknee.series import parse_series_csv
 
 
@@ -157,21 +156,21 @@ class TestChecksums:
     # failure names the one table that was changed.
     def test_corrupted_csv_is_hard_error(self, tmp_path):
         for dataset_id in DATASET_IDS:
-            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: checksum mismatch"):
+            with pytest.raises(ValueError, match=f"^{dataset_id}: checksum mismatch"):
                 load_all(self.corrupted_copy(tmp_path, dataset_id))
 
     def test_missing_manifest(self, tmp_path):
         for dataset_id in DATASET_IDS:
             target = self.copy(tmp_path, dataset_id)
             (target / f"{dataset_id}.manifest.json").unlink()
-            with pytest.raises(DataIntegrityError, match=f"^missing manifest .*{dataset_id}.manifest.json$"):
+            with pytest.raises(ValueError, match=f"^missing manifest .*{dataset_id}.manifest.json$"):
                 load_all(target)
 
     def test_missing_csv(self, tmp_path):
         for dataset_id in DATASET_IDS:
             target = self.copy(tmp_path, dataset_id)
             (target / f"{dataset_id}.csv").unlink()
-            with pytest.raises(DataIntegrityError, match=f"^missing data file .*{dataset_id}\\.csv$"):
+            with pytest.raises(ValueError, match=f"^missing data file .*{dataset_id}\\.csv$"):
                 load_all(target)
 
     @pytest.mark.parametrize("manifest, message", [
@@ -186,7 +185,7 @@ class TestChecksums:
         for dataset_id in DATASET_IDS:
             target = self.copy(tmp_path, dataset_id)
             (target / f"{dataset_id}.manifest.json").write_bytes(manifest)
-            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: {message}"):
+            with pytest.raises(ValueError, match=f"^{dataset_id}: {message}"):
                 load_all(target)
 
     def test_manifest_without_checksum_is_named(self, tmp_path):
@@ -196,7 +195,7 @@ class TestChecksums:
             manifest = json.loads(path.read_text())
             del manifest["sha256"]
             path.write_text(json.dumps(manifest))
-            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: checksum mismatch .* != manifest None"):
+            with pytest.raises(ValueError, match=f"^{dataset_id}: checksum mismatch .* != manifest None"):
                 load_all(target)
 
     def resealed_copy(self, tmp_path: Path, dataset_id: str, edit) -> Path:
@@ -216,7 +215,7 @@ class TestChecksums:
         # Resealed without its last row, each table still matches its checksum.
         for dataset_id in DATASET_IDS:
             declared = len((data_dir() / f"{dataset_id}.csv").read_text().splitlines()) - 1
-            with pytest.raises(DataIntegrityError, match=f"^{dataset_id}: {declared - 1} rows, manifest declares "
+            with pytest.raises(ValueError, match=f"^{dataset_id}: {declared - 1} rows, manifest declares "
                                                          f"{declared}$"):
                 load_all(self.resealed_copy(tmp_path, dataset_id, lambda rows: rows[:-1]))
 
@@ -230,7 +229,7 @@ class TestChecksums:
     def test_malformed_resealed_csv_is_named(self, tmp_path, edit, message):
         for dataset_id in DATASET_IDS:
             last = len((data_dir() / f"{dataset_id}.csv").read_text().splitlines())
-            with pytest.raises(DataIntegrityError,
+            with pytest.raises(ValueError,
                                match=f"^{dataset_id}: malformed table: {message.format(last=last)}"):
                 load_all(self.resealed_copy(tmp_path, dataset_id, edit))
 
@@ -270,7 +269,7 @@ class TestChecksums:
 
     def test_env_override_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TECHKNEE_DATA", str(self.corrupted_copy(tmp_path)))
-        with pytest.raises(DataIntegrityError, match="^a4_traffic: checksum mismatch"):
+        with pytest.raises(ValueError, match="^a4_traffic: checksum mismatch"):
             load_all()
 
     def test_each_table_is_read_once(self, monkeypatch):

@@ -16,9 +16,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from techknee.adoption import UsageMetric, adoption_share, protocol_mix
+from techknee.adoption import AnalogStorage, DigitalStorage, PhysicalMediaSpec, UsageMetric, adoption_share, \
+    analog_media_minutes, digital_media_minutes, internet_media_minutes, internet_media_raw_bits, protocol_mix
 from techknee.costs import _SECONDS_IN_MONTH, MediaSpec, internet_distribution_perf, mail_distribution_perf
-from techknee.errors import FitError, MissingYearError
 from techknee.fitting import ExpFit, tir
 from techknee.series import AnnualSeries, RateSchedule, annualize
 
@@ -66,7 +66,7 @@ def refused_year(exc, drawn):
 def test_tir_is_exact_up_to_rounding_or_refused(k):
     fit = ExpFit(0.0, k, (2000, 2001), 2, 1.0)
     if k > 710:  # e^k alone is beyond a float
-        with pytest.raises(FitError, match=re.escape(f"rate {k:.6g} per year: its TIR")):
+        with pytest.raises(ValueError, match=re.escape(f"rate {k:.6g} per year: its TIR")):
             tir(fit)
         return
     with decimal.localcontext() as ctx:
@@ -74,7 +74,7 @@ def test_tir_is_exact_up_to_rounding_or_refused(k):
         exact = Fraction((decimal.Decimal(k).exp() - 1) * 100)
     try:
         rate = tir(fit)
-    except FitError as exc:
+    except ValueError as exc:
         assert str(exc).startswith(f"rate {k:.6g} per year: ")
         assert at_the_edge(exact)
         return
@@ -181,6 +181,118 @@ def test_mail_distribution_perf_is_exact_up_to_rounding_or_refused(weight, rows)
         assert within(value, 1 / (f + (weight - 1) * a), 5), year
 
 
+GB = 8 * 10 ** 9  # bits in a decimal gigabyte
+
+
+@given(st.dictionaries(YEARS, st.tuples(OR_ZERO, OR_ZERO), min_size=1, max_size=6))
+@example({2000: (5e-324, 1.0)})
+@example({2000: (1e300, 0.0)})
+@example({2000: (1e-300, 1e-10)})
+def test_internet_media_raw_bits_is_exact_up_to_rounding_or_refused(rows):
+    traffic, share = by_year(rows, "count-per-year")
+    try:
+        bits = internet_media_raw_bits(traffic, share)
+    except ValueError as exc:
+        g, s = rows[refused_year(exc, rows)]
+        assert f"traffic {g!r} GB, media share {s!r}" in str(exc)
+        assert at_the_edge(Fraction(g) * GB, Fraction(g) * GB * Fraction(s))
+        return
+    assert bits.years == tuple(sorted(rows))
+    for year, value in bits:
+        g, s = map(Fraction, rows[year])
+        assert within(value, g * GB * s, 2), year
+
+
+@given(st.dictionaries(YEARS, st.tuples(OR_ZERO, OR_ZERO, OR_ZERO), min_size=1, max_size=6), VALUES)
+@example({2000: (1.0, 1.0, 0.0)}, 1.0)
+@example({2000: (1.0, 1.0, 5e-324)}, 1e9)
+@example({2000: (1.0, 0.0, 1e300)}, 1e-20)
+@example({2000: (1e290, 1.0, 1e20)}, 84672000.0)
+def test_internet_media_minutes_is_exact_up_to_rounding_or_refused(rows, one_min):
+    traffic, share, ratio = by_year(rows, "count-per-year")
+    try:
+        minutes = internet_media_minutes(traffic, share, ratio, one_min)
+    except ValueError as exc:
+        year = refused_year(exc, rows)
+        g, s, r = map(Fraction, rows[year])
+        if r == 0:
+            assert str(exc) == f"compression ratio must be positive at {year}"
+            return
+        assert f"traffic {rows[year][0]!r} GB, media share {rows[year][1]!r}" in str(exc)
+        bits = g * GB * s
+        assert at_the_edge(g * GB, bits, Fraction(one_min) / r, bits * r / Fraction(one_min))
+        return
+    assert minutes.years == tuple(sorted(rows))
+    for year, value in minutes:
+        g, s, r = map(Fraction, rows[year])
+        assert within(value, g * GB * s * r / Fraction(one_min), 4), year
+
+
+@given(st.dictionaries(YEARS, st.tuples(OR_ZERO, OR_ZERO), min_size=1, max_size=6), VALUES, VALUES)
+@example({2000: (1.0, 0.0)}, 1e303, 1.0)
+@example({2000: (1e300, 1.0)}, 700.0, 84672000.0)
+@example({2000: (1.0, 1.0)}, 1e-320, 1.0)
+def test_digital_media_minutes_is_exact_up_to_rounding_or_refused(rows, megabytes, one_min):
+    sales, ratio = by_year(rows, "count-per-year")
+    try:
+        minutes = digital_media_minutes(PhysicalMediaSpec("cd", DigitalStorage(megabytes), sales), ratio, one_min)
+    except ValueError as exc:
+        year = refused_year(exc, rows)
+        n, r = rows[year]
+        assert f"sales {n!r}, {megabytes!r} MB per unit, compression ratio {r!r}" in str(exc)
+        storage = Fraction(megabytes) * 8 * 10 ** 6
+        n, r = map(Fraction, rows[year])
+        assert at_the_edge(storage, n * storage, n * storage * r, n * storage * r / Fraction(one_min))
+        return
+    assert minutes.years == tuple(sorted(rows))
+    for year, value in minutes:
+        n, r = map(Fraction, rows[year])
+        assert within(value, n * Fraction(megabytes) * 8 * 10 ** 6 * r / Fraction(one_min), 4), year
+
+
+@given(st.dictionaries(YEARS, OR_ZERO, min_size=1, max_size=6), OR_ZERO)
+@example({2000: 5e-324}, 0.5)
+@example({2000: 0.0}, 1.7e308)
+def test_scale_is_exact_up_to_rounding_or_refused(values, factor):
+    series = AnnualSeries(tuple(sorted(values.items())), "count-per-year")
+    try:
+        scaled = series.scale(factor)
+    except ValueError as exc:
+        year = refused_year(exc, values)
+        assert str(exc) == f"{values[year]!r} x {factor!r} at {year} is beyond a float's range"
+        assert at_the_edge(Fraction(values[year]) * Fraction(factor))
+        return
+    assert scaled.years == series.years
+    for year, value in scaled:
+        assert within(value, Fraction(values[year]) * Fraction(factor), 1), year
+
+
+def one_year(value: float) -> AnnualSeries:
+    return AnnualSeries(((1996, value),), "count-per-year")
+
+
+# Each usage builder's refusal in full, as a4 traffic of 1e300 GB in 1996
+# (or the like) meets it; before, each read `non-finite value inf at year 1996`.
+@pytest.mark.parametrize("build, message", [
+    (lambda: internet_media_raw_bits(one_year(1e300), one_year(0.073)),
+     "internet media bits at 1996 are beyond a float's range: traffic 1e+300 GB, media share 0.073"),
+    (lambda: internet_media_minutes(one_year(1e290), one_year(1.0), one_year(1e20), 84672000.0),
+     "internet media minutes at 1996 are beyond a float's range: traffic 1e+290 GB, media share 1.0, "
+     "compression ratio 1e+20"),
+    (lambda: digital_media_minutes(PhysicalMediaSpec("cd", DigitalStorage(700.0), one_year(1e300)),
+                                   one_year(11.0), 84672000.0),
+     "cd minutes at 1996 are beyond a float's range: sales 1e+300, 700.0 MB per unit, compression ratio 11.0"),
+    (lambda: one_year(1e300).scale(1e9), "1e+300 x 1000000000.0 at 1996 is beyond a float's range"),
+    (lambda: analog_media_minutes(PhysicalMediaSpec("vinyl", AnalogStorage(90.0, 1.0), one_year(1e307))),
+     "vinyl sales: 1e+307 x 90.0 at 1996 is beyond a float's range"),
+], ids=["internet_media_raw_bits", "internet_media_minutes", "digital_media_minutes", "scale",
+        "analog_media_minutes"])
+def test_usage_beyond_a_float_is_refused_naming_year_and_inputs(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @given(st.lists(st.tuples(st.dates(), OR_ZERO), max_size=6, unique_by=lambda change: change[0]),
        st.sets(YEARS | st.integers(1, 9999), min_size=1, max_size=6))
 @example([(date(1, 1, 1), 1.0)], {0})
@@ -197,7 +309,7 @@ def test_annualize_is_the_rate_in_force_on_july_1_or_refused(changes, years):
     for year in sorted(years):
         in_force = [value for day, value in changes if day <= date(year, 7, 1)]
         if not in_force:
-            with pytest.raises(MissingYearError, match=f"^no rate in effect on {date(year, 7, 1).isoformat()}$"):
+            with pytest.raises(ValueError, match=f"^no rate in effect on {date(year, 7, 1).isoformat()}$"):
                 annualize(schedule, years)
             return
         expected[year] = in_force[-1]

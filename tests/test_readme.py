@@ -45,7 +45,7 @@ def test_root_exports_are_the_documented_ones():
     exported = set(tk.__all__)
     documented = {name for name in exported if f"tk.{name}" in section or f"`{name}`" in section}
     assert exported == documented
-    assert len(tk.__all__) == len(exported) == 12
+    assert len(tk.__all__) == len(exported) == 11
     for name in tk.__all__:
         value = getattr(tk, name)
         module = importlib.import_module(value.__module__)

@@ -99,6 +99,7 @@ def test_fit_is_its_log_space_line_and_a_crossover_its_years():
     lambda: Detection("empirical", window_from=1995),
     lambda: Scenario("audio", "mail_cd", "album", MINUTES, EMPIRICAL, knee_threshold=1.5),
     lambda: SweepConfig("audio", ("mail_cd", "mail_cd"), ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
+    lambda: SweepConfig("audio", "mail_cd", ("album",), (MINUTES,), (EMPIRICAL,), (0.01,)),
     # `_replace` builds through the constructor too.
     lambda: SCHEDULE._replace(changes=SCHEDULE.changes[::-1]),
     lambda: FIT._replace(n_points=1),
@@ -112,7 +113,7 @@ def test_fit_is_its_log_space_line_and_a_crossover_its_years():
     lambda: CONFIG._replace(targets=("mail_cd", "mail_cd")),
 ], ids=["AnnualSeries", "RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
         "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection", "Scenario", "SweepConfig",
-        *(f"{name}._replace" for name in ("RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
+        "SweepConfig string axis", *(f"{name}._replace" for name in ("RateSchedule", "ExpFit", "AnalogStorage", "DigitalStorage",
                                           "PhysicalMediaSpec", "UsageMetric", "MediaSpec", "Detection",
                                           "Scenario", "SweepConfig"))])
 def test_validated_record_refuses_a_bad_value(build):

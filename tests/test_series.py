@@ -10,7 +10,6 @@ from techknee.adoption import DigitalStorage, PhysicalMediaSpec, adoption_share,
     digital_media_minutes, internet_media_minutes, internet_media_raw_bits, protocol_mix
 from techknee.costs import REFERENCE_MEDIA, internet_distribution_perf, mail_distribution_perf, \
     one_minute_size_bits
-from techknee.errors import MissingYearError
 from techknee.fitting import crossover_empirical
 from techknee.series import AnnualSeries, RateSchedule, align, annualize
 
@@ -198,7 +197,7 @@ class TestAnnualize:
         assert len(s) == 10
 
     def test_no_rate_in_effect_is_error(self):
-        with pytest.raises(MissingYearError):
+        with pytest.raises(ValueError, match="^no rate in effect on 1980-07-01$"):
             annualize(postage_schedule(), [1980])
 
     # `date` holds years 1-9999; beyond a C integer it would raise OverflowError.
@@ -216,7 +215,7 @@ class TestAnnualize:
 
     def test_probe_before_first_change_within_year(self):
         # Nov 1, 1981 change is after July 1, 1981
-        with pytest.raises(MissingYearError):
+        with pytest.raises(ValueError, match="^no rate in effect on 1981-07-01$"):
             annualize(postage_schedule(), [1981])
 
     def test_idempotent_on_constant_schedule(self):

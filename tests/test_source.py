@@ -1,6 +1,7 @@
 """Source hygiene of the `techknee` package, checked on its syntax tree."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -56,14 +57,12 @@ PUBLIC_NAMES = {
     "costs.py": {"MAIL_TARGETS", "MediaSpec", "REFERENCE_BIT_RATES", "REFERENCE_MEDIA",
                  "internet_distribution_perf", "mail_distribution_perf", "one_minute_size_bits"},
     "datasets.py": {"DATASET_IDS", "Datasets", "data_dir", "export_bundled", "load_all"},
-    "errors.py": {"DataIntegrityError", "DegenerateFitError", "FitError", "MissingYearError", "TechkneeError",
-                  "UnitMismatchError"},
     "fitting.py": {"CrossoverResult", "ExpFit", "crossover_empirical", "crossover_fitted",
                    "fit_exponential", "knee", "tir"},
     "plots.py": {"write_case_svg", "write_tidy_csv"},
     "series.py": {"AnnualSeries", "RateSchedule", "UNIT_TAGS", "align", "annualize", "parse_series_csv"},
     "sweep.py": {"Cell", "Detection", "FitDiagnostics", "RangeCheck", "ReproductionReport", "Scenario",
-                 "ScenarioError", "SweepConfig", "SweepResult", "adoption_series",
+                 "SweepConfig", "SweepResult", "adoption_series",
                  "enumerate_scenarios", "extend_datasets", "feasibility_range", "parse_scenario_id",
                  "replacement_performance", "reproduce_case_studies", "run_scenario", "run_sweep",
                  "sweep_tables", "target_performance"},
@@ -112,3 +111,21 @@ def test_a_record_without_behaviour_is_its_namedtuple(path):
     wrapped = [f"{path.name}:{node.lineno}: {node.name}" for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) and is_bare_namedtuple_subclass(node)]
     assert wrapped == []
+
+
+def names_an_exception(base: ast.expr) -> bool:
+    """A base class that is a builtin exception, or named as one is: a
+    name ending in `Error` or `Exception`."""
+    name = ast.unparse(base).split(".")[-1]
+    builtin = getattr(builtins, name, None)
+    return name.endswith(("Error", "Exception")) or (isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+# A refusal is a ValueError whose message names its input, so a caller
+# needs one `except`; the package defines no exception class of its own.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_defines_an_exception_class(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = [f"{path.name}:{node.lineno}: {node.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and any(map(names_an_exception, node.bases))]
+    assert defined == []

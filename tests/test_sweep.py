@@ -27,7 +27,6 @@ from techknee.sweep import (
     _score,
     Detection,
     Scenario,
-    ScenarioError,
     SweepConfig,
     SweepResult,
     adoption_series,
@@ -117,20 +116,20 @@ class TestEnumeration:
     # A name is resolved by its stage, so the refusal names the first
     # scenario that holds it.
     def test_unresolvable_target(self, datasets):
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(ValueError) as exc:
             sweep_tables(config(targets=["mail_pigeon"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_pigeon|album|minutes|empirical|0.01: "
                                   "unresolvable target 'mail_pigeon'")
 
     def test_unresolvable_media(self, datasets):
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(ValueError) as exc:
             sweep_tables(config(reference_media=["betamax"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_cd|betamax|minutes|empirical|0.01: "
                                   "unresolvable reference media 'betamax'")
 
     def test_unresolvable_media_is_named_before_target(self, datasets):
         # The replacement stage runs before the target's.
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(ValueError) as exc:
             sweep_tables(config(targets=["mail_pigeon"], reference_media=["betamax"]), datasets)
         assert str(exc.value) == ("scenario audio|mail_pigeon|betamax|minutes|empirical|0.01: "
                                   "unresolvable reference media 'betamax'")
@@ -296,8 +295,10 @@ class TestRunScenario:
         assert knees == (knee(adoption, 0.01),)
 
     def test_case_media_kind_mismatch_is_annotated(self, datasets):
-        with pytest.raises(ScenarioError, match="audio\\|mail_cd\\|clip"):
+        with pytest.raises(ValueError) as exc:
             sweep_tables(config(reference_media=["clip"]), datasets)
+        assert str(exc.value) == ("scenario audio|mail_cd|clip|minutes|empirical|0.01: "
+                                  "reference media 'clip' is video, case is audio")
 
     def test_custom_target_series(self, datasets):
         from techknee.series import AnnualSeries
@@ -600,26 +601,24 @@ class TestJoin:
         assert len(calls["adoption_series"]) == 6  # minutes, raw bits, units per case
 
     def test_failure_names_first_failing_scenario(self, datasets):
-        from techknee.errors import FitError
-
         # No data after 2030: every scenario with that window fails its fit.
         cfg = config(
             targets=["mail_cd", "mail_cassette"],
             detection=["empirical", "fitted:2030-2040"],
             knee_thresholds=[0.01, 0.10],
         )
-        with pytest.raises(ScenarioError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             sweep_tables(cfg, datasets)
         first = "audio|mail_cd|album|minutes|fitted:2030-2040|0.01"
-        assert str(excinfo.value).startswith(f"scenario {first}: ")
-        assert isinstance(excinfo.value.__cause__, FitError)
+        assert str(excinfo.value) == f"scenario {first}: need at least 2 points in window, got 0"
+        assert str(excinfo.value.__cause__) == "need at least 2 points in window, got 0"
         # Swept alone, in enumeration order, the same scenario fails first.
         failing = []
         for target, detection, threshold in itertools.product(cfg.targets, cfg.detection, cfg.knee_thresholds):
             try:
                 sweep_tables(cfg._replace(targets=(target,), detection=(detection,), knee_thresholds=(threshold,)),
                              datasets)
-            except ScenarioError as exc:
+            except ValueError as exc:
                 failing.append(str(exc).split(": ", 1)[0])
         assert failing[0] == f"scenario {first}"
 
